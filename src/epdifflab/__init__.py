@@ -7,7 +7,6 @@ the conjugated operator with its convolution oracle.
 """
 
 from .grid import (
-    FrequencyLattice,
     GridMismatchError,
     SpectralScalarField,
     SpectralVectorField,

@@ -9,6 +9,7 @@ numeric field is validated before any work starts; violations raise
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -63,6 +64,8 @@ def _as_float(raw: str, where: str, positive: bool = False) -> float:
         val = float(raw)
     except ValueError as exc:
         raise ConfigError(f"{where}: not a number: {raw!r}") from exc
+    if not math.isfinite(val):
+        raise ConfigError(f"{where}: must be finite, got {raw!r}")
     if positive and not val > 0:
         raise ConfigError(f"{where}: must be positive, got {val}")
     return val
@@ -136,8 +139,8 @@ def load_config(path: str | Path) -> RunConfig:
         t_end = _as_float(_get(parser, "integrator", "t_end", required=True), "[integrator] t_end", positive=True)
         cadence = _as_int(_get(parser, "integrator", "cadence", "1"), "[integrator] cadence", minimum=1)
         n_steps = t_end / dt
-        if abs(n_steps - round(n_steps)) > 1e-9 * max(1.0, n_steps):
-            raise ConfigError("[integrator] t_end must be an integer multiple of dt")
+        if round(n_steps) < 1 or abs(n_steps - round(n_steps)) > 1e-9 * max(1.0, n_steps):
+            raise ConfigError("[integrator] t_end must be a positive integer multiple of dt")
 
     seed = _as_int(_get(parser, "run", "seed", "0"), "[run] seed", minimum=0)
     thr_raw = _get(parser, "run", "blowup_threshold", "auto")

@@ -20,15 +20,14 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .grid import (
-    SpectralScalarField,
     SpectralVectorField,
     TorusGrid,
-    dealiased_product,
-    directional_derivative,
     divergence,
     forward_transform,
     jacobian_coeffs,
     l2_inner,
+    padded_samples,
+    truncate_padded,
     _ifft,
 )
 from .operators import FourierMultiplier, apply, apply_inverse, sobolev_norm
@@ -91,21 +90,24 @@ def diagnostics(
 # --- the right-hand side -------------------------------------------------------
 
 def momentum_transport(v: SpectralVectorField, m: SpectralVectorField) -> SpectralVectorField:
-    """Transport term ``(v . grad) m + (grad v)^T m + (div v) m``, dealiased."""
+    """Transport term ``(v . grad) m + (grad v)^T m + (div v) m``, dealiased.
+
+    ``[v, m, div v]`` go to the 3/2 grid once; per output component ``i`` only
+    ``d_j m^i`` and ``d_i v^j`` do, which bounds the padded working set.
+    """
     grid = v.grid
-    out = directional_derivative(v, m)
-    jac_v = jacobian_coeffs(v)  # [i, j] = dv^i/dx_j
-    terms = np.zeros_like(out.coeffs)
-    for i in range(grid.dim):
-        acc = None
-        for j in range(grid.dim):
-            prod = dealiased_product(
-                SpectralScalarField(grid, jac_v[j, i]), m.component(j)
-            )
-            acc = prod if acc is None else acc + prod
-        terms[i] = acc.coeffs
-    out = out + SpectralVectorField(grid, terms)
-    return out + dealiased_product(divergence(v), m)
+    d = grid.dim
+    factors = grid.derivative_factors
+    shared = padded_samples(grid, np.concatenate([v.coeffs, m.coeffs, divergence(v).coeffs[None]]))
+    ms, div = shared[d:2 * d], shared[2 * d]
+    out = np.empty((d,) + grid.padded_shape)
+    for i in range(d):
+        # [v^j, m^j] pairs with [d_j m^i, d_i v^j]: the first two terms at once.
+        # The padded gradients are a temporary, freed before the next component.
+        grads = np.concatenate([m.coeffs[i] * factors, v.coeffs * factors[i]])
+        np.einsum("k...,k...->...", shared[:2 * d], padded_samples(grid, grads), out=out[i])
+        out[i] += div * ms[i]
+    return SpectralVectorField(grid, truncate_padded(grid, out))
 
 
 def euler_rhs(mult: FourierMultiplier, m: SpectralVectorField) -> SpectralVectorField:
@@ -196,8 +198,8 @@ def integrate(
         raise ValueError("need dt > 0 and t_end > start time")
     cadence = max(int(cadence), 1)
     n_steps = int(round((t_end - state.t) / dt))
-    if abs(state.t + n_steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
-        raise ValueError("t_end must be an integer number of steps away")
+    if n_steps < 1 or abs(state.t + n_steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
+        raise ValueError("t_end must be a positive integer number of steps away")
 
     diags = [diagnostics(mult, state, norm_orders)]
     if callback:

@@ -21,6 +21,7 @@ Parseval reads ``(L/n)^d sum_x |f|^2 = L^{-d} sum_k |coeff|^2``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
@@ -98,25 +99,29 @@ class TorusGrid:
         return np.any(self.wavenumbers == -(self.n // 2), axis=0)
 
     @cached_property
-    def lattice(self) -> "FrequencyLattice":
-        return FrequencyLattice(wavenumbers=self.wavenumbers, nyquist_mask=self.nyquist_mask)
+    def derivative_factors(self) -> np.ndarray:
+        """Symbols ``2*pi*i*k_j/L`` of ``d/dx_j``, shape ``(dim, n, ..., n)``.
+
+        Nyquist modes are zeroed: their odd derivative is not representable.
+        """
+        factors = 2j * np.pi * self.wavenumbers / self.length
+        return np.where(self.nyquist_mask, 0.0, factors)
+
+    @property
+    def padded_shape(self) -> tuple[int, ...]:
+        """Shape of the 3/2 grid on which quadratic terms are evaluated."""
+        return ((3 * self.n) // 2,) * self.dim
+
+    @cached_property
+    def padded_band(self) -> tuple:
+        """Index of the n-grid modes inside a stack of 3/2-grid spectra."""
+        m, half = (3 * self.n) // 2, self.n // 2
+        idx = np.concatenate([np.arange(half), np.arange(m - half, m)])
+        return (slice(None),) + np.ix_(*([idx] * self.dim))
 
     def frequency_points(self) -> np.ndarray:
         """Frequencies as a flat list of points, shape ``(n^d, dim)``."""
         return self.frequencies.reshape(self.dim, -1).T
-
-
-@dataclass(frozen=True, eq=False)
-class FrequencyLattice:
-    """Integer frequency set of a grid with its Nyquist flags.
-
-    ``wavenumbers`` has shape ``(dim, n, ..., n)`` with each component in
-    ``[-n/2, n/2)``; ``nyquist_mask`` flags the modes that differentiation
-    must zero (their odd derivative is not representable on the grid).
-    """
-
-    wavenumbers: np.ndarray
-    nyquist_mask: np.ndarray
 
 
 def _fft(samples: np.ndarray, grid: TorusGrid) -> np.ndarray:
@@ -265,32 +270,20 @@ def inverse_transform(field: SpectralVectorField) -> np.ndarray:
     return field.samples()
 
 
-def _derivative_factor(grid: TorusGrid, axis: int) -> np.ndarray:
-    factor = 2j * np.pi * grid.wavenumbers[axis] / grid.length
-    return np.where(grid.nyquist_mask, 0.0, factor)
-
-
 def spectral_gradient(u: Field, axis: int) -> Field:
     """Exact partial derivative along ``axis``; Nyquist modes are zeroed."""
     if not 0 <= axis < u.grid.dim:
         raise ValueError(f"axis {axis} out of range for dim {u.grid.dim}")
-    return u._sibling(u.coeffs * _derivative_factor(u.grid, axis))
+    return u._sibling(u.coeffs * u.grid.derivative_factors[axis])
 
 
 def divergence(u: SpectralVectorField) -> SpectralScalarField:
-    out = np.zeros(u.grid.shape, dtype=complex)
-    for j in range(u.grid.dim):
-        out += u.coeffs[j] * _derivative_factor(u.grid, j)
-    return SpectralScalarField(u.grid, out)
+    return SpectralScalarField(u.grid, np.sum(u.coeffs * u.grid.derivative_factors, axis=0))
 
 
 def jacobian_coeffs(u: SpectralVectorField) -> np.ndarray:
     """Coefficients of ``du^i/dx_j``, shape ``(d, d, n, ..., n)`` indexed [i, j]."""
-    grid = u.grid
-    out = np.empty((grid.dim, grid.dim) + grid.shape, dtype=complex)
-    for j in range(grid.dim):
-        out[:, j] = u.coeffs * _derivative_factor(grid, j)
-    return out
+    return u.coeffs[:, None] * u.grid.derivative_factors
 
 
 def translate(u: Field, shift: np.ndarray) -> Field:
@@ -304,88 +297,97 @@ def translate(u: Field, shift: np.ndarray) -> Field:
 
 
 # --- alias-free products ----------------------------------------------------
+#
+# A quadratic term is one padded-grid pass (Orszag's 3/2 rule): its spectra go
+# to the 3/2 grid, the algebra runs on real samples there, and one forward
+# transform comes back.  Truncation is linear, so the sum of products is
+# dealiased as exactly as each product apart.
 
-def _padded_size(n: int) -> int:
-    # 3/2 zero padding: quadratic products of band-limited fields come back exact.
-    return (3 * n) // 2
+# Complex bytes per numpy FFT call: a transform's input, output and scratch
+# are the largest buffers of a step, so at d=3 a stack is transformed in
+# pieces.  At d=1 a whole stack fits in one call.
+MAX_TRANSFORM_BYTES = 256 * 1024
 
 
-def _band_indices(n: int, m: int) -> np.ndarray:
-    """Positions of the n-grid modes inside an m-grid FFT layout (m >= n)."""
-    half = n // 2
-    return np.concatenate([np.arange(half), np.arange(m - half, m)])
+def _transform_batch(grid: TorusGrid) -> int:
+    return max(1, MAX_TRANSFORM_BYTES // (16 * math.prod(grid.padded_shape)))
 
 
-def _embed(coeffs: np.ndarray, dim: int, n: int, m: int) -> np.ndarray:
-    lead = coeffs.shape[:-dim]
-    out = np.zeros(lead + (m,) * dim, dtype=complex)
-    idx = _band_indices(n, m)
-    sel = (slice(None),) * len(lead) + np.ix_(*([idx] * dim))
-    out[sel] = coeffs
+def padded_samples(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
+    """Real samples on the 3/2 grid of a stack of n-grid spectra ``(k, n, ..., n)``.
+
+    Takes the real part of the inverse transform, so a lone ``-n/2`` mode
+    contributes its cosine half.  Returns shape ``(k, m, ..., m)``.
+    """
+    axes = tuple(range(-grid.dim, 0))
+    scale = math.prod(grid.padded_shape) / grid.length**grid.dim
+    batch = _transform_batch(grid)
+    out = np.empty((len(coeffs),) + grid.padded_shape)
+    for lo in range(0, len(coeffs), batch):
+        chunk = coeffs[lo:lo + batch]
+        spec = np.zeros((len(chunk),) + grid.padded_shape, dtype=complex)
+        spec[grid.padded_band] = chunk
+        np.multiply(np.fft.ifftn(spec, axes=axes).real, scale, out=out[lo:lo + batch])
     return out
 
 
-def _extract(coeffs: np.ndarray, dim: int, n: int, m: int) -> np.ndarray:
-    """Restrict an m-grid spectrum to the n-grid band, folding ``+n/2 -> -n/2``.
+def truncate_padded(grid: TorusGrid, samples: np.ndarray) -> np.ndarray:
+    """n-grid spectra of a stack of real 3/2-grid samples ``(k, m, ..., m)``.
 
-    Folding the Nyquist pair reproduces what sampling the (band-limited)
-    product on the coarse grid would do and keeps the result real-valued.
+    The ``+n/2`` partner of each axis is folded into the ``-n/2`` bin before
+    truncation, which reproduces what sampling the band-limited product on
+    the n grid would do and keeps the result real-valued.
     """
-    lead = len(coeffs.shape) - dim
-    half = n // 2
-    for axis in range(lead, lead + dim):
-        plus = np.take(coeffs, half, axis=axis)
-        sl = [slice(None)] * coeffs.ndim
-        sl[axis] = m - half
-        coeffs[tuple(sl)] += plus
-    idx = _band_indices(n, m)
-    sel = (slice(None),) * lead + np.ix_(*([idx] * dim))
-    return coeffs[sel]
+    axes = tuple(range(-grid.dim, 0))
+    m, half = grid.padded_shape[0], grid.n // 2
+    batch = _transform_batch(grid)
+    out = np.empty((len(samples),) + grid.shape, dtype=complex)
+    for lo in range(0, len(samples), batch):
+        spec = np.fft.fftn(samples[lo:lo + batch], axes=axes)
+        for axis in range(1, grid.dim + 1):
+            lead = (slice(None),) * axis
+            spec[lead + (m - half,)] += spec[lead + (half,)]
+        out[lo:lo + batch] = spec[grid.padded_band]
+    out *= grid.length**grid.dim / math.prod(grid.padded_shape)
+    return out
+
+
+def _stack(u: Field) -> np.ndarray:
+    return u.coeffs.reshape((-1,) + u.grid.shape)
 
 
 def dealiased_product(f: Field, g: Field) -> Field:
     """Pointwise product of two fields with no aliasing contamination.
 
-    Both spectra are zero-padded to a 3/2-times-finer grid, multiplied in
-    physical space there, and truncated back to the original lattice, so the
-    result equals the exact product of the two band-limited functions
+    The result equals the exact product of the two band-limited functions
     restricted to the lattice.  Scalar*scalar gives a scalar; any combination
     involving a vector broadcasts to a (componentwise) vector product.
     """
     _require_same_grid(f, g)
     grid = f.grid
-    n, m, dim = grid.n, _padded_size(grid.n), grid.dim
-    vol = grid.length**dim
-
-    fa = _ifft_raw(_embed(f.coeffs, dim, n, m), dim).real / vol
-    ga = _ifft_raw(_embed(g.coeffs, dim, n, m), dim).real / vol
-    out = _extract(_fft_raw(fa * ga, dim) * vol, dim, n, m)
-
+    fs, gs = _stack(f), _stack(g)
+    padded = padded_samples(grid, np.concatenate([fs, gs]))
+    out = truncate_padded(grid, padded[:len(fs)] * padded[len(fs):])
     if isinstance(f, SpectralScalarField) and isinstance(g, SpectralScalarField):
-        return SpectralScalarField(grid, out)
+        return SpectralScalarField(grid, out[0])
     return SpectralVectorField(grid, out)
 
 
-def _fft_raw(samples: np.ndarray, dim: int) -> np.ndarray:
-    axes = tuple(range(-dim, 0))
-    size = np.prod(samples.shape[-dim:])
-    return np.fft.fftn(samples, axes=axes) / size
-
-
-def _ifft_raw(coeffs: np.ndarray, dim: int) -> np.ndarray:
-    axes = tuple(range(-dim, 0))
-    size = np.prod(coeffs.shape[-dim:])
-    return np.fft.ifftn(coeffs * size, axes=axes)
-
-
 def directional_derivative(v: SpectralVectorField, w: Field) -> Field:
-    """Advective derivative ``(v . grad) w`` with dealiased products."""
+    """Advective derivative ``(v . grad) w`` with dealiased products.
+
+    The padded samples of ``v`` are built once; the gradient of each
+    component of ``w`` is transformed only while its output is formed.
+    """
     _require_same_grid(v, w)
-    terms = None
-    for j in range(v.grid.dim):
-        t = dealiased_product(v.component(j), spectral_gradient(w, j))
-        terms = t if terms is None else terms + t
-    return terms
+    grid = v.grid
+    vs = padded_samples(grid, v.coeffs)
+    ws = _stack(w)
+    out = np.empty((len(ws),) + grid.padded_shape)
+    for i, wi in enumerate(ws):
+        np.einsum("j...,j...->...", vs, padded_samples(grid, wi * grid.derivative_factors),
+                  out=out[i])
+    return w._sibling(truncate_padded(grid, out).reshape(w.coeffs.shape))
 
 
 def l2_inner(u: Field, v: Field) -> float:

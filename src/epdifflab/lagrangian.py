@@ -24,13 +24,12 @@ from .grid import (
     SpectralScalarField,
     SpectralVectorField,
     TorusGrid,
-    dealiased_product,
     directional_derivative,
-    divergence,
     forward_transform,
     jacobian_coeffs,
     _ifft,
 )
+from .epdiff import momentum_transport
 from .operators import FourierMultiplier, apply, apply_inverse, sobolev_norm
 
 SPLINE_ORDER = 5
@@ -247,20 +246,12 @@ class GeodesicState:
 
 
 def spray_at_identity(mult: FourierMultiplier, u: SpectralVectorField) -> SpectralVectorField:
-    """Quadratic spray ``S(u) = A^-1([A, grad_u] u - (grad u)^T A u - (div u) A u)``."""
-    grid = u.grid
-    au = apply(mult, u)
-    commutator = apply(mult, directional_derivative(u, u)) - directional_derivative(u, au)
-    jac_u = jacobian_coeffs(u)
-    grad_t = np.zeros_like(u.coeffs)
-    for i in range(grid.dim):
-        acc = None
-        for j in range(grid.dim):
-            p = dealiased_product(SpectralScalarField(grid, jac_u[j, i]), au.component(j))
-            acc = p if acc is None else acc + p
-        grad_t[i] = acc.coeffs
-    total = commutator - SpectralVectorField(grid, grad_t) - dealiased_product(divergence(u), au)
-    return apply_inverse(mult, total)
+    """Quadratic spray ``S(u) = A^-1([A, grad_u] u - (grad u)^T A u - (div u) A u)``.
+
+    Collected as ``A^-1(A (u . grad) u - momentum_transport(u, A u))``.
+    """
+    return apply_inverse(mult, apply(mult, directional_derivative(u, u))
+                         - momentum_transport(u, apply(mult, u)))
 
 
 def spray_rhs(mult: FourierMultiplier, state: GeodesicState):
@@ -286,8 +277,8 @@ def integrate_geodesic(
     if dt <= 0 or t_end <= state.t:
         raise ValueError("need dt > 0 and t_end > start time")
     n_steps = int(round((t_end - state.t) / dt))
-    if abs(state.t + n_steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
-        raise ValueError("t_end must be an integer number of steps away")
+    if n_steps < 1 or abs(state.t + n_steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
+        raise ValueError("t_end must be a positive integer number of steps away")
 
     def rhs(f_coeffs: np.ndarray, v_coeffs: np.ndarray):
         grid = state.phi.grid

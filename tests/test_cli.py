@@ -61,6 +61,9 @@ class TestConfigValidation:
             ("dt = 0.005", "dt = -0.1"),
             ("name = gaussian_blob", "name = warp_drive"),
             ("t_end = 0.05", "t_end = 0.052"),
+            ("dt = 0.005", "dt = inf"),  # once ran zero steps and exited 0
+            ("s = 1.5", "s = nan"),  # once raised from build_elliptic (exit 1)
+            ("dt = 0.005", "dt = 1e300"),  # finite, but zero steps
         ],
     )
     def test_bad_values_exit_3(self, tmp_path, mutation):

@@ -161,6 +161,11 @@ class TestStepping:
         assert np.abs(res.final_state.m.coeffs).max() == 0.0
         assert res.status == "completed"
 
+    def test_zero_steps_rejected(self, grid, ch):
+        st = EulerState.from_velocity(ch, SpectralVectorField.zero(grid))
+        with pytest.raises(ValueError):
+            integrate(ch, st, 0.1, np.inf)
+
     def test_cfl_guard(self, grid, ch):
         st = EulerState.from_velocity(ch, gaussian_blob(grid, amplitude=1.0))
         with pytest.raises(CFLError):

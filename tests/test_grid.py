@@ -45,10 +45,10 @@ class TestTorusGrid:
 
     def test_lattice_bijective_and_nyquist(self):
         g = TorusGrid(1, 16)
-        k = g.lattice.wavenumbers[0]
+        k = g.wavenumbers[0]
         assert sorted(k.tolist()) == list(range(-8, 8))
-        assert g.lattice.nyquist_mask.sum() == 1
-        assert k[g.lattice.nyquist_mask][0] == -8
+        assert g.nyquist_mask.sum() == 1
+        assert k[g.nyquist_mask][0] == -8
 
 
 class TestTransforms:

@@ -224,6 +224,12 @@ class TestSpray:
         )
         assert all(st.phi.min_det > 0 for st in traj)
 
+    def test_zero_steps_rejected(self, grid):
+        mult = sobolev_multiplier(1.5, grid)
+        state = GeodesicState(DiffeoChart.identity(grid), SpectralVectorField.zero(grid))
+        with pytest.raises(ValueError):
+            integrate_geodesic(mult, state, 0.1, np.inf)
+
     def test_grid_mismatch_rejected(self, grid):
         other = TorusGrid(1, 64)
         with pytest.raises(ChartError):
