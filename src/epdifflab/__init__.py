@@ -14,8 +14,6 @@ from .grid import (
     dealiased_product,
     directional_derivative,
     divergence,
-    forward_transform,
-    inverse_transform,
     l2_inner,
     spectral_gradient,
     translate,

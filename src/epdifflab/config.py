@@ -25,6 +25,10 @@ SCENARIO_NAMES = (
 
 TIME_SCENARIOS = ("gaussian_blob", "random_bandlimited", "peakon_pair", "consistency")
 
+# Largest grid, in points^dimension (128^3): every field of a run is this
+# large, and the padded grid (3/2)^dimension times larger.
+MAX_GRID_POINTS = 2**21
+
 
 class ConfigError(ValueError):
     """Configuration file is missing, malformed, or violates a guard."""
@@ -102,6 +106,11 @@ def load_config(path: str | Path) -> RunConfig:
     points = _as_int(_get(parser, "grid", "points", required=True), "[grid] points", minimum=8)
     if points & (points - 1) != 0:
         raise ConfigError(f"[grid] points must be a power of two, got {points}")
+    if points**dimension > MAX_GRID_POINTS:
+        raise ConfigError(
+            f"[grid] points^dimension = {points}^{dimension} exceeds the largest grid, "
+            f"{MAX_GRID_POINTS} points"
+        )
     length = _as_float(_get(parser, "grid", "length", "1.0"), "[grid] length", positive=True)
 
     metric_kind = _get(parser, "metric", "kind", "sobolev")

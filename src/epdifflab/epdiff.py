@@ -23,12 +23,12 @@ from .grid import (
     SpectralVectorField,
     TorusGrid,
     divergence,
-    forward_transform,
     jacobian_coeffs,
     l2_inner,
     padded_samples,
     truncate_padded,
-    _ifft,
+    _samples,
+    _transform_batch,
 )
 from .operators import FourierMultiplier, apply, apply_inverse, sobolev_norm
 
@@ -70,7 +70,7 @@ class Diagnostics:
 
 def sup_velocity_gradient(u: SpectralVectorField) -> float:
     """Max over the grid and all components of ``|du^i/dx_j|``."""
-    grads = _ifft(jacobian_coeffs(u), u.grid).real
+    grads = _samples(u.grid, jacobian_coeffs(u))
     return float(np.abs(grads).max())
 
 
@@ -93,19 +93,34 @@ def momentum_transport(v: SpectralVectorField, m: SpectralVectorField) -> Spectr
     """Transport term ``(v . grad) m + (grad v)^T m + (div v) m``, dealiased.
 
     ``[v, m, div v]`` go to the 3/2 grid once; per output component ``i`` only
-    ``d_j m^i`` and ``d_i v^j`` do, which bounds the padded working set.
+    ``d_j m^i`` and ``d_i v^j`` do, which bounds the padded working set.  When
+    the whole stack fits in one transform call, it goes in one call.
     """
     grid = v.grid
     d = grid.dim
     factors = grid.derivative_factors
-    shared = padded_samples(grid, np.concatenate([v.coeffs, m.coeffs, divergence(v).coeffs[None]]))
-    ms, div = shared[d:2 * d], shared[2 * d]
+
+    def gradients(i: int) -> np.ndarray:
+        # [d_j m^i, d_i v^j] pairs with [v^j, m^j]: the first two terms at once
+        out = np.empty((2 * d,) + grid.shape, dtype=complex)
+        np.multiply(m.coeffs[i], factors, out=out[:d])
+        np.multiply(v.coeffs, factors[i], out=out[d:])
+        return out
+
+    shared = [v.coeffs, m.coeffs, divergence(v).coeffs[None]]
+    fused = 2 * d + 1 + 2 * d * d <= _transform_batch(grid)
+    if fused:
+        padded = padded_samples(grid, np.concatenate(shared + [gradients(i) for i in range(d)]))
+    else:
+        padded = padded_samples(grid, np.concatenate(shared))
+    ms, div = padded[d:2 * d], padded[2 * d]
     out = np.empty((d,) + grid.padded_shape)
     for i in range(d):
-        # [v^j, m^j] pairs with [d_j m^i, d_i v^j]: the first two terms at once.
-        # The padded gradients are a temporary, freed before the next component.
-        grads = np.concatenate([m.coeffs[i] * factors, v.coeffs * factors[i]])
-        np.einsum("k...,k...->...", shared[:2 * d], padded_samples(grid, grads), out=out[i])
+        # unless fused, one component's padded gradients at a time, freed after use
+        lo = 2 * d * (i + 1) + 1
+        np.einsum("k...,k...->...", padded[:2 * d],
+                  padded[lo:lo + 2 * d] if fused else padded_samples(grid, gradients(i)),
+                  out=out[i])
         out[i] += div * ms[i]
     return SpectralVectorField(grid, truncate_padded(grid, out))
 
@@ -326,7 +341,7 @@ def gaussian_blob(
         center = [grid.length / 2] * grid.dim
     samples = np.zeros((grid.dim,) + grid.shape)
     samples[component] = amplitude * _periodic_bump(grid, np.asarray(center, dtype=float), width)
-    return forward_transform(grid, samples)
+    return SpectralVectorField.from_samples(grid, samples)
 
 
 def peakon_pair(
@@ -350,7 +365,7 @@ def peakon_pair(
     samples[0] = amplitude * (
         _periodic_bump(grid, np.asarray(left), width) - _periodic_bump(grid, np.asarray(right), width)
     )
-    return forward_transform(grid, samples)
+    return SpectralVectorField.from_samples(grid, samples)
 
 
 def random_bandlimited(
@@ -362,7 +377,7 @@ def random_bandlimited(
 ) -> SpectralVectorField:
     """Random real field supported on ``|k|_inf <= kmax`` with prescribed H^q norm."""
     rng = np.random.default_rng(seed)
-    u = forward_transform(grid, rng.standard_normal((grid.dim,) + grid.shape))
+    u = SpectralVectorField.from_samples(grid, rng.standard_normal((grid.dim,) + grid.shape))
     keep = np.max(np.abs(grid.wavenumbers), axis=0) <= kmax
     trimmed = SpectralVectorField(grid, u.coeffs * keep)
     current = sobolev_norm(trimmed, norm_order)

@@ -21,6 +21,7 @@ Parseval reads ``(L/n)^d sum_x |f|^2 = L^{-d} sum_k |coeff|^2``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -112,26 +113,95 @@ class TorusGrid:
         """Shape of the 3/2 grid on which quadratic terms are evaluated."""
         return ((3 * self.n) // 2,) * self.dim
 
+    @property
+    def padded_half_shape(self) -> tuple[int, ...]:
+        """Shape of a real-transform half spectrum on the 3/2 grid."""
+        m = (3 * self.n) // 2
+        return (m,) * (self.dim - 1) + (m // 2 + 1,)
+
     @cached_property
-    def padded_band(self) -> tuple:
-        """Index of the n-grid modes inside a stack of 3/2-grid spectra."""
-        m, half = (3 * self.n) // 2, self.n // 2
-        idx = np.concatenate([np.arange(half), np.arange(m - half, m)])
-        return (slice(None),) + np.ix_(*([idx] * self.dim))
+    def mirror(self) -> tuple:
+        """Index taking a stack of n-grid spectra at ``k`` to their values at ``-k``."""
+        flip = -np.arange(self.n) % self.n
+        return (Ellipsis,) + np.ix_(*([flip] * self.dim))
+
+    @cached_property
+    def padded_blocks(self) -> tuple[list, list, list]:
+        """Slice pairs ``(padded, n_grid)`` between n-grid spectra and 3/2-grid
+        half spectra (last-axis bins ``0..m/2``).
+
+        ``minus`` places each ``-n/2`` bin at ``-n/2``, ``plus`` at ``+n/2`` on
+        every axis at once, and ``band`` reads the n band of a 3/2-grid half
+        spectrum: ``-n/2`` on the leading axes, ``0..+n/2`` on the last.
+        """
+        n, m = self.n, (3 * self.n) // 2
+
+        def pairs(plus: bool) -> tuple:
+            h = n // 2 + plus
+            return (slice(0, h), slice(0, h)), (slice(m - n + h, m), slice(h, n))
+
+        def blocks(plus: bool, plus_last: bool) -> list:
+            axes = [pairs(plus)] * (self.dim - 1) + [pairs(plus_last)[:1]]
+            return [tuple((Ellipsis,) + side for side in zip(*combo))
+                    for combo in itertools.product(*axes)]
+
+        return blocks(False, False), blocks(True, True), blocks(False, True)
 
     def frequency_points(self) -> np.ndarray:
         """Frequencies as a flat list of points, shape ``(n^d, dim)``."""
         return self.frequencies.reshape(self.dim, -1).T
 
 
-def _fft(samples: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    axes = tuple(range(-grid.dim, 0))
-    return np.fft.fftn(samples, axes=axes) * grid.cell_volume
+def _axes(dim: int) -> tuple[int, ...]:
+    return tuple(range(-dim, 0))
 
 
-def _ifft(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    axes = tuple(range(-grid.dim, 0))
-    return np.fft.ifftn(coeffs / grid.cell_volume, axes=axes)
+# numpy's n-d wrappers cost about as much as a whole d=1 transform, so d=1
+# calls the one-axis transforms.
+
+def _rfft(samples: np.ndarray, dim: int) -> np.ndarray:
+    """Half spectra of real samples over the last ``dim`` axes."""
+    if dim == 1:
+        return np.fft.rfft(samples)
+    return np.fft.rfftn(samples, axes=_axes(dim))
+
+
+def _irfft(half: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Real samples of shape ``shape`` (last axes) from half spectra."""
+    if len(shape) == 1:
+        return np.fft.irfft(half, n=shape[0])
+    return np.fft.irfftn(half, s=shape, axes=_axes(len(shape)))
+
+
+def _complete_hermitian(grid: TorusGrid, out: np.ndarray) -> np.ndarray:
+    """Fill in place the negative last-axis bins of n-grid spectra ``(..., n, ..., n)``.
+
+    On entry bins ``0..n/2`` of the last axis are set, bin ``n/2`` holding the
+    ``+n/2`` mode, and the other bins are zero.  On exit the ``-n/2`` bin is
+    that mode plus the conjugate of its reflection, the other negative bins
+    are conjugate reflections, and ``out`` is exactly conjugate-symmetric.
+    """
+    out[..., 0] *= 0.5  # bin 0 is its own reflection on the last axis
+    mirrored = out[grid.mirror]
+    out += np.conjugate(mirrored, out=mirrored)
+    return out
+
+
+def _spectra(grid: TorusGrid, samples: np.ndarray) -> np.ndarray:
+    """Spectra of real samples ``(..., n, ..., n)``."""
+    half = grid.n // 2
+    out = np.zeros(samples.shape, dtype=complex)
+    out[..., :half + 1] = _rfft(samples, grid.dim)
+    out[..., half] *= 0.5  # the +-n/2 bin, shared by the two halves
+    out = _complete_hermitian(grid, out)
+    out *= grid.cell_volume
+    return out
+
+
+def _samples(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
+    """Real samples of conjugate-symmetric spectra ``(..., n, ..., n)``."""
+    half = coeffs[..., :grid.n // 2 + 1]
+    return _irfft(half, grid.shape) / grid.cell_volume
 
 
 class _FieldBase:
@@ -165,12 +235,13 @@ class _FieldBase:
         return self._sibling(-self.coeffs)
 
     def samples(self) -> np.ndarray:
-        """Physical-space samples on the grid (real part of the inverse FFT)."""
-        return _ifft(self.coeffs, self.grid).real
+        """Physical-space samples on the grid (real inverse transform)."""
+        return _samples(self.grid, self.coeffs)
 
     def imag_residual(self) -> float:
         """Sup of the imaginary part in physical space; ~0 for real fields."""
-        return float(np.abs(_ifft(self.coeffs, self.grid).imag).max())
+        complex_samples = np.fft.ifftn(self.coeffs / self.grid.cell_volume, axes=_axes(self.grid.dim))
+        return float(np.abs(complex_samples.imag).max())
 
     def l2_norm(self) -> float:
         """Norm of ``sqrt(integral |f|^2 dx)`` over the box."""
@@ -210,7 +281,7 @@ class SpectralScalarField(_FieldBase):
         samples = np.asarray(samples, dtype=float)
         if samples.shape != grid.shape:
             raise ValueError(f"sample shape {samples.shape} != grid shape {grid.shape}")
-        return cls(grid, _fft(samples, grid))
+        return cls(grid, _spectra(grid, samples))
 
     def integral(self) -> float:
         """Exact ``integral f dx`` (the k=0 coefficient)."""
@@ -240,7 +311,7 @@ class SpectralVectorField(_FieldBase):
         expected = (grid.dim,) + grid.shape
         if samples.shape != expected:
             raise ValueError(f"sample shape {samples.shape} != expected {expected}")
-        return cls(grid, _fft(samples, grid))
+        return cls(grid, _spectra(grid, samples))
 
     @classmethod
     def zero(cls, grid: TorusGrid) -> "SpectralVectorField":
@@ -258,16 +329,6 @@ class SpectralVectorField(_FieldBase):
 
 
 Field = Union[SpectralScalarField, SpectralVectorField]
-
-
-def forward_transform(grid: TorusGrid, samples: np.ndarray) -> SpectralVectorField:
-    """Transform real vector samples ``(d, n, ..., n)`` to spectral coefficients."""
-    return SpectralVectorField.from_samples(grid, samples)
-
-
-def inverse_transform(field: SpectralVectorField) -> np.ndarray:
-    """Physical samples of a spectral field; inverse of :func:`forward_transform`."""
-    return field.samples()
 
 
 def spectral_gradient(u: Field, axis: int) -> Field:
@@ -303,31 +364,36 @@ def translate(u: Field, shift: np.ndarray) -> Field:
 # transform comes back.  Truncation is linear, so the sum of products is
 # dealiased as exactly as each product apart.
 
-# Complex bytes per numpy FFT call: a transform's input, output and scratch
-# are the largest buffers of a step, so at d=3 a stack is transformed in
-# pieces.  At d=1 a whole stack fits in one call.
+# Bytes of complex half spectrum per numpy FFT call: a transform's input,
+# output and scratch are the largest buffers of a step, so at d=3 a stack is
+# transformed in pieces.  At d=1 a whole stack fits in one call.
 MAX_TRANSFORM_BYTES = 256 * 1024
 
 
 def _transform_batch(grid: TorusGrid) -> int:
-    return max(1, MAX_TRANSFORM_BYTES // (16 * math.prod(grid.padded_shape)))
+    return max(1, MAX_TRANSFORM_BYTES // (16 * math.prod(grid.padded_half_shape)))
 
 
 def padded_samples(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
     """Real samples on the 3/2 grid of a stack of n-grid spectra ``(k, n, ..., n)``.
 
-    Takes the real part of the inverse transform, so a lone ``-n/2`` mode
-    contributes its cosine half.  Returns shape ``(k, m, ..., m)``.
+    Each ``-n/2`` bin is split evenly between ``-n/2`` and ``+n/2`` on every
+    axis at once: the Hermitian part of the embedding, so a lone ``-n/2``
+    mode contributes its cosine half.  Returns shape ``(k, m, ..., m)``.
     """
-    axes = tuple(range(-grid.dim, 0))
-    scale = math.prod(grid.padded_shape) / grid.length**grid.dim
+    minus, plus, _ = grid.padded_blocks
+    scale = 0.5 * math.prod(grid.padded_shape) / grid.length**grid.dim
     batch = _transform_batch(grid)
     out = np.empty((len(coeffs),) + grid.padded_shape)
     for lo in range(0, len(coeffs), batch):
         chunk = coeffs[lo:lo + batch]
-        spec = np.zeros((len(chunk),) + grid.padded_shape, dtype=complex)
-        spec[grid.padded_band] = chunk
-        np.multiply(np.fft.ifftn(spec, axes=axes).real, scale, out=out[lo:lo + batch])
+        spec = np.zeros((len(chunk),) + grid.padded_half_shape, dtype=complex)
+        for dst, src in minus:
+            spec[dst] = chunk[src]
+        for dst, src in plus:
+            spec[dst] += chunk[src]
+        spec *= scale
+        out[lo:lo + batch] = _irfft(spec, grid.padded_shape)
     return out
 
 
@@ -336,18 +402,21 @@ def truncate_padded(grid: TorusGrid, samples: np.ndarray) -> np.ndarray:
 
     The ``+n/2`` partner of each axis is folded into the ``-n/2`` bin before
     truncation, which reproduces what sampling the band-limited product on
-    the n grid would do and keeps the result real-valued.
+    the n grid would do and keeps the result real-valued.  On the last axis
+    the fold is rebuilt from the half spectrum by conjugate reflection.
     """
-    axes = tuple(range(-grid.dim, 0))
     m, half = grid.padded_shape[0], grid.n // 2
+    _, _, band = grid.padded_blocks
     batch = _transform_batch(grid)
-    out = np.empty((len(samples),) + grid.shape, dtype=complex)
+    out = np.zeros((len(samples),) + grid.shape, dtype=complex)
     for lo in range(0, len(samples), batch):
-        spec = np.fft.fftn(samples[lo:lo + batch], axes=axes)
-        for axis in range(1, grid.dim + 1):
+        spec = _rfft(samples[lo:lo + batch], grid.dim)
+        for axis in range(1, grid.dim):
             lead = (slice(None),) * axis
             spec[lead + (m - half,)] += spec[lead + (half,)]
-        out[lo:lo + batch] = spec[grid.padded_band]
+        for src, dst in band:
+            out[lo:lo + batch][dst] = spec[src]
+    out = _complete_hermitian(grid, out)
     out *= grid.length**grid.dim / math.prod(grid.padded_shape)
     return out
 

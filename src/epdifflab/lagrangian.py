@@ -25,9 +25,8 @@ from .grid import (
     SpectralVectorField,
     TorusGrid,
     directional_derivative,
-    forward_transform,
     jacobian_coeffs,
-    _ifft,
+    _samples,
 )
 from .epdiff import momentum_transport
 from .operators import FourierMultiplier, apply, apply_inverse, sobolev_norm
@@ -84,7 +83,7 @@ class DiffeoChart:
     def jacobian_samples(self) -> np.ndarray:
         """Samples of ``d phi = I + df``, shape ``(d, d, n, ..., n)``."""
         grid = self.grid
-        df = _ifft(jacobian_coeffs(self.f), grid).real
+        df = _samples(grid, jacobian_coeffs(self.f))
         return df + np.eye(grid.dim).reshape(grid.dim, grid.dim, *([1] * grid.dim))
 
     @cached_property
@@ -117,7 +116,7 @@ class DiffeoChart:
 
     @classmethod
     def from_displacement_samples(cls, grid: TorusGrid, samples: np.ndarray) -> "DiffeoChart":
-        return cls(forward_transform(grid, samples))
+        return cls(SpectralVectorField.from_samples(grid, samples))
 
     def displacement_at(self, points: np.ndarray) -> np.ndarray:
         """Spline-interpolated ``f`` at physical points, shape (d, ...)."""
@@ -146,7 +145,7 @@ def compose(u: Field, phi: DiffeoChart) -> Field:
         vals = _eval_filtered(_spline_filter(u.samples()), pts, u.grid)
         return SpectralScalarField.from_samples(u.grid, vals)
     vals = np.stack([_eval_filtered(_spline_filter(c), pts, u.grid) for c in u.samples()])
-    return forward_transform(u.grid, vals)
+    return SpectralVectorField.from_samples(u.grid, vals)
 
 
 def compose_diffeo(phi: DiffeoChart, psi: DiffeoChart) -> DiffeoChart:

@@ -15,6 +15,8 @@ outputs bit-identical for identical config and seed.
 from __future__ import annotations
 
 import io
+import math
+import sys
 from pathlib import Path
 from typing import Callable
 
@@ -145,13 +147,23 @@ def build_metric(cfg: RunConfig, grid: TorusGrid) -> FourierMultiplier:
 
 # --- time-evolution scenarios ---------------------------------------------------
 
+def _bump_width(cfg: RunConfig, default: float) -> float:
+    """The ``width`` key; the bump's sharpness ``(L / (2 pi width))^2`` must be a finite float."""
+    width = param_float(cfg, "width", default)
+    if cfg.length / (2 * math.pi * width) > math.sqrt(sys.float_info.max):
+        raise ConfigError(
+            f"[scenario] width: {width:g} is too small for a bump on a box of {cfg.length:g}"
+        )
+    return width
+
+
 def _initial_velocity(cfg: RunConfig, grid: TorusGrid) -> SpectralVectorField:
     name = cfg.scenario
     if name in ("gaussian_blob", "consistency"):
         return gaussian_blob(
             grid,
             amplitude=param_float(cfg, "amplitude", 0.25),
-            width=param_float(cfg, "width", 0.1),
+            width=_bump_width(cfg, 0.1),
         )
     if name == "random_bandlimited":
         return random_bandlimited(
@@ -166,7 +178,7 @@ def _initial_velocity(cfg: RunConfig, grid: TorusGrid) -> SpectralVectorField:
             grid,
             amplitude=param_float(cfg, "amplitude", 0.5),
             separation=param_float(cfg, "separation", 0.25 * grid.length),
-            width=param_float(cfg, "width", 0.05 * grid.length),
+            width=_bump_width(cfg, 0.05 * grid.length),
         )
     raise ConfigError(f"scenario {name!r} has no initial velocity")
 
@@ -187,8 +199,8 @@ def _csv_row(d: Diagnostics, norms: tuple[float, ...]) -> str:
 
 def run_evolution(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
     grid = TorusGrid(cfg.dimension, cfg.points, cfg.length)
-    mult = build_metric(cfg, grid)
     u0 = _initial_velocity(cfg, grid)
+    mult = build_metric(cfg, grid)
     state = EulerState.from_velocity(mult, u0)
     threshold = cfg.blowup_threshold
     if threshold is None:
@@ -342,9 +354,7 @@ def run_conjugation_audit(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
 
     def random_headroom(order: int) -> SpectralVectorField:
         kmax = (grid.n // 2 - 1) // (order + 1)
-        from .grid import forward_transform
-
-        u = forward_transform(grid, rng.standard_normal((grid.dim,) + grid.shape))
+        u = SpectralVectorField.from_samples(grid, rng.standard_normal((grid.dim,) + grid.shape))
         keep = np.max(np.abs(grid.wavenumbers), axis=0) <= kmax
         return SpectralVectorField(grid, u.coeffs * keep)
 
@@ -410,8 +420,8 @@ def run_conjugation_audit(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
 
 def run_consistency(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
     grid = TorusGrid(cfg.dimension, cfg.points, cfg.length)
-    mult = build_metric(cfg, grid)
     u0 = _initial_velocity(cfg, grid)
+    mult = build_metric(cfg, grid)
 
     eulerian = integrate(mult, EulerState.from_velocity(mult, u0), cfg.t_end, cfg.dt,
                          cadence=max(cfg.cadence, 1), norm_orders=cfg.norms)

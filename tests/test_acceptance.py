@@ -24,7 +24,7 @@ from epdifflab.epdiff import (
     integrate,
     peakon_pair,
 )
-from epdifflab.grid import SpectralVectorField, TorusGrid, forward_transform
+from epdifflab.grid import SpectralVectorField, TorusGrid
 from epdifflab.lagrangian import (
     DiffeoChart,
     GeodesicState,
@@ -59,7 +59,7 @@ def headroom_fields(grid, order, count, rng):
     keep = np.max(np.abs(grid.wavenumbers), axis=0) <= kmax
     out = []
     for _ in range(count):
-        u = forward_transform(grid, rng.standard_normal((grid.dim,) + grid.shape))
+        u = SpectralVectorField.from_samples(grid, rng.standard_normal((grid.dim,) + grid.shape))
         out.append(SpectralVectorField(grid, u.coeffs * keep))
     return out
 

@@ -64,6 +64,9 @@ class TestConfigValidation:
             ("dt = 0.005", "dt = inf"),  # once ran zero steps and exited 0
             ("s = 1.5", "s = nan"),  # once raised from build_elliptic (exit 1)
             ("dt = 0.005", "dt = 1e300"),  # finite, but zero steps
+            ("width = 0.15", "width = 1e-300"),  # once overflowed in the bump (exit 1)
+            # once a 512 GiB allocation (exit 1)
+            ("dimension = 1\npoints = 64", "dimension = 3\npoints = 4096"),
         ],
     )
     def test_bad_values_exit_3(self, tmp_path, mutation):

@@ -15,7 +15,6 @@ from epdifflab.grid import (
     SpectralVectorField,
     TorusGrid,
     directional_derivative,
-    forward_transform,
     translate,
 )
 from epdifflab.lagrangian import (
@@ -260,7 +259,9 @@ class TestRegularityProbe:
 
         def rough(grid, seed=0):
             rng = np.random.default_rng(seed)
-            noise = forward_transform(grid, rng.standard_normal((grid.dim,) + grid.shape))
+            noise = SpectralVectorField.from_samples(
+                grid, rng.standard_normal((grid.dim,) + grid.shape)
+            )
             w = sobolev_weight(q + 0.5, grid.frequency_points()).reshape(grid.shape)
             u = SpectralVectorField(grid, noise.coeffs / w)
             return (0.2 / sobolev_norm(u, q)) * u

@@ -1,5 +1,10 @@
 """The padded-grid evaluator of quadratic terms against independent references.
 
+The real-transform passes are checked first against complex transforms:
+sampling and transforming fields, and embedding spectra whose ``-n/2`` bins
+sit on two or more axes at once, where only the Hermitian part of the
+embedding reproduces the real part of the complex inverse transform.
+
 Band-limited data (``|k| <= n/3``) is checked against the exact product:
 plain samples multiplied on a 2n grid, where products of such data do not
 alias, then restricted to the n band.  Full-band noise has Nyquist content,
@@ -16,7 +21,13 @@ import pytest
 
 from epdifflab import grid as grid_module
 from epdifflab.epdiff import momentum_transport
-from epdifflab.grid import SpectralVectorField, TorusGrid, directional_derivative, divergence
+from epdifflab.grid import (
+    SpectralVectorField,
+    TorusGrid,
+    directional_derivative,
+    divergence,
+    padded_samples,
+)
 from epdifflab.lagrangian import spray_at_identity
 from epdifflab.operators import apply, apply_inverse, sobolev_multiplier
 
@@ -37,6 +48,17 @@ def _noise(grid, seed, kmax=None):
         return u
     keep = np.max(np.abs(grid.wavenumbers), axis=0) <= kmax
     return SpectralVectorField(grid, u.coeffs * keep)
+
+
+def _axes(dim):
+    return tuple(range(-dim, 0))
+
+
+def _mirror(coeffs, dim):
+    """Values at ``-k`` of a stack of n-grid spectra."""
+    n = coeffs.shape[-1]
+    flip = -np.arange(n) % n
+    return coeffs[(Ellipsis,) + np.ix_(*([flip] * dim))]
 
 
 def _band(n, m):
@@ -143,6 +165,67 @@ def spray_from(mult, u, directional, transport):
     return apply_inverse(mult, apply(mult, directional(u, u)) - transport(u, apply(mult, u)))
 
 
+# --- real transforms against complex ones ------------------------------------
+
+def _full_band_samples(grid, seed):
+    return np.random.default_rng(seed).standard_normal((grid.dim,) + grid.shape)
+
+
+def old_padded_samples(grid, coeffs):
+    """Each spectrum embedded with ``-n/2`` at ``-n/2``, real part of the complex inverse."""
+    n, m, dim = grid.n, (3 * grid.n) // 2, grid.dim
+    spec = np.zeros(coeffs.shape[:-dim] + (m,) * dim, dtype=complex)
+    spec[(Ellipsis,) + np.ix_(*([_band(n, m)] * dim))] = coeffs
+    return np.fft.ifftn(spec, axes=_axes(dim)).real * m**dim / grid.length**dim
+
+
+def _max_rel(got, ref):
+    return float(np.abs(got - ref).max() / np.abs(ref).max())
+
+
+@pytest.mark.parametrize("dim,n", CASES)
+def test_samples_match_complex_inverse(dim, n):
+    grid = TorusGrid(dim, n, LENGTH)
+    coeffs = np.fft.fftn(_full_band_samples(grid, 7), axes=_axes(dim)) * grid.cell_volume
+    ref = np.fft.ifftn(coeffs / grid.cell_volume, axes=_axes(dim)).real
+    assert _max_rel(SpectralVectorField(grid, coeffs).samples(), ref) <= TOL
+
+
+@pytest.mark.parametrize("dim,n", CASES)
+def test_from_samples_matches_complex_forward(dim, n):
+    grid = TorusGrid(dim, n, LENGTH)
+    samples = _full_band_samples(grid, 8)
+    ref = np.fft.fftn(samples, axes=_axes(dim)) * grid.cell_volume
+    assert _max_rel(SpectralVectorField.from_samples(grid, samples).coeffs, ref) <= TOL
+
+
+@pytest.mark.parametrize("dim,n", CASES)
+def test_from_samples_exactly_conjugate_symmetric(dim, n):
+    grid = TorusGrid(dim, n, LENGTH)
+    coeffs = SpectralVectorField.from_samples(grid, _full_band_samples(grid, 9)).coeffs
+    assert np.array_equal(coeffs, np.conj(_mirror(coeffs, dim)))
+
+
+@pytest.mark.parametrize("dim,n", CASES)
+def test_padded_samples_full_band(dim, n):
+    grid = TorusGrid(dim, n, LENGTH)
+    coeffs = SpectralVectorField.from_samples(grid, _full_band_samples(grid, 10)).coeffs
+    assert _max_rel(padded_samples(grid, coeffs), old_padded_samples(grid, coeffs)) <= TOL
+
+
+@pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+def test_padded_samples_nyquist_corners(dim, n):
+    # Supported only where two or more axes sit at -n/2.  Halving each
+    # Nyquist plane axis by axis gets these modes wrong by O(1); the Hermitian
+    # part of the embedding matches the real part of the complex inverse.
+    grid = TorusGrid(dim, n, LENGTH)
+    at_nyquist = np.sum(grid.wavenumbers == -(n // 2), axis=0)
+    coeffs = SpectralVectorField.from_samples(grid, _full_band_samples(grid, 11)).coeffs
+    corners = coeffs * (at_nyquist >= 2)
+    assert np.abs(corners).max() > 0
+    assert _max_rel(padded_samples(grid, corners), old_padded_samples(grid, corners)) <= TOL
+
+
 # --- the checks ----------------------------------------------------------------
 
 def _rel(got, ref):
@@ -169,12 +252,13 @@ def test_band_limited_matches_exact_product(dim, n):
 @pytest.mark.parametrize("dim,n", CASES)
 @pytest.mark.parametrize("per_call", [None, 1, 2])
 def test_full_band_matches_one_product_rule(dim, n, per_call, monkeypatch):
-    # per_call caps the padded spectra per transform call, so that stacks are
-    # split into single calls and into pairs with a remainder
+    # per_call caps the padded half spectra per transform call, so that stacks
+    # are split into single calls and into pairs with a remainder
     grid = TorusGrid(dim, n, LENGTH)
     if per_call is not None:
+        m = (3 * n) // 2
         monkeypatch.setattr(grid_module, "MAX_TRANSFORM_BYTES",
-                            per_call * 16 * ((3 * n) // 2) ** dim)
+                            per_call * 16 * m ** (dim - 1) * (m // 2 + 1))
     u, v = _noise(grid, 3), _noise(grid, 4)
     for got, ref in _three_terms(grid, u, v, old_directional, old_transport):
         assert _rel(got, ref) <= TOL
@@ -182,8 +266,8 @@ def test_full_band_matches_one_product_rule(dim, n, per_call, monkeypatch):
 
 def test_transport_memory_peak_3d():
     # The padded working set of one transport at d=3, n=32 is bounded by the
-    # per-component evaluation and the per-call transform cap (about 22 MiB);
-    # without the cap it peaks near 47 MiB.
+    # per-component evaluation and the per-call transform cap (about 20 MiB);
+    # without the cap the whole stack is sampled at once, near 100 MiB.
     grid = TorusGrid(3, 32)
     u, v = _noise(grid, 5), _noise(grid, 6)
     momentum_transport(u, v)  # fills the grid's cached index and factor tables
