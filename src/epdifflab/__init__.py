@@ -34,6 +34,7 @@ from .symbols import (
     sylvester_solve,
 )
 from .operators import (
+    EllipticityError,
     FourierMultiplier,
     apply,
     apply_inverse,
@@ -79,7 +80,6 @@ from .lagrangian import (
     distance_dq,
     integrate_geodesic,
     invert,
-    jacobian_det,
     lagrangian_energy,
     regularity_probe,
     spray_rhs,

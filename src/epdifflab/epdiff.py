@@ -22,18 +22,18 @@ import numpy as np
 from .grid import (
     SpectralVectorField,
     TorusGrid,
-    divergence,
     jacobian_coeffs,
     l2_inner,
     padded_samples,
-    truncate_padded,
+    _full,
     _samples,
-    _transform_batch,
+    _truncate_half,
 )
-from .operators import FourierMultiplier, apply, apply_inverse, sobolev_norm
+from .operators import FourierMultiplier, apply, apply_inverse, sobolev_norm, _apply_inverse_half
 
 MAX_SUBSTEP_DOUBLINGS = 12
 CFL_FRACTION = 0.5
+_MINUS_ONE = np.complex128(-1.0)  # a numpy scalar: see grid._HALF
 
 
 class CFLError(ValueError):
@@ -90,45 +90,76 @@ def diagnostics(
 # --- the right-hand side -------------------------------------------------------
 
 def momentum_transport(v: SpectralVectorField, m: SpectralVectorField) -> SpectralVectorField:
-    """Transport term ``(v . grad) m + (grad v)^T m + (div v) m``, dealiased.
+    """Transport term ``(v . grad) m + (grad v)^T m + (div v) m``, dealiased."""
+    grid, d = v.grid, v.grid.dim
+    stack = _transport_stack(grid)
+    stack[:d] = v.coeffs[..., :grid.plan.half]
+    stack[d:2 * d] = m.coeffs[..., :grid.plan.half]
+    return SpectralVectorField(grid, _full(grid, _transport_half(grid, stack)))
+
+
+def _transport_stack(grid: TorusGrid) -> np.ndarray:
+    """Stack of half spectra ``(k, n, ..., n/2+1)`` for :func:`_transport_half`.
 
     ``[v, m, div v]`` go to the 3/2 grid once; per output component ``i`` only
     ``d_j m^i`` and ``d_i v^j`` do, which bounds the padded working set.  When
-    the whole stack fits in one transform call, it goes in one call.
+    the whole stack fits in one transform call, it goes in one call, and the
+    gradients are part of it.
     """
-    grid = v.grid
     d = grid.dim
-    factors = grid.derivative_factors
+    rows = 2 * d + 1 + 2 * d * d
+    if rows > grid.plan.batch:
+        rows = 2 * d + 1
+    return np.empty((rows,) + grid.plan.half_shape, dtype=complex)
 
-    def gradients(i: int) -> np.ndarray:
+
+def _transport_half(grid: TorusGrid, stack: np.ndarray) -> np.ndarray:
+    """Half spectra of the transport term; ``stack`` from :func:`_transport_stack`
+    holds the half spectra of ``v`` and then ``m`` in its first ``2d`` rows."""
+    plan = grid.plan
+    d = grid.dim
+    factors = plan.factors
+    v, m = stack[:d], stack[d:2 * d]
+
+    def gradients(i: int, out: np.ndarray) -> np.ndarray:
         # [d_j m^i, d_i v^j] pairs with [v^j, m^j]: the first two terms at once
-        out = np.empty((2 * d,) + grid.shape, dtype=complex)
-        np.multiply(m.coeffs[i], factors, out=out[:d])
-        np.multiply(v.coeffs, factors[i], out=out[d:])
+        np.multiply(m[i], factors, out=out[:d])
+        np.multiply(v, factors[i], out=out[d:])
         return out
 
-    shared = [v.coeffs, m.coeffs, divergence(v).coeffs[None]]
-    fused = 2 * d + 1 + 2 * d * d <= _transform_batch(grid)
+    div_v = stack[2 * d]  # d_j v^j summed over j in the order grid.divergence sums
+    np.multiply(v[0], factors[0], out=div_v)
+    for j in range(1, d):
+        div_v += v[j] * factors[j]
+    fused = len(stack) > 2 * d + 1
     if fused:
-        padded = padded_samples(grid, np.concatenate(shared + [gradients(i) for i in range(d)]))
-    else:
-        padded = padded_samples(grid, np.concatenate(shared))
+        for i in range(d):
+            gradients(i, stack[2 * d * (i + 1) + 1:2 * d * (i + 2) + 1])
+    padded = padded_samples(grid, stack)
     ms, div = padded[d:2 * d], padded[2 * d]
-    out = np.empty((d,) + grid.padded_shape)
+    out = np.empty((d,) + plan.padded_shape)
     for i in range(d):
         # unless fused, one component's padded gradients at a time, freed after use
         lo = 2 * d * (i + 1) + 1
         np.einsum("k...,k...->...", padded[:2 * d],
-                  padded[lo:lo + 2 * d] if fused else padded_samples(grid, gradients(i)),
+                  padded[lo:lo + 2 * d] if fused else
+                  padded_samples(grid, gradients(i, np.empty_like(stack[:2 * d]))),
                   out=out[i])
         out[i] += div * ms[i]
-    return SpectralVectorField(grid, truncate_padded(grid, out))
+    return _truncate_half(grid, out)
 
 
 def euler_rhs(mult: FourierMultiplier, m: SpectralVectorField) -> SpectralVectorField:
-    """Momentum tendency ``dm/dt = -[(u.grad) m + (grad u)^T m + (div u) m]``."""
-    u = apply_inverse(mult, m)
-    return -1.0 * momentum_transport(u, m)
+    """Momentum tendency ``dm/dt = -[(u.grad) m + (grad u)^T m + (div u) m]``.
+
+    ``u`` and the transport term are formed on half spectra; the negative
+    last-axis bins are rebuilt once, by conjugate reflection.
+    """
+    grid, d = m.grid, m.grid.dim
+    stack = _transport_stack(grid)
+    _apply_inverse_half(mult, m, out=stack[:d])
+    stack[d:2 * d] = m.coeffs[..., :grid.plan.half]
+    return SpectralVectorField(grid, _full(grid, _transport_half(grid, stack), _MINUS_ONE))
 
 
 def ad_transpose(
@@ -167,13 +198,17 @@ def step_rk4(mult: FourierMultiplier, state: EulerState, dt: float) -> EulerStat
             f"dt={dt:g} violates the guard dt*sup|u| <= {CFL_FRACTION}*spacing "
             f"(limit {cfl_limit(state.u):g})"
         )
-    m = state.m
-    k1 = euler_rhs(mult, m)
-    k2 = euler_rhs(mult, m + (dt / 2) * k1)
-    k3 = euler_rhs(mult, m + (dt / 2) * k2)
-    k4 = euler_rhs(mult, m + dt * k3)
-    m_new = m + (dt / 6) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return EulerState.from_momentum(mult, m_new, t=state.t + dt)
+    grid, m = state.m.grid, state.m.coeffs
+
+    def stage(k: np.ndarray, h: float) -> np.ndarray:
+        return euler_rhs(mult, SpectralVectorField(grid, m + k * h)).coeffs
+
+    k1 = euler_rhs(mult, state.m).coeffs
+    k2 = stage(k1, dt / 2)
+    k3 = stage(k2, dt / 2)
+    k4 = stage(k3, dt)
+    m_new = m + (k1 + k2 * 2.0 + k3 * 2.0 + k4) * (dt / 6)
+    return EulerState.from_momentum(mult, SpectralVectorField(grid, m_new), t=state.t + dt)
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,7 +279,7 @@ def integrate(
             try:
                 for _ in range(2**doublings):
                     trial = step_rk4(mult, trial, dt / 2**doublings)
-                    if not np.all(np.isfinite(trial.m.coeffs)):
+                    if not np.isfinite(trial.m.coeffs).all():
                         emit_final(state)
                         return IntegrationResult("nan_abort", state, diags, t_halt=state.t, dt=dt)
             except CFLError:

@@ -64,7 +64,7 @@ class TorusGrid:
         if not self.length > 0:
             raise ValueError(f"length must be positive, got {self.length}")
 
-    @property
+    @cached_property
     def shape(self) -> tuple[int, ...]:
         return (self.n,) * self.dim
 
@@ -108,44 +108,10 @@ class TorusGrid:
         factors = 2j * np.pi * self.wavenumbers / self.length
         return np.where(self.nyquist_mask, 0.0, factors)
 
-    @property
-    def padded_shape(self) -> tuple[int, ...]:
-        """Shape of the 3/2 grid on which quadratic terms are evaluated."""
-        return ((3 * self.n) // 2,) * self.dim
-
-    @property
-    def padded_half_shape(self) -> tuple[int, ...]:
-        """Shape of a real-transform half spectrum on the 3/2 grid."""
-        m = (3 * self.n) // 2
-        return (m,) * (self.dim - 1) + (m // 2 + 1,)
-
     @cached_property
-    def mirror(self) -> tuple:
-        """Index taking a stack of n-grid spectra at ``k`` to their values at ``-k``."""
-        flip = -np.arange(self.n) % self.n
-        return (Ellipsis,) + np.ix_(*([flip] * self.dim))
-
-    @cached_property
-    def padded_blocks(self) -> tuple[list, list, list]:
-        """Slice pairs ``(padded, n_grid)`` between n-grid spectra and 3/2-grid
-        half spectra (last-axis bins ``0..m/2``).
-
-        ``minus`` places each ``-n/2`` bin at ``-n/2``, ``plus`` at ``+n/2`` on
-        every axis at once, and ``band`` reads the n band of a 3/2-grid half
-        spectrum: ``-n/2`` on the leading axes, ``0..+n/2`` on the last.
-        """
-        n, m = self.n, (3 * self.n) // 2
-
-        def pairs(plus: bool) -> tuple:
-            h = n // 2 + plus
-            return (slice(0, h), slice(0, h)), (slice(m - n + h, m), slice(h, n))
-
-        def blocks(plus: bool, plus_last: bool) -> list:
-            axes = [pairs(plus)] * (self.dim - 1) + [pairs(plus_last)[:1]]
-            return [tuple((Ellipsis,) + side for side in zip(*combo))
-                    for combo in itertools.product(*axes)]
-
-        return blocks(False, False), blocks(True, True), blocks(False, True)
+    def plan(self) -> "_Plan":
+        """Constants of the half-spectrum and padded passes, built on first use."""
+        return _Plan(self)
 
     def frequency_points(self) -> np.ndarray:
         """Frequencies as a flat list of points, shape ``(n^d, dim)``."""
@@ -173,29 +139,123 @@ def _irfft(half: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return np.fft.irfftn(half, s=shape, axes=_axes(len(shape)))
 
 
-def _complete_hermitian(grid: TorusGrid, out: np.ndarray) -> np.ndarray:
-    """Fill in place the negative last-axis bins of n-grid spectra ``(..., n, ..., n)``.
+# Scalars of the hot passes are numpy scalars: a Python float operand costs
+# numpy a promotion on every call, about a microsecond at d=1.  The products
+# are the same bits.
+_HALF = np.complex128(0.5)
 
-    On entry bins ``0..n/2`` of the last axis are set, bin ``n/2`` holding the
-    ``+n/2`` mode, and the other bins are zero.  On exit the ``-n/2`` bin is
-    that mode plus the conjugate of its reflection, the other negative bins
-    are conjugate reflections, and ``out`` is exactly conjugate-symmetric.
+
+class _Plan:
+    """Index tables, factors and scales of the passes on one grid.
+
+    A half spectrum keeps the last-axis bins ``0..n/2`` of an n-grid spectrum
+    (bin ``n/2`` holds ``-n/2``); the padded pass works on 3/2-grid half
+    spectra, last-axis bins ``0..m/2``.  The tables of the padded pass are
+    built on its first use, so sampling alone does not pay for them.
     """
-    out[..., 0] *= 0.5  # bin 0 is its own reflection on the last axis
-    mirrored = out[grid.mirror]
-    out += np.conjugate(mirrored, out=mirrored)
+
+    def __init__(self, grid: TorusGrid) -> None:
+        self.grid = grid
+        n, d = grid.n, grid.dim
+        m, h = (3 * n) // 2, n // 2
+        self.half = h + 1
+        self.half_shape = (n,) * (d - 1) + (h + 1,)
+        self.padded_shape = (m,) * d
+        self.padded_half_shape = (m,) * (d - 1) + (m // 2 + 1,)
+        self.batch = max(1, MAX_TRANSFORM_BYTES // (16 * math.prod(self.padded_half_shape)))
+        self.truncate_scale = np.complex128(grid.length**d / math.prod(self.padded_shape))
+
+        # last-axis bins 0 and n/2, each its own reflection on that axis, and
+        # the reflection of the leading axes
+        flip = -np.arange(n) % n
+        self.planes = (Ellipsis, slice(0, h + 1, h))
+        self.plane_mirror = (Ellipsis,) + np.ix_(*([flip] * (d - 1))) + (slice(None),)
+        # negative last-axis bins -(n/2-1)..-1 as reflections of bins n/2-1..1
+        if d == 1:
+            self.negative = (Ellipsis, slice(h - 1, 0, -1))
+        else:
+            self.negative = (Ellipsis,) + np.ix_(*([flip] * (d - 1)), np.arange(h - 1, 0, -1))
+
+    @cached_property
+    def factors(self) -> np.ndarray:
+        """A view of ``derivative_factors`` on the half lattice, ``(d, n, ..., n/2+1)``."""
+        return self.grid.derivative_factors[..., :self.half]
+
+    @cached_property
+    def embed(self) -> list:
+        """``(padded, n_grid, factor)`` triples embedding half spectra in the 3/2 grid.
+
+        Each ``-n/2`` bin goes to ``-n/2`` (M) and to ``+n/2`` (P) on every
+        axis at once, each copy at half weight ``S``; every other bin (B)
+        keeps its place.  A padded bin gets the ``-n/2`` copy when all its
+        axes are B or M and the ``+n/2`` copy when all are B or P, so a bin
+        that is B on every axis gets the same coefficient twice:
+        ``x * (2S)``, which is exactly ``(x + x) * S``.  The last axis holds
+        no M, and its factor runs along it.
+        """
+        n, m, h, d = self.grid.n, self.padded_shape[0], self.grid.n // 2, self.grid.dim
+        scale = np.complex128(0.5 * math.prod(self.padded_shape) / self.grid.length**d)
+        lead = {"B": [(slice(0, h), slice(0, h)), (slice(m - h + 1, m), slice(h + 1, n))],
+                "P": [(slice(h, h + 1), slice(h, h + 1))],
+                "M": [(slice(m - h, m - h + 1), slice(h, h + 1))]}
+        both = np.full(h + 1, 2 * scale)  # complex, so numpy casts nothing per call
+        both[h] = scale  # the last axis's P bin
+        blocks = []
+        for kinds in itertools.product("BPM", repeat=d - 1):
+            if "P" in kinds and "M" in kinds:
+                continue
+            last = slice(0, h) if "M" in kinds else slice(0, h + 1)
+            factor = scale if "P" in kinds or "M" in kinds else both
+            for pieces in itertools.product(*[lead[k] for k in kinds]):
+                dst, src = zip(*pieces, (last, last))
+                blocks.append(((Ellipsis,) + dst, (Ellipsis,) + src, factor))
+        return blocks
+
+    @cached_property
+    def band(self) -> list:
+        """``(padded, n_grid)`` slices of the n band of a folded 3/2-grid half
+        spectrum: ``-n/2`` at ``-n/2`` on the leading axes, bins ``0..n/2`` on
+        the last."""
+        n, m, h = self.grid.n, self.padded_shape[0], self.grid.n // 2
+        lead = [(slice(0, h), slice(0, h)), (slice(m - h, m), slice(h, n))]
+        last = [(slice(0, h + 1), slice(0, h + 1))]
+        return [tuple((Ellipsis,) + side for side in zip(*combo))
+                for combo in itertools.product(*([lead] * (self.grid.dim - 1) + [last]))]
+
+
+def _complete_planes(grid: TorusGrid, half: np.ndarray) -> np.ndarray:
+    """Make last-axis bins 0 and n/2 of half spectra conjugate-symmetric in place.
+
+    Each plane gets the conjugate of its reflection added: bin 0 must hold
+    half of its value on entry, bin ``n/2`` its ``+n/2`` mode (or half of
+    the shared ``+-n/2`` bin).
+    """
+    plan = grid.plan
+    planes = half[plan.planes]
+    planes += np.conjugate(planes[plan.plane_mirror])
+    return half
+
+
+def _full(grid: TorusGrid, half: np.ndarray, factor: complex = 1.0) -> np.ndarray:
+    """Full spectra ``(..., n, ..., n)`` of ``factor`` times half spectra with
+    completed planes: the negative last-axis bins are conjugate reflections."""
+    plan = grid.plan
+    out = np.empty(half.shape[:-1] + (grid.n,), dtype=complex)
+    if factor == 1.0:
+        out[..., :plan.half] = half
+    else:
+        np.multiply(half, factor, out=out[..., :plan.half])
+    np.conjugate(out[plan.negative], out=out[..., plan.half:])
     return out
 
 
 def _spectra(grid: TorusGrid, samples: np.ndarray) -> np.ndarray:
     """Spectra of real samples ``(..., n, ..., n)``."""
-    half = grid.n // 2
-    out = np.zeros(samples.shape, dtype=complex)
-    out[..., :half + 1] = _rfft(samples, grid.dim)
-    out[..., half] *= 0.5  # the +-n/2 bin, shared by the two halves
-    out = _complete_hermitian(grid, out)
-    out *= grid.cell_volume
-    return out
+    half = _rfft(samples, grid.dim)
+    half[grid.plan.planes] *= _HALF  # bin 0 is its own reflection, +-n/2 is shared
+    half = _complete_planes(grid, half)
+    half *= grid.cell_volume
+    return _full(grid, half)
 
 
 def _samples(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
@@ -366,34 +426,58 @@ def translate(u: Field, shift: np.ndarray) -> Field:
 
 # Bytes of complex half spectrum per numpy FFT call: a transform's input,
 # output and scratch are the largest buffers of a step, so at d=3 a stack is
-# transformed in pieces.  At d=1 a whole stack fits in one call.
+# transformed in pieces.  At d=1 a whole stack fits in one call.  A grid
+# reads it once, when its plan is built.
 MAX_TRANSFORM_BYTES = 256 * 1024
-
-
-def _transform_batch(grid: TorusGrid) -> int:
-    return max(1, MAX_TRANSFORM_BYTES // (16 * math.prod(grid.padded_half_shape)))
 
 
 def padded_samples(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
     """Real samples on the 3/2 grid of a stack of n-grid spectra ``(k, n, ..., n)``.
 
+    Only last-axis bins ``0..n/2`` are read, so half spectra do as well.
     Each ``-n/2`` bin is split evenly between ``-n/2`` and ``+n/2`` on every
     axis at once: the Hermitian part of the embedding, so a lone ``-n/2``
     mode contributes its cosine half.  Returns shape ``(k, m, ..., m)``.
     """
-    minus, plus, _ = grid.padded_blocks
-    scale = 0.5 * math.prod(grid.padded_shape) / grid.length**grid.dim
-    batch = _transform_batch(grid)
-    out = np.empty((len(coeffs),) + grid.padded_shape)
-    for lo in range(0, len(coeffs), batch):
-        chunk = coeffs[lo:lo + batch]
-        spec = np.zeros((len(chunk),) + grid.padded_half_shape, dtype=complex)
-        for dst, src in minus:
-            spec[dst] = chunk[src]
-        for dst, src in plus:
-            spec[dst] += chunk[src]
-        spec *= scale
-        out[lo:lo + batch] = _irfft(spec, grid.padded_shape)
+    plan = grid.plan
+
+    def embedded(chunk: np.ndarray) -> np.ndarray:
+        spec = np.zeros((len(chunk),) + plan.padded_half_shape, dtype=complex)
+        for dst, src, factor in plan.embed:
+            np.multiply(chunk[src], factor, out=spec[dst])
+        return _irfft(spec, plan.padded_shape)
+
+    if len(coeffs) <= plan.batch:
+        return embedded(coeffs)
+    out = np.empty((len(coeffs),) + plan.padded_shape)
+    for lo in range(0, len(coeffs), plan.batch):
+        out[lo:lo + plan.batch] = embedded(coeffs[lo:lo + plan.batch])
+    return out
+
+
+def _truncate_half(grid: TorusGrid, samples: np.ndarray) -> np.ndarray:
+    """Half spectra ``(k, n, ..., n/2+1)`` of real 3/2-grid samples ``(k, m, ..., m)``.
+
+    The ``+n/2`` partner of each leading axis is folded into the ``-n/2``
+    bin before truncation; on the last axis the fold is rebuilt by conjugate
+    reflection when the planes are completed.
+    """
+    plan = grid.plan
+    if grid.dim == 1 and len(samples) <= plan.batch:
+        out = _rfft(samples, 1)[:, :plan.half]  # the n band, as a view
+    else:
+        m, h = plan.padded_shape[0], grid.n // 2
+        out = np.empty((len(samples),) + plan.half_shape, dtype=complex)
+        for lo in range(0, len(samples), plan.batch):
+            spec = _rfft(samples[lo:lo + plan.batch], grid.dim)
+            for axis in range(1, grid.dim):
+                lead = (slice(None),) * axis
+                spec[lead + (m - h,)] += spec[lead + (h,)]
+            for src, dst in plan.band:
+                out[lo:lo + plan.batch][dst] = spec[src]
+    out[..., 0] *= _HALF  # bin 0 is its own reflection on the last axis
+    out = _complete_planes(grid, out)
+    out *= plan.truncate_scale
     return out
 
 
@@ -402,23 +486,9 @@ def truncate_padded(grid: TorusGrid, samples: np.ndarray) -> np.ndarray:
 
     The ``+n/2`` partner of each axis is folded into the ``-n/2`` bin before
     truncation, which reproduces what sampling the band-limited product on
-    the n grid would do and keeps the result real-valued.  On the last axis
-    the fold is rebuilt from the half spectrum by conjugate reflection.
+    the n grid would do and keeps the result real-valued.
     """
-    m, half = grid.padded_shape[0], grid.n // 2
-    _, _, band = grid.padded_blocks
-    batch = _transform_batch(grid)
-    out = np.zeros((len(samples),) + grid.shape, dtype=complex)
-    for lo in range(0, len(samples), batch):
-        spec = _rfft(samples[lo:lo + batch], grid.dim)
-        for axis in range(1, grid.dim):
-            lead = (slice(None),) * axis
-            spec[lead + (m - half,)] += spec[lead + (half,)]
-        for src, dst in band:
-            out[lo:lo + batch][dst] = spec[src]
-    out = _complete_hermitian(grid, out)
-    out *= grid.length**grid.dim / math.prod(grid.padded_shape)
-    return out
+    return _full(grid, _truncate_half(grid, samples))
 
 
 def _stack(u: Field) -> np.ndarray:
@@ -452,7 +522,7 @@ def directional_derivative(v: SpectralVectorField, w: Field) -> Field:
     grid = v.grid
     vs = padded_samples(grid, v.coeffs)
     ws = _stack(w)
-    out = np.empty((len(ws),) + grid.padded_shape)
+    out = np.empty((len(ws),) + grid.plan.padded_shape)
     for i, wi in enumerate(ws):
         np.einsum("j...,j...->...", vs, padded_samples(grid, wi * grid.derivative_factors),
                   out=out[i])

@@ -88,6 +88,7 @@ class DiffeoChart:
 
     @cached_property
     def det_samples(self) -> np.ndarray:
+        """Pointwise ``det(I + df)`` on the grid (spectral derivatives)."""
         jac = np.moveaxis(self.jacobian_samples, (0, 1), (-2, -1))
         return np.linalg.det(jac)
 
@@ -205,11 +206,6 @@ def invert(phi: DiffeoChart) -> DiffeoChart:
         )
     g = (y - x).reshape((grid.dim,) + grid.shape)
     return DiffeoChart.from_displacement_samples(grid, g)
-
-
-def jacobian_det(phi: DiffeoChart) -> np.ndarray:
-    """Pointwise ``det(I + df)`` on the grid (spectral derivatives)."""
-    return phi.det_samples
 
 
 def distance_dq(phi1: DiffeoChart, phi2: DiffeoChart, q: float) -> float:

@@ -9,12 +9,17 @@ matrix-vector product per mode.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .grid import GridMismatchError, SpectralVectorField, TorusGrid
 from .symbols import ClassCertificate, MatrixSymbol, check_ellipticity, sobolev_weight
+
+
+class EllipticityError(ValueError):
+    """A symbol failed the checks an inverse table is built behind."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,16 +60,22 @@ class FourierMultiplier:
         base = cls.build(symbol, grid)
         cert = check_ellipticity(symbol, xi_max=xi_max)
         if not cert.verdict:
-            raise ValueError(f"symbol '{symbol.name}' failed the ellipticity check")
+            raise EllipticityError(f"symbol '{symbol.name}' failed the ellipticity check")
         inv = np.linalg.inv(base.table)
         resid = np.abs(base.table @ inv - np.eye(grid.dim)).max()
         if resid > 1e-13:
-            raise ValueError(f"inverse table residual {resid:.3g} exceeds 1e-13")
+            raise EllipticityError(f"inverse table residual {resid:.3g} exceeds 1e-13")
         return cls(symbol=symbol, grid=grid, table=base.table, inv_table=inv, ellipticity=cert)
 
     @property
     def invertible(self) -> bool:
         return self.inv_table is not None
+
+    @cached_property
+    def half_inv_table(self) -> np.ndarray:
+        """A view of ``inv_table`` on the last-axis bins ``0..n/2`` that half spectra keep."""
+        lead = (slice(None),) * (self.grid.dim - 1)
+        return self.inv_table[lead + (slice(0, self.grid.plan.half),)]
 
 
 def apply(mult: FourierMultiplier, u: SpectralVectorField) -> SpectralVectorField:
@@ -75,14 +86,28 @@ def apply(mult: FourierMultiplier, u: SpectralVectorField) -> SpectralVectorFiel
     return SpectralVectorField(u.grid, out)
 
 
-def apply_inverse(mult: FourierMultiplier, w: SpectralVectorField) -> SpectralVectorField:
-    """Apply ``a(D)^-1``; available only for multipliers built elliptic."""
+def _require_inverse(mult: FourierMultiplier, w: SpectralVectorField) -> None:
     if mult.inv_table is None:
         raise ValueError("multiplier has no inverse table (not built as elliptic)")
-    if w.grid != mult.grid:
+    if w.grid is not mult.grid and w.grid != mult.grid:
         raise GridMismatchError("field and multiplier live on different grids")
+
+
+def apply_inverse(mult: FourierMultiplier, w: SpectralVectorField) -> SpectralVectorField:
+    """Apply ``a(D)^-1``; available only for multipliers built elliptic."""
+    _require_inverse(mult, w)
     out = np.einsum("...ij,j...->i...", mult.inv_table, w.coeffs)
     return SpectralVectorField(w.grid, out)
+
+
+def _apply_inverse_half(
+    mult: FourierMultiplier, w: SpectralVectorField, out: np.ndarray
+) -> np.ndarray:
+    """Write the half spectra ``(d, n, ..., n/2+1)`` of ``a(D)^-1 w`` to ``out``,
+    with the checks of :func:`apply_inverse`."""
+    _require_inverse(mult, w)
+    half = w.coeffs[..., :w.grid.plan.half]
+    return np.einsum("...ij,j...->i...", mult.half_inv_table, half, out=out)
 
 
 def sobolev_norm(u: SpectralVectorField, q: float) -> float:

@@ -49,7 +49,7 @@ from .lagrangian import (
     lagrangian_energy,
     regularity_probe,
 )
-from .operators import FourierMultiplier
+from .operators import EllipticityError, FourierMultiplier
 from .symbols import (
     MatrixSymbol,
     check_ellipticity,
@@ -120,9 +120,17 @@ def save_symbol_table(path: Path, mult: FourierMultiplier) -> None:
     )
 
 
+def _build_elliptic(symbol: MatrixSymbol, grid: TorusGrid, **kwargs) -> FourierMultiplier:
+    """The multiplier of a configured symbol; a symbol failing its checks is a config error."""
+    try:
+        return FourierMultiplier.build_elliptic(symbol, grid, **kwargs)
+    except EllipticityError as exc:
+        raise ConfigError(f"[metric] {exc}") from exc
+
+
 def build_metric(cfg: RunConfig, grid: TorusGrid) -> FourierMultiplier:
     if cfg.metric_kind == "sobolev":
-        return FourierMultiplier.build_elliptic(sobolev_symbol(cfg.s, grid.dim), grid)
+        return _build_elliptic(sobolev_symbol(cfg.s, grid.dim), grid)
     data = np.load(cfg.table_path)
     for key in ("table", "order"):
         if key not in data:
@@ -142,7 +150,7 @@ def build_metric(cfg: RunConfig, grid: TorusGrid) -> FourierMultiplier:
         name=f"table:{cfg.table_path.name}",
     )
     # certify within the represented band only
-    return FourierMultiplier.build_elliptic(symbol, grid, xi_max=0.45 * grid.n / grid.length)
+    return _build_elliptic(symbol, grid, xi_max=0.45 * grid.n / grid.length)
 
 
 # --- time-evolution scenarios ---------------------------------------------------
@@ -348,7 +356,7 @@ def run_conjugation_audit(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
     if cfg.metric_kind != "sobolev":
         raise ConfigError("conjugation_audit needs the sobolev metric")
     symbol = sobolev_symbol(cfg.s, grid.dim)
-    mult = FourierMultiplier.build_elliptic(symbol, grid)
+    mult = _build_elliptic(symbol, grid)
     draws = param_int(cfg, "draws", 10, minimum=1)
     rng = np.random.default_rng(cfg.seed)
 

@@ -67,6 +67,11 @@ class TestConfigValidation:
             ("width = 0.15", "width = 1e-300"),  # once overflowed in the bump (exit 1)
             # once a 512 GiB allocation (exit 1)
             ("dimension = 1\npoints = 64", "dimension = 3\npoints = 4096"),
+            ("s = 1.5", "s = 400"),  # fails the ellipticity check: once exit 1
+            ("s = 1.5", "s = 1e308"),  # likewise
+            ("t_end = 0.05", "t_end = 1e300"),  # once ran until killed
+            # t_end/dt overflows to inf: once an OverflowError (exit 1)
+            ("dt = 0.005\nt_end = 0.05", "dt = 1e-10\nt_end = 1e300"),
         ],
     )
     def test_bad_values_exit_3(self, tmp_path, mutation):

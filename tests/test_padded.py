@@ -12,24 +12,41 @@ where "exact" depends on conventions, so it is checked against the
 one-product-at-a-time rule the evaluator replaced: each product padded to the
 3/2 grid on its own, the real part of each inverse transform kept, and the
 ``+n/2`` bin folded into ``-n/2`` after each forward transform.
+
+The RK4 stages run on half spectra; a test-local copy of the full-spectrum
+stage they replaced (``apply_inverse``, the transport term on full spectra,
+and the completion of every negative bin at once) must give the same bits,
+step after step.
 """
 
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from epdifflab import grid as grid_module
-from epdifflab.epdiff import momentum_transport
+from epdifflab.epdiff import (
+    EulerState,
+    euler_rhs,
+    momentum_transport,
+    peakon_pair,
+    random_bandlimited,
+    step_rk4,
+)
 from epdifflab.grid import (
+    GridMismatchError,
     SpectralVectorField,
     TorusGrid,
     directional_derivative,
     divergence,
     padded_samples,
+    truncate_padded,
 )
 from epdifflab.lagrangian import spray_at_identity
-from epdifflab.operators import apply, apply_inverse, sobolev_multiplier
+from epdifflab.operators import FourierMultiplier, apply, apply_inverse, sobolev_multiplier
+from epdifflab.symbols import sobolev_symbol
 
 TOL = 1e-13
 # The spray cancels terms of size a(k)|u|^2 against each other, so its
@@ -278,3 +295,161 @@ def test_transport_memory_peak_3d():
     finally:
         tracemalloc.stop()
     assert peak <= 30 * 2**20
+
+
+# --- the full-spectrum stage the half-spectrum stages replaced ------------------
+#
+# Copied from the evaluator before its stages ran on half spectra: the same
+# transform batches, embedding blocks and operation order, so every result
+# must match bit for bit.
+
+def _batch(grid):
+    m = (3 * grid.n) // 2
+    return max(1, grid_module.MAX_TRANSFORM_BYTES // (16 * m ** (grid.dim - 1) * (m // 2 + 1)))
+
+
+def _blocks(grid, plus, plus_last):
+    n, m = grid.n, (3 * grid.n) // 2
+
+    def pairs(p):
+        h = n // 2 + p
+        return (slice(0, h), slice(0, h)), (slice(m - n + h, m), slice(h, n))
+
+    axes = [pairs(plus)] * (grid.dim - 1) + [pairs(plus_last)[:1]]
+    return [tuple((Ellipsis,) + side for side in zip(*combo))
+            for combo in itertools.product(*axes)]
+
+
+def full_padded_samples(grid, coeffs):
+    m, dim = (3 * grid.n) // 2, grid.dim
+    scale = 0.5 * math.prod((m,) * dim) / grid.length**dim
+    out = np.empty((len(coeffs),) + (m,) * dim)
+    for lo in range(0, len(coeffs), _batch(grid)):
+        chunk = coeffs[lo:lo + _batch(grid)]
+        spec = np.zeros((len(chunk),) + (m,) * (dim - 1) + (m // 2 + 1,), dtype=complex)
+        for dst, src in _blocks(grid, False, False):
+            spec[dst] = chunk[src]
+        for dst, src in _blocks(grid, True, True):
+            spec[dst] += chunk[src]
+        spec *= scale
+        if dim == 1:
+            out[lo:lo + _batch(grid)] = np.fft.irfft(spec, n=m)
+        else:
+            out[lo:lo + _batch(grid)] = np.fft.irfftn(spec, s=(m,) * dim, axes=_axes(dim))
+    return out
+
+
+def complete_all_bins(grid, out):
+    """The old completion: halve bin 0, then add the conjugate reflection of everything."""
+    out[..., 0] *= 0.5
+    mirrored = _mirror(out, grid.dim)
+    out += np.conjugate(mirrored, out=mirrored)
+    return out
+
+
+def full_truncate_padded(grid, samples):
+    n, m, dim = grid.n, (3 * grid.n) // 2, grid.dim
+    out = np.zeros((len(samples),) + grid.shape, dtype=complex)
+    for lo in range(0, len(samples), _batch(grid)):
+        chunk = samples[lo:lo + _batch(grid)]
+        spec = np.fft.rfft(chunk) if dim == 1 else np.fft.rfftn(chunk, axes=_axes(dim))
+        for axis in range(1, dim):
+            lead = (slice(None),) * axis
+            spec[lead + (m - n // 2,)] += spec[lead + (n // 2,)]
+        for src, dst in _blocks(grid, False, True):
+            out[lo:lo + _batch(grid)][dst] = spec[src]
+    out = complete_all_bins(grid, out)
+    out *= grid.length**dim / math.prod((m,) * dim)
+    return out
+
+
+def full_from_samples(grid, samples):
+    out = np.zeros(samples.shape, dtype=complex)
+    rfft = np.fft.rfft(samples) if grid.dim == 1 else np.fft.rfftn(samples, axes=_axes(grid.dim))
+    out[..., :grid.n // 2 + 1] = rfft
+    out[..., grid.n // 2] *= 0.5
+    out = complete_all_bins(grid, out)
+    out *= grid.cell_volume
+    return out
+
+
+def full_transport(v, m):
+    grid, d = v.grid, v.grid.dim
+    factors = grid.derivative_factors
+
+    def gradients(i):
+        out = np.empty((2 * d,) + grid.shape, dtype=complex)
+        np.multiply(m.coeffs[i], factors, out=out[:d])
+        np.multiply(v.coeffs, factors[i], out=out[d:])
+        return out
+
+    shared = [v.coeffs, m.coeffs, divergence(v).coeffs[None]]
+    fused = 2 * d + 1 + 2 * d * d <= _batch(grid)
+    padded = full_padded_samples(
+        grid, np.concatenate(shared + ([gradients(i) for i in range(d)] if fused else [])))
+    ms, div = padded[d:2 * d], padded[2 * d]
+    out = np.empty((d,) + ((3 * grid.n) // 2,) * d)
+    for i in range(d):
+        lo = 2 * d * (i + 1) + 1
+        grads = padded[lo:lo + 2 * d] if fused else full_padded_samples(grid, gradients(i))
+        np.einsum("k...,k...->...", padded[:2 * d], grads, out=out[i])
+        out[i] += div * ms[i]
+    return SpectralVectorField(grid, full_truncate_padded(grid, out))
+
+
+def full_step_rk4(mult, state, dt):
+    def rhs(m):
+        return -1.0 * full_transport(apply_inverse(mult, m), m)
+
+    m = state.m
+    k1 = rhs(m)
+    k2 = rhs(m + (dt / 2) * k1)
+    k3 = rhs(m + (dt / 2) * k2)
+    k4 = rhs(m + dt * k3)
+    m_new = m + (dt / 6) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return EulerState.from_momentum(mult, m_new, t=state.t + dt)
+
+
+def _assert_same_trajectory(mult, u, dt, steps):
+    half = full = EulerState.from_velocity(mult, u)
+    for _ in range(steps):
+        half, full = step_rk4(mult, half, dt), full_step_rk4(mult, full, dt)
+        assert np.array_equal(half.m.coeffs, full.m.coeffs)
+        assert np.array_equal(half.u.coeffs, full.u.coeffs)
+    assert half.t == full.t
+
+
+def test_peakon_steps_match_full_spectrum_stage():
+    # the Camassa-Holm blow-up datum of configs/peakon_blowup.ini
+    grid = TorusGrid(1, 256)
+    mult = sobolev_multiplier(1.0, grid)
+    _assert_same_trajectory(mult, peakon_pair(grid, 0.5, 0.3, 0.08), 1e-3, 50)
+
+
+@pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+def test_steps_match_full_spectrum_stage(dim, n):
+    # full-band data with Nyquist content; at d=2 n=32 the whole stack is one
+    # transform call, at d=3 n=16 it goes in pairs and gradients go apart
+    grid = TorusGrid(dim, n)
+    mult = sobolev_multiplier(1.5, grid)
+    _assert_same_trajectory(mult, random_bandlimited(grid, n // 2, seed=12), 1e-4, 2)
+
+
+@pytest.mark.parametrize("dim,n", CASES)
+def test_truncate_and_from_samples_match_old_completion(dim, n):
+    grid = TorusGrid(dim, n, LENGTH)
+    m = (3 * n) // 2
+    padded = np.random.default_rng(13).standard_normal((dim + 1,) + (m,) * dim)
+    assert np.array_equal(truncate_padded(grid, padded), full_truncate_padded(grid, padded))
+    samples = _full_band_samples(grid, 14)
+    got = SpectralVectorField.from_samples(grid, samples).coeffs
+    assert np.array_equal(got, full_from_samples(grid, samples))
+
+
+def test_euler_rhs_keeps_the_checks_of_apply_inverse():
+    grid = TorusGrid(1, 32)
+    m = _noise(grid, 15)
+    with pytest.raises(ValueError, match="no inverse table"):
+        euler_rhs(FourierMultiplier.build(sobolev_symbol(1.0, 1), grid), m)
+    with pytest.raises(GridMismatchError):
+        euler_rhs(sobolev_multiplier(1.0, TorusGrid(1, 64)), m)
