@@ -5,7 +5,8 @@ Usage:
     epdifflab list-scenarios
 
 Exit codes: 0 success, 2 blow-up detected (outputs still written),
-3 invalid configuration, 4 numerical abort (non-finite state).
+3 invalid configuration, 4 numerical abort (non-finite state, a degenerate
+Lagrangian chart or a failed chart inversion).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, load_config
+from .lagrangian import ChartError, InversionError
 from .scenarios import EXIT_BAD_CONFIG, EXIT_NUMERICAL, list_scenarios_text, run_scenario
 
 
@@ -60,7 +62,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    except FloatingPointError as exc:
+    except (FloatingPointError, ChartError, InversionError) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

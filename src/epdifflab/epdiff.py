@@ -15,6 +15,7 @@ recomputed from the state at every emission, never accumulated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -55,6 +56,12 @@ class EulerState:
     @classmethod
     def from_momentum(cls, mult: FourierMultiplier, m: SpectralVectorField, t: float = 0.0):
         return cls(t=t, m=m, u=apply_inverse(mult, m))
+
+    @cached_property
+    def cfl(self) -> float:
+        """:func:`cfl_limit` of ``u``, evaluated once per state: an outer step
+        of :func:`integrate` and the first RK4 substep of each try share it."""
+        return cfl_limit(self.u)
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,10 +200,10 @@ def step_rk4(mult: FourierMultiplier, state: EulerState, dt: float) -> EulerStat
     """One classical RK4 step in momentum form; enforces the CFL guard."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if dt > cfl_limit(state.u) * (1 + 1e-12):
+    if dt > state.cfl * (1 + 1e-12):
         raise CFLError(
             f"dt={dt:g} violates the guard dt*sup|u| <= {CFL_FRACTION}*spacing "
-            f"(limit {cfl_limit(state.u):g})"
+            f"(limit {state.cfl:g})"
         )
     grid, m = state.m.grid, state.m.coeffs
 
@@ -266,7 +273,7 @@ def integrate(
 
     t0 = state.t
     for step in range(1, n_steps + 1):
-        limit = cfl_limit(state.u)
+        limit = state.cfl
         doublings = 0
         while dt / 2**doublings > limit and doublings <= MAX_SUBSTEP_DOUBLINGS:
             doublings += 1

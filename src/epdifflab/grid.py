@@ -23,6 +23,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import queue
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
@@ -163,6 +167,7 @@ class _Plan:
         self.padded_shape = (m,) * d
         self.padded_half_shape = (m,) * (d - 1) + (m // 2 + 1,)
         self.batch = max(1, MAX_TRANSFORM_BYTES // (16 * math.prod(self.padded_half_shape)))
+        self.workers = TRANSFORM_WORKERS
         self.truncate_scale = np.complex128(grid.length**d / math.prod(self.padded_shape))
 
         # last-axis bins 0 and n/2, each its own reflection on that axis, and
@@ -431,6 +436,54 @@ def translate(u: Field, shift: np.ndarray) -> Field:
 MAX_TRANSFORM_BYTES = 256 * 1024
 
 
+# Threads that run the chunks of a split stack, the calling thread included:
+# numpy's real transforms release the GIL, so the chunks of one stack
+# transform on several cores at once.  Each chunk writes its own rows of an
+# output allocated up front and the calling thread finishes the pass, so the
+# bits do not depend on the worker count.  A grid reads the count once, when
+# its plan is built; a stack that fits one call runs inline and starts no
+# thread.
+TRANSFORM_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                     else os.cpu_count() or 1)
+_pools: dict[int, ThreadPoolExecutor] = {}
+_pools_lock = threading.Lock()
+
+
+def _pool(size: int) -> ThreadPoolExecutor:
+    with _pools_lock:
+        if size not in _pools:
+            _pools[size] = ThreadPoolExecutor(size, thread_name_prefix="epdifflab-transform")
+        return _pools[size]
+
+
+def _run_chunks(plan: _Plan, task, rows: int) -> None:
+    """Call ``task(lo, hi)`` on consecutive chunks of at most ``plan.batch`` of
+    ``rows`` rows; with more than one chunk, ``plan.workers`` threads take
+    chunks from one queue until it is empty.
+
+    A task may call only private helpers: the tracer of the benchmark keeps
+    one span stack, which a traced call from a worker thread would corrupt.
+    """
+    chunks = queue.SimpleQueue()
+    for lo in range(0, rows, plan.batch):
+        chunks.put((lo, min(lo + plan.batch, rows)))
+
+    def drain() -> None:
+        while True:
+            try:
+                lo, hi = chunks.get_nowait()
+            except queue.Empty:
+                return
+            task(lo, hi)
+
+    helpers = min(plan.workers, chunks.qsize()) - 1
+    futures = [_pool(helpers).submit(drain) for _ in range(helpers)]
+    drain()
+    for future in futures:
+        if not future.cancel():  # a helper that has not started by now has nothing to do
+            future.result()
+
+
 def padded_samples(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
     """Real samples on the 3/2 grid of a stack of n-grid spectra ``(k, n, ..., n)``.
 
@@ -440,18 +493,22 @@ def padded_samples(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
     mode contributes its cosine half.  Returns shape ``(k, m, ..., m)``.
     """
     plan = grid.plan
+    blocks = plan.embed  # built here, not by two threads at once
 
     def embedded(chunk: np.ndarray) -> np.ndarray:
         spec = np.zeros((len(chunk),) + plan.padded_half_shape, dtype=complex)
-        for dst, src, factor in plan.embed:
+        for dst, src, factor in blocks:
             np.multiply(chunk[src], factor, out=spec[dst])
         return _irfft(spec, plan.padded_shape)
 
     if len(coeffs) <= plan.batch:
         return embedded(coeffs)
     out = np.empty((len(coeffs),) + plan.padded_shape)
-    for lo in range(0, len(coeffs), plan.batch):
-        out[lo:lo + plan.batch] = embedded(coeffs[lo:lo + plan.batch])
+
+    def task(lo: int, hi: int) -> None:
+        out[lo:hi] = embedded(coeffs[lo:hi])
+
+    _run_chunks(plan, task, len(coeffs))
     return out
 
 
@@ -468,13 +525,17 @@ def _truncate_half(grid: TorusGrid, samples: np.ndarray) -> np.ndarray:
     else:
         m, h = plan.padded_shape[0], grid.n // 2
         out = np.empty((len(samples),) + plan.half_shape, dtype=complex)
-        for lo in range(0, len(samples), plan.batch):
-            spec = _rfft(samples[lo:lo + plan.batch], grid.dim)
+        band = plan.band
+
+        def task(lo: int, hi: int) -> None:
+            spec = _rfft(samples[lo:hi], grid.dim)
             for axis in range(1, grid.dim):
                 lead = (slice(None),) * axis
                 spec[lead + (m - h,)] += spec[lead + (h,)]
-            for src, dst in plan.band:
-                out[lo:lo + plan.batch][dst] = spec[src]
+            for src, dst in band:
+                out[lo:hi][dst] = spec[src]
+
+        _run_chunks(plan, task, len(samples))
     out[..., 0] *= _HALF  # bin 0 is its own reflection on the last axis
     out = _complete_planes(grid, out)
     out *= plan.truncate_scale

@@ -24,6 +24,7 @@ import numpy as np
 
 from .config import ConfigError, RunConfig, param_float, param_int
 from .conjugation import (
+    CONVOLUTION_GRID_LIMIT,
     apply_An_convolution,
     apply_An_recursive,
     estimate_Cn,
@@ -345,9 +346,9 @@ def run_symbol_audit(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
 
 
 def run_conjugation_audit(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
-    if cfg.dimension == 3:
+    if cfg.dimension not in CONVOLUTION_GRID_LIMIT:
         raise ConfigError("conjugation_audit supports dimension 1 or 2 only")
-    limit = 32 if cfg.dimension == 1 else 8
+    limit = CONVOLUTION_GRID_LIMIT[cfg.dimension]
     if cfg.points > limit:
         raise ConfigError(
             f"conjugation_audit cost guard: dimension {cfg.dimension} allows points <= {limit}"

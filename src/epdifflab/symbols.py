@@ -311,25 +311,33 @@ def check_ellipticity(
 
     The origin is always included: symbols singular at ``xi = 0`` (the bare
     Laplacian, say) fail here even though they satisfy the growth estimate.
+    A symbol that overflows on the sample set fails without a floating-point
+    warning: every non-finite value counts as a failure.
     """
     pts, radii, dirs_per = _radial_points(symbol.dim, xi_max, n_radii, n_dirs)
     pts = np.vstack([np.zeros((1, symbol.dim)), pts])
     sampling = f"origin + {len(radii)} log radii in [1e-2, {xi_max:g}] x {dirs_per} directions"
-    values = symbol(pts)
-    dets = np.linalg.det(values)
-    scale = _frob(values) ** symbol.dim
-    singular = np.abs(dets) <= 1e-14 * np.maximum(scale, 1e-300)
-    if np.any(singular):
-        bad = pts[np.argmax(singular)]
+
+    def failed(where: str, at: np.ndarray) -> ClassCertificate:
         return ClassCertificate(
             kind="elliptic",
             verdict=False,
             measured_constant=float("inf"),
             sampling=sampling,
-            details={"singular_at": np.array2string(bad, precision=6)},
+            details={where: np.array2string(pts[np.argmax(at)], precision=6)},
         )
-    inv = np.linalg.inv(values)
-    ratio = _frob(inv) * sobolev_weight(symbol.order, pts)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = symbol(pts)
+        if not np.isfinite(values).all():
+            return failed("non_finite_at", ~np.isfinite(values).all(axis=(-2, -1)))
+        dets = np.linalg.det(values)
+        scale = _frob(values) ** symbol.dim
+        singular = np.abs(dets) <= 1e-14 * np.maximum(scale, 1e-300)
+        if np.any(singular):
+            return failed("singular_at", singular)
+        inv = np.linalg.inv(values)
+        ratio = _frob(inv) * sobolev_weight(symbol.order, pts)
     per_radius = ratio[1:].reshape(len(radii), dirs_per).max(axis=1)
     per_radius[0] = max(per_radius[0], ratio[0])  # origin counts as innermost
     ok = _stabilized(per_radius) and bool(np.all(np.isfinite(ratio)))

@@ -1,5 +1,8 @@
 """Tests for the config-driven CLI: exit codes, output files, determinism."""
 
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,8 @@ from epdifflab.config import ConfigError, load_config
 from epdifflab.grid import TorusGrid
 from epdifflab.operators import sobolev_multiplier
 from epdifflab.scenarios import save_symbol_table
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 BASE_EVOLUTION = """\
 [grid]
@@ -72,12 +77,23 @@ class TestConfigValidation:
             ("t_end = 0.05", "t_end = 1e300"),  # once ran until killed
             # t_end/dt overflows to inf: once an OverflowError (exit 1)
             ("dt = 0.005\nt_end = 0.05", "dt = 1e-10\nt_end = 1e300"),
+            # the symbol overflows on the lattice only: once a nan inverse
+            # table and a blow-up verdict at t=0 (exit 2)
+            ("dimension = 1\npoints = 64", "dimension = 1\npoints = 64\nlength = 1e-110"),
         ],
     )
     def test_bad_values_exit_3(self, tmp_path, mutation):
         old, new = mutation
         cfg = write_config(tmp_path, BASE_EVOLUTION.replace(old, new))
         assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out"), "--quiet"]) == 3
+
+    @pytest.mark.parametrize("s", ["400", "1e308"])
+    def test_rejected_symbol_warns_nothing(self, tmp_path, s):
+        # the certificate overflows; it must fail without a numpy warning
+        cfg = write_config(tmp_path, BASE_EVOLUTION.replace("s = 1.5", f"s = {s}"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out"), "--quiet"]) == 3
 
     def test_load_config_fields(self, tmp_path):
         cfg = load_config(write_config(tmp_path, BASE_EVOLUTION))
@@ -369,3 +385,13 @@ width = 0.15
         summary = read_summary(out)
         assert summary["consistency_pass"] == "True"
         assert float(summary["sup_velocity_gap"]) < 1e-6
+
+    def test_stalled_inversion_exits_4(self, tmp_path, capsys):
+        # the shipped config with a large datum: the inverse chart's Newton
+        # iteration stalls, once a traceback (exit 1)
+        text = (CONFIGS / "consistency.ini").read_text()
+        assert "amplitude = 0.25" in text
+        cfg = write_config(tmp_path, text.replace("amplitude = 0.25", "amplitude = 50"))
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out"), "--quiet"]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical abort: inverse chart")

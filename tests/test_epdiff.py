@@ -172,6 +172,27 @@ class TestStepping:
         with pytest.raises(CFLError):
             step_rk4(ch, st, 1.0)
 
+    def test_cfl_limit_once_per_state(self, grid, ch, monkeypatch):
+        # the outer step's check and its first RK4 substep share one evaluation
+        import epdifflab.epdiff as epdiff_module
+
+        calls = {"cfl_limit": 0, "step_rk4": 0}
+
+        def counted(name):
+            fn = getattr(epdiff_module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(epdiff_module, name, counted(name))
+        st = EulerState.from_velocity(ch, gaussian_blob(grid, amplitude=0.2))
+        res = integrate(ch, st, 0.05, 5e-3)
+        assert res.status == "completed"
+        assert calls == {"cfl_limit": 10, "step_rk4": 10}
+
     def test_energy_and_momentum_conservation_short(self, grid):
         mult = sobolev_multiplier(1.5, grid)
         st = EulerState.from_velocity(mult, gaussian_blob(grid, amplitude=0.25, width=0.1))

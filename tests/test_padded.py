@@ -17,10 +17,15 @@ The RK4 stages run on half spectra; a test-local copy of the full-spectrum
 stage they replaced (``apply_inverse``, the transport term on full spectra,
 and the completion of every negative bin at once) must give the same bits,
 step after step.
+
+A stack split into several transform calls runs its chunks on worker
+threads; the passes and the steps must give the same bits for every worker
+count, and a stack that fits one call must start no thread.
 """
 
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -281,10 +286,12 @@ def test_full_band_matches_one_product_rule(dim, n, per_call, monkeypatch):
         assert _rel(got, ref) <= TOL
 
 
-def test_transport_memory_peak_3d():
+def test_transport_memory_peak_3d(monkeypatch):
     # The padded working set of one transport at d=3, n=32 is bounded by the
     # per-component evaluation and the per-call transform cap (about 20 MiB);
-    # without the cap the whole stack is sampled at once, near 100 MiB.
+    # without the cap the whole stack is sampled at once, near 100 MiB.  Two
+    # threads transform chunks at once; tracemalloc traces every thread.
+    monkeypatch.setattr(grid_module, "TRANSFORM_WORKERS", 2)
     grid = TorusGrid(3, 32)
     u, v = _noise(grid, 5), _noise(grid, 6)
     momentum_transport(u, v)  # fills the grid's cached index and factor tables
@@ -453,3 +460,75 @@ def test_euler_rhs_keeps_the_checks_of_apply_inverse():
         euler_rhs(FourierMultiplier.build(sobolev_symbol(1.0, 1), grid), m)
     with pytest.raises(GridMismatchError):
         euler_rhs(sobolev_multiplier(1.0, TorusGrid(1, 64)), m)
+
+
+# --- worker threads ----------------------------------------------------------------
+
+def _threaded_results(dim, n, workers, per_call, monkeypatch):
+    monkeypatch.setattr(grid_module, "TRANSFORM_WORKERS", workers)
+    if per_call is not None:
+        m = (3 * n) // 2
+        monkeypatch.setattr(grid_module, "MAX_TRANSFORM_BYTES",
+                            per_call * 16 * m ** (dim - 1) * (m // 2 + 1))
+    grid = TorusGrid(dim, n)  # a new grid builds its plan with the patched constants
+    assert grid.plan.workers == workers
+    coeffs = _noise(grid, 16).coeffs
+    stack = np.concatenate([coeffs, coeffs[::-1], coeffs[:1]])  # odd: pairs leave a remainder
+    padded = padded_samples(grid, stack)
+    mult = sobolev_multiplier(1.5, grid)
+    state = EulerState.from_velocity(mult, random_bandlimited(grid, n // 2, seed=17))
+    for _ in range(2):
+        state = step_rk4(mult, state, 1e-4)
+    return padded, truncate_padded(grid, padded), state.m.coeffs, state.u.coeffs
+
+
+@pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+@pytest.mark.parametrize("per_call", [None, 1, 2])
+def test_same_bits_for_every_worker_count(dim, n, per_call, monkeypatch):
+    # per_call None keeps the default cap: one call at d=2 n=32, pairs at
+    # d=3 n=16; 1 and 2 force single fields and pairs with a remainder
+    ref = _threaded_results(dim, n, 1, per_call, monkeypatch)
+    for workers in (2, 3):
+        got = _threaded_results(dim, n, workers, per_call, monkeypatch)
+        for a, b in zip(got, ref):
+            assert np.array_equal(a, b)
+
+
+def test_chunks_under_frequent_thread_switches(monkeypatch):
+    # more threads than cores, switching every microsecond: a chunk taken
+    # twice or lost from the queue would change the bits
+    n, m = 16, 24
+    monkeypatch.setattr(grid_module, "MAX_TRANSFORM_BYTES", 16 * m * m * (m // 2 + 1))
+    results = []
+    for workers in (1, 4):
+        monkeypatch.setattr(grid_module, "TRANSFORM_WORKERS", workers)
+        grid = TorusGrid(3, n)
+        stack = np.concatenate([_noise(grid, seed).coeffs for seed in range(20, 27)])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results.append([padded_samples(grid, stack) for _ in range(5)])
+        finally:
+            sys.setswitchinterval(interval)
+    for got in results[1]:
+        assert np.array_equal(got, results[0][0])
+
+
+def test_split_stack_starts_the_pool(monkeypatch):
+    monkeypatch.setattr(grid_module, "TRANSFORM_WORKERS", 2)
+    monkeypatch.setattr(grid_module, "_pools", {})
+    grid = TorusGrid(3, 16)
+    assert grid.plan.batch < grid.dim  # so the three components take two calls
+    padded_samples(grid, _noise(grid, 18).coeffs)
+    assert list(grid_module._pools) == [1]  # the calling thread and one helper
+
+
+@pytest.mark.parametrize("dim,n", [(1, 256), (2, 16)])
+def test_one_call_stacks_start_no_thread(dim, n, monkeypatch):
+    # d=1 and the small grids of the oracle checks keep their inline path
+    monkeypatch.setattr(grid_module, "TRANSFORM_WORKERS", 2)
+    monkeypatch.setattr(grid_module, "_pools", {})
+    grid = TorusGrid(dim, n)
+    mult = sobolev_multiplier(1.0, grid)
+    euler_rhs(mult, apply(mult, _noise(grid, 19)))
+    assert grid_module._pools == {}
