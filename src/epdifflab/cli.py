@@ -53,11 +53,6 @@ def main(argv: list[str] | None = None) -> int:
             cfg = dataclasses.replace(cfg, seed=args.seed)
         if args.output_dir is not None:
             cfg = dataclasses.replace(cfg, output=Path(args.output_dir))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
-
-    try:
         return run_scenario(cfg, cfg.output, args.quiet)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

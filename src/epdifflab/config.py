@@ -14,17 +14,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-SCENARIO_NAMES = (
-    "gaussian_blob",
-    "random_bandlimited",
-    "peakon_pair",
-    "symbol_audit",
-    "conjugation_audit",
-    "consistency",
-)
-
-TIME_SCENARIOS = ("gaussian_blob", "random_bandlimited", "peakon_pair", "consistency")
-
 # Largest grid, in points^dimension (128^3): every field of a run is this
 # large, and the padded grid (3/2)^dimension times larger.
 MAX_GRID_POINTS = 2**21
@@ -32,6 +21,12 @@ MAX_GRID_POINTS = 2**21
 # Most outer steps a run may take (t_end / dt): the shipped configs take at
 # most 8000, and 10^7 RK4 steps at d=1, n=256 take about an hour.
 MAX_STEPS = 10**7
+
+# Most unit-sphere directions of a symbol audit and most oracle draws per order
+# of a conjugation audit: the shipped configs use 10^4 and 10, and 10^11
+# directions once asked numpy for 745 GiB.
+MAX_SPHERE_SAMPLES = 10**5
+MAX_DRAWS = 10**4
 
 
 class ConfigError(ValueError):
@@ -79,13 +74,15 @@ def _as_float(raw: str, where: str, positive: bool = False) -> float:
     return val
 
 
-def _as_int(raw: str, where: str, minimum: Optional[int] = None) -> int:
+def _as_int(raw: str, where: str, minimum: Optional[int] = None, maximum: Optional[int] = None) -> int:
     try:
         val = int(raw)
     except ValueError as exc:
         raise ConfigError(f"{where}: not an integer: {raw!r}") from exc
     if minimum is not None and val < minimum:
         raise ConfigError(f"{where}: must be >= {minimum}, got {val}")
+    if maximum is not None and val > maximum:
+        raise ConfigError(f"{where}: must be <= {maximum}, got {val}")
     return val
 
 
@@ -134,18 +131,18 @@ def load_config(path: str | Path) -> RunConfig:
         if not table_path.is_file():
             raise ConfigError(f"[metric] table file not found: {table_path}")
 
+    from .scenarios import SCENARIOS  # scenarios imports this module
+
     scenario = _get(parser, "scenario", "name", required=True)
-    if scenario not in SCENARIO_NAMES:
-        raise ConfigError(
-            f"unknown scenario {scenario!r}; choose one of {', '.join(SCENARIO_NAMES)}"
-        )
+    if scenario not in SCENARIOS:
+        raise ConfigError(f"unknown scenario {scenario!r}; choose one of {', '.join(SCENARIOS)}")
     scenario_params = {
         k: v for k, v in parser.items("scenario") if k != "name"
     }
 
     dt = t_end = 1.0
     cadence = 1
-    if scenario in TIME_SCENARIOS:
+    if SCENARIOS[scenario].needs_integrator:
         if not parser.has_section("integrator"):
             raise ConfigError(f"scenario {scenario!r} needs an [integrator] section")
         dt = _as_float(_get(parser, "integrator", "dt", required=True), "[integrator] dt", positive=True)
@@ -196,8 +193,8 @@ def param_float(cfg: RunConfig, key: str, default: float, positive: bool = True)
     return _as_float(raw, f"[scenario] {key}", positive=positive)
 
 
-def param_int(cfg: RunConfig, key: str, default: int, minimum: int = 0) -> int:
+def param_int(cfg: RunConfig, key: str, default: int, minimum: int = 0, maximum: Optional[int] = None) -> int:
     raw = cfg.scenario_params.get(key)
     if raw is None:
         return default
-    return _as_int(raw, f"[scenario] {key}", minimum=minimum)
+    return _as_int(raw, f"[scenario] {key}", minimum=minimum, maximum=maximum)

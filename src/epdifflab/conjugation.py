@@ -137,6 +137,16 @@ def _an(symbol: MatrixSymbol, xis: np.ndarray, batch_ndim: int) -> np.ndarray:
 
 # --- brute-force convolution oracle --------------------------------------------
 
+def check_oracle_cost(dim: int, n: int) -> None:
+    """Raise ``ValueError`` unless the oracle's ``(n^dim)^(order+1)`` lattice tuples stay few."""
+    limit = CONVOLUTION_GRID_LIMIT.get(dim)
+    if limit is None or n > limit:
+        allowed = " or ".join(f"n <= {m} in dimension {d}" for d, m in CONVOLUTION_GRID_LIMIT.items())
+        raise ValueError(
+            f"convolution oracle cost guard: grid n = {n} in dimension {dim}; allowed: {allowed}"
+        )
+
+
 class ConvolutionKernel:
     """Precomputed lattice tuples and symbol tensors for the brute-force oracle.
 
@@ -149,11 +159,7 @@ class ConvolutionKernel:
         grid = mult.grid
         if not 1 <= n <= 2:
             raise ValueError("convolution oracle limited to 1 <= n <= 2")
-        limit = CONVOLUTION_GRID_LIMIT.get(grid.dim)
-        if limit is None or grid.n > limit:
-            raise ValueError(
-                f"convolution oracle cost guard: dim {grid.dim} allows grid n <= {limit}"
-            )
+        check_oracle_cost(grid.dim, grid.n)
         self.mult = mult
         self.n = n
         d = grid.dim
@@ -229,12 +235,8 @@ def apply_An_convolution(
     :func:`apply_An_recursive`, not a production path.  The symbol tensors are
     cached per (multiplier, order), so repeated inputs pay only a contraction.
     """
-    if len(fields) != n + 1:
-        raise ValueError(f"expected {n + 1} fields, got {len(fields)}")
-    if n == 0:
+    if n == 0 and len(fields) == 1:
         return apply(mult, fields[0])
-    if n > 2:
-        raise ValueError("convolution oracle limited to n <= 2")
     return convolution_kernel(mult, n).apply(*fields)
 
 

@@ -233,6 +233,16 @@ class IntegrationResult:
         return self.status in ("gradient_threshold", "dt_underflow")
 
 
+def step_count(t0: float, t_end: float, dt: float) -> int:
+    """Number of fixed steps ``dt`` from ``t0`` to ``t_end``, which must be a positive integer."""
+    if dt <= 0 or t_end <= t0:
+        raise ValueError("need dt > 0 and t_end > start time")
+    n_steps = int(round((t_end - t0) / dt))
+    if n_steps < 1 or abs(t0 + n_steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
+        raise ValueError("t_end must be a positive integer number of steps away")
+    return n_steps
+
+
 def integrate(
     mult: FourierMultiplier,
     state: EulerState,
@@ -251,12 +261,8 @@ def integrate(
     Crossing ``grad_threshold`` (checked every outer step) halts likewise, and
     any non-finite coefficient aborts with the last good state.
     """
-    if dt <= 0 or t_end <= state.t:
-        raise ValueError("need dt > 0 and t_end > start time")
     cadence = max(int(cadence), 1)
-    n_steps = int(round((t_end - state.t) / dt))
-    if n_steps < 1 or abs(state.t + n_steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
-        raise ValueError("t_end must be a positive integer number of steps away")
+    n_steps = step_count(state.t, t_end, dt)
 
     diags = [diagnostics(mult, state, norm_orders)]
     if callback:
@@ -410,6 +416,13 @@ def peakon_pair(
     return SpectralVectorField.from_samples(grid, samples)
 
 
+def bandlimited_draw(grid: TorusGrid, kmax: int, rng: np.random.Generator) -> SpectralVectorField:
+    """Standard-normal samples from ``rng`` with every mode above ``|k|_inf = kmax`` removed."""
+    u = SpectralVectorField.from_samples(grid, rng.standard_normal((grid.dim,) + grid.shape))
+    keep = np.max(np.abs(grid.wavenumbers), axis=0) <= kmax
+    return SpectralVectorField(grid, u.coeffs * keep)
+
+
 def random_bandlimited(
     grid: TorusGrid,
     kmax: int,
@@ -418,10 +431,7 @@ def random_bandlimited(
     seed: int = 0,
 ) -> SpectralVectorField:
     """Random real field supported on ``|k|_inf <= kmax`` with prescribed H^q norm."""
-    rng = np.random.default_rng(seed)
-    u = SpectralVectorField.from_samples(grid, rng.standard_normal((grid.dim,) + grid.shape))
-    keep = np.max(np.abs(grid.wavenumbers), axis=0) <= kmax
-    trimmed = SpectralVectorField(grid, u.coeffs * keep)
+    trimmed = bandlimited_draw(grid, kmax, np.random.default_rng(seed))
     current = sobolev_norm(trimmed, norm_order)
     if current == 0.0:
         raise ValueError("degenerate random draw produced the zero field")

@@ -303,11 +303,6 @@ class _FieldBase:
         """Physical-space samples on the grid (real inverse transform)."""
         return _samples(self.grid, self.coeffs)
 
-    def imag_residual(self) -> float:
-        """Sup of the imaginary part in physical space; ~0 for real fields."""
-        complex_samples = np.fft.ifftn(self.coeffs / self.grid.cell_volume, axes=_axes(self.grid.dim))
-        return float(np.abs(complex_samples.imag).max())
-
     def l2_norm(self) -> float:
         """Norm of ``sqrt(integral |f|^2 dx)`` over the box."""
         return float(np.sqrt(np.sum(np.abs(self.coeffs) ** 2) / self.grid.length**self.grid.dim))

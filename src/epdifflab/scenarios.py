@@ -18,21 +18,22 @@ import io
 import math
 import sys
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, param_float, param_int
+from .config import MAX_DRAWS, MAX_SPHERE_SAMPLES, ConfigError, RunConfig, param_float, param_int
 from .conjugation import (
-    CONVOLUTION_GRID_LIMIT,
     apply_An_convolution,
     apply_An_recursive,
+    check_oracle_cost,
     estimate_Cn,
     verify_sn_identity,
 )
 from .epdiff import (
     Diagnostics,
     EulerState,
+    bandlimited_draw,
     default_blowup_threshold,
     detect_blowup,
     gaussian_blob,
@@ -42,16 +43,17 @@ from .epdiff import (
 )
 from .grid import SpectralVectorField, TorusGrid
 from .lagrangian import (
+    ChartError,
     DiffeoChart,
     GeodesicState,
-    compose,
+    InversionError,
     integrate_geodesic,
-    invert,
     lagrangian_energy,
     regularity_probe,
 )
 from .operators import EllipticityError, FourierMultiplier
 from .symbols import (
+    ClassCertificate,
     MatrixSymbol,
     check_ellipticity,
     check_normal_ellipticity,
@@ -284,147 +286,110 @@ def _audit_symbol(cfg: RunConfig, grid: TorusGrid) -> MatrixSymbol:
     raise ConfigError(f"unknown audit symbol {which!r} (use metric or shear_laplacian)")
 
 
+class _AuditReport:
+    """An audit's ``[title]`` blocks and verdicts, written to certificates.txt and summary.txt."""
+
+    def __init__(self, header: list[str]) -> None:
+        self.lines = [*header, ""]
+        self.verdicts: list[bool] = []
+
+    def block(self, title: str, lines: list[str], verdict: bool) -> None:
+        self.lines += [f"[{title}]", *lines, ""]
+        self.verdicts.append(verdict)
+
+    def add(self, title: str, cert: ClassCertificate) -> None:
+        self.block(title, cert.report_lines(), cert.verdict)
+
+    def write(self, out_dir: Path, quiet: bool, scenario: str, counted: str, summary: list[str]) -> int:
+        _write_lines(out_dir / "certificates.txt", self.lines[:-1])
+        passed, total = sum(self.verdicts), len(self.verdicts)
+        _write_lines(out_dir / "summary.txt", [
+            f"scenario: {scenario}", *summary,
+            f"{counted}: {total}",
+            f"all_pass: {all(self.verdicts)}",
+        ])
+        if not quiet:
+            print(f"{scenario.replace('_', ' ')}: {passed}/{total} {counted} passed")
+        return EXIT_OK
+
+
 def run_symbol_audit(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
+    sphere = param_int(cfg, "sphere_samples", 4096, minimum=2, maximum=MAX_SPHERE_SAMPLES)
     grid = TorusGrid(cfg.dimension, cfg.points, cfg.length)
     symbol = _audit_symbol(cfg, grid)
-    sphere = param_int(cfg, "sphere_samples", 4096, minimum=2)
-
-    blocks: list[list[str]] = []
-    verdicts: list[bool] = []
-
-    def add(title: str, cert) -> None:
-        blocks.append([f"[{title}]"] + cert.report_lines())
-        verdicts.append(cert.verdict)
-
-    add("order_estimate", check_order_estimate(symbol, max_alpha=2))
-    add("ellipticity", check_ellipticity(symbol))
+    report = _AuditReport([
+        f"symbol: {symbol.name}",
+        "weight_convention: (1 + |2 pi xi|^2)^(rho/2); constants under the plain "
+        "(1 + |xi|^2)^(rho/2) convention differ by powers of 2 pi",
+    ])
+    report.add("order_estimate", check_order_estimate(symbol, max_alpha=2))
+    report.add("ellipticity", check_ellipticity(symbol))
     if symbol.principal is not None:
-        add("normal_ellipticity", check_normal_ellipticity(symbol, sphere_samples=sphere))
-        add("strong_ellipticity", check_strong_ellipticity(symbol, sphere_samples=sphere))
+        report.add("normal_ellipticity", check_normal_ellipticity(symbol, sphere_samples=sphere))
+        report.add("strong_ellipticity", check_strong_ellipticity(symbol, sphere_samples=sphere))
     if symbol.hermitian and symbol.positive_definite:
         root = sqrt_symbol(symbol)
         rng = np.random.default_rng(cfg.seed)
         pts = rng.uniform(-100, 100, size=(10_000, symbol.dim))
-        roots = root(pts)
-        residual = float(
-            np.abs(roots @ roots - symbol(pts)).max()
-            / max(np.abs(symbol(pts)).max(), 1e-300)
-        )
-        blocks.append([
-            "[square_root]",
-            f"kind: square_root_roundtrip",
-            f"verdict: {'pass' if residual <= 1e-12 else 'fail'}",
-            f"measured_constant: {fmt(residual)}",
-            f"sampling: 10000 uniform points in [-100, 100]^d, seed {cfg.seed}",
-        ])
-        verdicts.append(residual <= 1e-12)
-        add("sqrt_order_estimate", check_order_estimate(root, max_alpha=2))
-        add("sqrt_ellipticity", check_ellipticity(root))
-
-    text: list[str] = []
-    for block in blocks:
-        text.extend(block)
-        text.append("")
-    header = [
-        f"symbol: {symbol.name}",
-        "weight_convention: (1 + |2 pi xi|^2)^(rho/2); constants under the plain "
-        "(1 + |xi|^2)^(rho/2) convention differ by powers of 2 pi",
-        "",
-    ]
-    _write_lines(out_dir / "certificates.txt", header + text[:-1])
-
-    all_pass = all(verdicts)
-    _write_lines(out_dir / "summary.txt", [
-        "scenario: symbol_audit",
-        f"symbol: {symbol.name}",
-        f"certificates: {len(verdicts)}",
-        f"all_pass: {all_pass}",
-    ])
-    if not quiet:
-        print(f"symbol audit: {sum(verdicts)}/{len(verdicts)} certificates passed")
-    return EXIT_OK
+        values, roots = symbol(pts), root(pts)
+        residual = float(np.abs(roots @ roots - values).max() / max(np.abs(values).max(), 1e-300))
+        report.add("square_root", ClassCertificate(
+            "square_root_roundtrip", residual <= 1e-12, residual,
+            f"10000 uniform points in [-100, 100]^d, seed {cfg.seed}",
+        ))
+        report.add("sqrt_order_estimate", check_order_estimate(root, max_alpha=2))
+        report.add("sqrt_ellipticity", check_ellipticity(root))
+    return report.write(out_dir, quiet, "symbol_audit", "certificates",
+                        [f"symbol: {symbol.name}"])
 
 
 def run_conjugation_audit(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
-    if cfg.dimension not in CONVOLUTION_GRID_LIMIT:
-        raise ConfigError("conjugation_audit supports dimension 1 or 2 only")
-    limit = CONVOLUTION_GRID_LIMIT[cfg.dimension]
-    if cfg.points > limit:
-        raise ConfigError(
-            f"conjugation_audit cost guard: dimension {cfg.dimension} allows points <= {limit}"
-        )
-    grid = TorusGrid(cfg.dimension, cfg.points, cfg.length)
+    try:
+        check_oracle_cost(cfg.dimension, cfg.points)
+    except ValueError as exc:
+        raise ConfigError(f"conjugation_audit: {exc}") from exc
     if cfg.metric_kind != "sobolev":
         raise ConfigError("conjugation_audit needs the sobolev metric")
+    draws = param_int(cfg, "draws", 10, minimum=1, maximum=MAX_DRAWS)
+    grid = TorusGrid(cfg.dimension, cfg.points, cfg.length)
     symbol = sobolev_symbol(cfg.s, grid.dim)
     mult = _build_elliptic(symbol, grid)
-    draws = param_int(cfg, "draws", 10, minimum=1)
     rng = np.random.default_rng(cfg.seed)
+    report = _AuditReport([f"symbol: {symbol.name}"])
 
-    def random_headroom(order: int) -> SpectralVectorField:
+    for order in (1, 2) if cfg.dimension == 1 else (1,):
         kmax = (grid.n // 2 - 1) // (order + 1)
-        u = SpectralVectorField.from_samples(grid, rng.standard_normal((grid.dim,) + grid.shape))
-        keep = np.max(np.abs(grid.wavenumbers), axis=0) <= kmax
-        return SpectralVectorField(grid, u.coeffs * keep)
-
-    blocks: list[list[str]] = []
-    verdicts: list[bool] = []
-
-    orders = (1, 2) if cfg.dimension == 1 else (1,)
-    for order in orders:
         worst = 0.0
         for _ in range(draws):
-            fields = [random_headroom(order) for _ in range(order + 1)]
+            fields = [bandlimited_draw(grid, kmax, rng) for _ in range(order + 1)]
             rec = apply_An_recursive(mult, order, *fields)
             conv = apply_An_convolution(mult, order, *fields)
             scale = max(np.abs(rec.coeffs).max(), np.abs(conv.coeffs).max(), 1e-300)
             worst = max(worst, float(np.abs(rec.coeffs - conv.coeffs).max() / scale))
-        ok = worst <= 1e-10
-        blocks.append([
-            f"[oracle_equivalence_n{order}]",
-            "kind: operator_vs_convolution",
-            f"verdict: {'pass' if ok else 'fail'}",
-            f"measured_constant: {fmt(worst)}",
-            f"sampling: {draws} random band-limited draws, seed {cfg.seed}",
-        ])
-        verdicts.append(ok)
+        report.add(f"oracle_equivalence_n{order}", ClassCertificate(
+            "operator_vs_convolution", worst <= 1e-10, worst,
+            f"{draws} random band-limited draws, seed {cfg.seed}",
+        ))
 
     for order in (1, 2):
         lo = estimate_Cn(symbol, order, xi_max=500.0, seed=cfg.seed)
         hi = estimate_Cn(symbol, order, xi_max=1000.0, seed=cfg.seed)
         change = (hi.max_ratio - lo.max_ratio) / lo.max_ratio if lo.max_ratio > 0 else 0.0
         ok = bool(np.isfinite(hi.max_ratio) and change < 0.05)
-        blocks.append([
-            f"[envelope_n{order}]",
+        report.block(f"envelope_n{order}", [
             "kind: growth_envelope_stability",
             f"verdict: {'pass' if ok else 'fail'}",
             f"ratio_ximax_500: {fmt(lo.max_ratio)}",
             f"ratio_ximax_1000: {fmt(hi.max_ratio)}",
             f"relative_change: {fmt(change)}",
             f"sampling: {hi.sampling}",
-        ])
-        verdicts.append(ok)
+        ], ok)
 
     for order in (1, 2):
-        report = verify_sn_identity(symbol, order, num_tuples=100, seed=cfg.seed)
-        blocks.append([f"[frozen_tensor_identity_n{order}]"] + report.report_lines())
-        verdicts.append(report.passed)
+        sn = verify_sn_identity(symbol, order, num_tuples=100, seed=cfg.seed)
+        report.block(f"frozen_tensor_identity_n{order}", sn.report_lines(), sn.passed)
 
-    text: list[str] = []
-    for block in blocks:
-        text.extend(block)
-        text.append("")
-    _write_lines(out_dir / "certificates.txt", [f"symbol: {symbol.name}", ""] + text[:-1])
-
-    all_pass = all(verdicts)
-    _write_lines(out_dir / "summary.txt", [
-        "scenario: conjugation_audit",
-        f"checks: {len(verdicts)}",
-        f"all_pass: {all_pass}",
-    ])
-    if not quiet:
-        print(f"conjugation audit: {sum(verdicts)}/{len(verdicts)} checks passed")
-    return EXIT_OK
+    return report.write(out_dir, quiet, "conjugation_audit", "checks", [])
 
 
 def run_consistency(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
@@ -432,15 +397,20 @@ def run_consistency(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
     u0 = _initial_velocity(cfg, grid)
     mult = build_metric(cfg, grid)
 
-    eulerian = integrate(mult, EulerState.from_velocity(mult, u0), cfg.t_end, cfg.dt,
-                         cadence=max(cfg.cadence, 1), norm_orders=cfg.norms)
-    lagrangian = integrate_geodesic(
-        mult, GeodesicState(DiffeoChart.identity(grid), u0), cfg.t_end, cfg.dt
-    )[-1]
-    u_lag = compose(lagrangian.v, invert(lagrangian.phi))
+    try:
+        eulerian = integrate(mult, EulerState.from_velocity(mult, u0), cfg.t_end, cfg.dt,
+                             cadence=max(cfg.cadence, 1), norm_orders=cfg.norms)
+        lagrangian = integrate_geodesic(
+            mult, GeodesicState(DiffeoChart.identity(grid), u0), cfg.t_end, cfg.dt
+        )[-1]
+        u_lag = lagrangian.eulerian_velocity()
+        e_lag = lagrangian_energy(mult, lagrangian)
+    except (ChartError, InversionError) as exc:
+        status = "inversion_abort" if isinstance(exc, InversionError) else "chart_abort"
+        _write_lines(out_dir / "summary.txt", ["scenario: consistency", f"status: {status}"])
+        raise
     sup_gap = float(np.abs(u_lag.samples() - eulerian.final_state.u.samples()).max())
     e_eul = eulerian.diagnostics[-1].energy
-    e_lag = lagrangian_energy(mult, lagrangian)
     tol = param_float(cfg, "tolerance", 1e-6)
 
     _write_lines(out_dir / "summary.txt", [
@@ -459,50 +429,58 @@ def run_consistency(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
     return EXIT_OK
 
 
-SCENARIOS: dict[str, tuple[str, str, Callable[[RunConfig, Path, bool], int]]] = {
-    "gaussian_blob": (
+class Scenario(NamedTuple):
+    """One registry entry: what the scenario does, its config keys and its runner."""
+
+    description: str
+    keys: str
+    run: Callable[[RunConfig, Path, bool], int]
+    needs_integrator: bool
+
+
+SCENARIOS: dict[str, Scenario] = {
+    "gaussian_blob": Scenario(
         "smooth localized velocity bump evolved under EPDiff",
         "grid, metric, integrator; scenario: amplitude, width",
-        run_evolution,
+        run_evolution, needs_integrator=True,
     ),
-    "random_bandlimited": (
+    "random_bandlimited": Scenario(
         "random band-limited datum with prescribed Sobolev norm",
         "grid, metric, integrator; scenario: kmax, norm_order, target_norm",
-        run_evolution,
+        run_evolution, needs_integrator=True,
     ),
-    "peakon_pair": (
+    "peakon_pair": Scenario(
         "odd colliding-bump datum probing finite-time gradient blow-up",
         "grid, metric, integrator; scenario: amplitude, separation, width",
-        run_evolution,
+        run_evolution, needs_integrator=True,
     ),
-    "symbol_audit": (
+    "symbol_audit": Scenario(
         "order/ellipticity/positivity/square-root certificates for a symbol",
         "grid, metric; scenario: symbol (metric|shear_laplacian), shear_t, sphere_samples",
-        run_symbol_audit,
+        run_symbol_audit, needs_integrator=False,
     ),
-    "conjugation_audit": (
+    "conjugation_audit": Scenario(
         "derivative-tower oracle equivalence, growth envelopes, tensor identity",
         "grid (small), metric sobolev; scenario: draws",
-        run_conjugation_audit,
+        run_conjugation_audit, needs_integrator=False,
     ),
-    "consistency": (
+    "consistency": Scenario(
         "Eulerian vs Lagrangian geodesic solver cross-validation",
         "grid, metric, integrator; scenario: amplitude, width, tolerance",
-        run_consistency,
+        run_consistency, needs_integrator=True,
     ),
 }
 
 
 def list_scenarios_text() -> str:
     lines = ["available scenarios:", ""]
-    for name, (desc, keys, _) in SCENARIOS.items():
+    for name, entry in SCENARIOS.items():
         lines.append(f"{name}")
-        lines.append(f"  {desc}")
-        lines.append(f"  config keys: {keys}")
+        lines.append(f"  {entry.description}")
+        lines.append(f"  config keys: {entry.keys}")
     return "\n".join(lines)
 
 
 def run_scenario(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
-    runner = SCENARIOS[cfg.scenario][2]
-    return runner(cfg, out_dir, quiet)
+    return SCENARIOS[cfg.scenario].run(cfg, out_dir, quiet)

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from epdifflab.cli import main
-from epdifflab.config import ConfigError, load_config
+from epdifflab.config import MAX_DRAWS, MAX_SPHERE_SAMPLES, ConfigError, load_config
 from epdifflab.grid import TorusGrid
 from epdifflab.operators import sobolev_multiplier
-from epdifflab.scenarios import save_symbol_table
+from epdifflab.scenarios import SCENARIOS, save_symbol_table
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -102,6 +102,46 @@ class TestConfigValidation:
         assert cfg.scenario == "gaussian_blob"
         with pytest.raises(ConfigError):
             load_config(tmp_path / "missing.ini")
+
+
+class TestScenarioRegistry:
+    MINIMAL = """\
+[grid]
+dimension = 1
+points = 16
+
+[metric]
+kind = sobolev
+s = 1.0
+
+[scenario]
+name = {name}
+"""
+    INTEGRATOR = "\n[integrator]\ndt = 0.01\nt_end = 0.1\n"
+
+    def test_every_listed_name_loads(self, tmp_path, capsys):
+        assert main(["list-scenarios"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        names = [line for line in lines[2:] if line and not line.startswith(" ")]
+        assert names == list(SCENARIOS)
+        for name in names:
+            cfg = write_config(tmp_path, self.MINIMAL.format(name=name) + self.INTEGRATOR)
+            assert load_config(cfg).scenario == name
+        # the exit code of an unknown name is a case of test_bad_values_exit_3
+        cfg = write_config(tmp_path, self.MINIMAL.format(name="warp_drive") + self.INTEGRATOR)
+        with pytest.raises(ConfigError, match="unknown scenario 'warp_drive'; choose one of gaussian_blob,"):
+            load_config(cfg)
+
+    def test_integrator_required_exactly_when_flagged(self, tmp_path):
+        for name, entry in SCENARIOS.items():
+            cfg = write_config(tmp_path, self.MINIMAL.format(name=name))
+            if entry.needs_integrator:
+                with pytest.raises(ConfigError, match=r"needs an \[integrator\] section"):
+                    load_config(cfg)
+            else:
+                assert load_config(cfg).scenario == name
+        needing = {name for name, entry in SCENARIOS.items() if entry.needs_integrator}
+        assert needing == {"gaussian_blob", "random_bandlimited", "peakon_pair", "consistency"}
 
 
 class TestListScenarios:
@@ -341,7 +381,7 @@ draws = 3
         assert "oracle_equivalence_n1" in cert_text
         assert "frozen_tensor_identity_n2" in cert_text
 
-    def test_conjugation_audit_guard(self, tmp_path):
+    def test_conjugation_audit_guard(self, tmp_path, capsys):
         text = """\
 [grid]
 dimension = 1
@@ -356,6 +396,35 @@ name = conjugation_audit
 """
         cfg = write_config(tmp_path, text)
         assert main(["run", str(cfg), "--output-dir", str(tmp_path / "o"), "--quiet"]) == 3
+        assert "cost guard" in capsys.readouterr().err
+
+
+class TestAuditGuards:
+    @pytest.mark.parametrize(
+        "config,line,value",
+        [
+            # once a 745 GiB allocation in the sphere sampler (exit 1)
+            ("symbol_audit.ini", "name = symbol_audit", "sphere_samples = 100000000000"),
+            ("symbol_audit.ini", "name = symbol_audit", f"sphere_samples = {MAX_SPHERE_SAMPLES + 1}"),
+            ("shear_audit.ini", "sphere_samples = 10000", f"sphere_samples = {MAX_SPHERE_SAMPLES + 1}"),
+            # once ran until killed
+            ("conjugation_audit.ini", "draws = 10", "draws = 100000000000"),
+            ("conjugation_audit.ini", "draws = 10", f"draws = {MAX_DRAWS + 1}"),
+        ],
+    )
+    def test_unbounded_keys_exit_3(self, tmp_path, capsys, config, line, value):
+        text = (CONFIGS / config).read_text()
+        assert line in text
+        if line.startswith("name"):
+            value = f"{line}\n{value}"
+        cfg = write_config(tmp_path, text.replace(line, value))
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out"), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [scenario]") and "must be <=" in err
+
+    @pytest.mark.parametrize("config", ["symbol_audit.ini", "shear_audit.ini", "conjugation_audit.ini"])
+    def test_shipped_audits_within_bounds(self, tmp_path, config):
+        assert main(["run", str(CONFIGS / config), "--output-dir", str(tmp_path), "--quiet"]) == 0
 
 
 class TestConsistencyScenario:
@@ -392,6 +461,9 @@ width = 0.15
         text = (CONFIGS / "consistency.ini").read_text()
         assert "amplitude = 0.25" in text
         cfg = write_config(tmp_path, text.replace("amplitude = 0.25", "amplitude = 50"))
-        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out"), "--quiet"]) == 4
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--output-dir", str(out), "--quiet"]) == 4
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("numerical abort: inverse chart")
+        # the aborted run still says what it did
+        assert (out / "summary.txt").read_text() == "scenario: consistency\nstatus: inversion_abort\n"
