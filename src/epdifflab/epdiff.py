@@ -7,9 +7,12 @@ reduces to the momentum equation
 
 Momentum is the prognostic variable; velocity is recovered diagonally through
 the inverse multiplier table.  The integrator is fixed-step classical RK4
-behind a CFL guard (with power-of-two substepping when the guard bites), so
-conservation diagnostics stay interpretable: energy and total momentum are
-recomputed from the state at every emission, never accumulated.
+behind a CFL guard, with power-of-two substepping when the guard bites: a
+step whose guard bites part-way keeps its accepted substeps and finishes its
+interval at half the substep.  Conservation diagnostics stay interpretable:
+energy and total momentum are recomputed from the state at every emission,
+never accumulated, and the first time the energy drifts past
+``RESOLVED_ENERGY_DRIFT`` is recorded as ``resolved_until``.
 """
 
 from __future__ import annotations
@@ -34,6 +37,12 @@ from .operators import FourierMultiplier, apply, apply_inverse, sobolev_norm, _a
 
 MAX_SUBSTEP_DOUBLINGS = 12
 CFL_FRACTION = 0.5
+# Most outer steps a run may take: the shipped configs take at most 8000, and
+# 10^7 RK4 steps at d=1, n=256 take about an hour.
+MAX_STEPS = 10**7
+# Relative energy drift beyond which a trajectory no longer counts as resolved
+# (the tolerance of the energy-conservation acceptance check).
+RESOLVED_ENERGY_DRIFT = 1e-6
 _MINUS_ONE = np.complex128(-1.0)  # a numpy scalar: see grid._HALF
 
 
@@ -220,13 +229,22 @@ def step_rk4(mult: FourierMultiplier, state: EulerState, dt: float) -> EulerStat
 
 @dataclass(frozen=True, eq=False)
 class IntegrationResult:
-    """Trajectory summary: diagnostics stream plus the halt reason."""
+    """Trajectory summary: diagnostics stream plus the halt reason.
+
+    ``resolved_until`` is the first outer-step time whose energy drifted from
+    the initial energy by more than ``RESOLVED_ENERGY_DRIFT`` (relative), or
+    ``None``; ``substeps`` counts the RK4 substeps taken and ``retries`` the
+    CFL guard's rejections.
+    """
 
     status: str  # completed | gradient_threshold | dt_underflow | nan_abort
     final_state: EulerState
     diagnostics: list[Diagnostics]
     t_halt: Optional[float] = None
     dt: float = 0.0
+    resolved_until: Optional[float] = None
+    substeps: int = 0
+    retries: int = 0
 
     @property
     def blown_up(self) -> bool:
@@ -234,10 +252,14 @@ class IntegrationResult:
 
 
 def step_count(t0: float, t_end: float, dt: float) -> int:
-    """Number of fixed steps ``dt`` from ``t0`` to ``t_end``, which must be a positive integer."""
+    """Number of fixed steps ``dt`` from ``t0`` to ``t_end``, which must be a
+    positive integer of at most ``MAX_STEPS``."""
     if dt <= 0 or t_end <= t0:
         raise ValueError("need dt > 0 and t_end > start time")
-    n_steps = int(round((t_end - t0) / dt))
+    ratio = (t_end - t0) / dt
+    if not ratio <= MAX_STEPS:  # before round(), which overflows on inf
+        raise ValueError(f"(t_end - t0)/dt = {ratio:.3g} exceeds the longest run, {MAX_STEPS} steps")
+    n_steps = int(round(ratio))
     if n_steps < 1 or abs(t0 + n_steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
         raise ValueError("t_end must be a positive integer number of steps away")
     return n_steps
@@ -255,11 +277,16 @@ def integrate(
 ) -> IntegrationResult:
     """March to ``t_end`` with fixed outer step ``dt``, emitting diagnostics.
 
-    Each outer step is split into ``2^j`` RK4 substeps when the CFL guard
-    requires it; if the substep underflows (``j`` beyond
-    ``MAX_SUBSTEP_DOUBLINGS``) the run halts with a blow-up style verdict.
-    Crossing ``grad_threshold`` (checked every outer step) halts likewise, and
-    any non-finite coefficient aborts with the last good state.
+    Each outer step starts with ``2^j`` RK4 substeps, ``j`` the fewest the
+    CFL guard allows at its start.  When the guard rejects a substep inside
+    the step, the accepted substeps are kept and the rest of the interval is
+    run at half the substep; once ``j`` exceeds ``MAX_SUBSTEP_DOUBLINGS`` the
+    run halts with a blow-up style verdict (``dt_underflow``).  Crossing
+    ``grad_threshold`` (checked every outer step) halts likewise, and any
+    non-finite coefficient aborts (``nan_abort``).  Both ``dt_underflow`` and
+    ``nan_abort`` return the state from the start of the step, with
+    ``t_halt`` at that time.  The energy is checked after every outer step
+    for ``resolved_until``.
     """
     cadence = max(int(cadence), 1)
     n_steps = step_count(state.t, t_end, dt)
@@ -270,6 +297,10 @@ def integrate(
     if grad_threshold is not None and diags[0].sup_velocity_gradient > grad_threshold:
         return IntegrationResult("gradient_threshold", state, diags, t_halt=state.t, dt=dt)
 
+    e0 = diags[0].energy
+    resolved_until = None
+    substeps = retries = 0
+
     def emit_final(st: EulerState) -> None:
         if diags[-1].t != st.t:
             d = diagnostics(mult, st, norm_orders)
@@ -277,30 +308,40 @@ def integrate(
             if callback:
                 callback(d)
 
+    def result(status: str, st: EulerState, t_halt: Optional[float] = None) -> IntegrationResult:
+        return IntegrationResult(status, st, diags, t_halt=t_halt, dt=dt,
+                                 resolved_until=resolved_until, substeps=substeps, retries=retries)
+
     t0 = state.t
     for step in range(1, n_steps + 1):
         limit = state.cfl
         doublings = 0
         while dt / 2**doublings > limit and doublings <= MAX_SUBSTEP_DOUBLINGS:
             doublings += 1
-        new_state = None
-        while new_state is None:
+        trial = state
+        left = 2**doublings  # substeps of size dt / 2**doublings still to take
+        while left:
             if doublings > MAX_SUBSTEP_DOUBLINGS:
                 emit_final(state)
-                return IntegrationResult("dt_underflow", state, diags, t_halt=state.t, dt=dt)
-            trial = state
+                return result("dt_underflow", state, state.t)
             try:
-                for _ in range(2**doublings):
-                    trial = step_rk4(mult, trial, dt / 2**doublings)
-                    if not np.isfinite(trial.m.coeffs).all():
-                        emit_final(state)
-                        return IntegrationResult("nan_abort", state, diags, t_halt=state.t, dt=dt)
+                trial = step_rk4(mult, trial, dt / 2**doublings)
             except CFLError:
-                doublings += 1  # sup|u| grew inside the step; retry finer
+                retries += 1  # sup|u| grew inside the step; finish it finer
+                left *= 2
+                doublings += 1
                 continue
-            new_state = trial
-        state = EulerState(t=t0 + step * dt, m=new_state.m, u=new_state.u)
+            substeps += 1
+            left -= 1
+            if not np.isfinite(trial.m.coeffs).all():
+                emit_final(state)
+                return result("nan_abort", state, state.t)
+        state = EulerState(t=t0 + step * dt, m=trial.m, u=trial.u)
 
+        if resolved_until is None:
+            drift = abs(0.5 * l2_inner(state.m, state.u) - e0)
+            if drift > RESOLVED_ENERGY_DRIFT * abs(e0):
+                resolved_until = state.t
         emit = step % cadence == 0 or step == n_steps
         grad_now = None
         if grad_threshold is not None:
@@ -311,8 +352,8 @@ def integrate(
             if callback:
                 callback(d)
             if grad_threshold is not None and d.sup_velocity_gradient > grad_threshold:
-                return IntegrationResult("gradient_threshold", state, diags, t_halt=state.t, dt=dt)
-    return IntegrationResult("completed", state, diags, dt=dt)
+                return result("gradient_threshold", state, state.t)
+    return result("completed", state)
 
 
 def default_blowup_threshold(initial: EulerState) -> float:

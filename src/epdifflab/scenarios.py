@@ -253,6 +253,7 @@ def run_evolution(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
         f"energy_initial: {fmt(e0)}",
         f"energy_final: {fmt(e1)}",
         f"energy_drift_rel: {fmt(abs(e1 - e0) / abs(e0)) if e0 != 0 else '0'}",
+        f"resolved_until: {'none' if result.resolved_until is None else fmt(result.resolved_until)}",
         f"momentum_drift_abs: {fmt(max(np.abs(d.total_momentum - diags[0].total_momentum).max() for d in diags))}",
         f"sup_grad_final: {fmt(diags[-1].sup_velocity_gradient)}",
     ]

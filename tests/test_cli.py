@@ -8,6 +8,7 @@ import pytest
 
 from epdifflab.cli import main
 from epdifflab.config import MAX_DRAWS, MAX_SPHERE_SAMPLES, ConfigError, load_config
+from epdifflab.epdiff import step_count
 from epdifflab.grid import TorusGrid
 from epdifflab.operators import sobolev_multiplier
 from epdifflab.scenarios import SCENARIOS, save_symbol_table
@@ -94,6 +95,24 @@ class TestConfigValidation:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out"), "--quiet"]) == 3
+
+    @pytest.mark.parametrize("t_end, steps", [("0.0500000005", 10), ("0.0500001", None)])
+    def test_config_and_integrator_share_the_step_rule(self, tmp_path, t_end, steps):
+        # 0.0500000005 is 10 steps of 0.005 within the integrators' tolerance
+        cfg = write_config(tmp_path, BASE_EVOLUTION.replace("t_end = 0.05", f"t_end = {t_end}"))
+        out = tmp_path / "out"
+        if steps is None:
+            with pytest.raises(ValueError):
+                step_count(0.0, float(t_end), 0.005)
+            with pytest.raises(ConfigError):
+                load_config(cfg)
+            assert main(["run", str(cfg), "--output-dir", str(out), "--quiet"]) == 3
+            return
+        assert step_count(0.0, float(t_end), 0.005) == steps
+        loaded = load_config(cfg)
+        assert step_count(0.0, loaded.t_end, loaded.dt) == steps
+        assert main(["run", str(cfg), "--output-dir", str(out), "--quiet"]) == 0
+        assert float(read_summary(out)["t_final"]) == pytest.approx(steps * 0.005, abs=0)
 
     def test_load_config_fields(self, tmp_path):
         cfg = load_config(write_config(tmp_path, BASE_EVOLUTION))

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+import epdifflab.epdiff as epdiff_module
 from epdifflab.epdiff import (
+    MAX_SUBSTEP_DOUBLINGS,
     CFLError,
     EulerState,
     ad_transpose,
@@ -17,6 +19,7 @@ from epdifflab.epdiff import (
     momentum_transport,
     peakon_pair,
     random_bandlimited,
+    step_count,
     step_rk4,
     sup_velocity_gradient,
 )
@@ -174,8 +177,6 @@ class TestStepping:
 
     def test_cfl_limit_once_per_state(self, grid, ch, monkeypatch):
         # the outer step's check and its first RK4 substep share one evaluation
-        import epdifflab.epdiff as epdiff_module
-
         calls = {"cfl_limit": 0, "step_rk4": 0}
 
         def counted(name):
@@ -291,6 +292,7 @@ class TestBlowup:
         res = integrate(mult, st, 1.0, 5e-3, grad_threshold=default_blowup_threshold(st))
         assert res.status == "completed"
         assert detect_blowup(res).kind == "none"
+        assert res.resolved_until is None
 
     def test_peakon_pair_is_odd(self, grid):
         u = peakon_pair(grid, amplitude=0.5, separation=0.3, width=0.08)
@@ -309,6 +311,165 @@ class TestBlowup:
         # doubling the threshold moves the verdict time by < 5%
         coarse, _, doubled = ch_blowup_runs
         assert abs(doubled.t_halt - coarse.t_halt) / coarse.t_halt < 0.05
+
+    def test_resolution_lost_before_the_halt(self, ch_blowup_runs):
+        for res in ch_blowup_runs:
+            assert res.resolved_until is not None and 0 < res.resolved_until < res.t_halt
+            assert res.retries > 0
+
+
+def restart_integrate(mult, state, t_end, dt, cadence=1, norm_orders=(), grad_threshold=None):
+    """Reference loop that restarts an outer step with twice the substeps on a CFLError.
+
+    ``integrate`` must match it bit for bit on steps that the guard never
+    rejects.  Returns ``(status, final state, diagnostics)``.
+    """
+    n_steps = step_count(state.t, t_end, dt)
+    diags = [diagnostics(mult, state, norm_orders)]
+    t0 = state.t
+    for step in range(1, n_steps + 1):
+        doublings = 0
+        while dt / 2**doublings > state.cfl and doublings <= MAX_SUBSTEP_DOUBLINGS:
+            doublings += 1
+        new_state = None
+        while new_state is None:
+            if doublings > MAX_SUBSTEP_DOUBLINGS:
+                return "dt_underflow", state, diags
+            trial = state
+            try:
+                for _ in range(2**doublings):
+                    trial = epdiff_module.step_rk4(mult, trial, dt / 2**doublings)
+            except CFLError:
+                doublings += 1
+                continue
+            new_state = trial
+        state = EulerState(t=t0 + step * dt, m=new_state.m, u=new_state.u)
+        crossed = grad_threshold is not None and sup_velocity_gradient(state.u) > grad_threshold
+        if step % cadence == 0 or step == n_steps or crossed:
+            diags.append(diagnostics(mult, state, norm_orders))
+            if crossed:
+                return "gradient_threshold", state, diags
+    return "completed", state, diags
+
+
+def assert_same_diagnostics(a, b):
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        assert (x.t, x.energy, x.sup_velocity_gradient) == (y.t, y.energy, y.sup_velocity_gradient)
+        assert np.array_equal(x.total_momentum, y.total_momentum)
+        assert x.sobolev_norms == y.sobolev_norms
+
+
+class StepCalls:
+    """Counts ``step_rk4`` calls (numbered from 1) and records the sizes taken;
+    ``fail(n)`` makes call ``n`` raise CFLError and ``poison(n)`` makes its
+    result non-finite."""
+
+    def __init__(self):
+        self.n = 0
+        self.sizes = []
+        self.fail = self.poison = lambda n: False
+
+    def reset(self):
+        self.n = 0
+        self.sizes = []
+
+
+@pytest.fixture
+def step_calls(monkeypatch):
+    calls = StepCalls()
+    real = epdiff_module.step_rk4
+
+    def counted(mult, state, dt):
+        calls.n += 1
+        if calls.fail(calls.n):
+            raise CFLError("forced rejection")
+        out = real(mult, state, dt)
+        calls.sizes.append(dt)
+        if calls.poison(calls.n):
+            return EulerState(t=out.t, m=np.nan * out.m, u=out.u)
+        return out
+
+    monkeypatch.setattr(epdiff_module, "step_rk4", counted)
+    return calls
+
+
+class TestSubstepPolicy:
+    @pytest.mark.parametrize("case", ["gaussian_blob", "peakon"])
+    def test_no_retry_matches_restart_loop(self, case):
+        grid = TorusGrid(1, 256)
+        if case == "gaussian_blob":  # configs/gaussian_blob.ini
+            mult = sobolev_multiplier(1.5, grid)
+            st = EulerState.from_velocity(mult, gaussian_blob(grid, 0.25, 0.1))
+            kwargs = dict(cadence=100, norm_orders=(1.5, 2.5))
+            t_end = 1.0
+        else:  # the first 800 steps of configs/peakon_blowup.ini
+            mult = sobolev_multiplier(1.0, grid)
+            st = EulerState.from_velocity(mult, peakon_pair(grid, 0.5, 0.3, 0.08))
+            kwargs = dict(cadence=200, norm_orders=(1.0,), grad_threshold=default_blowup_threshold(st))
+            t_end = 0.8
+        res = integrate(mult, st, t_end, 1e-3, **kwargs)
+        status, final, diags = restart_integrate(mult, st, t_end, 1e-3, **kwargs)
+        assert res.retries == 0 and res.substeps == round(t_end / 1e-3)
+        assert res.status == status == "completed"
+        assert res.final_state.t == final.t
+        assert np.array_equal(res.final_state.m.coeffs, final.m.coeffs)
+        assert_same_diagnostics(res.diagnostics, diags)
+
+    def test_guard_rejection_keeps_accepted_substeps(self, step_calls):
+        # separating bumps: sup|u| grows, so a step taken at exactly twice the
+        # start's CFL limit passes its first half and is rejected in its second
+        grid = TorusGrid(1, 128)
+        mult = sobolev_multiplier(1.0, grid)
+        st = EulerState.from_velocity(mult, peakon_pair(grid, -0.5, 0.3, 0.08))
+        dt = 2 * st.cfl
+        res = integrate(mult, st, dt, dt)
+        assert res.status == "completed"
+        assert (res.substeps, res.retries) == (3, 1)
+        assert step_calls.n == res.substeps + res.retries
+        assert step_calls.sizes == [dt / 2, dt / 4, dt / 4]
+
+        step_calls.reset()
+        restart_integrate(mult, st, dt, dt)
+        assert res.substeps + res.retries < step_calls.n == 6
+
+        by_hand = st
+        for h in (dt / 2, dt / 4, dt / 4):
+            by_hand = step_rk4(mult, by_hand, h)
+        assert res.final_state.t == dt
+        assert np.array_equal(res.final_state.m.coeffs, by_hand.m.coeffs)
+
+    def _blob_run(self, steps):
+        grid = TorusGrid(1, 64)
+        mult = sobolev_multiplier(1.5, grid)
+        st = EulerState.from_velocity(mult, gaussian_blob(grid, 0.2, 0.15))
+        dt = 5e-3
+        before = integrate(mult, st, steps * dt, dt).final_state
+        return mult, st, dt, before
+
+    def test_dt_underflow_returns_the_state_before_the_step(self, step_calls):
+        mult, st, dt, before = self._blob_run(3)
+        # step 4: its first substep is rejected, the first half-size substep
+        # accepted, and every later substep rejected
+        step_calls.reset()
+        step_calls.fail = lambda n: n == 4 or n >= 6
+        res = integrate(mult, st, 10 * dt, dt)
+        assert res.status == "dt_underflow"
+        assert (res.substeps, res.retries) == (4, 1 + MAX_SUBSTEP_DOUBLINGS)
+        assert res.t_halt == res.final_state.t == 3 * dt
+        assert res.diagnostics[-1].t == 3 * dt
+        assert np.array_equal(res.final_state.m.coeffs, before.m.coeffs)
+
+    def test_nan_abort_returns_the_state_before_the_step(self, step_calls):
+        mult, st, dt, before = self._blob_run(3)
+        step_calls.reset()
+        step_calls.fail = lambda n: n == 4
+        step_calls.poison = lambda n: n == 6
+        res = integrate(mult, st, 10 * dt, dt)
+        assert res.status == "nan_abort"
+        assert (res.substeps, res.retries) == (5, 1)
+        assert res.t_halt == res.final_state.t == 3 * dt
+        assert np.array_equal(res.final_state.m.coeffs, before.m.coeffs)
 
 
 class TestInitialData:

@@ -5,6 +5,7 @@ import pytest
 
 from epdifflab.conjugation import apply_An_recursive
 from epdifflab.epdiff import (
+    MAX_STEPS,
     EulerState,
     arnold_B,
     diagnostics,
@@ -227,6 +228,13 @@ class TestSpray:
         state = GeodesicState(DiffeoChart.identity(grid), SpectralVectorField.zero(grid))
         with pytest.raises(ValueError):
             integrate_geodesic(mult, state, 0.1, np.inf)
+
+    def test_step_cap(self, grid):
+        # the cap is checked before any step runs
+        mult = sobolev_multiplier(1.5, grid)
+        state = GeodesicState(DiffeoChart.identity(grid), SpectralVectorField.zero(grid))
+        with pytest.raises(ValueError, match="longest run"):
+            integrate_geodesic(mult, state, 1.0, 0.5 / MAX_STEPS)
 
     def test_grid_mismatch_rejected(self, grid):
         other = TorusGrid(1, 64)
