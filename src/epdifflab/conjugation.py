@@ -25,6 +25,7 @@ The bracket orientation is fixed numerically by requiring the convolution of
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -209,19 +210,10 @@ class ConvolutionKernel:
         return SpectralVectorField(grid, out.T.reshape((d,) + grid.shape))
 
 
-_KERNEL_CACHE: dict[tuple[int, int], ConvolutionKernel] = {}
-
-
+@functools.lru_cache(maxsize=8)  # kernels are tens of MB; keep the cache small
 def convolution_kernel(mult: FourierMultiplier, n: int) -> ConvolutionKernel:
     """Build (or fetch) the cached brute-force kernel for ``A_n`` on this grid."""
-    key = (id(mult), n)
-    kernel = _KERNEL_CACHE.get(key)
-    if kernel is None or kernel.mult is not mult:
-        if len(_KERNEL_CACHE) >= 8:  # kernels are tens of MB; keep the cache small
-            _KERNEL_CACHE.clear()
-        kernel = ConvolutionKernel(mult, n)
-        _KERNEL_CACHE[key] = kernel
-    return kernel
+    return ConvolutionKernel(mult, n)
 
 
 def apply_An_convolution(
@@ -490,28 +482,20 @@ def verify_sn_identity(
             cases[f"identity_r{r}_p{'_'.join(map(str, positions))}"] = err
             worst = max(worst, err)
 
-            # skew symmetry in the frozen block
-            if r >= 2:
-                frozen = xis[..., :r, :]
-                free = xis[..., r : n + 1, :]
-                swapped = frozen.copy()
-                swapped[..., [0, 1], :] = swapped[..., [1, 0], :]
-                s_plain, sc1 = _s_tensor_scaled(symbol, n, positions, frozen, free)
-                s_swap, sc2 = _s_tensor_scaled(symbol, n, positions, swapped, free)
-                skew = compare(s_plain, -s_swap, max(sc1, sc2))
-                cases[f"skew_r{r}_p{'_'.join(map(str, positions))}"] = skew
-                worst = max(worst, skew)
-            # symmetry in the free block
-            if n - r + 1 >= 2:
-                frozen = xis[..., :r, :]
-                free = xis[..., r : n + 1, :]
-                swapped = free.copy()
-                swapped[..., [0, 1], :] = swapped[..., [1, 0], :]
-                s_plain, sc1 = _s_tensor_scaled(symbol, n, positions, frozen, free)
-                s_swap, sc2 = _s_tensor_scaled(symbol, n, positions, frozen, swapped)
-                sym = compare(s_plain, s_swap, max(sc1, sc2))
-                cases[f"sym_r{r}_p{'_'.join(map(str, positions))}"] = sym
-                worst = max(worst, sym)
+            # skew symmetry in the frozen block, symmetry in the free block
+            blocks = (xis[..., :r, :], xis[..., r : n + 1, :])
+            swaps = [(kind, b, sign) for kind, b, sign in (("skew", 0, -1.0), ("sym", 1, 1.0))
+                     if blocks[b].shape[-2] >= 2]
+            if swaps:
+                s_plain, sc1 = _s_tensor_scaled(symbol, n, positions, *blocks)
+            for kind, b, sign in swaps:
+                swapped = list(blocks)
+                swapped[b] = blocks[b].copy()
+                swapped[b][..., [0, 1], :] = blocks[b][..., [1, 0], :]
+                s_swap, sc2 = _s_tensor_scaled(symbol, n, positions, *swapped)
+                err = compare(s_plain, sign * s_swap, max(sc1, sc2))
+                cases[f"{kind}_r{r}_p{'_'.join(map(str, positions))}"] = err
+                worst = max(worst, err)
 
     # measured relation between a_1 and s_1^1 under this transform convention
     pair = rng.normal(0.0, 2.0, size=(8, 2, d))

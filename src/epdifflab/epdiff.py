@@ -214,17 +214,18 @@ def step_rk4(mult: FourierMultiplier, state: EulerState, dt: float) -> EulerStat
             f"dt={dt:g} violates the guard dt*sup|u| <= {CFL_FRACTION}*spacing "
             f"(limit {state.cfl:g})"
         )
-    grid, m = state.m.grid, state.m.coeffs
-
-    def stage(k: np.ndarray, h: float) -> np.ndarray:
-        return euler_rhs(mult, SpectralVectorField(grid, m + k * h)).coeffs
-
-    k1 = euler_rhs(mult, state.m).coeffs
-    k2 = stage(k1, dt / 2)
-    k3 = stage(k2, dt / 2)
-    k4 = stage(k3, dt)
-    m_new = m + (k1 + k2 * 2.0 + k3 * 2.0 + k4) * (dt / 6)
+    grid = state.m.grid
+    m_new = _rk4(lambda m: euler_rhs(mult, SpectralVectorField(grid, m)).coeffs, state.m.coeffs, dt)
     return EulerState.from_momentum(mult, SpectralVectorField(grid, m_new), t=state.t + dt)
+
+
+def _rk4(rhs: Callable[[np.ndarray], np.ndarray], y: np.ndarray, dt: float) -> np.ndarray:
+    """One classical RK4 step of ``y' = rhs(y)`` on arrays (both geodesic solvers)."""
+    k1 = rhs(y)
+    k2 = rhs(y + k1 * (dt / 2))
+    k3 = rhs(y + k2 * (dt / 2))
+    k4 = rhs(y + k3 * dt)
+    return y + (k1 + k2 * 2.0 + k3 * 2.0 + k4) * (dt / 6)
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,26 +292,29 @@ def integrate(
     cadence = max(int(cadence), 1)
     n_steps = step_count(state.t, t_end, dt)
 
-    diags = [diagnostics(mult, state, norm_orders)]
-    if callback:
-        callback(diags[0])
-    if grad_threshold is not None and diags[0].sup_velocity_gradient > grad_threshold:
-        return IntegrationResult("gradient_threshold", state, diags, t_halt=state.t, dt=dt)
-
-    e0 = diags[0].energy
+    diags: list[Diagnostics] = []
     resolved_until = None
     substeps = retries = 0
 
-    def emit_final(st: EulerState) -> None:
-        if diags[-1].t != st.t:
-            d = diagnostics(mult, st, norm_orders)
-            diags.append(d)
-            if callback:
-                callback(d)
+    def emit(st: EulerState) -> Diagnostics:
+        diags.append(diagnostics(mult, st, norm_orders))
+        if callback:
+            callback(diags[-1])
+        return diags[-1]
 
     def result(status: str, st: EulerState, t_halt: Optional[float] = None) -> IntegrationResult:
         return IntegrationResult(status, st, diags, t_halt=t_halt, dt=dt,
                                  resolved_until=resolved_until, substeps=substeps, retries=retries)
+
+    def halt(status: str, st: EulerState) -> IntegrationResult:
+        if diags[-1].t != st.t:
+            emit(st)
+        return result(status, st, st.t)
+
+    first = emit(state)
+    if grad_threshold is not None and first.sup_velocity_gradient > grad_threshold:
+        return result("gradient_threshold", state, state.t)
+    e0 = first.energy
 
     t0 = state.t
     for step in range(1, n_steps + 1):
@@ -322,8 +326,7 @@ def integrate(
         left = 2**doublings  # substeps of size dt / 2**doublings still to take
         while left:
             if doublings > MAX_SUBSTEP_DOUBLINGS:
-                emit_final(state)
-                return result("dt_underflow", state, state.t)
+                return halt("dt_underflow", state)
             try:
                 trial = step_rk4(mult, trial, dt / 2**doublings)
             except CFLError:
@@ -334,24 +337,17 @@ def integrate(
             substeps += 1
             left -= 1
             if not np.isfinite(trial.m.coeffs).all():
-                emit_final(state)
-                return result("nan_abort", state, state.t)
+                return halt("nan_abort", state)
         state = EulerState(t=t0 + step * dt, m=trial.m, u=trial.u)
 
         if resolved_until is None:
             drift = abs(0.5 * l2_inner(state.m, state.u) - e0)
             if drift > RESOLVED_ENERGY_DRIFT * abs(e0):
                 resolved_until = state.t
-        emit = step % cadence == 0 or step == n_steps
-        grad_now = None
-        if grad_threshold is not None:
-            grad_now = sup_velocity_gradient(state.u)
-        if emit or (grad_now is not None and grad_now > grad_threshold):
-            d = diagnostics(mult, state, norm_orders)
-            diags.append(d)
-            if callback:
-                callback(d)
-            if grad_threshold is not None and d.sup_velocity_gradient > grad_threshold:
+        crossed = grad_threshold is not None and sup_velocity_gradient(state.u) > grad_threshold
+        if crossed or step % cadence == 0 or step == n_steps:
+            emit(state)
+            if crossed:
                 return result("gradient_threshold", state, state.t)
     return result("completed", state)
 

@@ -21,14 +21,13 @@ from scipy import ndimage
 
 from .grid import (
     Field,
-    SpectralScalarField,
     SpectralVectorField,
     TorusGrid,
     directional_derivative,
     jacobian_coeffs,
     _samples,
 )
-from .epdiff import momentum_transport, step_count
+from .epdiff import _rk4, momentum_transport, step_count
 from .operators import FourierMultiplier, apply, apply_inverse, sobolev_norm
 
 SPLINE_ORDER = 5
@@ -44,17 +43,18 @@ class InversionError(RuntimeError):
     """Newton iteration for the inverse chart failed to converge."""
 
 
-def _spline_filter(samples: np.ndarray) -> np.ndarray:
-    return ndimage.spline_filter(samples, order=SPLINE_ORDER, mode="grid-wrap")
+def _spline_filter(samples: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """Prefilter each component of grid samples; shape ``(components, n, ..., n)``."""
+    return np.stack([ndimage.spline_filter(c, order=SPLINE_ORDER, mode="grid-wrap")
+                     for c in samples.reshape((-1,) + grid.shape)])
 
 
 def _eval_filtered(filtered: np.ndarray, points: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Evaluate prefiltered grid samples at physical points of shape (d, ...)."""
-    coords = points * (grid.n / grid.length)
-    return ndimage.map_coordinates(
-        filtered, coords.reshape(grid.dim, -1), order=SPLINE_ORDER,
-        mode="grid-wrap", prefilter=False,
-    ).reshape(points.shape[1:])
+    """Evaluate each prefiltered component at physical points of shape (d, ...)."""
+    coords = (points * (grid.n / grid.length)).reshape(grid.dim, -1)
+    return np.stack([ndimage.map_coordinates(c, coords, order=SPLINE_ORDER, mode="grid-wrap",
+                                             prefilter=False).reshape(points.shape[1:])
+                     for c in filtered])
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,7 +68,7 @@ class DiffeoChart:
     f: SpectralVectorField
 
     def __post_init__(self) -> None:
-        if self.min_det <= 0.0:
+        if not self.min_det > 0.0:  # also rejects a non-finite chart (nan det)
             raise ChartError(f"chart is not orientation preserving: min det = {self.min_det:.3g}")
 
     @property
@@ -103,13 +103,11 @@ class DiffeoChart:
 
     @cached_property
     def _filtered_displacement(self) -> np.ndarray:
-        return np.stack([_spline_filter(c) for c in self.displacement_samples])
+        return _spline_filter(self.displacement_samples, self.grid)
 
     @cached_property
     def _filtered_jacobian(self) -> np.ndarray:
-        jac = self.jacobian_samples
-        return np.stack([[_spline_filter(jac[i, j]) for j in range(self.grid.dim)]
-                         for i in range(self.grid.dim)])
+        return _spline_filter(self.jacobian_samples, self.grid)
 
     @classmethod
     def identity(cls, grid: TorusGrid) -> "DiffeoChart":
@@ -121,15 +119,12 @@ class DiffeoChart:
 
     def displacement_at(self, points: np.ndarray) -> np.ndarray:
         """Spline-interpolated ``f`` at physical points, shape (d, ...)."""
-        return np.stack([_eval_filtered(c, points, self.grid) for c in self._filtered_displacement])
+        return _eval_filtered(self._filtered_displacement, points, self.grid)
 
     def jacobian_at(self, points: np.ndarray) -> np.ndarray:
         """Spline-interpolated ``d phi`` at physical points, shape (..., d, d)."""
         d = self.grid.dim
-        flat = np.stack([
-            _eval_filtered(self._filtered_jacobian[i, j], points, self.grid)
-            for i in range(d) for j in range(d)
-        ])
+        flat = _eval_filtered(self._filtered_jacobian, points, self.grid)  # row-major (i, j)
         return np.moveaxis(flat.reshape(d, d, *points.shape[1:]), (0, 1), (-2, -1))
 
 
@@ -141,12 +136,9 @@ def compose(u: Field, phi: DiffeoChart) -> Field:
     """
     if u.grid != phi.grid:
         raise ChartError("field and chart live on different grids")
-    pts = phi.positions
-    if isinstance(u, SpectralScalarField):
-        vals = _eval_filtered(_spline_filter(u.samples()), pts, u.grid)
-        return SpectralScalarField.from_samples(u.grid, vals)
-    vals = np.stack([_eval_filtered(_spline_filter(c), pts, u.grid) for c in u.samples()])
-    return SpectralVectorField.from_samples(u.grid, vals)
+    samples = u.samples()
+    vals = _eval_filtered(_spline_filter(samples, u.grid), phi.positions, u.grid)
+    return type(u).from_samples(u.grid, vals.reshape(samples.shape))
 
 
 def compose_diffeo(phi: DiffeoChart, psi: DiffeoChart) -> DiffeoChart:
@@ -272,31 +264,20 @@ def integrate_geodesic(
     n_steps = step_count(state.t, t_end, dt)
     grid = state.phi.grid
 
-    def rhs(f_coeffs: np.ndarray, v_coeffs: np.ndarray):
-        st = GeodesicState(
-            phi=DiffeoChart(SpectralVectorField(grid, f_coeffs)),
-            v=SpectralVectorField(grid, v_coeffs),
-            t=0.0,
-        )
-        dphi, dv = spray_rhs(mult, st)
-        return dphi.coeffs, dv.coeffs
+    def chart_state(y: np.ndarray, t: float) -> GeodesicState:
+        """The state of a stacked ``(f, v)`` array of shape ``(2, d, n, ..., n)``."""
+        return GeodesicState(phi=DiffeoChart(SpectralVectorField(grid, y[0])),
+                             v=SpectralVectorField(grid, y[1]), t=t)
+
+    def rhs(y: np.ndarray) -> np.ndarray:
+        return np.stack([w.coeffs for w in spray_rhs(mult, chart_state(y, 0.0))])
 
     out = [state]
-    f, v = state.phi.f.coeffs, state.v.coeffs
-    t0 = state.t
+    y = np.stack([state.phi.f.coeffs, state.v.coeffs])
     for step in range(1, n_steps + 1):
-        k1f, k1v = rhs(f, v)
-        k2f, k2v = rhs(f + (dt / 2) * k1f, v + (dt / 2) * k1v)
-        k3f, k3v = rhs(f + (dt / 2) * k2f, v + (dt / 2) * k2v)
-        k4f, k4v = rhs(f + dt * k3f, v + dt * k3v)
-        f = f + (dt / 6) * (k1f + 2 * k2f + 2 * k3f + k4f)
-        v = v + (dt / 6) * (k1v + 2 * k2v + 2 * k3v + k4v)
+        y = _rk4(rhs, y, dt)
         if step == n_steps or (snapshot_cadence and step % snapshot_cadence == 0):
-            out.append(GeodesicState(
-                phi=DiffeoChart(SpectralVectorField(grid, f)),
-                v=SpectralVectorField(grid, v),
-                t=t0 + step * dt,
-            ))
+            out.append(chart_state(y, state.t + step * dt))
     return out
 
 

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import GridMismatchError, SpectralVectorField, TorusGrid
+from .grid import GridMismatchError, SpectralVectorField, TorusGrid, l2_inner
 from .symbols import ClassCertificate, MatrixSymbol, check_ellipticity, sobolev_weight
 
 
@@ -129,11 +129,7 @@ def inner_product(mult: FourierMultiplier, u: SpectralVectorField, v: SpectralVe
     """Metric pairing ``integral (A u) . v dx`` for Hermitian positive definite ``A``."""
     if not (mult.symbol.hermitian and mult.symbol.positive_definite):
         raise ValueError("inner products need a Hermitian positive definite symbol")
-    if u.grid != mult.grid or v.grid != mult.grid:
-        raise GridMismatchError("fields and multiplier live on different grids")
-    au = np.einsum("...ij,j...->i...", mult.table, u.coeffs)
-    total = np.sum(np.conj(v.coeffs) * au).real
-    return float(total / mult.grid.length**mult.grid.dim)
+    return l2_inner(v, apply(mult, u))
 
 
 def sobolev_multiplier(s: float, grid: TorusGrid) -> FourierMultiplier:

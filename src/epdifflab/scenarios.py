@@ -62,6 +62,7 @@ from .symbols import (
     shear_laplacian_symbol,
     sobolev_symbol,
     sqrt_symbol,
+    _check_flags,
 )
 
 EXIT_OK = 0
@@ -153,7 +154,13 @@ def build_metric(cfg: RunConfig, grid: TorusGrid) -> FourierMultiplier:
         name=f"table:{cfg.table_path.name}",
     )
     # certify within the represented band only
-    return _build_elliptic(symbol, grid, xi_max=0.45 * grid.n / grid.length)
+    mult = _build_elliptic(symbol, grid, xi_max=0.45 * grid.n / grid.length)
+    try:  # the declared flags must hold on the whole table
+        _check_flags(table.reshape(-1, grid.dim, grid.dim), grid.frequency_points(),
+                    symbol.hermitian, symbol.positive_definite)
+    except ValueError as exc:
+        raise ConfigError(f"custom table {cfg.table_path} contradicts its flags: {exc}") from exc
+    return mult
 
 
 # --- time-evolution scenarios ---------------------------------------------------

@@ -457,6 +457,22 @@ def hermitian_sqrt(mats: np.ndarray) -> np.ndarray:
     return np.einsum("...ik,...k,...jk->...ij", v, np.sqrt(w), np.conj(v))
 
 
+def _check_flags(values: np.ndarray, points: np.ndarray, hermitian=True, positive_definite=True):
+    """Raise ``ValueError`` at a point ``xi`` where the values ``(N, d, d)`` break a flag:
+    Hermitian to a relative Frobenius gap of 1e-12, positive definite by ``eigvalsh``."""
+    if hermitian:
+        herm_gap = _frob(values - np.conj(np.swapaxes(values, -1, -2)))
+        rel = herm_gap / np.maximum(_frob(values), 1e-300)
+        if rel.max() > 1e-12:
+            bad = points[np.argmax(rel)]
+            raise ValueError(f"symbol not Hermitian at xi={np.array2string(bad, precision=6)}")
+    if positive_definite:
+        eigs = np.linalg.eigvalsh(values)
+        if eigs.min() <= 0:
+            bad = points[np.argmin(eigs[..., 0])]
+            raise ValueError(f"symbol not positive definite at xi={np.array2string(bad, precision=6)}")
+
+
 def sqrt_symbol(symbol: MatrixSymbol, check_points: Optional[np.ndarray] = None) -> MatrixSymbol:
     """Pointwise Hermitian square root; a symbol of order ``r`` maps to ``r/2``.
 
@@ -468,16 +484,7 @@ def sqrt_symbol(symbol: MatrixSymbol, check_points: Optional[np.ndarray] = None)
         raise ValueError(f"symbol '{symbol.name}' is not flagged Hermitian positive definite")
     if check_points is None:
         check_points, _, _ = _radial_points(symbol.dim, 1e3, n_radii=24, n_dirs=4)
-    values = symbol(check_points)
-    herm_gap = _frob(values - np.conj(np.swapaxes(values, -1, -2)))
-    rel = herm_gap / np.maximum(_frob(values), 1e-300)
-    if rel.max() > 1e-12:
-        bad = check_points[np.argmax(rel)]
-        raise ValueError(f"symbol not Hermitian at xi={np.array2string(bad, precision=6)}")
-    eigs = np.linalg.eigvalsh(values)
-    if eigs.min() <= 0:
-        bad = check_points[np.argmin(eigs[..., 0])]
-        raise ValueError(f"symbol not positive definite at xi={np.array2string(bad, precision=6)}")
+    _check_flags(symbol(check_points), check_points)
 
     def eval_fn(xi: np.ndarray) -> np.ndarray:
         return hermitian_sqrt(symbol(xi))

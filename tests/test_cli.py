@@ -330,6 +330,33 @@ class TestCustomTable:
         cfg = write_config(tmp_path, table_text)
         assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out"), "--quiet"]) == 3
 
+    @pytest.mark.parametrize("matrix,flag", [
+        ([[1.0, 0.05], [0.0, 1.0]], "Hermitian"),
+        ([[1.0, 0.0], [0.0, -1.0]], "positive definite"),
+    ])
+    def test_table_contradicting_its_flags_rejected(self, tmp_path, capsys, matrix, flag):
+        # no flags in the file, so both default to true; the table breaks one
+        grid = TorusGrid(2, 64)
+        k2 = np.sum((2 * np.pi * grid.frequency_points()) ** 2, axis=-1)
+        weight = ((1 + k2) ** 1.5).reshape(grid.shape)
+        np.savez(tmp_path / "table.npz", table=weight[..., None, None] * np.array(matrix),
+                 order=np.float64(3))
+        cfg = write_config(tmp_path, """\
+[grid]
+dimension = 2
+points = 64
+
+[metric]
+kind = custom-table
+table = table.npz
+
+[scenario]
+name = symbol_audit
+""")
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out"), "--quiet"]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:") and f"not {flag}" in err[0]
+
 
 class TestAudits:
     def test_sobolev_symbol_audit_all_pass(self, tmp_path):

@@ -8,6 +8,7 @@ from epdifflab.conjugation import (
     apply_An_convolution,
     apply_An_recursive,
     commutator_A1,
+    convolution_kernel,
     estimate_Cn,
     rec_tensor,
     required_headroom,
@@ -187,6 +188,17 @@ class TestConvolutionOracle:
         conv = apply_An_convolution(mult, 1, u0, u1)
         rec = apply_An_recursive(mult, 1, u0, u1)
         assert rel_diff(conv, rec) < 1e-10
+
+    def test_kernel_cache(self):
+        grid = TorusGrid(1, 8)
+        mults = [sobolev_multiplier(1.0, grid) for _ in range(9)]
+        first = convolution_kernel(mults[0], 1)
+        assert convolution_kernel(mults[0], 1) is first
+        assert convolution_kernel(mults[1], 1) is not first
+        for mult in mults[1:]:
+            convolution_kernel(mult, 1)
+        assert convolution_kernel.cache_info().currsize <= 8
+        assert convolution_kernel(mults[0], 1) is not first  # evicted, rebuilt
 
     def test_cost_guard(self):
         grid = TorusGrid(1, 64)

@@ -143,6 +143,13 @@ class TestJacobian:
         with pytest.raises(ChartError):
             DiffeoChart.from_displacement_samples(grid, (eps * np.sin(2 * np.pi * x))[None])
 
+    def test_non_finite_chart_rejected(self, grid):
+        # a nan determinant fails every comparison, so the check must say "> 0"
+        f = 0.01 * np.sin(2 * np.pi * grid.coordinates)
+        f[0, 3] = np.nan
+        with pytest.raises(ChartError, match="min det = nan"):
+            DiffeoChart.from_displacement_samples(grid, f)
+
 
 class TestDistance:
     def test_self_distance_zero(self, grid):
@@ -222,6 +229,39 @@ class TestSpray:
             mult, GeodesicState(DiffeoChart.identity(grid), u0), 0.05, 5e-3, snapshot_cadence=2
         )
         assert all(st.phi.min_det > 0 for st in traj)
+
+    def test_matches_the_two_array_rk4_loop(self):
+        # the shared RK4 step on the stacked (f, v) array gives the bits of
+        # the former loop that stepped f and v as two arrays
+        grid = TorusGrid(1, 64)
+        mult = sobolev_multiplier(1.5, grid)
+        u0 = gaussian_blob(grid, amplitude=0.2, width=0.12)
+        state = GeodesicState(DiffeoChart.identity(grid), u0)
+        dt = 5e-3
+        traj = integrate_geodesic(mult, state, 5 * dt, dt, snapshot_cadence=2)
+
+        def rhs(f, v):
+            st = GeodesicState(DiffeoChart(SpectralVectorField(grid, f)),
+                               SpectralVectorField(grid, v))
+            dphi, dv = spray_rhs(mult, st)
+            return dphi.coeffs, dv.coeffs
+
+        f, v = state.phi.f.coeffs, state.v.coeffs
+        expected = [(f, v)]
+        for step in range(1, 6):
+            k1f, k1v = rhs(f, v)
+            k2f, k2v = rhs(f + (dt / 2) * k1f, v + (dt / 2) * k1v)
+            k3f, k3v = rhs(f + (dt / 2) * k2f, v + (dt / 2) * k2v)
+            k4f, k4v = rhs(f + dt * k3f, v + dt * k3v)
+            f = f + (dt / 6) * (k1f + 2 * k2f + 2 * k3f + k4f)
+            v = v + (dt / 6) * (k1v + 2 * k2v + 2 * k3v + k4v)
+            if step == 5 or step % 2 == 0:
+                expected.append((f, v))
+        assert [st.t for st in traj] == [0.0, 2 * dt, 4 * dt, 5 * dt]
+        assert len(traj) == len(expected)
+        for st, (f, v) in zip(traj, expected):
+            assert np.array_equal(st.phi.f.coeffs, f)
+            assert np.array_equal(st.v.coeffs, v)
 
     def test_zero_steps_rejected(self, grid):
         mult = sobolev_multiplier(1.5, grid)
