@@ -41,6 +41,7 @@ from .symbols import MatrixSymbol, sobolev_weight
 
 MAX_DERIVATIVE_ORDER = 3
 CONVOLUTION_GRID_LIMIT = {1: 32, 2: 8}
+KERNEL_CHUNK = 1 << 14  # lattice tuples per kernel chunk; bounds the build temporaries
 
 
 class HeadroomError(ValueError):
@@ -116,13 +117,15 @@ def symbol_an(symbol: MatrixSymbol, n: int, xis: np.ndarray) -> np.ndarray:
     xis = np.asarray(xis, dtype=float)
     if xis.ndim < 2 or xis.shape[-2] != n + 1 or xis.shape[-1] != symbol.dim:
         raise ValueError(f"xis must have shape (..., {n + 1}, {symbol.dim}), got {xis.shape}")
-    return _an(symbol, xis, xis.ndim - 2)
+    return (2j * np.pi) ** n * _an(symbol, xis, xis.ndim - 2)
 
 
 def _an(symbol: MatrixSymbol, xis: np.ndarray, batch_ndim: int) -> np.ndarray:
+    """Bracket tensor ``a_n / (2 pi i)^n``: float64 when the symbol's values are real."""
     m = xis.shape[-2] - 1
     if m == 0:
-        return symbol(xis[..., 0, :])
+        values = symbol(xis[..., 0, :])
+        return values if values.imag.any() else values.real
     prefix = xis[..., :m, :]
     last = xis[..., m, :]
     plain = _an(symbol, prefix, batch_ndim)
@@ -133,7 +136,7 @@ def _an(symbol: MatrixSymbol, xis: np.ndarray, batch_ndim: int) -> np.ndarray:
         bracket = plain - _an(symbol, shifted, batch_ndim)
         term = _append_covector(bracket, prefix[..., k, :], batch_ndim)
         out = term if out is None else out + term
-    return 2j * np.pi * out
+    return out
 
 
 # --- brute-force convolution oracle --------------------------------------------
@@ -152,11 +155,16 @@ class ConvolutionKernel:
     """Precomputed lattice tuples and symbol tensors for the brute-force oracle.
 
     The tensor values depend only on the multiplier and the order, so one
-    kernel serves any number of input tuples; applying it is a chunked
-    multilinear contraction with scatter-add into the output modes.
+    kernel serves any number of input tuples.  Each chunk holds the field
+    indices ``idx`` ``(n+1, B)`` of its tuples, the brackets ``a_n / (2 pi
+    i)^n`` stored component-major as ``(dim, dim^(n+1), B)`` (float64 for a
+    real symbol, complex128 otherwise), and the flat output mode ``lin`` of
+    each tuple.  Applying it contracts the gathered fields' outer product
+    against each chunk, scatters with ``bincount`` and multiplies once by
+    ``(2 pi i)^n L^(-n dim)``.
     """
 
-    def __init__(self, mult: FourierMultiplier, n: int, chunk: int = 1 << 15):
+    def __init__(self, mult: FourierMultiplier, n: int):
         grid = mult.grid
         if not 1 <= n <= 2:
             raise ValueError("convolution oracle limited to 1 <= n <= 2")
@@ -169,27 +177,20 @@ class ConvolutionKernel:
         kvecs = grid.wavenumbers.reshape(d, modes).T  # (modes, d)
         self.chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         total = modes ** (n + 1)
-        for start in range(0, total, chunk):
-            stop = min(start + chunk, total)
-            flat = np.arange(start, stop)
-            idx = np.empty((n + 1, stop - start), dtype=np.int64)
-            rem = flat
-            for axis in range(n, -1, -1):
-                idx[axis] = rem % modes
-                rem = rem // modes
+        for start in range(0, total, KERNEL_CHUNK):
+            stop = min(start + KERNEL_CHUNK, total)
+            idx = np.array(np.unravel_index(np.arange(start, stop), (modes,) * (n + 1)))
             ks = kvecs[idx]  # (n+1, B, d)
             ktot = ks.sum(axis=0)
             inside = np.all((ktot >= -half) & (ktot < half), axis=-1)
             if not np.any(inside):
                 continue
             idx = idx[:, inside]
-            xis = np.moveaxis(kvecs[idx], 0, 1) / grid.length  # (B', n+1, d)
-            an = symbol_an(mult.symbol, n, xis)
+            xis = np.moveaxis(ks[:, inside], 0, 1) / grid.length  # (B', n+1, d)
+            brackets = _an(mult.symbol, xis, 1).reshape(idx.shape[1], d, d ** (n + 1))
+            tensor = np.ascontiguousarray(brackets.transpose(1, 2, 0))
             lin = np.ravel_multi_index(tuple((ktot[inside] % grid.n).T), grid.shape)
-            self.chunks.append((idx, an, lin))
-        letters = "abcdefg"[: n + 1]
-        field_subs = ",".join(f"B{c}" for c in letters)
-        self._contraction = f"Bo{letters},{field_subs}->Bo"
+            self.chunks.append((idx, tensor, lin))
 
     def apply(self, *fields: SpectralVectorField) -> SpectralVectorField:
         grid = self.mult.grid
@@ -200,17 +201,22 @@ class ConvolutionKernel:
                 raise ValueError("all fields must live on the multiplier's grid")
         d = grid.dim
         modes = grid.n**d
-        coeff = [f.coeffs.reshape(d, modes).T for f in fields]
-        out = np.zeros((modes, d), dtype=complex)
-        for idx, an, lin in self.chunks:
-            ops = [coeff[i][idx[i]] for i in range(self.n + 1)]
-            vals = np.einsum(self._contraction, an, *ops)
-            np.add.at(out, lin, vals)
-        out *= grid.length ** (-self.n * d)
-        return SpectralVectorField(grid, out.T.reshape((d,) + grid.shape))
+        coeffs = [f.coeffs.reshape(d, modes) for f in fields]
+        re = np.zeros((d, modes))
+        im = np.zeros((d, modes))
+        for idx, tensor, lin in self.chunks:
+            outer = coeffs[0].take(idx[0], axis=1)  # (d, B)
+            for c, i in zip(coeffs[1:], idx[1:]):
+                outer = (outer[:, None] * c.take(i, axis=1)).reshape(-1, len(lin))
+            vals = np.einsum("okB,kB->oB", tensor, outer)
+            for o in range(d):
+                re[o] += np.bincount(lin, vals[o].real, modes)
+                im[o] += np.bincount(lin, vals[o].imag, modes)
+        out = (re + 1j * im) * ((2j * np.pi) ** self.n * grid.length ** (-self.n * d))
+        return SpectralVectorField(grid, out.reshape((d,) + grid.shape))
 
 
-@functools.lru_cache(maxsize=8)  # kernels are tens of MB; keep the cache small
+@functools.lru_cache(maxsize=8)  # a kernel reaches ~18 MB; keep the cache small
 def convolution_kernel(mult: FourierMultiplier, n: int) -> ConvolutionKernel:
     """Build (or fetch) the cached brute-force kernel for ``A_n`` on this grid."""
     return ConvolutionKernel(mult, n)

@@ -90,7 +90,8 @@ class DiffeoChart:
     def det_samples(self) -> np.ndarray:
         """Pointwise ``det(I + df)`` on the grid (spectral derivatives)."""
         jac = np.moveaxis(self.jacobian_samples, (0, 1), (-2, -1))
-        return np.linalg.det(jac)
+        with np.errstate(invalid="ignore"):  # a non-finite chart gives nan; min_det rejects it
+            return np.linalg.det(jac)
 
     @property
     def min_det(self) -> float:

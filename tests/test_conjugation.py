@@ -1,9 +1,12 @@
 """Tests for the derivative tower: operator recursion, symbol tensors, oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from epdifflab.conjugation import (
+    ConvolutionKernel,
     HeadroomError,
     apply_An_convolution,
     apply_An_recursive,
@@ -32,6 +35,54 @@ def headroom_field(grid, n_order, seed):
 def rel_diff(a, b):
     scale = max(np.abs(a.coeffs).max(), np.abs(b.coeffs).max(), 1e-300)
     return np.abs(a.coeffs - b.coeffs).max() / scale
+
+
+def hermitian_complex_symbol():
+    """Complex Hermitian d=2 symbol ``sobolev_weight(2, xi) [[1, 0.1i], [-0.1i, 1]]``."""
+    mat = np.array([[1.0, 0.1j], [-0.1j, 1.0]])
+    return MatrixSymbol(
+        dim=2, order=2.0, eval_fn=lambda xi: sobolev_weight(2.0, xi)[..., None, None] * mat,
+        hermitian=True, positive_definite=True, name="hermitian_complex",
+    )
+
+
+def per_level_an(symbol, n, xis):
+    """Symbol recursion that multiplies by ``2 pi i`` at every level; ``xis`` is ``(B, n+1, d)``."""
+    if n == 0:
+        return symbol(xis[:, 0])
+    plain = per_level_an(symbol, n - 1, xis[:, :n])
+    out = 0.0
+    for k in range(n):
+        shifted = xis[:, :n].copy()
+        shifted[:, k] += xis[:, n]
+        bracket = plain - per_level_an(symbol, n - 1, shifted)
+        covector = xis[:, k].reshape((len(xis),) + (1,) * (bracket.ndim - 1) + (-1,))
+        out = out + bracket[..., None] * covector
+    return 2j * np.pi * out
+
+
+def add_at_contraction(mult, n, *fields):
+    """Brute-force lattice sum with B-major complex ``symbol_an`` tensors, one
+    ``(n+2)``-operand einsum per chunk and an ``np.add.at`` scatter."""
+    grid = mult.grid
+    d, modes, half = grid.dim, grid.n**grid.dim, grid.n // 2
+    kvecs = grid.wavenumbers.reshape(d, modes).T
+    coeff = [f.coeffs.reshape(d, modes).T for f in fields]
+    letters = "abc"[: n + 1]
+    contraction = f"Bo{letters}," + ",".join(f"B{c}" for c in letters) + "->Bo"
+    out = np.zeros((modes, d), dtype=complex)
+    total, chunk = modes ** (n + 1), 1 << 14
+    for start in range(0, total, chunk):
+        flat = np.arange(start, min(start + chunk, total))
+        idx = np.array([(flat // modes**(n - axis)) % modes for axis in range(n + 1)])
+        ktot = kvecs[idx].sum(axis=0)
+        inside = np.all((ktot >= -half) & (ktot < half), axis=-1)
+        idx = idx[:, inside]
+        an = symbol_an(mult.symbol, n, np.moveaxis(kvecs[idx], 0, 1) / grid.length)
+        lin = np.ravel_multi_index(tuple((ktot[inside] % grid.n).T), grid.shape)
+        np.add.at(out, lin, np.einsum(contraction, an, *(coeff[i][idx[i]] for i in range(n + 1))))
+    out *= grid.length ** (-n * d)
+    return SpectralVectorField(grid, out.T.reshape((d,) + grid.shape))
 
 
 class TestOperatorRecursion:
@@ -141,6 +192,15 @@ class TestSymbolRecursion:
         realigned = np.moveaxis(b, (3, 4, 5), (5, 3, 4))
         assert np.abs(a - realigned).max() < 1e-10 * np.abs(a).max()
 
+    @pytest.mark.parametrize("symbol", [sobolev_symbol(1.5, 2), hermitian_complex_symbol()],
+                             ids=["sobolev", "hermitian_complex"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_per_level_recursion(self, symbol, n):
+        # the 2 pi i factors are applied once, after the bracket recursion
+        xis = np.random.default_rng(40 + n).normal(0.0, 2.0, size=(16, n + 1, 2))
+        ref = per_level_an(symbol, n, xis)
+        assert np.abs(symbol_an(symbol, n, xis) - ref).max() <= 1e-14 * np.abs(ref).max()
+
 
 class TestConvolutionOracle:
     def test_n0_is_plain_apply(self):
@@ -199,6 +259,34 @@ class TestConvolutionOracle:
             convolution_kernel(mult, 1)
         assert convolution_kernel.cache_info().currsize <= 8
         assert convolution_kernel(mults[0], 1) is not first  # evicted, rebuilt
+
+    @pytest.mark.parametrize("dim,n,order", [(1, 16, 1), (1, 16, 2), (2, 8, 1), (2, 8, 2)])
+    def test_kernel_matches_add_at_contraction(self, dim, n, order):
+        grid = TorusGrid(dim, n)
+        mult = sobolev_multiplier(1.0, grid)
+        kernel = ConvolutionKernel(mult, order)
+        assert all(tensor.dtype == np.float64 for _, tensor, _ in kernel.chunks)
+        us = [band_limited(grid, n // 2, seed=30 + i) for i in range(order + 1)]
+        assert rel_diff(kernel.apply(*us), add_at_contraction(mult, order, *us)) <= 1e-13
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_complex_symbol_kernel_matches_add_at_contraction(self, order):
+        grid = TorusGrid(2, 8)
+        mult = FourierMultiplier.build(hermitian_complex_symbol(), grid)
+        kernel = ConvolutionKernel(mult, order)
+        assert all(tensor.dtype == np.complex128 for _, tensor, _ in kernel.chunks)
+        us = [band_limited(grid, 4, seed=35 + i) for i in range(order + 1)]
+        assert rel_diff(kernel.apply(*us), add_at_contraction(mult, order, *us)) <= 1e-13
+
+    def test_kernel_build_memory(self):
+        mult = sobolev_multiplier(1.0, TorusGrid(2, 8))
+        tracemalloc.start()
+        try:
+            ConvolutionKernel(mult, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 30 * 2**20
 
     def test_cost_guard(self):
         grid = TorusGrid(1, 64)

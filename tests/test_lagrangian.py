@@ -1,5 +1,7 @@
 """Tests for charts, composition, inversion, the spray, and the chart metric."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,16 @@ class TestJacobian:
         f[0, 3] = np.nan
         with pytest.raises(ChartError, match="min det = nan"):
             DiffeoChart.from_displacement_samples(grid, f)
+
+    @pytest.mark.parametrize("dim,n", [(1, 16), (2, 8)])
+    def test_non_finite_chart_rejected_without_warning(self, dim, n):
+        small = TorusGrid(dim, n)
+        f = SpectralVectorField(small, np.zeros((dim,) + small.shape, dtype=complex))
+        f.coeffs[(0,) * (dim + 1)] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ChartError, match="min det = nan"):
+                DiffeoChart(f)
 
 
 class TestDistance:
