@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -160,6 +161,13 @@ def load_config(path: str | Path) -> RunConfig:
     norms = tuple(
         _as_float(tok.strip(), "[run] norms") for tok in norms_raw.split(",") if tok.strip()
     )
+    # the H^q norm sums the squared weight (1 + 4 pi^2 |xi|^2)^q, which must
+    # stay finite at the lattice corner |xi| = sqrt(d) (n/2) / L
+    kmax = points / 2 / length
+    corner = 1.0 + 4.0 * math.pi**2 * dimension * kmax * kmax
+    for q in norms:
+        if q > 0 and q * math.log(corner) >= math.log(sys.float_info.max):
+            raise ConfigError(f"[run] norms: the H^{q:g} weight overflows at the grid's largest frequency")
     output = Path(_get(parser, "run", "output", "out"))
 
     return RunConfig(

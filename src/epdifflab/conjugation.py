@@ -29,6 +29,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -117,25 +118,42 @@ def symbol_an(symbol: MatrixSymbol, n: int, xis: np.ndarray) -> np.ndarray:
     xis = np.asarray(xis, dtype=float)
     if xis.ndim < 2 or xis.shape[-2] != n + 1 or xis.shape[-1] != symbol.dim:
         raise ValueError(f"xis must have shape (..., {n + 1}, {symbol.dim}), got {xis.shape}")
-    return (2j * np.pi) ** n * _an(symbol, xis, xis.ndim - 2)
+
+    def leaf(xi: np.ndarray) -> np.ndarray:
+        values = symbol(xi.T)
+        return (values if values.imag.any() else values.real).transpose(1, 2, 0)
+
+    brackets = _an(leaf, xis.reshape(-1, n + 1, symbol.dim).transpose(1, 2, 0))
+    batch_major = brackets.transpose(-1, *range(n + 2)).reshape(xis.shape[:-2] + brackets.shape[:-1])
+    return (2j * np.pi) ** n * batch_major
 
 
-def _an(symbol: MatrixSymbol, xis: np.ndarray, batch_ndim: int) -> np.ndarray:
-    """Bracket tensor ``a_n / (2 pi i)^n``: float64 when the symbol's values are real."""
-    m = xis.shape[-2] - 1
+def _an(leaf: Callable[[np.ndarray], np.ndarray], tuples: np.ndarray, length: float = 1.0) -> np.ndarray:
+    """Bracket tensor ``a_n / (2 pi i)^n``, component-major.
+
+    ``tuples`` holds ``B`` frequency tuples as ``(n+1, dim, B)``, each point
+    in units of ``1/length``; ``leaf`` maps a ``(dim, B)`` block of points to
+    the symbol's ``(dim, dim, B)`` values there (float64 when they are real).
+    The result is ``(dim, dim, ..., dim, B)`` with the ``n+2`` component axes
+    of :func:`symbol_an` in front, and each covector ``xi_k = k/length`` is a
+    contiguous ``(dim, B)`` row, so the brackets come out in the layout that
+    :class:`ConvolutionKernel` stores.
+    """
+    m = len(tuples) - 1
     if m == 0:
-        values = symbol(xis[..., 0, :])
-        return values if values.imag.any() else values.real
-    prefix = xis[..., :m, :]
-    last = xis[..., m, :]
-    plain = _an(symbol, prefix, batch_ndim)
+        return leaf(tuples[0])
+    prefix, last = tuples[:m], tuples[m]
+    plain = _an(leaf, prefix, length)
     out = None
     for k in range(m):
         shifted = prefix.copy()
-        shifted[..., k, :] += last
-        bracket = plain - _an(symbol, shifted, batch_ndim)
-        term = _append_covector(bracket, prefix[..., k, :], batch_ndim)
-        out = term if out is None else out + term
+        shifted[k] += last
+        bracket = plain - _an(leaf, shifted, length)
+        term = bracket[..., None, :] * (prefix[k] / length)
+        if out is None:
+            out = term
+        else:
+            out += term
     return out
 
 
@@ -155,13 +173,19 @@ class ConvolutionKernel:
     """Precomputed lattice tuples and symbol tensors for the brute-force oracle.
 
     The tensor values depend only on the multiplier and the order, so one
-    kernel serves any number of input tuples.  Each chunk holds the field
-    indices ``idx`` ``(n+1, B)`` of its tuples, the brackets ``a_n / (2 pi
-    i)^n`` stored component-major as ``(dim, dim^(n+1), B)`` (float64 for a
-    real symbol, complex128 otherwise), and the flat output mode ``lin`` of
-    each tuple.  Applying it contracts the gathered fields' outer product
-    against each chunk, scatters with ``bincount`` and multiplies once by
-    ``(2 pi i)^n L^(-n dim)``.
+    kernel serves any number of input tuples.  Every point the recursion
+    evaluates the symbol at is a partial sum of ``n+1`` lattice wavenumbers
+    divided by ``L``, so the symbol is evaluated once, on the integer box
+    ``[-(n+1) N/2, (n+1) (N/2 - 1)]^dim`` of such sums (``N`` points per
+    axis), and each leaf of the bracket recursion :func:`_an` is a ``take``
+    from that table.  The tuples are those of the flat range
+    ``0 .. modes^(n+1)`` whose total wavenumber stays on the lattice, in
+    chunks of that range ``KERNEL_CHUNK`` long.  Each chunk holds the field indices ``idx`` ``(n+1, B)`` of its tuples, the brackets
+    ``a_n / (2 pi i)^n`` stored component-major as ``(dim, dim^(n+1), B)``
+    (float64 for a real symbol, complex128 otherwise), and the flat output
+    mode ``lin`` of each tuple.  Applying it contracts the gathered fields'
+    outer product against each chunk, scatters with ``bincount`` and
+    multiplies once by ``(2 pi i)^n L^(-n dim)``.
     """
 
     def __init__(self, mult: FourierMultiplier, n: int):
@@ -174,22 +198,35 @@ class ConvolutionKernel:
         d = grid.dim
         modes = grid.n**d
         half = grid.n // 2
-        kvecs = grid.wavenumbers.reshape(d, modes).T  # (modes, d)
+        kvecs = grid.wavenumbers.reshape(d, modes)
+        low = -(n + 1) * half
+        width = (n + 1) * (grid.n - 1) + 1
+        box = np.indices((width,) * d).reshape(d, -1) + low
+        values = mult.symbol(box.T / grid.length)
+        table = np.ascontiguousarray((values if values.imag.any() else values.real).transpose(1, 2, 0))
+
+        def leaf(points: np.ndarray) -> np.ndarray:
+            pos = points[0] - low
+            for row in points[1:]:
+                pos = pos * width + (row - low)
+            return table.take(pos, axis=-1)
+
+        # flat tuple index -> inside-the-lattice mask, one broadcast per axis
+        shape = (modes,) * (n + 1)
+        inside = np.ones(shape, dtype=bool)
+        for axis_k in kvecs:
+            ktot = sum(axis_k.reshape((modes,) + (1,) * (n - slot)) for slot in range(n + 1))
+            inside &= (ktot >= -half) & (ktot < half)
+        flat = np.flatnonzero(inside)
+        bounds = np.searchsorted(flat, range(KERNEL_CHUNK, inside.size, KERNEL_CHUNK))
         self.chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        total = modes ** (n + 1)
-        for start in range(0, total, KERNEL_CHUNK):
-            stop = min(start + KERNEL_CHUNK, total)
-            idx = np.array(np.unravel_index(np.arange(start, stop), (modes,) * (n + 1)))
-            ks = kvecs[idx]  # (n+1, B, d)
-            ktot = ks.sum(axis=0)
-            inside = np.all((ktot >= -half) & (ktot < half), axis=-1)
-            if not np.any(inside):
+        for chunk in np.split(flat, bounds):
+            if not chunk.size:
                 continue
-            idx = idx[:, inside]
-            xis = np.moveaxis(ks[:, inside], 0, 1) / grid.length  # (B', n+1, d)
-            brackets = _an(mult.symbol, xis, 1).reshape(idx.shape[1], d, d ** (n + 1))
-            tensor = np.ascontiguousarray(brackets.transpose(1, 2, 0))
-            lin = np.ravel_multi_index(tuple((ktot[inside] % grid.n).T), grid.shape)
+            idx = np.array(np.unravel_index(chunk, shape))
+            tuples = np.stack([axis_k[idx] for axis_k in kvecs], axis=1)  # (n+1, d, B)
+            tensor = _an(leaf, tuples, grid.length).reshape(d, d ** (n + 1), -1)
+            lin = np.ravel_multi_index(tuple(tuples.sum(axis=0) % grid.n), grid.shape)
             self.chunks.append((idx, tensor, lin))
 
     def apply(self, *fields: SpectralVectorField) -> SpectralVectorField:

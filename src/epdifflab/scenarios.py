@@ -17,6 +17,7 @@ from __future__ import annotations
 import io
 import math
 import sys
+import zipfile
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -132,14 +133,30 @@ def _build_elliptic(symbol: MatrixSymbol, grid: TorusGrid, **kwargs) -> FourierM
         raise ConfigError(f"[metric] {exc}") from exc
 
 
+def _read_table(path: Path) -> tuple[np.ndarray, float, bool, bool]:
+    """Table, order and flags of a custom-table npz archive; an unreadable one is a config error."""
+    try:
+        data = np.load(path)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError("not an npz archive")
+        with data:
+            arrays = {key: data[key] for key in data.files}
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ConfigError(f"custom table {path} is not a readable npz archive ({type(exc).__name__})") from exc
+    for key in ("table", "order"):
+        if key not in arrays:
+            raise ConfigError(f"custom table {path} missing array {key!r}")
+    try:
+        return (np.asarray(arrays["table"], dtype=complex), float(arrays["order"]),
+                bool(arrays.get("hermitian", True)), bool(arrays.get("positive_definite", True)))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"custom table {path}: {exc}") from exc
+
+
 def build_metric(cfg: RunConfig, grid: TorusGrid) -> FourierMultiplier:
     if cfg.metric_kind == "sobolev":
         return _build_elliptic(sobolev_symbol(cfg.s, grid.dim), grid)
-    data = np.load(cfg.table_path)
-    for key in ("table", "order"):
-        if key not in data:
-            raise ConfigError(f"custom table {cfg.table_path} missing array {key!r}")
-    table = np.asarray(data["table"], dtype=complex)
+    table, order, hermitian, positive_definite = _read_table(cfg.table_path)
     expected = grid.shape + (grid.dim, grid.dim)
     if table.shape != expected:
         raise ConfigError(
@@ -148,9 +165,9 @@ def build_metric(cfg: RunConfig, grid: TorusGrid) -> FourierMultiplier:
     symbol = lattice_table_symbol(
         table,
         grid,
-        order=float(data["order"]),
-        hermitian=bool(data.get("hermitian", True)),
-        positive_definite=bool(data.get("positive_definite", True)),
+        order=order,
+        hermitian=hermitian,
+        positive_definite=positive_definite,
         name=f"table:{cfg.table_path.name}",
     )
     # certify within the represented band only
@@ -284,7 +301,11 @@ def _audit_symbol(cfg: RunConfig, grid: TorusGrid) -> MatrixSymbol:
     which = cfg.scenario_params.get("symbol", "metric")
     if which == "metric":
         if cfg.metric_kind == "sobolev":
-            return sobolev_symbol(cfg.s, grid.dim)
+            # the custom-table branch rejects a failing symbol in build_metric
+            symbol = sobolev_symbol(cfg.s, grid.dim)
+            if not check_ellipticity(symbol).verdict:
+                raise ConfigError(f"[metric] s = {cfg.s:g}: symbol '{symbol.name}' failed the ellipticity check")
+            return symbol
         return build_metric(cfg, grid).symbol
     if which == "shear_laplacian":
         t = param_float(cfg, "shear_t", 1.0, positive=False)

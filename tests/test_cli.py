@@ -96,6 +96,26 @@ class TestConfigValidation:
             warnings.simplefilter("error")
             assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out"), "--quiet"]) == 3
 
+    @pytest.mark.parametrize("text,names", [
+        # np.load raised ValueError on a text file (exit 1)
+        (BASE_EVOLUTION.replace("kind = sobolev\ns = 1.5", "kind = custom-table\ntable = bad.npz"),
+         "bad.npz"),
+        # lam**degree overflowed in the homogeneity check (OverflowError, exit 1)
+        ("[grid]\ndimension = 2\npoints = 16\n[metric]\ns = 400\n[scenario]\nname = symbol_audit\n",
+         "[metric] s"),
+        # wrote h_norm_1e+300 = inf in every row and exited 0
+        (BASE_EVOLUTION.replace("points = 64", "points = 16").replace("norms = 1.5, 2.5", "norms = 1e300"),
+         "[run] norms"),
+    ], ids=["unreadable_table", "audit_symbol_overflow", "norm_weight_overflow"])
+    def test_unusable_inputs_exit_3(self, tmp_path, capsys, text, names):
+        (tmp_path / "bad.npz").write_text("not an archive\n")
+        cfg = write_config(tmp_path, text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out"), "--quiet"]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:") and names in err[0]
+
     @pytest.mark.parametrize("t_end, steps", [("0.0500000005", 10), ("0.0500001", None)])
     def test_config_and_integrator_share_the_step_rule(self, tmp_path, t_end, steps):
         # 0.0500000005 is 10 steps of 0.005 within the integrators' tolerance

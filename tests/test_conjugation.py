@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from epdifflab.conjugation import (
+    KERNEL_CHUNK,
     ConvolutionKernel,
     HeadroomError,
     apply_An_convolution,
@@ -83,6 +84,64 @@ def add_at_contraction(mult, n, *fields):
         np.add.at(out, lin, np.einsum(contraction, an, *(coeff[i][idx[i]] for i in range(n + 1))))
     out *= grid.length ** (-n * d)
     return SpectralVectorField(grid, out.T.reshape((d,) + grid.shape))
+
+
+def batch_major_chunks(mult, n):
+    """Kernel chunks built as before the symbol table: the flat tuple range in
+    ``KERNEL_CHUNK`` slices, filtered to the lattice, with a batch-major bracket
+    recursion that evaluates the symbol at every leaf."""
+    def brackets(xis):  # (B, m+1, d) -> (B, d, ..., d)
+        m = xis.shape[1] - 1
+        if m == 0:
+            values = mult.symbol(xis[:, 0])
+            return values if values.imag.any() else values.real
+        prefix, last = xis[:, :m], xis[:, m]
+        plain = brackets(prefix)
+        out = None
+        for k in range(m):
+            shifted = prefix.copy()
+            shifted[:, k] += last
+            bracket = plain - brackets(shifted)
+            covector = prefix[:, k].reshape((len(xis),) + (1,) * (bracket.ndim - 1) + (-1,))
+            term = bracket[..., None] * covector
+            out = term if out is None else out + term
+        return out
+
+    grid = mult.grid
+    d, modes, half = grid.dim, grid.n**grid.dim, grid.n // 2
+    kvecs = grid.wavenumbers.reshape(d, modes).T
+    chunks = []
+    total = modes ** (n + 1)
+    for start in range(0, total, KERNEL_CHUNK):
+        idx = np.array(np.unravel_index(np.arange(start, min(start + KERNEL_CHUNK, total)), (modes,) * (n + 1)))
+        ks = kvecs[idx]
+        ktot = ks.sum(axis=0)
+        inside = np.all((ktot >= -half) & (ktot < half), axis=-1)
+        if not np.any(inside):
+            continue
+        idx = idx[:, inside]
+        xis = np.moveaxis(ks[:, inside], 0, 1) / grid.length
+        tensor = np.ascontiguousarray(brackets(xis).reshape(len(xis), d, d ** (n + 1)).transpose(1, 2, 0))
+        lin = np.ravel_multi_index(tuple((ktot[inside] % grid.n).T), grid.shape)
+        chunks.append((idx, tensor, lin))
+    return chunks
+
+
+def box_sentinel_symbol(grid, order, evaluations):
+    """``sobolev_symbol(1.0, 2)``'s values, raising at any point ``k/L`` outside
+    the integer box ``[-(order+1) n/2, (order+1) (n/2 - 1)]^2``; records the
+    size of every evaluation."""
+    low, high = -(order + 1) * (grid.n // 2), (order + 1) * (grid.n // 2 - 1)
+
+    def eval_fn(xi):
+        k = np.rint(xi * grid.length)
+        if k.min() < low or k.max() > high:
+            raise AssertionError(f"symbol evaluated at k = {k.min():g}..{k.max():g}, outside [{low}, {high}]")
+        evaluations.append(len(xi))
+        return sobolev_weight(2.0, xi)[..., None, None] * np.eye(2)
+
+    return MatrixSymbol(dim=2, order=2.0, eval_fn=eval_fn, hermitian=True,
+                        positive_definite=True, name="box_sentinel")
 
 
 class TestOperatorRecursion:
@@ -277,6 +336,39 @@ class TestConvolutionOracle:
         assert all(tensor.dtype == np.complex128 for _, tensor, _ in kernel.chunks)
         us = [band_limited(grid, 4, seed=35 + i) for i in range(order + 1)]
         assert rel_diff(kernel.apply(*us), add_at_contraction(mult, order, *us)) <= 1e-13
+
+    @pytest.mark.parametrize("dim,n,order", [(1, 16, 1), (1, 16, 2), (2, 8, 1), (2, 8, 2)])
+    def test_kernel_chunks_bit_identical_to_batch_major_build(self, dim, n, order):
+        # at L = 1 every partial sum k/L is exact, so the table and the leaf
+        # evaluations see the same points
+        mult = sobolev_multiplier(1.0, TorusGrid(dim, n))
+        chunks = ConvolutionKernel(mult, order).chunks
+        reference = batch_major_chunks(mult, order)
+        assert len(chunks) == len(reference)
+        for got, want in zip(chunks, reference):
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("dim,n,order", [(1, 16, 2), (2, 8, 1), (2, 8, 2)])
+    def test_kernel_matches_add_at_contraction_at_length_2pi(self, dim, n, order):
+        # (k_0 + k_1)/L and k_0/L + k_1/L differ in the last bits here
+        grid = TorusGrid(dim, n, 2 * np.pi)
+        mult = sobolev_multiplier(1.0, grid)
+        us = [band_limited(grid, n // 2, seed=50 + i) for i in range(order + 1)]
+        kernel = ConvolutionKernel(mult, order)
+        assert rel_diff(kernel.apply(*us), add_at_contraction(mult, order, *us)) <= 1e-13
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_symbol_evaluated_once_on_the_reachable_box(self, order):
+        grid = TorusGrid(2, 8, 2 * np.pi)
+        evaluations = []
+        mult = FourierMultiplier.build(box_sentinel_symbol(grid, order, evaluations), grid)
+        evaluations.clear()
+        kernel = ConvolutionKernel(mult, order)
+        assert evaluations == [((order + 1) * (grid.n - 1) + 1) ** 2]
+        plain = ConvolutionKernel(sobolev_multiplier(1.0, grid), order)
+        for got, want in zip(kernel.chunks, plain.chunks):
+            assert got[1].tobytes() == want[1].tobytes()
 
     def test_kernel_build_memory(self):
         mult = sobolev_multiplier(1.0, TorusGrid(2, 8))
