@@ -4,7 +4,8 @@ A chart is ``phi = id + f`` with periodic displacement ``f`` and everywhere
 positive Jacobian determinant.  Composition ``u o phi`` is evaluated by
 periodic quintic B-spline interpolation of grid samples (error O(n^-6) for
 smooth fields), inversion by damped Newton iteration on the displacement with
-a fixed-point fallback.  The Lagrangian solver built on these is
+a fixed-point fallback, warm-started from the previous RK4 stage's inverse
+inside :func:`integrate_geodesic`.  The Lagrangian solver built on these is
 cross-validation machinery for the Eulerian one: composition and
 interpolation error accumulates, so the Eulerian path stays authoritative for
 long runs.
@@ -57,6 +58,35 @@ def _eval_filtered(filtered: np.ndarray, points: np.ndarray, grid: TorusGrid) ->
                      for c in filtered])
 
 
+def _det(m: np.ndarray) -> np.ndarray:
+    """Determinants of ``d x d`` matrices in the leading two axes, shape ``(d, d, ...)``.
+
+    Closed form for ``d`` in {1, 2, 3}, the dimensions a grid accepts.
+    """
+    if len(m) == 1:
+        return m[0, 0]
+    if len(m) == 2:
+        return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    return (m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
+            - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
+            + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0]))
+
+
+def _solve(m: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cramer's rule for ``m x = b``, with ``m`` of shape ``(d, d, ...)`` and ``b`` of ``(d, ...)``.
+
+    A singular or non-finite ``m`` gives a non-finite ``x``, without a warning.
+    """
+    x = np.empty(b.shape)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        det = _det(m)
+        for i in range(len(m)):
+            replaced = m.copy()
+            replaced[:, i] = b
+            x[i] = _det(replaced) / det
+    return x
+
+
 @dataclass(frozen=True, eq=False)
 class DiffeoChart:
     """Diffeomorphism ``phi = id + f`` with cached Jacobian data.
@@ -89,9 +119,8 @@ class DiffeoChart:
     @cached_property
     def det_samples(self) -> np.ndarray:
         """Pointwise ``det(I + df)`` on the grid (spectral derivatives)."""
-        jac = np.moveaxis(self.jacobian_samples, (0, 1), (-2, -1))
         with np.errstate(invalid="ignore"):  # a non-finite chart gives nan; min_det rejects it
-            return np.linalg.det(jac)
+            return _det(self.jacobian_samples)
 
     @property
     def min_det(self) -> float:
@@ -148,18 +177,33 @@ def compose_diffeo(phi: DiffeoChart, psi: DiffeoChart) -> DiffeoChart:
     return DiffeoChart(psi.f + pulled)
 
 
-def invert(phi: DiffeoChart) -> DiffeoChart:
+def invert(phi: DiffeoChart, start: Optional[np.ndarray] = None) -> DiffeoChart:
     """Inverse chart by damped Newton on the displacement.
 
     Solves ``y + f(y) = x`` per grid point, interpolating ``f`` and ``df``
     with periodic splines; falls back to a fixed-point update whenever the
     Newton step fails to reduce the residual.  Converged when
     ``sup |phi(phi^-1(x)) - x| <= 1e-10 L``.
+
+    Newton starts from the first fixed-point sweep ``y = x - f(x)``, or from
+    ``x + start`` when ``start`` holds the displacement samples of an
+    approximate inverse, shape ``(d, n, ..., n)``.  A warm start that fails
+    to converge, or whose inverse is not orientation preserving, is dropped
+    and the cold start runs, so every failure is the cold start's.
     """
+    if start is not None:
+        try:
+            return _newton_inverse(phi, start)
+        except (InversionError, ChartError):
+            pass
+    return _newton_inverse(phi, -phi.displacement_samples)
+
+
+def _newton_inverse(phi: DiffeoChart, start: np.ndarray) -> DiffeoChart:
+    """:func:`invert`'s iteration from the inverse displacement samples ``start``."""
     grid = phi.grid
     x = grid.coordinates.reshape(grid.dim, -1)
-    f_x = phi.displacement_samples.reshape(grid.dim, -1)
-    y = x - f_x  # first fixed-point sweep
+    y = x + start.reshape(grid.dim, -1)
     tol = INVERT_TOL * grid.length
 
     def residual(y_arr: np.ndarray) -> np.ndarray:
@@ -170,24 +214,25 @@ def invert(phi: DiffeoChart) -> DiffeoChart:
     for _ in range(INVERT_MAX_ITER):
         if res_norm <= tol:
             break
-        jac = phi.jacobian_at(y)  # (N, d, d)
-        step = np.linalg.solve(jac, res.T[..., None])[..., 0].T
+        jac = np.moveaxis(phi.jacobian_at(y), (-2, -1), (0, 1))  # (d, d, N)
+        step = _solve(jac, res)
         improved = False
-        damping = 1.0
-        for _ in range(5):
-            y_try = y - damping * step
-            res_try = residual(y_try)
-            norm_try = np.abs(res_try).max()
-            if norm_try < res_norm:
-                y, res, res_norm = y_try, res_try, norm_try
-                improved = True
-                break
-            damping *= 0.5
+        if np.isfinite(step).all():  # a singular Jacobian goes to the fallback
+            damping = 1.0
+            for _ in range(5):
+                y_try = y - damping * step
+                res_try = residual(y_try)
+                norm_try = np.abs(res_try).max()
+                if norm_try < res_norm:
+                    y, res, res_norm = y_try, res_try, norm_try
+                    improved = True
+                    break
+                damping *= 0.5
         if not improved:
             y_try = x - phi.displacement_at(y)  # fixed-point fallback
             res_try = residual(y_try)
             norm_try = np.abs(res_try).max()
-            if norm_try >= res_norm:
+            if not norm_try < res_norm:  # also stops at a non-finite residual
                 raise InversionError(
                     f"inverse chart stalled at residual {res_norm:.3g} (tol {tol:.3g})"
                 )
@@ -242,11 +287,15 @@ def spray_at_identity(mult: FourierMultiplier, u: SpectralVectorField) -> Spectr
                          - momentum_transport(u, apply(mult, u)))
 
 
-def spray_rhs(mult: FourierMultiplier, state: GeodesicState):
-    """Right-hand side ``(d phi/dt, dv/dt) = (v, (S(u)) o phi)`` with ``u = v o phi^-1``."""
-    u = state.eulerian_velocity()
-    dv = compose(spray_at_identity(mult, u), state.phi)
-    return state.v, dv
+def spray_rhs(mult: FourierMultiplier, state: GeodesicState, start: Optional[np.ndarray] = None):
+    """Right-hand side ``(d phi/dt, dv/dt) = (v, (S(u)) o phi)`` with ``u = v o phi^-1``.
+
+    Returns ``(d phi/dt, dv/dt, phi^-1)``; ``start`` is passed to :func:`invert`,
+    and the returned inverse's displacement samples can start the next call.
+    """
+    inverse = invert(state.phi, start)
+    dv = compose(spray_at_identity(mult, compose(state.v, inverse)), state.phi)
+    return state.v, dv, inverse
 
 
 def integrate_geodesic(
@@ -260,7 +309,8 @@ def integrate_geodesic(
 
     Chart validity (positive Jacobian determinant) is enforced at every stage;
     a degenerating chart raises :class:`ChartError` and inversion failures
-    propagate.
+    propagate.  Each stage's inverse chart starts from the previous stage's,
+    which lies O(dt) away; the first stage of a call starts cold.
     """
     n_steps = step_count(state.t, t_end, dt)
     grid = state.phi.grid
@@ -270,8 +320,13 @@ def integrate_geodesic(
         return GeodesicState(phi=DiffeoChart(SpectralVectorField(grid, y[0])),
                              v=SpectralVectorField(grid, y[1]), t=t)
 
+    start = None  # displacement samples of the last stage's inverse chart
+
     def rhs(y: np.ndarray) -> np.ndarray:
-        return np.stack([w.coeffs for w in spray_rhs(mult, chart_state(y, 0.0))])
+        nonlocal start
+        dphi, dv, inverse = spray_rhs(mult, chart_state(y, 0.0), start)
+        start = inverse.displacement_samples
+        return np.stack([dphi.coeffs, dv.coeffs])
 
     out = [state]
     y = np.stack([state.phi.f.coeffs, state.v.coeffs])

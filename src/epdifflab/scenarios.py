@@ -32,6 +32,7 @@ from .conjugation import (
     verify_sn_identity,
 )
 from .epdiff import (
+    MAX_SUBSTEP_DOUBLINGS,
     Diagnostics,
     EulerState,
     bandlimited_draw,
@@ -42,7 +43,7 @@ from .epdiff import (
     peakon_pair,
     random_bandlimited,
 )
-from .grid import SpectralVectorField, TorusGrid
+from .grid import SpectralVectorField, TorusGrid, l2_inner
 from .lagrangian import (
     ChartError,
     DiffeoChart,
@@ -218,6 +219,31 @@ def _initial_velocity(cfg: RunConfig, grid: TorusGrid) -> SpectralVectorField:
     raise ConfigError(f"scenario {name!r} has no initial velocity")
 
 
+def _initial_state(cfg: RunConfig, grid: TorusGrid) -> tuple[FourierMultiplier, EulerState]:
+    """The metric and the initial state.
+
+    A datum whose energy is not finite, or that the CFL guard cannot step even
+    at ``dt / 2^MAX_SUBSTEP_DOUBLINGS`` (the run would halt at t = 0 with a
+    blow-up verdict), is a config error.
+    """
+    u0 = _initial_velocity(cfg, grid)
+    mult = build_metric(cfg, grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        state = EulerState.from_velocity(mult, u0)
+        energy = 0.5 * l2_inner(state.m, state.u)
+    if not math.isfinite(energy):
+        raise ConfigError(
+            f"[scenario] {cfg.scenario}: the initial velocity's energy is {energy:g}; scale the datum down"
+        )
+    if cfg.dt / 2**MAX_SUBSTEP_DOUBLINGS > state.cfl:
+        raise ConfigError(
+            f"[scenario] {cfg.scenario}: the initial velocity (sup |u| = {u0.sup_norm():.3g}) needs "
+            f"more than 2^{MAX_SUBSTEP_DOUBLINGS} CFL substeps per dt = {cfg.dt:g}; "
+            "scale the datum down or lower dt"
+        )
+    return mult, state
+
+
 def _csv_header(cfg: RunConfig) -> str:
     cols = ["t", "energy"]
     cols += [f"mom_{i + 1}" for i in range(cfg.dimension)]
@@ -234,9 +260,7 @@ def _csv_row(d: Diagnostics, norms: tuple[float, ...]) -> str:
 
 def run_evolution(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
     grid = TorusGrid(cfg.dimension, cfg.points, cfg.length)
-    u0 = _initial_velocity(cfg, grid)
-    mult = build_metric(cfg, grid)
-    state = EulerState.from_velocity(mult, u0)
+    mult, state = _initial_state(cfg, grid)
     threshold = cfg.blowup_threshold
     if threshold is None:
         threshold = default_blowup_threshold(state)
@@ -423,14 +447,13 @@ def run_conjugation_audit(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
 
 def run_consistency(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
     grid = TorusGrid(cfg.dimension, cfg.points, cfg.length)
-    u0 = _initial_velocity(cfg, grid)
-    mult = build_metric(cfg, grid)
+    mult, state = _initial_state(cfg, grid)
 
     try:
-        eulerian = integrate(mult, EulerState.from_velocity(mult, u0), cfg.t_end, cfg.dt,
+        eulerian = integrate(mult, state, cfg.t_end, cfg.dt,
                              cadence=max(cfg.cadence, 1), norm_orders=cfg.norms)
         lagrangian = integrate_geodesic(
-            mult, GeodesicState(DiffeoChart.identity(grid), u0), cfg.t_end, cfg.dt
+            mult, GeodesicState(DiffeoChart.identity(grid), state.u), cfg.t_end, cfg.dt
         )[-1]
         u_lag = lagrangian.eulerian_velocity()
         e_lag = lagrangian_energy(mult, lagrangian)

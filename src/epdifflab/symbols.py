@@ -353,14 +353,17 @@ def check_ellipticity(
 # --- principal-part positivity -----------------------------------------------
 
 def _homogeneity_violation(a_pi: EvalFn, dim: int, degree: float, dirs: np.ndarray) -> float:
-    base = np.asarray(a_pi(dirs), dtype=complex)
-    worst = 0.0
-    for lam in (0.5, 2.0, 7.0):
-        scaled = np.asarray(a_pi(lam * dirs), dtype=complex)
-        err = _frob(scaled - lam**degree * base)
-        ref = np.maximum(lam**degree * _frob(base), 1e-300)
-        worst = max(worst, float((err / ref).max()))
-    return worst
+    """Largest relative gap ``|a(lam xi) - lam^degree a(xi)|``; nan or inf if a value overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = np.asarray(a_pi(dirs), dtype=complex)
+        ratios = []
+        for lam in (0.5, 2.0, 7.0):
+            scaled = np.asarray(a_pi(lam * dirs), dtype=complex)
+            power = np.float64(lam) ** degree
+            err = _frob(scaled - power * base)
+            ref = np.maximum(power * _frob(base), 1e-300)
+            ratios.append((err / ref).max())
+    return float(np.max(ratios))  # nan propagates, so an overflow fails the check
 
 
 def _principal_certificate(
@@ -374,7 +377,7 @@ def _principal_certificate(
     dirs = _unit_directions(symbol.dim, max(sphere_samples, 2))
     sampling = f"{dirs.shape[0]} unit-sphere samples, homogeneity checked at lam=0.5,2,7"
     hom = _homogeneity_violation(symbol.principal, symbol.dim, symbol.order, dirs[:: max(1, len(dirs) // 64)])
-    if hom > 1e-10:
+    if not hom <= 1e-10:
         return ClassCertificate(
             kind=kind,
             verdict=False,

@@ -106,7 +106,15 @@ class TestConfigValidation:
         # wrote h_norm_1e+300 = inf in every row and exited 0
         (BASE_EVOLUTION.replace("points = 64", "points = 16").replace("norms = 1.5, 2.5", "norms = 1e300"),
          "[run] norms"),
-    ], ids=["unreadable_table", "audit_symbol_overflow", "norm_weight_overflow"])
+        # an energy of inf: once a blow-up verdict at t=0 (exit 2) after overflow warnings
+        (BASE_EVOLUTION.replace("points = 64", "points = 16").replace("dt = 0.005", "dt = 0.01")
+         .replace("amplitude = 0.2", "amplitude = 1e300"), "[scenario] gaussian_blob"),
+        # a finite energy, but no substep the CFL guard accepts: likewise
+        (BASE_EVOLUTION.replace("points = 64", "points = 16").replace("dt = 0.005", "dt = 0.01")
+         .replace("name = gaussian_blob", "name = random_bandlimited\ntarget_norm = 1e150"),
+         "[scenario] random_bandlimited"),
+    ], ids=["unreadable_table", "audit_symbol_overflow", "norm_weight_overflow", "datum_energy_overflow",
+            "datum_beyond_cfl_guard"])
     def test_unusable_inputs_exit_3(self, tmp_path, capsys, text, names):
         (tmp_path / "bad.npz").write_text("not an archive\n")
         cfg = write_config(tmp_path, text)

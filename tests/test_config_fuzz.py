@@ -1,9 +1,10 @@
 """Fuzz of config text: every input ends in a documented exit code, never a traceback.
 
 The CLI's contract is exit 0 (success), 2 (blow-up), 3 (invalid configuration)
-or 4 (numerical abort).  Hypothesis assembles config files from the keys of
-every section, with plausible, extreme and malformed values, and runs each
-through ``main``.  The step, grid, sample and draw caps are lowered for the
+or 4 (numerical abort); a blow-up found at t = 0 is an input the run should
+have rejected.  Hypothesis assembles config files from the keys of every
+section, with plausible, extreme and malformed values, and runs each through
+``main``.  The step, grid, sample and draw caps are lowered for the
 run so that every accepted config finishes in well under a second.
 """
 
@@ -149,6 +150,10 @@ norms = {norms}
                                  name="gaussian_blob", norms="1.5"))
 @example(text=GAUSSIAN_D1.format(dimension=2, metric="s = 400", name="symbol_audit", norms="1.5"))
 @example(text=GAUSSIAN_D1.format(dimension=1, metric="s = 1.5", name="gaussian_blob", norms="1e300"))
+@example(text=GAUSSIAN_D1.format(dimension=1, metric="s = 1", name="gaussian_blob\namplitude = 1e300",
+                                 norms="1.5"))
+@example(text=GAUSSIAN_D1.format(dimension=1, metric="s = 1",
+                                 name="random_bandlimited\ntarget_norm = 1e150", norms="1.5"))
 def test_config_text_exits_with_a_documented_code(table_dir, text):
     config = table_dir / "run.ini"
     config.write_text(text)
@@ -157,3 +162,5 @@ def test_config_text_exits_with_a_documented_code(table_dir, text):
             caps.enter_context(mock.patch(target, cap))
         code = main(["run", str(config), "--output-dir", str(table_dir / "out"), "--quiet"])
     assert code in EXIT_CODES
+    if code == 2:  # a blow-up verdict at t = 0 means the datum never ran
+        assert "blowup: t=0 " not in (table_dir / "out" / "summary.txt").read_text()

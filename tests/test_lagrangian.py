@@ -1,6 +1,11 @@
 """Tests for charts, composition, inversion, the spray, and the chart metric."""
 
+import hashlib
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,10 +25,12 @@ from epdifflab.grid import (
     directional_derivative,
     translate,
 )
+from epdifflab import lagrangian
 from epdifflab.lagrangian import (
     ChartError,
     DiffeoChart,
     GeodesicState,
+    InversionError,
     compose,
     compose_diffeo,
     distance_dq,
@@ -33,6 +40,8 @@ from epdifflab.lagrangian import (
     regularity_probe,
     spray_at_identity,
     spray_rhs,
+    _det,
+    _solve,
 )
 from epdifflab.operators import apply, sobolev_multiplier, sobolev_norm
 
@@ -122,6 +131,135 @@ class TestInvert:
         assert np.abs(back.displacement_samples - phi.displacement_samples).max() < 5e-7
 
 
+class TestWarmStart:
+    def test_matches_the_cold_start(self, grid):
+        phi = small_chart(grid, scale=0.05, kmax=4, seed=8)
+        nearby = DiffeoChart(phi.f + 0.002 * band_limited(grid, 4, seed=20))
+        cold = invert(phi)
+        warm = invert(phi, invert(nearby).displacement_samples)
+        assert np.abs(warm.displacement_samples - cold.displacement_samples).max() <= 1e-12
+        for psi in (cold, warm):
+            pts = psi.positions
+            resid = pts + phi.displacement_at(pts) - grid.coordinates
+            assert np.abs(resid).max() <= 1e-10 * grid.length
+
+    def test_failed_warm_start_reruns_cold(self, grid):
+        phi = small_chart(grid, scale=0.05, kmax=4, seed=8)
+        cold = invert(phi)
+        # a non-finite start stalls at once
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stalled = invert(phi, np.full((1,) + grid.shape, np.nan))
+        assert np.array_equal(stalled.f.coeffs, cold.f.coeffs)
+
+    def test_disoriented_warm_inverse_reruns_cold(self, grid, monkeypatch):
+        phi = small_chart(grid, scale=0.05, kmax=4, seed=8)
+        cold = invert(phi)
+        warm_start = cold.displacement_samples.copy()
+        newton = lagrangian._newton_inverse
+
+        def reject_warm(chart, start):
+            if start is warm_start:
+                raise ChartError("chart is not orientation preserving")
+            return newton(chart, start)
+
+        monkeypatch.setattr(lagrangian, "_newton_inverse", reject_warm)
+        assert np.array_equal(invert(phi, warm_start).f.coeffs, cold.f.coeffs)
+
+    def test_fewer_spline_passes_on_the_consistency_trajectory(self, monkeypatch):
+        # configs/consistency.ini; a cold start made about 1152 residual and
+        # 752 Jacobian evaluations over the 400 RK4 stages
+        counts = {"displacement_at": 0, "jacobian_at": 0}
+        for name in counts:
+            method = getattr(DiffeoChart, name)
+
+            def counted(self, points, _method=method, _name=name):
+                counts[_name] += 1
+                return _method(self, points)
+
+            monkeypatch.setattr(DiffeoChart, name, counted)
+        grid = TorusGrid(1, 256)
+        mult = sobolev_multiplier(1.5, grid)
+        u0 = gaussian_blob(grid, amplitude=0.25, width=0.1)
+        integrate_geodesic(mult, GeodesicState(DiffeoChart.identity(grid), u0), 0.1, 1e-3)
+        assert counts["displacement_at"] <= 950
+        assert counts["jacobian_at"] <= 550
+
+    def test_no_state_outlives_a_run(self):
+        # a spray after a warm-started run on another grid has the bits of
+        # the same spray in a fresh process
+        grid = TorusGrid(1, 64)
+        mult = sobolev_multiplier(1.5, grid)
+        u0 = gaussian_blob(grid, amplitude=0.2, width=0.12)
+        integrate_geodesic(mult, GeodesicState(DiffeoChart.identity(grid), u0), 0.01, 5e-3)
+        here = Path(__file__).resolve().parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]))
+        fresh = subprocess.run(
+            [sys.executable, "-c", "from test_lagrangian import spray_digest; print(spray_digest())"],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout.strip()
+        assert spray_digest() == fresh
+
+
+def spray_digest() -> str:
+    """Hash of a cold ``spray_rhs`` on a fixed 2-d chart and velocity."""
+    grid = TorusGrid(2, 16)
+    mult = sobolev_multiplier(1.5, grid)
+    phi = DiffeoChart.from_displacement_samples(grid, 0.01 * np.sin(2 * np.pi * grid.coordinates[::-1]))
+    _, dv, inverse = spray_rhs(mult, GeodesicState(phi, gaussian_blob(grid, amplitude=0.2, width=0.15)))
+    return hashlib.sha256(dv.coeffs.tobytes() + inverse.f.coeffs.tobytes()).hexdigest()
+
+
+class TestSmallSystems:
+    @staticmethod
+    def stack(dim, count, seed):
+        # diagonally dominant: every determinant is at least 0.6 in modulus
+        rng = np.random.default_rng(seed)
+        m = np.eye(dim)[:, :, None] + rng.uniform(-0.2, 0.2, (dim, dim, count))
+        return m, rng.standard_normal((dim, count))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_det_matches_numpy(self, dim):
+        m, _ = self.stack(dim, 1000, seed=dim)
+        expected = np.linalg.det(np.moveaxis(m, (0, 1), (-2, -1)))
+        assert np.abs(_det(m) / expected - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_solve_matches_numpy(self, dim):
+        m, b = self.stack(dim, 1000, seed=10 + dim)
+        expected = np.linalg.solve(np.moveaxis(m, (0, 1), (-2, -1)), b.T[..., None])[..., 0].T
+        gap = np.linalg.norm(_solve(m, b) - expected, axis=0) / np.linalg.norm(expected, axis=0)
+        assert gap.max() <= 1e-12
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_singular_solve_is_non_finite_without_warning(self, dim):
+        m, b = self.stack(dim, 4, seed=20 + dim)
+        m[:, :, 0] = 0.0  # zero matrix
+        m[:, 0, 1] = m[:, -1, 1]  # repeated column (the zero column at d = 1)
+        if dim == 1:
+            m[0, 0, 1] = 0.0
+        m[0, 0, 2] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = _solve(m, b)
+        assert not np.isfinite(x[:, :3]).all(axis=0).any()
+        assert np.isfinite(x[:, 3]).all()
+
+    @pytest.mark.parametrize("value", [0.0, np.nan])
+    def test_singular_jacobian_takes_the_fixed_point_branch(self, grid, monkeypatch, value):
+        # np.linalg.solve raised LinAlgError on a singular Jacobian (exit 1)
+        phi = small_chart(grid, scale=0.02, kmax=3, seed=21)
+        monkeypatch.setattr(DiffeoChart, "jacobian_at",
+                            lambda self, points: np.full(points.shape[1:] + (1, 1), value))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            psi = invert(phi)
+        pts = psi.positions
+        resid = pts + phi.displacement_at(pts) - grid.coordinates
+        assert np.abs(resid).max() <= 1e-10 * grid.length
+
+
 class TestJacobian:
     def test_identity(self, grid):
         assert np.abs(DiffeoChart.identity(grid).det_samples - 1.0).max() < 1e-14
@@ -196,7 +334,7 @@ class TestSpray:
     def test_zero_velocity(self, grid):
         mult = sobolev_multiplier(1.5, grid)
         state = GeodesicState(DiffeoChart.identity(grid), SpectralVectorField.zero(grid))
-        dphi, dv = spray_rhs(mult, state)
+        dphi, dv, _ = spray_rhs(mult, state)
         assert np.abs(dphi.coeffs).max() == 0.0
         assert np.abs(dv.coeffs).max() < 1e-14
 
@@ -244,18 +382,22 @@ class TestSpray:
 
     def test_matches_the_two_array_rk4_loop(self):
         # the shared RK4 step on the stacked (f, v) array gives the bits of
-        # the former loop that stepped f and v as two arrays
+        # the former loop that stepped f and v as two arrays, each stage's
+        # inverse chart starting from the previous stage's
         grid = TorusGrid(1, 64)
         mult = sobolev_multiplier(1.5, grid)
         u0 = gaussian_blob(grid, amplitude=0.2, width=0.12)
         state = GeodesicState(DiffeoChart.identity(grid), u0)
         dt = 5e-3
         traj = integrate_geodesic(mult, state, 5 * dt, dt, snapshot_cadence=2)
+        start = None
 
         def rhs(f, v):
+            nonlocal start
             st = GeodesicState(DiffeoChart(SpectralVectorField(grid, f)),
                                SpectralVectorField(grid, v))
-            dphi, dv = spray_rhs(mult, st)
+            dphi, dv, inverse = spray_rhs(mult, st, start)
+            start = inverse.displacement_samples
             return dphi.coeffs, dv.coeffs
 
         f, v = state.phi.f.coeffs, state.v.coeffs

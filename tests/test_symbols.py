@@ -1,5 +1,7 @@
 """Tests for symbol classes: growth, ellipticity, square roots, Sylvester bound."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,15 @@ class TestPrincipalPositivity:
         cert = check_normal_ellipticity(fake, sphere_samples=64)
         assert not cert.verdict
         assert "homogeneity_violation" in cert.details
+
+    @pytest.mark.parametrize("check", [check_normal_ellipticity, check_strong_ellipticity])
+    def test_overflowing_principal_fails_without_warning(self, check):
+        # lam**degree overflowed on Python floats: once an OverflowError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert = check(sobolev_symbol(400, 2), 100)
+        assert cert.verdict is False
+        assert not np.isfinite(float(cert.details["homogeneity_violation"]))
 
     def test_strong_ellipticity_boundary(self):
         passing = check_strong_ellipticity(shear_laplacian_symbol(1.9), sphere_samples=512)
