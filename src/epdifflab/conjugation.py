@@ -12,6 +12,10 @@ recursion, symbol recursion + brute-force convolution) so each can serve as
 the oracle for the others, measures the growth envelope of ``a_n``, and
 verifies the antisymmetrized frozen-tensor identity behind that envelope.
 
+Inside this module ``B`` frequency tuples are component-major, ``(n+1, dim, B)``,
+and so is every tensor, ``(dim, ..., dim, B)``; the public functions take and
+return batch-major arrays through one conversion pair.
+
 Sign convention: with coefficients of ``exp(+2 pi i k.x/L)`` and the
 derivative rule ``d_j <-> 2 pi i k_j / L``, the symbol recursion is
 
@@ -98,11 +102,14 @@ def commutator_A1(mult: FourierMultiplier, u0: SpectralVectorField, u1: Spectral
 
 # --- symbol recursion ----------------------------------------------------------
 
-def _append_covector(tensor: np.ndarray, vec: np.ndarray, batch_ndim: int) -> np.ndarray:
-    """Tensor times ``vec^sharp``: append one covector axis."""
-    t_axes = tensor.ndim - batch_ndim
-    shaped = vec.reshape(vec.shape[:batch_ndim] + (1,) * t_axes + (vec.shape[-1],))
-    return tensor[..., None] * shaped
+def _component_major(xis: np.ndarray) -> np.ndarray:
+    """Batch-major tuples ``(..., m, dim)`` as component-major ``(m, dim, B)``."""
+    return xis.reshape((-1,) + xis.shape[-2:]).transpose(1, 2, 0)
+
+
+def _batch_major(tensor: np.ndarray, batch_shape: tuple[int, ...]) -> np.ndarray:
+    """Component-major ``(dim, ..., dim, B)`` as batch-major ``batch_shape + (dim, ..., dim)``."""
+    return np.moveaxis(tensor, -1, 0).reshape(batch_shape + tensor.shape[:-1])
 
 
 def symbol_an(symbol: MatrixSymbol, n: int, xis: np.ndarray) -> np.ndarray:
@@ -123,38 +130,43 @@ def symbol_an(symbol: MatrixSymbol, n: int, xis: np.ndarray) -> np.ndarray:
         values = symbol(xi.T)
         return (values if values.imag.any() else values.real).transpose(1, 2, 0)
 
-    brackets = _an(leaf, xis.reshape(-1, n + 1, symbol.dim).transpose(1, 2, 0))
-    batch_major = brackets.transpose(-1, *range(n + 2)).reshape(xis.shape[:-2] + brackets.shape[:-1])
-    return (2j * np.pi) ** n * batch_major
+    brackets = _an(leaf, _component_major(xis))
+    return (2j * np.pi) ** n * _batch_major(brackets, xis.shape[:-2])
 
 
-def _an(leaf: Callable[[np.ndarray], np.ndarray], tuples: np.ndarray, length: float = 1.0) -> np.ndarray:
-    """Bracket tensor ``a_n / (2 pi i)^n``, component-major.
+def _shift_difference(f: Callable[[np.ndarray], np.ndarray], tuples: np.ndarray, length: float = 1.0) -> np.ndarray:
+    """``sum_k [f(prefix) - f(prefix with slot k shifted by the last point)] (x) xi_k``.
 
-    ``tuples`` holds ``B`` frequency tuples as ``(n+1, dim, B)``, each point
-    in units of ``1/length``; ``leaf`` maps a ``(dim, B)`` block of points to
-    the symbol's ``(dim, dim, B)`` values there (float64 when they are real).
-    The result is ``(dim, dim, ..., dim, B)`` with the ``n+2`` component axes
-    of :func:`symbol_an` in front, and each covector ``xi_k = k/length`` is a
-    contiguous ``(dim, B)`` row, so the brackets come out in the layout that
-    :class:`ConvolutionKernel` stores.
+    ``tuples`` is component-major ``(m+1, dim, B)``, its first ``m`` points
+    the prefix, each in units of ``1/length``; ``f`` maps an ``(m, dim, B)``
+    prefix to a ``(..., B)`` tensor, and each term appends the covector
+    ``xi_k = prefix[k] / length`` as a new component axis before ``B``.
     """
     m = len(tuples) - 1
-    if m == 0:
-        return leaf(tuples[0])
     prefix, last = tuples[:m], tuples[m]
-    plain = _an(leaf, prefix, length)
+    plain = f(prefix)
     out = None
     for k in range(m):
         shifted = prefix.copy()
         shifted[k] += last
-        bracket = plain - _an(leaf, shifted, length)
-        term = bracket[..., None, :] * (prefix[k] / length)
+        term = (plain - f(shifted))[..., None, :] * (prefix[k] / length)
         if out is None:
             out = term
         else:
             out += term
     return out
+
+
+def _an(leaf: Callable[[np.ndarray], np.ndarray], tuples: np.ndarray, length: float = 1.0) -> np.ndarray:
+    """Bracket tensor ``a_n / (2 pi i)^n`` at ``(n+1, dim, B)`` tuples, component-major.
+
+    ``leaf`` maps a ``(dim, B)`` block of points to the symbol's ``(dim, dim, B)``
+    values there (float64 when they are real); the result is the layout that
+    :class:`ConvolutionKernel` stores.
+    """
+    if len(tuples) == 1:
+        return leaf(tuples[0])
+    return _shift_difference(lambda prefix: _an(leaf, prefix, length), tuples, length)
 
 
 # --- brute-force convolution oracle --------------------------------------------
@@ -366,47 +378,38 @@ def _permutation_sign(perm: tuple[int, ...]) -> int:
     return sign
 
 
-def t_frozen(
-    symbol: MatrixSymbol,
-    nn: int,
-    positions: tuple[int, ...],
-    frozen: np.ndarray,
-    xi: np.ndarray,
+def _t_frozen(
+    symbol: MatrixSymbol, nn: int, positions: tuple[int, ...], frozen: np.ndarray, xi: np.ndarray
 ) -> np.ndarray:
     """Rank-(nn+2) tensor ``a(xi) (x) c_1 (x) ... (x) c_nn`` with frozen slots.
 
-    Covector slot ``p`` (1-based) carries ``frozen[..., i, :]`` when
-    ``p == positions[i]`` and the running variable ``xi`` otherwise.
+    Covector slot ``p`` (1-based) carries ``frozen[i]`` (of ``(r, dim, B)``)
+    when ``p == positions[i]`` and the running points ``xi`` ``(dim, B)`` otherwise.
     """
-    batch_ndim = xi.ndim - 1
-    out = symbol(xi)
-    pos_to_frozen = {p: i for i, p in enumerate(positions)}
+    out = symbol(xi.T).transpose(1, 2, 0)
     for slot in range(1, nn + 1):
-        vec = frozen[..., pos_to_frozen[slot], :] if slot in pos_to_frozen else xi
-        out = _append_covector(out, vec, batch_ndim)
+        vec = frozen[positions.index(slot)] if slot in positions else xi
+        out = out[..., None, :] * vec
     return out
 
 
 def _s_tensor_scaled(
-    symbol: MatrixSymbol,
-    nn: int,
-    positions: tuple[int, ...],
-    frozen: np.ndarray,
-    free: np.ndarray,
+    symbol: MatrixSymbol, nn: int, positions: tuple[int, ...], frozen: np.ndarray, free: np.ndarray
 ) -> tuple[np.ndarray, float]:
+    """Component-major ``s_nn`` and the largest magnitude among its terms."""
     r = len(positions)
-    if frozen.shape[-2] != r or free.shape[-2] != nn - r + 1:
+    if len(frozen) != r or len(free) != nn - r + 1:
         raise ValueError("frozen/free argument counts do not match nn and positions")
-    base_sum = frozen.sum(axis=-2)
+    base_sum = frozen.sum(axis=0)
     out = None
     scale = 0.0
     for perm in itertools.permutations(range(r)):
         sign = _permutation_sign(perm)
-        frozen_perm = frozen[..., list(perm), :]
+        frozen_perm = frozen[list(perm)]
         for size in range(nn - r + 2):
             for J in itertools.combinations(range(nn - r + 1), size):
-                pt = base_sum + (free[..., list(J), :].sum(axis=-2) if J else 0.0)
-                term = t_frozen(symbol, nn, positions, frozen_perm, pt)
+                pt = base_sum + (free[list(J)].sum(axis=0) if J else 0.0)
+                term = _t_frozen(symbol, nn, positions, frozen_perm, pt)
                 scale = max(scale, float(np.abs(term).max()))
                 signed = sign * (-1) ** size * term
                 out = signed if out is None else out + signed
@@ -423,37 +426,33 @@ def s_tensor(
     """Alternating-sum tensor ``s_nn`` over frozen-argument permutations and
     free-argument subsets; skew-symmetric in the frozen block, symmetric in
     the free block."""
-    return _s_tensor_scaled(symbol, nn, positions, frozen, free)[0]
+    tensor, _ = _s_tensor_scaled(symbol, nn, positions, _component_major(frozen), _component_major(free))
+    return _batch_major(tensor, frozen.shape[:-2])
 
 
 def _rec_tensor_scaled(
     symbol: MatrixSymbol, nn: int, positions: tuple[int, ...], xis: np.ndarray
 ) -> tuple[np.ndarray, float]:
-    batch_ndim = xis.ndim - 2
     r = len(positions)
+    scale = 0.0
 
-    def s_of(args: np.ndarray) -> tuple[np.ndarray, float]:
-        return _s_tensor_scaled(symbol, nn, positions, args[..., :r, :], args[..., r:, :])
+    def minus_s(args: np.ndarray) -> np.ndarray:
+        # Rec(s) = -shift_difference(s) = shift_difference(-s); negating each s
+        # keeps the bits of s(shifted) - s(plain), zero signs included
+        nonlocal scale
+        tensor, term_scale = _s_tensor_scaled(symbol, nn, positions, args[:r], args[r:])
+        scale = max(scale, term_scale)
+        return -tensor
 
-    head = xis[..., : nn + 1, :]
-    last = xis[..., nn + 1, :]
-    plain, scale = s_of(head)
-    xi_mag = float(np.abs(xis).max())
-    out = None
-    for k in range(nn + 1):
-        shifted = head.copy()
-        shifted[..., k, :] += last
-        s_shift, sc = s_of(shifted)
-        scale = max(scale, sc)
-        term = _append_covector(s_shift - plain, xis[..., k, :], batch_ndim)
-        out = term if out is None else out + term
-    return out, scale * xi_mag
+    out = _shift_difference(minus_s, xis)
+    return out, scale * float(np.abs(xis).max())
 
 
 def rec_tensor(symbol: MatrixSymbol, nn: int, positions: tuple[int, ...], xis: np.ndarray) -> np.ndarray:
     """Apply the shift-difference recursion operator to ``s_nn`` at tuples
     ``(xi_0, ..., xi_{nn+1})`` of shape ``(..., nn+2, dim)``."""
-    return _rec_tensor_scaled(symbol, nn, positions, xis)[0]
+    tensor, _ = _rec_tensor_scaled(symbol, nn, positions, _component_major(xis))
+    return _batch_major(tensor, xis.shape[:-2])
 
 
 @dataclass(frozen=True)
@@ -490,15 +489,14 @@ def verify_sn_identity(
     the free block) and records the measured sign relating ``a_1`` to
     ``2 pi i s_1^1`` under this package's transform convention.
     """
-    if n > 2:
-        raise ValueError("identity check limited to n <= 2 (tensor storage guard)")
+    if n > MAX_DERIVATIVE_ORDER:
+        raise ValueError(f"derivative order limited to {MAX_DERIVATIVE_ORDER}, got {n}")
     if symbol.dim > 2:
         raise ValueError("identity check limited to dim <= 2 (tensor storage guard)")
     rng = np.random.default_rng(seed)
     d = symbol.dim
     cases: dict[str, float] = {}
     notes: list[str] = []
-    worst = 0.0
 
     def compare(lhs, rhs, term_scale):
         # relative to the result magnitude when the identity is non-trivial;
@@ -512,33 +510,26 @@ def verify_sn_identity(
 
     for r in range(1, n + 1):
         for positions in itertools.combinations(range(1, n + 1), r):
-            xis = rng.normal(0.0, 2.0, size=(num_tuples, n + 2, d))
+            tag = f"r{r}_p{'_'.join(map(str, positions))}"
+            xis = _component_major(rng.normal(0.0, 2.0, size=(num_tuples, n + 2, d)))
             lhs, scale_l = _rec_tensor_scaled(symbol, n, positions, xis)
-            free_first = np.concatenate([xis[..., r : n + 1, :], xis[..., n + 1 :, :]], axis=-2)
-            rhs1, scale_1 = _s_tensor_scaled(symbol, n + 1, positions, xis[..., :r, :], free_first)
-            frozen_second = np.concatenate([xis[..., :r, :], xis[..., n + 1 :, :]], axis=-2)
-            rhs2, scale_2 = _s_tensor_scaled(
-                symbol, n + 1, positions + (n + 1,), frozen_second, xis[..., r : n + 1, :]
-            )
-            rhs = -rhs1 - rhs2
-            err = compare(lhs, rhs, max(scale_l, scale_1, scale_2))
-            cases[f"identity_r{r}_p{'_'.join(map(str, positions))}"] = err
-            worst = max(worst, err)
+            rhs1, scale_1 = _s_tensor_scaled(symbol, n + 1, positions, xis[:r], xis[r:])
+            frozen_second = xis[[*range(r), n + 1]]
+            rhs2, scale_2 = _s_tensor_scaled(symbol, n + 1, positions + (n + 1,), frozen_second, xis[r : n + 1])
+            cases[f"identity_{tag}"] = compare(lhs, -rhs1 - rhs2, max(scale_l, scale_1, scale_2))
 
             # skew symmetry in the frozen block, symmetry in the free block
-            blocks = (xis[..., :r, :], xis[..., r : n + 1, :])
+            blocks = (xis[:r], xis[r : n + 1])
             swaps = [(kind, b, sign) for kind, b, sign in (("skew", 0, -1.0), ("sym", 1, 1.0))
-                     if blocks[b].shape[-2] >= 2]
+                     if len(blocks[b]) >= 2]
             if swaps:
                 s_plain, sc1 = _s_tensor_scaled(symbol, n, positions, *blocks)
             for kind, b, sign in swaps:
                 swapped = list(blocks)
-                swapped[b] = blocks[b].copy()
-                swapped[b][..., [0, 1], :] = blocks[b][..., [1, 0], :]
+                swapped[b] = blocks[b][[1, 0, *range(2, len(blocks[b]))]]
                 s_swap, sc2 = _s_tensor_scaled(symbol, n, positions, *swapped)
-                err = compare(s_plain, sign * s_swap, max(sc1, sc2))
-                cases[f"{kind}_r{r}_p{'_'.join(map(str, positions))}"] = err
-                worst = max(worst, err)
+                cases[f"{kind}_{tag}"] = compare(s_plain, sign * s_swap, max(sc1, sc2))
+    worst = max(cases.values(), default=0.0)
 
     # measured relation between a_1 and s_1^1 under this transform convention
     pair = rng.normal(0.0, 2.0, size=(8, 2, d))

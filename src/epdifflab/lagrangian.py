@@ -274,7 +274,11 @@ class GeodesicState:
             raise ChartError("chart and velocity grids differ")
 
     def eulerian_velocity(self) -> SpectralVectorField:
-        """Right logarithmic derivative ``u = v o phi^-1``."""
+        """Right logarithmic derivative ``u = v o phi^-1``, computed once per state."""
+        return self._eulerian_velocity
+
+    @cached_property
+    def _eulerian_velocity(self) -> SpectralVectorField:
         return compose(self.v, invert(self.phi))
 
 

@@ -452,12 +452,17 @@ def sylvester_solve(b: np.ndarray, a: np.ndarray) -> np.ndarray:
     return u @ x_tilde @ np.conj(u.T)
 
 
+def _eigh_sqrt(mats: np.ndarray, require_positive: bool) -> np.ndarray:
+    """Batched ``V sqrt(max(W, 0)) V^*`` from one ``eigh``, optionally rejecting non-positive ``W``."""
+    w, v = np.linalg.eigh(mats)
+    if require_positive and w.min() <= 0:
+        raise ValueError(f"matrix not positive definite (min eigenvalue {w.min():.3g})")
+    return np.einsum("...ik,...k,...jk->...ij", v, np.sqrt(np.maximum(w, 0.0)), np.conj(v))
+
+
 def hermitian_sqrt(mats: np.ndarray) -> np.ndarray:
     """Batched positive square root of Hermitian positive definite matrices."""
-    w, v = np.linalg.eigh(mats)
-    if w.min() <= 0:
-        raise ValueError(f"matrix not positive definite (min eigenvalue {w.min():.3g})")
-    return np.einsum("...ik,...k,...jk->...ij", v, np.sqrt(w), np.conj(v))
+    return _eigh_sqrt(mats, require_positive=True)
 
 
 def _check_flags(values: np.ndarray, points: np.ndarray, hermitian=True, positive_definite=True):
@@ -497,9 +502,7 @@ def sqrt_symbol(symbol: MatrixSymbol, check_points: Optional[np.ndarray] = None)
         base_principal = symbol.principal
 
         def principal(xi: np.ndarray) -> np.ndarray:
-            vals = np.asarray(base_principal(xi), dtype=complex)
-            w, v = np.linalg.eigh(vals)
-            return np.einsum("...ik,...k,...jk->...ij", v, np.sqrt(np.maximum(w, 0.0)), np.conj(v))
+            return _eigh_sqrt(np.asarray(base_principal(xi), dtype=complex), require_positive=False)
 
     return MatrixSymbol(
         dim=symbol.dim,

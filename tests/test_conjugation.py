@@ -9,6 +9,7 @@ from epdifflab.conjugation import (
     KERNEL_CHUNK,
     ConvolutionKernel,
     HeadroomError,
+    _t_frozen,
     apply_An_convolution,
     apply_An_recursive,
     commutator_A1,
@@ -18,7 +19,6 @@ from epdifflab.conjugation import (
     required_headroom,
     s_tensor,
     symbol_an,
-    t_frozen,
     verify_sn_identity,
 )
 from epdifflab.grid import SpectralVectorField, TorusGrid, directional_derivative
@@ -436,15 +436,46 @@ class TestFrozenTensors:
         assert np.abs(s - expected).max() < 1e-12 * np.abs(expected).max()
 
     def test_t_frozen_example(self):
-        # t_2^1(c)(xi) = a(xi) (x) c (x) xi
+        # t_2^1(c)(xi) = a(xi) (x) c (x) xi, component-major: frozen (r, dim, B), xi (dim, B)
         sym = sobolev_symbol(1.0, 1)
         frozen = np.array([[[2.0]]])
         xi = np.array([[3.0]])
-        out = t_frozen(sym, 2, (1,), frozen[:, 0:1, :][:, 0, :][:, None, :] * 1.0, xi)
+        out = _t_frozen(sym, 2, (1,), frozen, xi)
+        assert out.shape == (1, 1, 1, 1, 1)
         a_val = sym(xi)[0, 0, 0]
         assert out[0, 0, 0, 0, 0] == pytest.approx(a_val * 2.0 * 3.0)
 
+    def test_t_frozen_slots_in_order(self):
+        # t_3^2(c)(xi) = a(xi) (x) xi (x) c (x) xi over a batch of d = 2 points
+        sym = sobolev_symbol(1.0, 2)
+        rng = np.random.default_rng(8)
+        frozen, xi = rng.normal(size=(1, 2, 5)), rng.normal(size=(2, 5))
+        out = _t_frozen(sym, 3, (2,), frozen, xi)
+        expected = np.einsum("Bij,kB,lB,mB->ijklmB", sym(xi.T), xi, frozen[0], xi)
+        assert out.shape == (2, 2, 2, 2, 2, 5)
+        assert np.abs(out - expected).max() < 1e-12 * np.abs(expected).max()
+
     @pytest.mark.parametrize("n,dim", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_rec_tensor_is_the_identity_rhs(self, n, dim):
+        # Rec(s_n) = -s_{n+1} - s_{n+1}^{..., n+1}, through the public batch-major functions
+        sym = sobolev_symbol(1.5, dim)
+        rng = np.random.default_rng(40 + 10 * n + dim)
+        xis = rng.normal(0.0, 2.0, size=(20, n + 2, dim))
+        rec = rec_tensor(sym, n, (1,), xis)
+        assert rec.shape == (20,) + (dim,) * (n + 3)
+        rhs = -s_tensor(sym, n + 1, (1,), xis[:, :1], xis[:, 1:])
+        rhs -= s_tensor(sym, n + 1, (1, n + 1), xis[:, [0, n + 1]], xis[:, 1 : n + 1])
+        assert np.abs(rec - rhs).max() <= 1e-10 * np.abs(rhs).max()
+
+    def test_rec_tensor_batch_shape(self):
+        sym = sobolev_symbol(1.5, 2)
+        xis = np.random.default_rng(9).normal(size=(3, 4, 3, 2))
+        rec = rec_tensor(sym, 1, (1,), xis)
+        assert rec.shape == (3, 4) + (2,) * 4
+        row = rec_tensor(sym, 1, (1,), xis[1])
+        assert np.abs(rec[1] - row).max() <= 1e-14 * np.abs(row).max()
+
+    @pytest.mark.parametrize("n,dim", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)])
     def test_identity_on_random_tuples(self, n, dim):
         sym = sobolev_symbol(1.5, dim)  # order 3 weight
         report = verify_sn_identity(sym, n, num_tuples=100, seed=n * 10 + dim)
@@ -465,6 +496,6 @@ class TestFrozenTensors:
 
     def test_guards(self):
         with pytest.raises(ValueError):
-            verify_sn_identity(sobolev_symbol(1.0, 1), 3)
+            verify_sn_identity(sobolev_symbol(1.0, 1), 4)
         with pytest.raises(ValueError):
             verify_sn_identity(sobolev_symbol(1.0, 3), 1)

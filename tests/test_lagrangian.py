@@ -371,6 +371,18 @@ class TestSpray:
         e_gap = abs(lagrangian_energy(mult, lag) - eul.diagnostics[-1].energy)
         assert e_gap / eul.diagnostics[-1].energy < 1e-8
 
+    def test_velocity_and_energy_invert_the_chart_once(self, monkeypatch):
+        grid = TorusGrid(1, 64)
+        mult = sobolev_multiplier(1.5, grid)
+        state = GeodesicState(DiffeoChart(0.01 * band_limited(grid, 4, seed=3)), band_limited(grid, 4, seed=4))
+        calls = []
+        cold = lagrangian.invert
+        monkeypatch.setattr(lagrangian, "invert", lambda phi, start=None: calls.append(phi) or cold(phi, start))
+        u = state.eulerian_velocity()
+        lagrangian_energy(mult, state)
+        assert state.eulerian_velocity() is u
+        assert calls == [state.phi]
+
     def test_chart_stays_valid_along_geodesic(self):
         grid = TorusGrid(1, 128)
         mult = sobolev_multiplier(1.5, grid)
