@@ -1,0 +1,309 @@
+"""Layer timings of the Lagrangian solver, written to a ``BENCH_*.json`` record.
+
+Usage (from the repository root):
+
+    python bench/run_bench.py --output BENCH_lagrangian.json --baseline HEAD --rounds 3
+
+Times, at d=1 n=256 and d=2 n=64 on the datum of ``configs/consistency.ini``:
+``spray_at_identity``, a warm-started ``invert``, ``compose``, one
+``spray_rhs`` stage, and the whole ``integrate_geodesic`` run of that config.
+The run's sup velocity gap against the Eulerian solver is recorded beside
+it.  Machine-independent counts go with the timings: transform calls
+(``grid._rfft``/``grid._irfft``) and spline calls (``ndimage.spline_filter``
+/``map_coordinates``) per spray and per stage.
+
+Each round measures every side in a fresh child process.  The working tree
+is one side; ``--baseline REF`` adds the tree of a git commit as the other,
+exported with ``git archive`` into a temporary directory, and the two sides
+alternate their order from round to round.  The record holds each side's
+samples and medians, the relative change of every median (also paired by
+round), the machine, the numpy/scipy versions and the git SHA.  BLAS and OpenMP run one thread each.
+Needs only the standard library and the package's own dependencies.
+"""
+
+from __future__ import annotations
+
+import argparse
+import configparser
+import io
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+from time import perf_counter
+
+REPO = Path(__file__).resolve().parent.parent
+CONFIG = REPO / "configs" / "consistency.ini"
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+GRIDS = ((1, 256), (2, 64))
+# A timed sample repeats a call until it takes at least this long.
+MIN_SAMPLE_S = 0.05
+# The per-call timings use the chart after this many steps of the run, away
+# from the identity, with the inverse of the chart one step earlier as the
+# warm start.
+WARM_STEPS = 10
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--output", required=True, type=Path, help="where to write the JSON record")
+    parser.add_argument("--baseline", help="git ref of the tree to compare the working tree with")
+    parser.add_argument("--rounds", type=int, default=1, help="child processes per side")
+    parser.add_argument("--repeats", type=int, default=5, help="timed samples per call and round")
+    parser.add_argument("--child", type=Path, help=argparse.SUPPRESS)  # src directory to measure
+    return parser
+
+
+# --- measurements, in a child process ------------------------------------------------
+
+class CallCounter:
+    """Counts the calls of module attributes by replacing them with counting wrappers."""
+
+    def __init__(self, targets) -> None:
+        self.counts = {}
+        for module, name in targets:
+            key, fn = f"{module.__name__}.{name}", getattr(module, name)
+            self.counts[key] = 0
+            setattr(module, name, self._counted(key, fn))
+
+    def _counted(self, key: str, fn):
+        def counted(*args, **kwargs):
+            self.counts[key] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    def calls_in(self, call) -> dict[str, int]:
+        before = dict(self.counts)
+        call()
+        return {key: self.counts[key] - before[key] for key in self.counts}
+
+
+def _per_call_ms(call, repeats: int) -> list[float]:
+    """``repeats`` samples of the time per call in ms; a sample repeats the
+    call until it lasts ``MIN_SAMPLE_S``."""
+    call()
+    number = 1
+    while True:
+        start = perf_counter()
+        for _ in range(number):
+            call()
+        elapsed = perf_counter() - start
+        if elapsed >= MIN_SAMPLE_S:
+            break
+        number *= 2
+    samples = [1e3 * elapsed / number]
+    for _ in range(repeats - 1):
+        start = perf_counter()
+        for _ in range(number):
+            call()
+        samples.append(1e3 * (perf_counter() - start) / number)
+    return samples
+
+
+def _consistency_params() -> dict[str, float]:
+    parser = configparser.ConfigParser()
+    parser.read(CONFIG)
+    return {
+        "s": parser.getfloat("metric", "s"),
+        "dt": parser.getfloat("integrator", "dt"),
+        "t_end": parser.getfloat("integrator", "t_end"),
+        "amplitude": parser.getfloat("scenario", "amplitude"),
+        "width": parser.getfloat("scenario", "width"),
+    }
+
+
+def measure(repeats: int) -> dict:
+    """Samples, counts and gaps of the package that ``import epdifflab`` finds."""
+    import numpy as np
+    from scipy import ndimage
+
+    from epdifflab import grid as grid_module
+    from epdifflab.epdiff import EulerState, gaussian_blob, integrate
+    from epdifflab.lagrangian import (
+        DiffeoChart,
+        GeodesicState,
+        compose,
+        integrate_geodesic,
+        invert,
+        spray_at_identity,
+        spray_rhs,
+    )
+    from epdifflab.operators import sobolev_multiplier
+
+    def layer_calls(mult, state, warm):
+        """The timed calls on one state; ``warm`` starts ``invert``.  Invert and
+        the stage get a new chart per call, as each RK4 stage builds one, so no
+        spline filter of the chart carries over."""
+        f, v = state.phi.f, state.v
+        u = compose(v, invert(state.phi))
+        return {
+            "spray_at_identity": lambda: spray_at_identity(mult, u),
+            "invert_warm": lambda: invert(DiffeoChart(f), warm),
+            "compose": lambda: compose(v, state.phi),
+            "spray_rhs_stage": lambda: spray_rhs(mult, GeodesicState(DiffeoChart(f), v), warm),
+        }
+
+    params = _consistency_params()
+    dt = params["dt"]
+    samples, counts, values, counted = {}, {}, {}, {}
+    for dim, n in GRIDS:
+        tag = f"d{dim}_n{n}"
+        grid = grid_module.TorusGrid(dim, n)
+        mult = sobolev_multiplier(params["s"], grid)
+        u0 = gaussian_blob(grid, amplitude=params["amplitude"], width=params["width"])
+        initial = GeodesicState(DiffeoChart.identity(grid), u0)
+        *_, before, state = integrate_geodesic(mult, initial, WARM_STEPS * dt, dt, snapshot_cadence=1)
+        calls = layer_calls(mult, state, invert(before.phi).displacement_samples)
+        for name, call in calls.items():
+            samples[f"{tag}.{name}_ms"] = _per_call_ms(call, repeats)
+        counted[f"{tag}.per_spray"] = calls["spray_at_identity"]
+        counted[f"{tag}.per_stage"] = calls["spray_rhs_stage"]
+
+        start = perf_counter()
+        final = integrate_geodesic(mult, initial, params["t_end"], dt)[-1]
+        samples[f"{tag}.integrate_geodesic_s"] = [perf_counter() - start]
+        eulerian = integrate(mult, EulerState.from_velocity(mult, u0), params["t_end"], dt,
+                             cadence=10**9)
+        gap = np.abs(final.eulerian_velocity().samples() - eulerian.final_state.u.samples()).max()
+        values[f"{tag}.sup_velocity_gap"] = float(gap)
+    # counted after every timing, so that no timed call runs through a counting wrapper
+    counter = CallCounter([(grid_module, "_rfft"), (grid_module, "_irfft"),
+                           (ndimage, "spline_filter"), (ndimage, "map_coordinates")])
+    for key, call in counted.items():
+        counts[key] = counter.calls_in(call)
+    return {"samples": samples, "counts": counts, "values": values,
+            "transform_workers": grid_module.TRANSFORM_WORKERS}
+
+
+# --- the parent process -----------------------------------------------------------
+
+def _git(*args: str) -> str:
+    try:
+        return subprocess.run(["git", "-C", str(REPO), *args], capture_output=True,
+                              text=True, check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return ""
+
+
+def _export(ref: str, into: Path) -> str:
+    """Extract the tree of ``ref`` into ``into``; return its SHA."""
+    sha = _git("rev-parse", "--verify", f"{ref}^{{commit}}")
+    if not sha:
+        sys.exit(f"--baseline: {ref!r} is not a commit of {REPO}")
+    archive = subprocess.run(["git", "-C", str(REPO), "archive", "--format=tar", sha, "src"],
+                             capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(into, filter="data")
+    return sha
+
+
+def _run_child(src: Path, repeats: int) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(src), **{var: "1" for var in THREAD_VARS})
+    out = subprocess.run([sys.executable, __file__, "--output", os.devnull, "--repeats", str(repeats),
+                          "--child", str(src)], env=env, capture_output=True, text=True)
+    if out.returncode != 0:
+        sys.exit(f"measuring {src} failed:\n{out.stderr}")
+    return json.loads(out.stdout)
+
+
+def _machine() -> dict:
+    import numpy
+    import scipy
+
+    try:
+        cpuinfo = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        cpuinfo = ""
+    model = next((line.split(":", 1)[1].strip() for line in cpuinfo.splitlines()
+                  if line.startswith("model name")), platform.processor() or "unknown")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return {"cpu_model": model, "cpus": cpus, "platform": platform.platform(),
+            "python": platform.python_version(), "numpy": numpy.__version__,
+            "scipy": scipy.__version__, "threads": {var: "1" for var in THREAD_VARS}}
+
+
+def _side(runs: list[dict], label: str, sha: str, modified: bool) -> dict:
+    keys = runs[0]["samples"]
+    return {
+        "label": label,
+        "git_sha": sha,
+        "tree_modified": modified,
+        "transform_workers": runs[0]["transform_workers"],
+        "medians": {key: statistics.median(x for run in runs for x in run["samples"][key])
+                    for key in keys},
+        "round_medians": {key: [statistics.median(run["samples"][key]) for run in runs]
+                          for key in keys},
+        "samples": {key: [run["samples"][key] for run in runs] for key in keys},
+        "counts": runs[0]["counts"],
+        "values": runs[0]["values"],
+    }
+
+
+def _relative_change(parent: dict, change: dict) -> dict:
+    """Per timing: the change of the medians, the median over rounds of the
+    change of the round medians (the two sides of a round run back to back,
+    so host load that drifts between rounds cancels), and the rounds in
+    which the change was faster."""
+    out = {}
+    for key, value in change["medians"].items():
+        pairs = list(zip(parent["round_medians"][key], change["round_medians"][key]))
+        out[key] = {
+            "of_medians": value / parent["medians"][key] - 1.0,
+            "paired": statistics.median(c / p for p, c in pairs) - 1.0,
+            "rounds_faster": sum(c < p for p, c in pairs),
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    if args.child is not None:
+        import epdifflab
+
+        if Path(epdifflab.__file__).resolve().parent.parent != args.child.resolve():
+            sys.exit(f"epdifflab was imported from {epdifflab.__file__}, not from {args.child}")
+        print(json.dumps(measure(args.repeats)))
+        return 0
+    head = _git("rev-parse", "HEAD")
+    modified = bool(_git("status", "--porcelain", "--", "src"))
+    with tempfile.TemporaryDirectory() as tmp:
+        sides = {"change": REPO / "src"}
+        shas = {"change": head or "unavailable (not a git checkout)"}
+        if args.baseline:
+            shas["parent"] = _export(args.baseline, Path(tmp))
+            sides = {"parent": Path(tmp) / "src", "change": REPO / "src"}
+        runs = {label: [] for label in sides}
+        for r in range(args.rounds):
+            order = list(sides) if r % 2 == 0 else list(sides)[::-1]
+            for label in order:
+                runs[label].append(_run_child(sides[label], args.repeats))
+    record = {
+        "command": "python bench/run_bench.py " + " ".join(argv if argv is not None else sys.argv[1:]),
+        "config": str(CONFIG.relative_to(REPO)),
+        "rounds": args.rounds,
+        "repeats": args.repeats,
+        "machine": _machine(),
+        "sides": {label: _side(runs[label], label, shas[label], label == "change" and modified)
+                  for label in sides},
+    }
+    if "parent" in sides:
+        record["relative_change"] = _relative_change(record["sides"]["parent"], record["sides"]["change"])
+    args.output.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    for key, value in record["sides"]["change"]["medians"].items():
+        line = f"{key:40s} {value:12.4f}"
+        if "parent" in sides:
+            delta = record["relative_change"][key]
+            line += (f"  parent {record['sides']['parent']['medians'][key]:12.4f}"
+                     f"  paired {100 * delta['paired']:+6.1f}%"
+                     f"  faster in {delta['rounds_faster']}/{args.rounds} rounds")
+        print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

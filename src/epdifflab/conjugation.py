@@ -379,14 +379,15 @@ def _permutation_sign(perm: tuple[int, ...]) -> int:
 
 
 def _t_frozen(
-    symbol: MatrixSymbol, nn: int, positions: tuple[int, ...], frozen: np.ndarray, xi: np.ndarray
+    a_xi: np.ndarray, nn: int, positions: tuple[int, ...], frozen: np.ndarray, xi: np.ndarray
 ) -> np.ndarray:
     """Rank-(nn+2) tensor ``a(xi) (x) c_1 (x) ... (x) c_nn`` with frozen slots.
 
-    Covector slot ``p`` (1-based) carries ``frozen[i]`` (of ``(r, dim, B)``)
-    when ``p == positions[i]`` and the running points ``xi`` ``(dim, B)`` otherwise.
+    ``a_xi`` holds the symbol at the running points ``xi`` ``(dim, B)``, as
+    ``(dim, dim, B)``.  Covector slot ``p`` (1-based) carries ``frozen[i]``
+    (of ``(r, dim, B)``) when ``p == positions[i]`` and ``xi`` otherwise.
     """
-    out = symbol(xi.T).transpose(1, 2, 0)
+    out = a_xi
     for slot in range(1, nn + 1):
         vec = frozen[positions.index(slot)] if slot in positions else xi
         out = out[..., None, :] * vec
@@ -396,23 +397,28 @@ def _t_frozen(
 def _s_tensor_scaled(
     symbol: MatrixSymbol, nn: int, positions: tuple[int, ...], frozen: np.ndarray, free: np.ndarray
 ) -> tuple[np.ndarray, float]:
-    """Component-major ``s_nn`` and the largest magnitude among its terms."""
+    """Component-major ``s_nn`` and the largest magnitude among its terms.
+
+    A term's point depends only on its free subset, so the symbol is
+    evaluated once per subset and shared by every frozen permutation.
+    """
     r = len(positions)
     if len(frozen) != r or len(free) != nn - r + 1:
         raise ValueError("frozen/free argument counts do not match nn and positions")
     base_sum = frozen.sum(axis=0)
+    subsets = [J for size in range(nn - r + 2) for J in itertools.combinations(range(nn - r + 1), size)]
+    points = [base_sum + (free[list(J)].sum(axis=0) if J else 0.0) for J in subsets]
+    values = [symbol(pt.T).transpose(1, 2, 0) for pt in points]
     out = None
     scale = 0.0
     for perm in itertools.permutations(range(r)):
         sign = _permutation_sign(perm)
         frozen_perm = frozen[list(perm)]
-        for size in range(nn - r + 2):
-            for J in itertools.combinations(range(nn - r + 1), size):
-                pt = base_sum + (free[list(J)].sum(axis=0) if J else 0.0)
-                term = _t_frozen(symbol, nn, positions, frozen_perm, pt)
-                scale = max(scale, float(np.abs(term).max()))
-                signed = sign * (-1) ** size * term
-                out = signed if out is None else out + signed
+        for J, pt, a_pt in zip(subsets, points, values):
+            term = _t_frozen(a_pt, nn, positions, frozen_perm, pt)
+            scale = max(scale, float(np.abs(term).max()))
+            signed = sign * (-1) ** len(J) * term
+            out = signed if out is None else out + signed
     return out, scale
 
 

@@ -72,6 +72,13 @@ class EulerState:
         of :func:`integrate` and the first RK4 substep of each try share it."""
         return cfl_limit(self.u)
 
+    @cached_property
+    def sup_gradient(self) -> float:
+        """:func:`sup_velocity_gradient` of ``u``, evaluated once per state:
+        the threshold check of :func:`integrate`, :func:`diagnostics` and
+        :func:`default_blowup_threshold` share it."""
+        return sup_velocity_gradient(self.u)
+
 
 @dataclass(frozen=True, eq=False)
 class Diagnostics:
@@ -98,7 +105,7 @@ def diagnostics(
         t=state.t,
         energy=energy,
         total_momentum=state.m.integral(),
-        sup_velocity_gradient=sup_velocity_gradient(state.u),
+        sup_velocity_gradient=state.sup_gradient,
         sobolev_norms={q: sobolev_norm(state.u, q) for q in norm_orders},
     )
 
@@ -107,11 +114,17 @@ def diagnostics(
 
 def momentum_transport(v: SpectralVectorField, m: SpectralVectorField) -> SpectralVectorField:
     """Transport term ``(v . grad) m + (grad v)^T m + (div v) m``, dealiased."""
+    return SpectralVectorField(v.grid, _transport_full(v, m))
+
+
+def _transport_full(v: SpectralVectorField, m: SpectralVectorField, advection: bool = False) -> np.ndarray:
+    """Spectra of :func:`momentum_transport`, ``(d, n, ..., n)``; with
+    ``advection``, followed by those of ``(v . grad) v`` from the same pass."""
     grid, d = v.grid, v.grid.dim
     stack = _transport_stack(grid)
     stack[:d] = v.coeffs[..., :grid.plan.half]
     stack[d:2 * d] = m.coeffs[..., :grid.plan.half]
-    return SpectralVectorField(grid, _full(grid, _transport_half(grid, stack)))
+    return _full(grid, _transport_half(grid, stack, advection))
 
 
 def _transport_stack(grid: TorusGrid) -> np.ndarray:
@@ -129,9 +142,15 @@ def _transport_stack(grid: TorusGrid) -> np.ndarray:
     return np.empty((rows,) + grid.plan.half_shape, dtype=complex)
 
 
-def _transport_half(grid: TorusGrid, stack: np.ndarray) -> np.ndarray:
+def _transport_half(grid: TorusGrid, stack: np.ndarray, advection: bool = False) -> np.ndarray:
     """Half spectra of the transport term; ``stack`` from :func:`_transport_stack`
-    holds the half spectra of ``v`` and then ``m`` in its first ``2d`` rows."""
+    holds the half spectra of ``v`` and then ``m`` in its first ``2d`` rows.
+
+    With ``advection``, ``d`` more rows follow: ``(v . grad) v^j``, the sum
+    over ``i`` of ``v^i d_i v^j``, formed from the padded samples of ``v``
+    and of its gradients that the transport term samples anyway.  All ``2d``
+    rows share one truncation.
+    """
     plan = grid.plan
     d = grid.dim
     factors = plan.factors
@@ -153,15 +172,21 @@ def _transport_half(grid: TorusGrid, stack: np.ndarray) -> np.ndarray:
             gradients(i, stack[2 * d * (i + 1) + 1:2 * d * (i + 2) + 1])
     padded = padded_samples(grid, stack)
     ms, div = padded[d:2 * d], padded[2 * d]
-    out = np.empty((d,) + plan.padded_shape)
+    out = np.empty((2 * d if advection else d,) + plan.padded_shape)
+    adv = out[d:]
     for i in range(d):
         # unless fused, one component's padded gradients at a time, freed after use
         lo = 2 * d * (i + 1) + 1
-        np.einsum("k...,k...->...", padded[:2 * d],
-                  padded[lo:lo + 2 * d] if fused else
-                  padded_samples(grid, gradients(i, np.empty_like(stack[:2 * d]))),
-                  out=out[i])
+        grads = (padded[lo:lo + 2 * d] if fused else
+                 padded_samples(grid, gradients(i, np.empty_like(stack[:2 * d]))))
+        np.einsum("k...,k...->...", padded[:2 * d], grads, out=out[i])
         out[i] += div * ms[i]
+        if advection:  # grads[d + j] samples d_i v^j
+            if i == 0:
+                np.multiply(padded[0], grads[d:], out=adv)
+            else:
+                adv += padded[i] * grads[d:]
+        del grads
     return _truncate_half(grid, out)
 
 
@@ -344,7 +369,7 @@ def integrate(
             drift = abs(0.5 * l2_inner(state.m, state.u) - e0)
             if drift > RESOLVED_ENERGY_DRIFT * abs(e0):
                 resolved_until = state.t
-        crossed = grad_threshold is not None and sup_velocity_gradient(state.u) > grad_threshold
+        crossed = grad_threshold is not None and state.sup_gradient > grad_threshold
         if crossed or step % cadence == 0 or step == n_steps:
             emit(state)
             if crossed:
@@ -354,7 +379,7 @@ def integrate(
 
 def default_blowup_threshold(initial: EulerState) -> float:
     """Scale-aware default: a thousandfold growth over the initial gradient."""
-    return 1e3 * (sup_velocity_gradient(initial.u) + 1.0)
+    return 1e3 * (initial.sup_gradient + 1.0)
 
 
 @dataclass(frozen=True)

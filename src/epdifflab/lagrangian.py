@@ -5,7 +5,9 @@ positive Jacobian determinant.  Composition ``u o phi`` is evaluated by
 periodic quintic B-spline interpolation of grid samples (error O(n^-6) for
 smooth fields), inversion by damped Newton iteration on the displacement with
 a fixed-point fallback, warm-started from the previous RK4 stage's inverse
-inside :func:`integrate_geodesic`.  The Lagrangian solver built on these is
+inside :func:`integrate_geodesic`.  Spline prefilters and evaluations write
+each component into one preallocated array.  The spray at the identity
+shares the Eulerian transport pass.  The Lagrangian solver built on these is
 cross-validation machinery for the Eulerian one: composition and
 interpolation error accumulates, so the Eulerian path stays authoritative for
 long runs.
@@ -24,11 +26,10 @@ from .grid import (
     Field,
     SpectralVectorField,
     TorusGrid,
-    directional_derivative,
     jacobian_coeffs,
     _samples,
 )
-from .epdiff import _rk4, momentum_transport, step_count
+from .epdiff import _rk4, _transport_full, step_count
 from .operators import FourierMultiplier, apply, apply_inverse, sobolev_norm
 
 SPLINE_ORDER = 5
@@ -46,16 +47,21 @@ class InversionError(RuntimeError):
 
 def _spline_filter(samples: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """Prefilter each component of grid samples; shape ``(components, n, ..., n)``."""
-    return np.stack([ndimage.spline_filter(c, order=SPLINE_ORDER, mode="grid-wrap")
-                     for c in samples.reshape((-1,) + grid.shape)])
+    components = samples.reshape((-1,) + grid.shape)
+    out = np.empty(components.shape)
+    for c, o in zip(components, out):
+        ndimage.spline_filter(c, order=SPLINE_ORDER, mode="grid-wrap", output=o)
+    return out
 
 
 def _eval_filtered(filtered: np.ndarray, points: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """Evaluate each prefiltered component at physical points of shape (d, ...)."""
     coords = (points * (grid.n / grid.length)).reshape(grid.dim, -1)
-    return np.stack([ndimage.map_coordinates(c, coords, order=SPLINE_ORDER, mode="grid-wrap",
-                                             prefilter=False).reshape(points.shape[1:])
-                     for c in filtered])
+    out = np.empty((len(filtered), coords.shape[1]))
+    for c, o in zip(filtered, out):
+        ndimage.map_coordinates(c, coords, order=SPLINE_ORDER, mode="grid-wrap",
+                                prefilter=False, output=o)
+    return out.reshape((len(filtered),) + points.shape[1:])
 
 
 def _det(m: np.ndarray) -> np.ndarray:
@@ -285,10 +291,14 @@ class GeodesicState:
 def spray_at_identity(mult: FourierMultiplier, u: SpectralVectorField) -> SpectralVectorField:
     """Quadratic spray ``S(u) = A^-1([A, grad_u] u - (grad u)^T A u - (div u) A u)``.
 
-    Collected as ``A^-1(A (u . grad) u - momentum_transport(u, A u))``.
+    Collected as ``A^-1(A (u . grad) u - momentum_transport(u, A u))``.  Both
+    quadratic terms come from one padded-grid pass, the transport pass of the
+    Eulerian solver: at d=1 one inverse and one forward transform call.
     """
-    return apply_inverse(mult, apply(mult, directional_derivative(u, u))
-                         - momentum_transport(u, apply(mult, u)))
+    grid, d = u.grid, u.grid.dim
+    terms = _transport_full(u, apply(mult, u), advection=True)
+    transport, advection = SpectralVectorField(grid, terms[:d]), SpectralVectorField(grid, terms[d:])
+    return apply_inverse(mult, apply(mult, advection) - transport)
 
 
 def spray_rhs(mult: FourierMultiplier, state: GeodesicState, start: Optional[np.ndarray] = None):

@@ -440,7 +440,7 @@ class TestFrozenTensors:
         sym = sobolev_symbol(1.0, 1)
         frozen = np.array([[[2.0]]])
         xi = np.array([[3.0]])
-        out = _t_frozen(sym, 2, (1,), frozen, xi)
+        out = _t_frozen(sym(xi.T).transpose(1, 2, 0), 2, (1,), frozen, xi)
         assert out.shape == (1, 1, 1, 1, 1)
         a_val = sym(xi)[0, 0, 0]
         assert out[0, 0, 0, 0, 0] == pytest.approx(a_val * 2.0 * 3.0)
@@ -450,7 +450,7 @@ class TestFrozenTensors:
         sym = sobolev_symbol(1.0, 2)
         rng = np.random.default_rng(8)
         frozen, xi = rng.normal(size=(1, 2, 5)), rng.normal(size=(2, 5))
-        out = _t_frozen(sym, 3, (2,), frozen, xi)
+        out = _t_frozen(sym(xi.T).transpose(1, 2, 0), 3, (2,), frozen, xi)
         expected = np.einsum("Bij,kB,lB,mB->ijklmB", sym(xi.T), xi, frozen[0], xi)
         assert out.shape == (2, 2, 2, 2, 2, 5)
         assert np.abs(out - expected).max() < 1e-12 * np.abs(expected).max()

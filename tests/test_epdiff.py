@@ -194,6 +194,19 @@ class TestStepping:
         assert res.status == "completed"
         assert calls == {"cfl_limit": 10, "step_rk4": 10}
 
+    def test_sup_gradient_once_per_state(self, grid, ch, monkeypatch):
+        # the default threshold, the first emission, each threshold check
+        # and each emission of one state share one evaluation
+        calls = []
+        fn = epdiff_module.sup_velocity_gradient
+        monkeypatch.setattr(epdiff_module, "sup_velocity_gradient", lambda u: calls.append(u) or fn(u))
+        st = EulerState.from_velocity(ch, gaussian_blob(grid, amplitude=0.2))
+        threshold = default_blowup_threshold(st)
+        res = integrate(ch, st, 0.05, 5e-3, cadence=2, grad_threshold=threshold)
+        assert res.status == "completed"
+        assert len(calls) == 1 + 10
+        assert [d.sup_velocity_gradient for d in res.diagnostics] == [fn(u) for u in calls[::2]]
+
     def test_energy_and_momentum_conservation_short(self, grid):
         mult = sobolev_multiplier(1.5, grid)
         st = EulerState.from_velocity(mult, gaussian_blob(grid, amplitude=0.25, width=0.1))

@@ -18,6 +18,7 @@ from epdifflab.epdiff import (
     diagnostics,
     gaussian_blob,
     integrate,
+    momentum_transport,
 )
 from epdifflab.grid import (
     SpectralVectorField,
@@ -43,7 +44,7 @@ from epdifflab.lagrangian import (
     _det,
     _solve,
 )
-from epdifflab.operators import apply, sobolev_multiplier, sobolev_norm
+from epdifflab.operators import apply, apply_inverse, sobolev_multiplier, sobolev_norm
 
 from test_grid import band_limited
 
@@ -428,6 +429,27 @@ class TestSpray:
         for st, (f, v) in zip(traj, expected):
             assert np.array_equal(st.phi.f.coeffs, f)
             assert np.array_equal(st.v.coeffs, v)
+
+    def test_matches_the_two_pass_spray(self, monkeypatch):
+        # the one-pass spray gives the bits of the former two passes (the
+        # advective derivative, then the transport term) along a whole run
+        grid = TorusGrid(1, 256)
+        mult = sobolev_multiplier(1.5, grid)
+        state = GeodesicState(DiffeoChart.identity(grid), gaussian_blob(grid, amplitude=0.25, width=0.1))
+        one_pass = integrate_geodesic(mult, state, 0.02, 1e-3)[-1]
+
+        calls = []
+
+        def two_pass_spray(mult, u):
+            calls.append(u)
+            return apply_inverse(mult, apply(mult, directional_derivative(u, u))
+                                 - momentum_transport(u, apply(mult, u)))
+
+        monkeypatch.setattr(lagrangian, "spray_at_identity", two_pass_spray)
+        two_pass = integrate_geodesic(mult, state, 0.02, 1e-3)[-1]
+        assert len(calls) == 4 * 20
+        assert np.array_equal(one_pass.phi.f.coeffs, two_pass.phi.f.coeffs)
+        assert np.array_equal(one_pass.v.coeffs, two_pass.v.coeffs)
 
     def test_zero_steps_rejected(self, grid):
         mult = sobolev_multiplier(1.5, grid)

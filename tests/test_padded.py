@@ -18,6 +18,10 @@ stage they replaced (``apply_inverse``, the transport term on full spectra,
 and the completion of every negative bin at once) must give the same bits,
 step after step.
 
+The spray takes its advective term from the transport pass; a test-local
+copy of the two passes it replaced (``directional_derivative`` and then
+``momentum_transport``) must give the same bits at d=1.
+
 A stack split into several transform calls runs its chunks on worker
 threads; the passes and the steps must give the same bits for every worker
 count, and a stack that fits one call must start no thread.
@@ -36,6 +40,7 @@ from epdifflab.epdiff import (
     EulerState,
     euler_rhs,
     momentum_transport,
+    gaussian_blob,
     peakon_pair,
     random_bandlimited,
     step_rk4,
@@ -451,6 +456,53 @@ def test_truncate_and_from_samples_match_old_completion(dim, n):
     samples = _full_band_samples(grid, 14)
     got = SpectralVectorField.from_samples(grid, samples).coeffs
     assert np.array_equal(got, full_from_samples(grid, samples))
+
+
+# --- the two-pass spray the one-pass spray replaced -------------------------------
+
+def two_pass_spray(mult, u):
+    return apply_inverse(mult, apply(mult, directional_derivative(u, u))
+                         - momentum_transport(u, apply(mult, u)))
+
+
+@pytest.mark.parametrize("datum", ["peakon", "blob"])
+def test_spray_matches_two_passes_1d(datum):
+    grid = TorusGrid(1, 256)
+    u = peakon_pair(grid, 0.5, 0.3, 0.08) if datum == "peakon" else gaussian_blob(grid, 0.25, 0.1)
+    for s in (1.0, 1.5):
+        mult = sobolev_multiplier(s, grid)
+        assert np.array_equal(spray_at_identity(mult, u).coeffs, two_pass_spray(mult, u).coeffs)
+
+
+def test_spray_1d_is_one_padded_pass(monkeypatch):
+    grid = TorusGrid(1, 256)
+    mult = sobolev_multiplier(1.5, grid)
+    u = gaussian_blob(grid, 0.25, 0.1)
+    calls = {"_rfft": 0, "_irfft": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(grid_module, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(grid_module, name, counted)
+    spray_at_identity(mult, u)
+    assert calls == {"_rfft": 1, "_irfft": 1}
+
+
+@pytest.mark.parametrize("dim,n", [(2, 32), (2, 64), (3, 16)])
+def test_spray_matches_two_passes_every_worker_count(dim, n, monkeypatch):
+    # d=2 n=32 samples the gradients in the shared call, d=2 n=64 and d=3
+    # n=16 one component at a time; d=3 n=16 splits its stacks into pairs
+    results = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(grid_module, "TRANSFORM_WORKERS", workers)
+        grid = TorusGrid(dim, n, LENGTH)  # a new grid builds its plan with the patched count
+        mult = sobolev_multiplier(SOBOLEV_ORDER, grid)
+        u = _noise(grid, 20)
+        got = spray_at_identity(mult, u)
+        assert _rel(got, two_pass_spray(mult, u)) <= TOL
+        results.append(got.coeffs)
+    for got in results[1:]:
+        assert np.array_equal(got, results[0])
 
 
 def test_euler_rhs_keeps_the_checks_of_apply_inverse():
