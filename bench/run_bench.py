@@ -1,4 +1,5 @@
-"""Layer timings of the Lagrangian solver, written to a ``BENCH_*.json`` record.
+"""Layer timings of the Lagrangian solver and the convolution oracle, written
+to a ``BENCH_*.json`` record.
 
 Usage (from the repository root):
 
@@ -11,6 +12,13 @@ The run's sup velocity gap against the Eulerian solver is recorded beside
 it.  Machine-independent counts go with the timings: transform calls
 (``grid._rfft``/``grid._irfft``) and spline calls (``ndimage.spline_filter``
 /``map_coordinates``) per spray and per stage.
+
+The oracle group times, for the four cases of acceptance criterion 1, the
+``ConvolutionKernel`` build, one ``apply`` and one ``apply_An_recursive`` on a
+band-limited draw with headroom, and ``estimate_Cn`` at ``xi_max`` 500 and
+1000 for orders 1 and 2.  It counts the kernel tuples per case and the
+``symbol_an`` calls per ``estimate_Cn``, and records the oracle's relative
+error and the envelope ratios as values.
 
 Each round measures every side in a fresh child process.  The working tree
 is one side; ``--baseline REF`` adds the tree of a git commit as the other,
@@ -25,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import io
 import json
 import os
@@ -47,6 +56,8 @@ MIN_SAMPLE_S = 0.05
 # from the identity, with the inverse of the chart one step earlier as the
 # warm start.
 WARM_STEPS = 10
+# (dim, n, order) of the acceptance-1 oracle cases
+ORACLE_CASES = ((1, 16, 1), (1, 16, 2), (2, 8, 1), (2, 8, 2))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -176,8 +187,50 @@ def measure(repeats: int) -> dict:
                            (ndimage, "spline_filter"), (ndimage, "map_coordinates")])
     for key, call in counted.items():
         counts[key] = counter.calls_in(call)
+    measure_oracle(repeats, samples, counts, values)
     return {"samples": samples, "counts": counts, "values": values,
             "transform_workers": grid_module.TRANSFORM_WORKERS}
+
+
+def measure_oracle(repeats: int, samples: dict, counts: dict, values: dict) -> None:
+    """The oracle group: kernel build, ``apply``, the operator recursion and
+    the growth envelope, as the ``tower_oracle`` benchmark workload runs them."""
+    import numpy as np
+
+    from epdifflab import conjugation
+    from epdifflab.epdiff import bandlimited_draw
+    from epdifflab.grid import TorusGrid
+    from epdifflab.operators import sobolev_multiplier
+    from epdifflab.symbols import sobolev_symbol
+
+    for dim, n, order in ORACLE_CASES:
+        tag = f"oracle.d{dim}_n{n}_order{order}"
+        mult = sobolev_multiplier(1.0, TorusGrid(dim, n))
+        rng = np.random.default_rng(1000 + 10 * order + dim)
+        kmax = (n // 2 - 1) // (order + 1)
+        fields = [bandlimited_draw(mult.grid, kmax, rng) for _ in range(order + 1)]
+        kernel = conjugation.ConvolutionKernel(mult, order)
+        samples[f"{tag}.build_ms"] = _per_call_ms(lambda: conjugation.ConvolutionKernel(mult, order), repeats)
+        samples[f"{tag}.apply_ms"] = _per_call_ms(lambda: kernel.apply(*fields), repeats)
+        samples[f"{tag}.apply_An_recursive_ms"] = _per_call_ms(
+            lambda: conjugation.apply_An_recursive(mult, order, *fields), repeats)
+        counts[tag] = {"kernel_tuples": sum(idx.shape[1] for idx, _, _ in kernel.chunks)}
+        rec = conjugation.apply_An_recursive(mult, order, *fields).coeffs
+        conv = kernel.apply(*fields).coeffs
+        values[f"{tag}.rel_err"] = float(np.abs(rec - conv).max() / np.abs(rec).max())
+
+    metric = sobolev_symbol(1.0, 1)
+    envelopes = {}
+    for order in (1, 2):
+        for xi_max in (500.0, 1000.0):
+            tag = f"oracle.estimate_Cn_n{order}_xi{xi_max:g}"
+            call = envelopes[tag] = functools.partial(conjugation.estimate_Cn, metric, order, xi_max=xi_max)
+            samples[f"{tag}_ms"] = _per_call_ms(call, repeats)
+            values[f"{tag}.max_ratio"] = call().max_ratio
+    # counted after every timing, as in measure()
+    counter = CallCounter([(conjugation, "symbol_an")])
+    for tag, call in envelopes.items():
+        counts[tag] = counter.calls_in(call)
 
 
 # --- the parent process -----------------------------------------------------------
@@ -295,7 +348,7 @@ def main(argv=None) -> int:
         record["relative_change"] = _relative_change(record["sides"]["parent"], record["sides"]["change"])
     args.output.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     for key, value in record["sides"]["change"]["medians"].items():
-        line = f"{key:40s} {value:12.4f}"
+        line = f"{key:44s} {value:12.4f}"
         if "parent" in sides:
             delta = record["relative_change"][key]
             line += (f"  parent {record['sides']['parent']['medians'][key]:12.4f}"

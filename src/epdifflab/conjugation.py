@@ -195,9 +195,12 @@ class ConvolutionKernel:
     chunks of that range ``KERNEL_CHUNK`` long.  Each chunk holds the field indices ``idx`` ``(n+1, B)`` of its tuples, the brackets
     ``a_n / (2 pi i)^n`` stored component-major as ``(dim, dim^(n+1), B)``
     (float64 for a real symbol, complex128 otherwise), and the flat output
-    mode ``lin`` of each tuple.  Applying it contracts the gathered fields'
-    outer product against each chunk, scatters with ``bincount`` and
-    multiplies once by ``(2 pi i)^n L^(-n dim)``.
+    mode ``lin`` of each tuple.  The build costs all ``modes^(n+1)`` tuples;
+    an apply costs only the live ones, tuples with a nonzero coefficient in
+    every input.  It contracts the gathered fields' outer product against
+    each chunk's live tuples, scatters with ``bincount`` and multiplies once
+    by ``(2 pi i)^n L^(-n dim)``.  Fields must be finite (``ValueError``
+    otherwise), since a dropped tuple would hide a ``0 * inf``.
     """
 
     def __init__(self, mult: FourierMultiplier, n: int):
@@ -251,9 +254,26 @@ class ConvolutionKernel:
         d = grid.dim
         modes = grid.n**d
         coeffs = [f.coeffs.reshape(d, modes) for f in fields]
+        if not all(np.isfinite(c).all() for c in coeffs):
+            raise ValueError("convolution oracle needs finite field coefficients")
+        # a tuple with an all-zero mode in some input adds +-0 to its bin, and a
+        # bincount sum (from +0, never -0) keeps its bits, so only live tuples
+        # are contracted
+        nonzero = [c.any(axis=0) for c in coeffs]
         re = np.zeros((d, modes))
         im = np.zeros((d, modes))
         for idx, tensor, lin in self.chunks:
+            live = nonzero[0][idx[0]]
+            for nz, i in zip(nonzero[1:], idx[1:]):
+                live &= nz[i]
+            keep = np.flatnonzero(live)
+            if not len(keep):
+                continue
+            # a lone live tuple keeps its chunk: at d=1 its outer product is one
+            # complex pair, which numpy multiplies with other roundoff than its
+            # vector loop
+            if 1 < len(keep) < len(lin):
+                idx, tensor, lin = idx.take(keep, axis=1), tensor.take(keep, axis=-1), lin.take(keep)
             outer = coeffs[0].take(idx[0], axis=1)  # (d, B)
             for c, i in zip(coeffs[1:], idx[1:]):
                 outer = (outer[:, None] * c.take(i, axis=1)).reshape(-1, len(lin))
@@ -277,10 +297,12 @@ def apply_An_convolution(
     """Evaluate ``A_n`` as a brute-force multilinear lattice convolution.
 
     Sums ``a_n(k_0/L, ..., k_n/L)[u_0^(k_0), ..., u_n^(k_n)]`` over every
-    lattice tuple with ``k_0 + ... + k_n`` still on the lattice.  The cost is
-    ``(modes)^(n+1)``, so tiny grids only; this is the independent oracle for
-    :func:`apply_An_recursive`, not a production path.  The symbol tensors are
-    cached per (multiplier, order), so repeated inputs pay only a contraction.
+    lattice tuple with ``k_0 + ... + k_n`` still on the lattice.  Building the
+    kernel costs ``(modes)^(n+1)`` tuples, so tiny grids only; this is the
+    independent oracle for :func:`apply_An_recursive`, not a production path.
+    The symbol tensors are cached per (multiplier, order), so repeated inputs
+    pay only a contraction over the live tuples, those with a nonzero
+    coefficient in every input (for band-limited inputs, far fewer).
     """
     if n == 0 and len(fields) == 1:
         return apply(mult, fields[0])
@@ -336,23 +358,23 @@ def estimate_Cn(
     radii = _master_radii(xi_max)
     d = symbol.dim
     subsets = [list(J) for size in range(n + 1) for J in itertools.combinations(range(1, n + 1), size)]
-    per_radius = np.zeros(len(radii))
-    for j, rho in enumerate(radii):
+    scales, dirs = np.ones((2, len(radii), tuples_per_radius, n + 1, d))
+    mixed = tuples_per_radius // 2
+    for j in range(len(radii)):
         rng = np.random.default_rng(seed * 100_003 + j)
-        dirs = rng.standard_normal((tuples_per_radius, n + 1, d))
-        dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
-        scales = np.ones((tuples_per_radius, n + 1, 1))
-        mixed = tuples_per_radius // 2
-        scales[:mixed] = 10.0 ** rng.uniform(-2.0, 0.0, size=(mixed, n + 1, 1))
-        xis = rho * scales * dirs
-        an = symbol_an(symbol, n, xis)
-        num = np.sqrt(np.sum(np.abs(an) ** 2, axis=tuple(range(1, an.ndim))))
-        envelope = np.prod(sobolev_weight(1.0, xis), axis=-1)
-        tail = np.zeros(tuples_per_radius)
-        for J in subsets:
-            pt = xis[:, 0, :] + (xis[:, J, :].sum(axis=1) if J else 0.0)
-            tail += sobolev_weight(symbol.order - 1.0, pt)
-        per_radius[j] = float((num / (envelope * tail)).max())
+        dirs[j] = rng.standard_normal((tuples_per_radius, n + 1, d))
+        dirs[j] /= np.linalg.norm(dirs[j], axis=-1, keepdims=True)
+        scales[j, :mixed] = 10.0 ** rng.uniform(-2.0, 0.0, size=(mixed, n + 1, 1))
+    # every radius in one batch, radius-major
+    xis = (radii[:, None, None, None] * scales * dirs).reshape(-1, n + 1, d)
+    an = symbol_an(symbol, n, xis)
+    num = np.sqrt(np.sum(np.abs(an) ** 2, axis=tuple(range(1, an.ndim))))
+    envelope = np.prod(sobolev_weight(1.0, xis), axis=-1)
+    tail = np.zeros(len(xis))
+    for J in subsets:
+        pt = xis[:, 0, :] + (xis[:, J, :].sum(axis=1) if J else 0.0)
+        tail += sobolev_weight(symbol.order - 1.0, pt)
+    per_radius = (num / (envelope * tail)).reshape(len(radii), tuples_per_radius).max(axis=1)
     sampling = (
         f"{len(radii)} log radii (10^(j/8)) in [1e-2, {xi_max:g}], "
         f"{tuples_per_radius} direction tuples per radius (half mixed-radius), seed {seed}"

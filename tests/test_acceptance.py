@@ -18,13 +18,14 @@ from epdifflab.conjugation import (
 )
 from epdifflab.epdiff import (
     EulerState,
+    bandlimited_draw,
     default_blowup_threshold,
     detect_blowup,
     gaussian_blob,
     integrate,
     peakon_pair,
 )
-from epdifflab.grid import SpectralVectorField, TorusGrid
+from epdifflab.grid import TorusGrid
 from epdifflab.lagrangian import (
     DiffeoChart,
     GeodesicState,
@@ -56,12 +57,7 @@ def criterion(num: int, name: str, ok: bool, detail: str) -> None:
 
 def headroom_fields(grid, order, count, rng):
     kmax = (grid.n // 2 - 1) // (order + 1)
-    keep = np.max(np.abs(grid.wavenumbers), axis=0) <= kmax
-    out = []
-    for _ in range(count):
-        u = SpectralVectorField.from_samples(grid, rng.standard_normal((grid.dim,) + grid.shape))
-        out.append(SpectralVectorField(grid, u.coeffs * keep))
-    return out
+    return [bandlimited_draw(grid, kmax, rng) for _ in range(count)]
 
 
 def test_criterion_1_oracle_equivalence():

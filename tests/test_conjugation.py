@@ -1,5 +1,6 @@
 """Tests for the derivative tower: operator recursion, symbol tensors, oracles."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from epdifflab.conjugation import (
     KERNEL_CHUNK,
     ConvolutionKernel,
     HeadroomError,
+    _master_radii,
     _t_frozen,
     apply_An_convolution,
     apply_An_recursive,
@@ -21,6 +23,7 @@ from epdifflab.conjugation import (
     symbol_an,
     verify_sn_identity,
 )
+from epdifflab.epdiff import bandlimited_draw
 from epdifflab.grid import SpectralVectorField, TorusGrid, directional_derivative
 from epdifflab.operators import FourierMultiplier, apply, sobolev_multiplier
 from epdifflab.symbols import MatrixSymbol, scalar_symbol, sobolev_symbol, sobolev_weight
@@ -142,6 +145,55 @@ def box_sentinel_symbol(grid, order, evaluations):
 
     return MatrixSymbol(dim=2, order=2.0, eval_fn=eval_fn, hermitian=True,
                         positive_definite=True, name="box_sentinel")
+
+
+def all_tuple_apply(kernel, *fields):
+    """``ConvolutionKernel.apply`` contracting every lattice tuple of every chunk."""
+    grid = kernel.mult.grid
+    d, modes = grid.dim, grid.n**grid.dim
+    coeffs = [f.coeffs.reshape(d, modes) for f in fields]
+    re = np.zeros((d, modes))
+    im = np.zeros((d, modes))
+    for idx, tensor, lin in kernel.chunks:
+        outer = coeffs[0].take(idx[0], axis=1)
+        for c, i in zip(coeffs[1:], idx[1:]):
+            outer = (outer[:, None] * c.take(i, axis=1)).reshape(-1, len(lin))
+        vals = np.einsum("okB,kB->oB", tensor, outer)
+        for o in range(d):
+            re[o] += np.bincount(lin, vals[o].real, modes)
+            im[o] += np.bincount(lin, vals[o].imag, modes)
+    out = (re + 1j * im) * ((2j * np.pi) ** kernel.n * grid.length ** (-kernel.n * d))
+    return SpectralVectorField(grid, out.reshape((d,) + grid.shape))
+
+
+def per_radius_loop(symbol, n, xi_max, tuples_per_radius=16, seed=0):
+    """``estimate_Cn(...).per_radius`` with one ``symbol_an`` call per radius."""
+    radii = _master_radii(xi_max)
+    d = symbol.dim
+    subsets = [list(J) for size in range(n + 1) for J in itertools.combinations(range(1, n + 1), size)]
+    per_radius = np.zeros(len(radii))
+    for j, rho in enumerate(radii):
+        rng = np.random.default_rng(seed * 100_003 + j)
+        dirs = rng.standard_normal((tuples_per_radius, n + 1, d))
+        dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+        scales = np.ones((tuples_per_radius, n + 1, 1))
+        mixed = tuples_per_radius // 2
+        scales[:mixed] = 10.0 ** rng.uniform(-2.0, 0.0, size=(mixed, n + 1, 1))
+        xis = rho * scales * dirs
+        an = symbol_an(symbol, n, xis)
+        num = np.sqrt(np.sum(np.abs(an) ** 2, axis=tuple(range(1, an.ndim))))
+        envelope = np.prod(sobolev_weight(1.0, xis), axis=-1)
+        tail = np.zeros(tuples_per_radius)
+        for J in subsets:
+            pt = xis[:, 0, :] + (xis[:, J, :].sum(axis=1) if J else 0.0)
+            tail += sobolev_weight(symbol.order - 1.0, pt)
+        per_radius[j] = float((num / (envelope * tail)).max())
+    return per_radius
+
+
+def assert_same_bits(a, b):
+    assert a.coeffs.dtype == b.coeffs.dtype and np.array_equal(a.coeffs, b.coeffs)
+    assert a.coeffs.tobytes() == b.coeffs.tobytes()  # zero signs included
 
 
 class TestOperatorRecursion:
@@ -380,6 +432,60 @@ class TestConvolutionOracle:
             tracemalloc.stop()
         assert peak <= 30 * 2**20
 
+    @pytest.mark.parametrize("dim,n,order", [(1, 16, 1), (1, 16, 2), (2, 8, 1), (2, 8, 2)])
+    def test_live_tuples_keep_every_bit(self, dim, n, order):
+        # acceptance-1 headroom draws (few live tuples) and dense draws (all live)
+        mult = sobolev_multiplier(1.0, TorusGrid(dim, n))
+        kernel = convolution_kernel(mult, order)
+        rng = np.random.default_rng(60 + 10 * order + dim)
+        for kmax in [(n // 2 - 1) // (order + 1)] * 3 + [n // 2]:
+            fields = [bandlimited_draw(mult.grid, kmax, rng) for _ in range(order + 1)]
+            assert_same_bits(kernel.apply(*fields), all_tuple_apply(kernel, *fields))
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_live_tuples_keep_every_bit_complex_symbol(self, order):
+        grid = TorusGrid(2, 8)
+        kernel = ConvolutionKernel(FourierMultiplier.build(hermitian_complex_symbol(), grid), order)
+        rng = np.random.default_rng(70 + order)
+        for kmax in ((grid.n // 2 - 1) // (order + 1), grid.n // 2):
+            fields = [bandlimited_draw(grid, kmax, rng) for _ in range(order + 1)]
+            assert_same_bits(kernel.apply(*fields), all_tuple_apply(kernel, *fields))
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_lone_live_tuple_keeps_every_bit(self, order):
+        # one mode per field leaves one live tuple, the case where numpy's
+        # complex product rounds differently on a single pair
+        grid = TorusGrid(1, 16)
+        kernel = convolution_kernel(sobolev_multiplier(1.0, grid), order)
+        rng = np.random.default_rng(80 + order)
+        for _ in range(10):
+            fields = []
+            for slot in range(order + 1):
+                coeffs = np.zeros((1,) + grid.shape, dtype=complex)
+                coeffs[0, slot + 1] = complex(*rng.standard_normal(2))
+                fields.append(SpectralVectorField(grid, coeffs))
+            assert_same_bits(kernel.apply(*fields), all_tuple_apply(kernel, *fields))
+
+    def test_zero_field_gives_exact_zeros(self):
+        mult = sobolev_multiplier(1.0, TorusGrid(2, 8))
+        kernel = convolution_kernel(mult, 2)
+        u = headroom_field(mult.grid, 2, 90)
+        zero = SpectralVectorField(mult.grid, np.zeros_like(u.coeffs))
+        for fields in ((zero, u, u), (u, u, zero)):
+            out = kernel.apply(*fields)
+            assert not out.coeffs.any()
+            assert_same_bits(out, all_tuple_apply(kernel, *fields))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_field_rejected(self, bad):
+        # 0 * inf is NaN in the all-tuple sum, so dropping dead tuples would hide it
+        mult = sobolev_multiplier(1.0, TorusGrid(1, 16))
+        u = headroom_field(mult.grid, 1, 91)
+        coeffs = u.coeffs.copy()
+        coeffs[0, 7] = bad
+        with pytest.raises(ValueError, match="finite"):
+            convolution_kernel(mult, 1).apply(u, SpectralVectorField(mult.grid, coeffs))
+
     def test_cost_guard(self):
         grid = TorusGrid(1, 64)
         mult = sobolev_multiplier(1.0, grid)
@@ -407,6 +513,16 @@ class TestEnvelope:
                 hi = estimate_Cn(sym, n, xi_max=1000.0).max_ratio
                 assert hi >= lo * (1 - 1e-12)  # nested sample sets
                 assert (hi - lo) / lo < 0.05
+
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("xi_max", [500.0, 1000.0])
+    def test_one_batch_matches_per_radius_loop(self, dim, n, xi_max):
+        sym = sobolev_symbol(1.0, dim)
+        got = estimate_Cn(sym, n, xi_max=xi_max, seed=4).per_radius
+        want = per_radius_loop(sym, n, xi_max, seed=4)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestFrozenTensors:
