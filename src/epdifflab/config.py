@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Optional
 
 from .epdiff import step_count
+from .grid import TorusGrid
 
 # Largest grid, in points^dimension (128^3): every field of a run is this
 # large, and the padded grid (3/2)^dimension times larger.
@@ -101,17 +102,17 @@ def load_config(path: str | Path) -> RunConfig:
             raise ConfigError(f"missing [{section}] section")
 
     dimension = _as_int(_get(parser, "grid", "dimension", required=True), "[grid] dimension")
-    if dimension not in (1, 2, 3):
-        raise ConfigError(f"[grid] dimension must be 1, 2 or 3, got {dimension}")
-    points = _as_int(_get(parser, "grid", "points", required=True), "[grid] points", minimum=8)
-    if points & (points - 1) != 0:
-        raise ConfigError(f"[grid] points must be a power of two, got {points}")
+    points = _as_int(_get(parser, "grid", "points", required=True), "[grid] points")
+    length = _as_float(_get(parser, "grid", "length", "1.0"), "[grid] length")
+    try:
+        TorusGrid(dimension, points, length)  # allocates nothing
+    except ValueError as exc:
+        raise ConfigError(f"[grid] {exc}") from exc
     if points**dimension > MAX_GRID_POINTS:
         raise ConfigError(
             f"[grid] points^dimension = {points}^{dimension} exceeds the largest grid, "
             f"{MAX_GRID_POINTS} points"
         )
-    length = _as_float(_get(parser, "grid", "length", "1.0"), "[grid] length", positive=True)
 
     metric_kind = _get(parser, "metric", "kind", "sobolev")
     if metric_kind not in ("sobolev", "custom-table"):
@@ -147,10 +148,13 @@ def load_config(path: str | Path) -> RunConfig:
         dt = _as_float(_get(parser, "integrator", "dt", required=True), "[integrator] dt", positive=True)
         t_end = _as_float(_get(parser, "integrator", "t_end", required=True), "[integrator] t_end", positive=True)
         cadence = _as_int(_get(parser, "integrator", "cadence", "1"), "[integrator] cadence", minimum=1)
-        try:
-            step_count(0.0, t_end, dt)  # the integrators' own rule, step cap included
-        except ValueError as exc:
-            raise ConfigError(f"[integrator] {exc}") from exc
+        # the integrators' own rule, step cap included, at dt and at the dt/2 of
+        # the rerun that confirms a blow-up
+        for step, rerun in ((dt, ""), (dt / 2, "the dt/2 rerun that confirms a blow-up: ")):
+            try:
+                step_count(0.0, t_end, step)
+            except ValueError as exc:
+                raise ConfigError(f"[integrator] {rerun}{exc}") from exc
 
     seed = _as_int(_get(parser, "run", "seed", "0"), "[run] seed", minimum=0)
     thr_raw = _get(parser, "run", "blowup_threshold", "auto")

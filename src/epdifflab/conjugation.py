@@ -39,6 +39,7 @@ import numpy as np
 
 from .grid import (
     SpectralVectorField,
+    TorusGrid,
     directional_derivative,
 )
 from .operators import FourierMultiplier, apply
@@ -53,11 +54,21 @@ class HeadroomError(ValueError):
     """Inputs carry too much bandwidth for an exact derivative-tower evaluation."""
 
 
+def _check_order(n: int) -> None:
+    if n > MAX_DERIVATIVE_ORDER:
+        raise ValueError(f"derivative order limited to {MAX_DERIVATIVE_ORDER}, got {n}")
+
+
 # --- operator recursion -------------------------------------------------------
 
 def required_headroom(n: int, kmax: int) -> int:
     """Grid size needed so order-n tower output of |k|<=kmax inputs is exact."""
     return 2 * ((n + 1) * kmax + 1)
+
+
+def headroom_band(n: int, grid_n: int) -> int:
+    """Largest ``kmax`` with ``required_headroom(n, kmax) <= grid_n``."""
+    return (grid_n // 2 - 1) // (n + 1)
 
 
 def apply_An_recursive(mult: FourierMultiplier, n: int, *fields: SpectralVectorField) -> SpectralVectorField:
@@ -68,8 +79,7 @@ def apply_An_recursive(mult: FourierMultiplier, n: int, *fields: SpectralVectorF
     result is the exact multilinear operator value (symmetric in
     ``u_1, ..., u_n`` up to roundoff).
     """
-    if n > MAX_DERIVATIVE_ORDER:
-        raise ValueError(f"derivative order limited to {MAX_DERIVATIVE_ORDER}, got {n}")
+    _check_order(n)
     if len(fields) != n + 1:
         raise ValueError(f"expected {n + 1} fields, got {len(fields)}")
     kmax = max(f.max_wavenumber() for f in fields)
@@ -78,7 +88,7 @@ def apply_An_recursive(mult: FourierMultiplier, n: int, *fields: SpectralVectorF
         raise HeadroomError(
             f"insufficient band headroom: inputs reach |k|={kmax}, order {n} needs "
             f"grid n >= {required_headroom(n, kmax)} (have {grid_n}); refine the grid "
-            f"or band-limit inputs to |k| <= {(grid_n // 2 - 1) // (n + 1)}"
+            f"or band-limit inputs to |k| <= {headroom_band(n, grid_n)}"
         )
     return _tower(mult, list(fields))
 
@@ -120,8 +130,7 @@ def symbol_an(symbol: MatrixSymbol, n: int, xis: np.ndarray) -> np.ndarray:
     [output, slot of u_0, ..., slot of u_n].  ``a_0`` is the symbol itself;
     each step multiplies by ``2 pi i`` and one frequency covector.
     """
-    if n > MAX_DERIVATIVE_ORDER:
-        raise ValueError(f"derivative order limited to {MAX_DERIVATIVE_ORDER}, got {n}")
+    _check_order(n)
     xis = np.asarray(xis, dtype=float)
     if xis.ndim < 2 or xis.shape[-2] != n + 1 or xis.shape[-1] != symbol.dim:
         raise ValueError(f"xis must have shape (..., {n + 1}, {symbol.dim}), got {xis.shape}")
@@ -171,14 +180,23 @@ def _an(leaf: Callable[[np.ndarray], np.ndarray], tuples: np.ndarray, length: fl
 
 # --- brute-force convolution oracle --------------------------------------------
 
-def check_oracle_cost(dim: int, n: int) -> None:
-    """Raise ``ValueError`` unless the oracle's ``(n^dim)^(order+1)`` lattice tuples stay few."""
+def check_oracle_cost(grid: TorusGrid) -> None:
+    """Raise ``ValueError`` unless the oracle's ``(n^dim)^(order+1)`` lattice tuples
+    stay few and its factors ``L^(-order dim)``, order <= 2, are finite."""
+    dim, n = grid.dim, grid.n
     limit = CONVOLUTION_GRID_LIMIT.get(dim)
     if limit is None or n > limit:
         allowed = " or ".join(f"n <= {m} in dimension {d}" for d, m in CONVOLUTION_GRID_LIMIT.items())
         raise ValueError(
             f"convolution oracle cost guard: grid n = {n} in dimension {dim}; allowed: {allowed}"
         )
+    try:
+        for order in (1, 2):
+            grid.length ** (-order * dim)  # float pow raises on overflow
+    except OverflowError:
+        raise ValueError(
+            f"convolution oracle: length {grid.length:g} overflows its factor L^(-{order * dim})"
+        ) from None
 
 
 class ConvolutionKernel:
@@ -207,7 +225,7 @@ class ConvolutionKernel:
         grid = mult.grid
         if not 1 <= n <= 2:
             raise ValueError("convolution oracle limited to 1 <= n <= 2")
-        check_oracle_cost(grid.dim, grid.n)
+        check_oracle_cost(grid)
         self.mult = mult
         self.n = n
         d = grid.dim
@@ -342,7 +360,6 @@ def estimate_Cn(
     symbol: MatrixSymbol,
     n: int,
     xi_max: float = 1e3,
-    tuples_per_radius: int = 16,
     seed: int = 0,
 ) -> CnEstimate:
     """Max of ``|a_n|`` against its product-of-weights envelope over sampled tuples.
@@ -350,14 +367,14 @@ def estimate_Cn(
     The envelope is ``prod_k lam(1, xi_k) * sum_{J subset {1..n}} lam(r-1,
     xi_0 + sum_{j in J} xi_j)``.  Tuples are drawn log-radially up to
     ``xi_max`` with random directions (and mixed per-factor radii for half the
-    draws); the radius grid nests across ``xi_max`` values so refinement
-    stability is measured on nested sample sets.
+    draws), 16 per radius; the radius grid nests across ``xi_max`` values so
+    refinement stability is measured on nested sample sets.
     """
-    if n > MAX_DERIVATIVE_ORDER:
-        raise ValueError(f"derivative order limited to {MAX_DERIVATIVE_ORDER}, got {n}")
+    _check_order(n)
     radii = _master_radii(xi_max)
     d = symbol.dim
     subsets = [list(J) for size in range(n + 1) for J in itertools.combinations(range(1, n + 1), size)]
+    tuples_per_radius = 16
     scales, dirs = np.ones((2, len(radii), tuples_per_radius, n + 1, d))
     mixed = tuples_per_radius // 2
     for j in range(len(radii)):
@@ -508,17 +525,15 @@ class SnIdentityReport:
         return lines
 
 
-def verify_sn_identity(
-    symbol: MatrixSymbol, n: int, num_tuples: int = 100, seed: int = 0, tol: float = 1e-10
-) -> SnIdentityReport:
+def verify_sn_identity(symbol: MatrixSymbol, n: int, num_tuples: int = 100, seed: int = 0) -> SnIdentityReport:
     """Check ``Rec(s_n) = -s_{n+1} - s_{n+1}^{...,n+1}`` on random tuples.
 
     Also checks the stated symmetries (skew in the frozen block, symmetric in
     the free block) and records the measured sign relating ``a_1`` to
-    ``2 pi i s_1^1`` under this package's transform convention.
+    ``2 pi i s_1^1`` under this package's transform convention.  The report
+    passes when every relative error is at most 1e-10.
     """
-    if n > MAX_DERIVATIVE_ORDER:
-        raise ValueError(f"derivative order limited to {MAX_DERIVATIVE_ORDER}, got {n}")
+    _check_order(n)
     if symbol.dim > 2:
         raise ValueError("identity check limited to dim <= 2 (tensor storage guard)")
     rng = np.random.default_rng(seed)
@@ -571,5 +586,5 @@ def verify_sn_identity(
     )
 
     return SnIdentityReport(
-        n=n, dim=d, passed=worst <= tol, max_rel_error=worst, cases=cases, notes=notes
+        n=n, dim=d, passed=worst <= 1e-10, max_rel_error=worst, cases=cases, notes=notes
     )

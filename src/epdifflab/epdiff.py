@@ -79,6 +79,11 @@ class EulerState:
         :func:`default_blowup_threshold` share it."""
         return sup_velocity_gradient(self.u)
 
+    @cached_property
+    def energy(self) -> float:
+        """Kinetic energy ``0.5 <m, u>``, evaluated once per state."""
+        return 0.5 * l2_inner(self.m, self.u)
+
 
 @dataclass(frozen=True, eq=False)
 class Diagnostics:
@@ -100,10 +105,9 @@ def sup_velocity_gradient(u: SpectralVectorField) -> float:
 def diagnostics(
     mult: FourierMultiplier, state: EulerState, norm_orders: Sequence[float] = ()
 ) -> Diagnostics:
-    energy = 0.5 * l2_inner(state.m, state.u)
     return Diagnostics(
         t=state.t,
-        energy=energy,
+        energy=state.energy,
         total_momentum=state.m.integral(),
         sup_velocity_gradient=state.sup_gradient,
         sobolev_norms={q: sobolev_norm(state.u, q) for q in norm_orders},
@@ -267,7 +271,6 @@ class IntegrationResult:
     final_state: EulerState
     diagnostics: list[Diagnostics]
     t_halt: Optional[float] = None
-    dt: float = 0.0
     resolved_until: Optional[float] = None
     substeps: int = 0
     retries: int = 0
@@ -328,8 +331,8 @@ def integrate(
         return diags[-1]
 
     def result(status: str, st: EulerState, t_halt: Optional[float] = None) -> IntegrationResult:
-        return IntegrationResult(status, st, diags, t_halt=t_halt, dt=dt,
-                                 resolved_until=resolved_until, substeps=substeps, retries=retries)
+        return IntegrationResult(status, st, diags, t_halt=t_halt, resolved_until=resolved_until,
+                                 substeps=substeps, retries=retries)
 
     def halt(status: str, st: EulerState) -> IntegrationResult:
         if diags[-1].t != st.t:
@@ -366,7 +369,7 @@ def integrate(
         state = EulerState(t=t0 + step * dt, m=trial.m, u=trial.u)
 
         if resolved_until is None:
-            drift = abs(0.5 * l2_inner(state.m, state.u) - e0)
+            drift = abs(state.energy - e0)
             if drift > RESOLVED_ENERGY_DRIFT * abs(e0):
                 resolved_until = state.t
         crossed = grad_threshold is not None and state.sup_gradient > grad_threshold
@@ -444,13 +447,12 @@ def gaussian_blob(
     amplitude: float = 0.25,
     width: float = 0.1,
     center: Optional[Sequence[float]] = None,
-    component: int = 0,
 ) -> SpectralVectorField:
-    """Localized velocity bump along one component: the smooth-benchmark datum."""
+    """Localized velocity bump along the first component: the smooth-benchmark datum."""
     if center is None:
         center = [grid.length / 2] * grid.dim
     samples = np.zeros((grid.dim,) + grid.shape)
-    samples[component] = amplitude * _periodic_bump(grid, np.asarray(center, dtype=float), width)
+    samples[0] = amplitude * _periodic_bump(grid, np.asarray(center, dtype=float), width)
     return SpectralVectorField.from_samples(grid, samples)
 
 

@@ -53,7 +53,9 @@ class TorusGrid:
     n : int
         Points per axis; a power of two, at least 8.
     length : float
-        Side length ``L`` of the periodic box (same along every axis).
+        Side length ``L`` of the periodic box (same along every axis); the
+        box volume ``L^d``, the cell volume ``(L/n)^d`` and their reciprocals
+        must be finite nonzero floats, since transforms scale by them.
     """
 
     dim: int
@@ -67,6 +69,15 @@ class TorusGrid:
             raise ValueError(f"n must be a power of two >= 8, got {self.n}")
         if not self.length > 0:
             raise ValueError(f"length must be positive, got {self.length}")
+        try:
+            volumes = (self.length**self.dim, self.cell_volume)
+        except OverflowError:
+            volumes = (math.inf,)
+        if not all(0 < v < math.inf and 1 / v < math.inf for v in volumes):
+            raise ValueError(
+                f"length {self.length:g} in dimension {self.dim}: the box volume L^d, the cell "
+                "volume (L/n)^d and their reciprocals must be finite and nonzero"
+            )
 
     @cached_property
     def shape(self) -> tuple[int, ...]:
@@ -307,13 +318,13 @@ class _FieldBase:
         """Norm of ``sqrt(integral |f|^2 dx)`` over the box."""
         return float(np.sqrt(np.sum(np.abs(self.coeffs) ** 2) / self.grid.length**self.grid.dim))
 
-    def max_wavenumber(self, rel_tol: float = 1e-13) -> int:
-        """Largest ``|k|_inf`` carrying a coefficient above ``rel_tol`` of the peak."""
+    def max_wavenumber(self) -> int:
+        """Largest ``|k|_inf`` carrying a coefficient above 1e-13 of the peak."""
         mag = np.abs(self.coeffs)
         peak = mag.max()
         if peak == 0.0:
             return 0
-        active = mag > rel_tol * peak
+        active = mag > 1e-13 * peak
         while active.ndim > self.grid.dim:
             active = np.any(active, axis=0)
         kinf = np.max(np.abs(self.grid.wavenumbers), axis=0)

@@ -374,11 +374,11 @@ class RegularityReport:
     passed: bool
 
 
-def regularity_probe(diag_series: Sequence, q_list: Sequence[float], bound: float = 1e3) -> RegularityReport:
+def regularity_probe(diag_series: Sequence, q_list: Sequence[float]) -> RegularityReport:
     """Track ``max_t |u(t)|_{H^q'} / |u(0)|_{H^q'}`` for each probe order.
 
-    Bounded ratios witness preservation of spatial regularity along the flow;
-    the zero field reports unit ratios by the 0/0 -> 1 convention.
+    Ratios of at most 1e3 witness preservation of spatial regularity along the
+    flow; the zero field reports unit ratios by the 0/0 -> 1 convention.
     """
     if not diag_series:
         raise ValueError("empty trajectory")
@@ -390,5 +390,5 @@ def regularity_probe(diag_series: Sequence, q_list: Sequence[float], bound: floa
             ratios[q] = 1.0 if peak == 0.0 else float("inf")
         else:
             ratios[q] = peak / initial
-    passed = all(np.isfinite(r) and r <= bound for r in ratios.values())
-    return RegularityReport(ratios=ratios, bound=bound, passed=passed)
+    passed = all(np.isfinite(r) and r <= 1e3 for r in ratios.values())
+    return RegularityReport(ratios=ratios, bound=1e3, passed=passed)

@@ -29,6 +29,7 @@ from .conjugation import (
     apply_An_recursive,
     check_oracle_cost,
     estimate_Cn,
+    headroom_band,
     verify_sn_identity,
 )
 from .epdiff import (
@@ -43,7 +44,7 @@ from .epdiff import (
     peakon_pair,
     random_bandlimited,
 )
-from .grid import SpectralVectorField, TorusGrid, l2_inner
+from .grid import SpectralVectorField, TorusGrid
 from .lagrangian import (
     ChartError,
     DiffeoChart,
@@ -230,7 +231,7 @@ def _initial_state(cfg: RunConfig, grid: TorusGrid) -> tuple[FourierMultiplier, 
     mult = build_metric(cfg, grid)
     with np.errstate(over="ignore", invalid="ignore"):
         state = EulerState.from_velocity(mult, u0)
-        energy = 0.5 * l2_inner(state.m, state.u)
+        energy = state.energy
     if not math.isfinite(energy):
         raise ConfigError(
             f"[scenario] {cfg.scenario}: the initial velocity's energy is {energy:g}; scale the datum down"
@@ -264,6 +265,11 @@ def run_evolution(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
     threshold = cfg.blowup_threshold
     if threshold is None:
         threshold = default_blowup_threshold(state)
+    elif state.sup_gradient > threshold:  # integrate would halt at t = 0
+        raise ConfigError(
+            f"[run] blowup_threshold = {threshold:g} is below the initial velocity gradient, "
+            f"sup |grad u| = {state.sup_gradient:.6g}"
+        )
 
     csv_buf = io.StringIO()
     csv_buf.write(_csv_header(cfg) + "\n")
@@ -280,7 +286,7 @@ def run_evolution(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
     )
     (out_dir / "diagnostics.csv").write_text(csv_buf.getvalue())
 
-    verdict = detect_blowup(result)
+    refined = None
     if result.blown_up:
         if not quiet:
             print("threshold crossed; rerunning at dt/2 for confirmation")
@@ -288,14 +294,14 @@ def run_evolution(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
             mult, state, cfg.t_end, cfg.dt / 2,
             cadence=2 * cfg.cadence, norm_orders=(), grad_threshold=threshold,
         )
-        verdict = detect_blowup(result, refined)
+    verdict = detect_blowup(result, refined)
 
     diags = result.diagnostics
     e0, e1 = diags[0].energy, diags[-1].energy
     lines = [
         f"scenario: {cfg.scenario}",
         f"status: {result.status}",
-        f"blowup: {verdict.summary() if verdict.kind != 'none' else 'none'}",
+        f"blowup: {verdict.summary()}",
         f"blowup_threshold: {fmt(threshold)}",
         f"t_final: {fmt(diags[-1].t)}",
         f"energy_initial: {fmt(e0)}",
@@ -397,21 +403,21 @@ def run_symbol_audit(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
 
 
 def run_conjugation_audit(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
+    grid = TorusGrid(cfg.dimension, cfg.points, cfg.length)
     try:
-        check_oracle_cost(cfg.dimension, cfg.points)
+        check_oracle_cost(grid)
     except ValueError as exc:
         raise ConfigError(f"conjugation_audit: {exc}") from exc
     if cfg.metric_kind != "sobolev":
         raise ConfigError("conjugation_audit needs the sobolev metric")
     draws = param_int(cfg, "draws", 10, minimum=1, maximum=MAX_DRAWS)
-    grid = TorusGrid(cfg.dimension, cfg.points, cfg.length)
     symbol = sobolev_symbol(cfg.s, grid.dim)
     mult = _build_elliptic(symbol, grid)
     rng = np.random.default_rng(cfg.seed)
     report = _AuditReport([f"symbol: {symbol.name}"])
 
     for order in (1, 2) if cfg.dimension == 1 else (1,):
-        kmax = (grid.n // 2 - 1) // (order + 1)
+        kmax = headroom_band(order, grid.n)
         worst = 0.0
         for _ in range(draws):
             fields = [bandlimited_draw(grid, kmax, rng) for _ in range(order + 1)]
@@ -446,6 +452,7 @@ def run_conjugation_audit(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
 
 
 def run_consistency(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
+    tol = param_float(cfg, "tolerance", 1e-6)
     grid = TorusGrid(cfg.dimension, cfg.points, cfg.length)
     mult, state = _initial_state(cfg, grid)
 
@@ -463,7 +470,6 @@ def run_consistency(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
         raise
     sup_gap = float(np.abs(u_lag.samples() - eulerian.final_state.u.samples()).max())
     e_eul = eulerian.diagnostics[-1].energy
-    tol = param_float(cfg, "tolerance", 1e-6)
 
     _write_lines(out_dir / "summary.txt", [
         "scenario: consistency",

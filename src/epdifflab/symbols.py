@@ -16,6 +16,7 @@ the plain ``(1 + |xi|^2)^(rho/2)`` convention differ by powers of ``2 pi``
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -169,7 +170,7 @@ class ClassCertificate:
 
 # --- sample sets -------------------------------------------------------------
 
-def _unit_directions(dim: int, count: int, seed: int = 0) -> np.ndarray:
+def _unit_directions(dim: int, count: int) -> np.ndarray:
     """Deterministic, well-spread unit vectors, shape (count, dim)."""
     if dim == 1:
         signs = np.where(np.arange(count) % 2 == 0, 1.0, -1.0)
@@ -214,17 +215,9 @@ def _frob(mats: np.ndarray) -> np.ndarray:
 # --- order estimate ----------------------------------------------------------
 
 def _multi_indices(dim: int, max_alpha: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix, remaining_axes, budget):
-        if remaining_axes == 0:
-            out.append(tuple(prefix))
-            return
-        for a in range(budget + 1):
-            rec(prefix + [a], remaining_axes - 1, budget - a)
-
-    rec([], dim, max_alpha)
-    return sorted(out, key=sum)
+    """Multi-indices of total order at most ``max_alpha``, by order, then lexicographically."""
+    alphas = itertools.product(range(max_alpha + 1), repeat=dim)
+    return sorted((alpha for alpha in alphas if sum(alpha) <= max_alpha), key=sum)
 
 
 def _fd_derivative(symbol: MatrixSymbol, alpha: tuple[int, ...], pts: np.ndarray):
@@ -257,7 +250,6 @@ def check_order_estimate(
     max_alpha: int = 2,
     xi_max: float = 1e3,
     n_radii: int = 48,
-    n_dirs: int = 8,
 ) -> ClassCertificate:
     """Certify ``|d^alpha a(xi)| <~ lam(r - |alpha|, xi)`` for all ``|alpha| <= max_alpha``.
 
@@ -268,7 +260,7 @@ def check_order_estimate(
     """
     if max_alpha > 3:
         raise ValueError("max_alpha must be <= 3 (finite-difference depth limit)")
-    pts, radii, dirs_per = _radial_points(symbol.dim, xi_max, n_radii, n_dirs)
+    pts, radii, dirs_per = _radial_points(symbol.dim, xi_max, n_radii)
     sampling = (
         f"{len(radii)} log radii in [1e-2, {xi_max:g}] x {dirs_per} directions, "
         f"central FD h=max(1e-4, 1e-4|xi|), 2pi weight convention"
@@ -301,12 +293,7 @@ def check_order_estimate(
     )
 
 
-def check_ellipticity(
-    symbol: MatrixSymbol,
-    xi_max: float = 1e3,
-    n_radii: int = 48,
-    n_dirs: int = 8,
-) -> ClassCertificate:
+def check_ellipticity(symbol: MatrixSymbol, xi_max: float = 1e3) -> ClassCertificate:
     """Certify ``|a(xi)^-1| <~ lam(-r, xi)`` on a log-radial sample set.
 
     The origin is always included: symbols singular at ``xi = 0`` (the bare
@@ -314,7 +301,7 @@ def check_ellipticity(
     A symbol that overflows on the sample set fails without a floating-point
     warning: every non-finite value counts as a failure.
     """
-    pts, radii, dirs_per = _radial_points(symbol.dim, xi_max, n_radii, n_dirs)
+    pts, radii, dirs_per = _radial_points(symbol.dim, xi_max)
     pts = np.vstack([np.zeros((1, symbol.dim)), pts])
     sampling = f"origin + {len(radii)} log radii in [1e-2, {xi_max:g}] x {dirs_per} directions"
 
@@ -481,17 +468,16 @@ def _check_flags(values: np.ndarray, points: np.ndarray, hermitian=True, positiv
             raise ValueError(f"symbol not positive definite at xi={np.array2string(bad, precision=6)}")
 
 
-def sqrt_symbol(symbol: MatrixSymbol, check_points: Optional[np.ndarray] = None) -> MatrixSymbol:
+def sqrt_symbol(symbol: MatrixSymbol) -> MatrixSymbol:
     """Pointwise Hermitian square root; a symbol of order ``r`` maps to ``r/2``.
 
     The input must be flagged Hermitian and positive definite; both are
-    verified numerically on ``check_points`` (default: a log-radial sample set)
-    and the offending ``xi`` is reported on failure.
+    verified numerically on a log-radial sample set (24 radii up to 1e3, 4
+    directions) and the offending ``xi`` is reported on failure.
     """
     if not (symbol.hermitian and symbol.positive_definite):
         raise ValueError(f"symbol '{symbol.name}' is not flagged Hermitian positive definite")
-    if check_points is None:
-        check_points, _, _ = _radial_points(symbol.dim, 1e3, n_radii=24, n_dirs=4)
+    check_points, _, _ = _radial_points(symbol.dim, 1e3, n_radii=24, n_dirs=4)
     _check_flags(symbol(check_points), check_points)
 
     def eval_fn(xi: np.ndarray) -> np.ndarray:
@@ -516,9 +502,7 @@ def sqrt_symbol(symbol: MatrixSymbol, check_points: Optional[np.ndarray] = None)
     )
 
 
-def minimal_elliptic_shift(
-    symbol: MatrixSymbol, xi_max: float = 1e3, tol: float = 1e-2, max_shift: float = 1e6
-) -> float:
+def minimal_elliptic_shift(symbol: MatrixSymbol, tol: float = 1e-2) -> float:
     """Smallest ``lam >= 0`` (within ``tol``, by bisection) making ``lam + a(D)`` elliptic.
 
     Existence is guaranteed for normally elliptic classical symbols; only the
@@ -534,13 +518,13 @@ def minimal_elliptic_shift(
         )
 
     def ok(lam: float) -> bool:
-        return check_ellipticity(shifted(lam), xi_max=xi_max).verdict
+        return check_ellipticity(shifted(lam)).verdict
 
     lo, hi = 0.0, 1.0
     while not ok(hi):
         hi *= 2.0
-        if hi > max_shift:
-            raise RuntimeError("no elliptic shift found below max_shift")
+        if hi > 1e6:
+            raise RuntimeError("no elliptic shift found below 1e6")
     if ok(lo):
         return 0.0
     while hi - lo > tol * max(1.0, hi):

@@ -40,6 +40,21 @@ norms = 1.5, 2.5
 """
 
 
+TINY_BOX_AUDIT = """\
+[grid]
+dimension = {dimension}
+points = 8
+length = 1e-200
+
+[metric]
+s = 0
+
+[scenario]
+name = conjugation_audit
+draws = 1
+"""
+
+
 def write_config(tmp_path, text, name="run.ini"):
     path = tmp_path / name
     path.write_text(text)
@@ -113,8 +128,15 @@ class TestConfigValidation:
         (BASE_EVOLUTION.replace("points = 64", "points = 16").replace("dt = 0.005", "dt = 0.01")
          .replace("name = gaussian_blob", "name = random_bandlimited\ntarget_norm = 1e150"),
          "[scenario] random_bandlimited"),
+        # below the initial gradient (about 0.72): once a blow-up verdict at t=0 (exit 2)
+        (BASE_EVOLUTION + "blowup_threshold = 0.5\n", "[run] blowup_threshold"),
+        # L^(-2) overflowed in the convolution oracle: once an OverflowError (exit 1)
+        (TINY_BOX_AUDIT.format(dimension=1), "length 1e-200"),
+        # L^2 underflowed to 0 in the padded pass: once a ZeroDivisionError (exit 1)
+        (TINY_BOX_AUDIT.format(dimension=2), "[grid] length 1e-200"),
     ], ids=["unreadable_table", "audit_symbol_overflow", "norm_weight_overflow", "datum_energy_overflow",
-            "datum_beyond_cfl_guard"])
+            "datum_beyond_cfl_guard", "threshold_below_initial_gradient", "box_overflows_oracle",
+            "box_volume_underflows"])
     def test_unusable_inputs_exit_3(self, tmp_path, capsys, text, names):
         (tmp_path / "bad.npz").write_text("not an archive\n")
         cfg = write_config(tmp_path, text)
@@ -123,6 +145,20 @@ class TestConfigValidation:
             assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out"), "--quiet"]) == 3
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("config error:") and names in err[0]
+
+    @pytest.mark.parametrize("cap", [15, 20])
+    def test_step_cap_covers_the_confirmation_rerun(self, tmp_path, capsys, monkeypatch, cap):
+        # 10 steps of dt, and 20 in the dt/2 rerun that confirms a blow-up:
+        # under a cap of 15 that rerun once raised a ValueError (exit 1)
+        monkeypatch.setattr("epdifflab.epdiff.MAX_STEPS", cap)
+        cfg = write_config(tmp_path, BASE_EVOLUTION)
+        if cap < 20:
+            with pytest.raises(ConfigError, match="dt/2 rerun"):
+                load_config(cfg)
+            assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out"), "--quiet"]) == 3
+            assert capsys.readouterr().err.startswith("config error: [integrator]")
+        else:
+            assert load_config(cfg).dt == 0.005
 
     @pytest.mark.parametrize("t_end, steps", [("0.0500000005", 10), ("0.0500001", None)])
     def test_config_and_integrator_share_the_step_rule(self, tmp_path, t_end, steps):
@@ -326,7 +362,7 @@ norms = 1.5
             d = diagnostics(mult, state, norm_orders)
             if callback:
                 callback(d)
-            return IntegrationResult("nan_abort", state, [d], t_halt=state.t, dt=dt)
+            return IntegrationResult("nan_abort", state, [d], t_halt=state.t)
 
         monkeypatch.setattr(sc, "integrate", aborting_integrate)
         cfg = write_config(tmp_path, BASE_EVOLUTION)
@@ -528,6 +564,21 @@ width = 0.15
         summary = read_summary(out)
         assert summary["consistency_pass"] == "True"
         assert float(summary["sup_velocity_gap"]) < 1e-6
+
+    def test_bad_tolerance_exits_3_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        # both solvers once ran before the tolerance was read
+        import epdifflab.scenarios as sc
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solver ran before the config was validated")
+
+        monkeypatch.setattr(sc, "integrate", no_solve)
+        monkeypatch.setattr(sc, "integrate_geodesic", no_solve)
+        text = (CONFIGS / "consistency.ini").read_text()
+        assert "tolerance = 1e-6" in text
+        cfg = write_config(tmp_path, text.replace("tolerance = 1e-6", "tolerance = -1"))
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out"), "--quiet"]) == 3
+        assert capsys.readouterr().err.startswith("config error: [scenario] tolerance")
 
     def test_stalled_inversion_exits_4(self, tmp_path, capsys):
         # the shipped config with a large datum: the inverse chart's Newton

@@ -143,6 +143,33 @@ name = {name}
 norms = {norms}
 """
 
+PEAKON_D1 = """\
+[grid]
+dimension = 1
+points = 32
+[metric]
+s = 0
+[integrator]
+dt = 0.01
+t_end = 0.05
+[scenario]
+name = peakon_pair
+[run]
+blowup_threshold = 10
+"""
+
+TINY_BOX_AUDIT = """\
+[grid]
+dimension = {dimension}
+points = 8
+length = 1e-200
+[metric]
+s = 0
+[scenario]
+name = conjugation_audit
+draws = 1
+"""
+
 
 @FUZZ
 @given(text=st.integers(0, 2**32 - 1).map(config_text))
@@ -154,6 +181,15 @@ norms = {norms}
                                  norms="1.5"))
 @example(text=GAUSSIAN_D1.format(dimension=1, metric="s = 1",
                                  name="random_bandlimited\ntarget_norm = 1e150", norms="1.5"))
+# a threshold below the initial gradient: once a blow-up verdict at t = 0 (exit 2)
+@example(text=GAUSSIAN_D1.format(dimension=1, metric="s = 1.5", name="gaussian_blob",
+                                 norms="1.5\nblowup_threshold = 0.5"))
+# 5 steps of dt fit the cap of 8, the 10 of the dt/2 confirmation rerun did not (exit 1)
+@example(text=PEAKON_D1)
+# L^(-2) overflowed in the oracle at d = 1 (OverflowError), L^2 underflowed to 0 at
+# d = 2 (ZeroDivisionError): both exit 1
+@example(text=TINY_BOX_AUDIT.format(dimension=1))
+@example(text=TINY_BOX_AUDIT.format(dimension=2))
 def test_config_text_exits_with_a_documented_code(table_dir, text):
     config = table_dir / "run.ini"
     config.write_text(text)
