@@ -16,7 +16,10 @@ it.  Machine-independent counts go with the timings: transform calls
 The oracle group times, for the four cases of acceptance criterion 1, the
 ``ConvolutionKernel`` build, one ``apply`` and one ``apply_An_recursive`` on a
 band-limited draw with headroom, and ``estimate_Cn`` at ``xi_max`` 500 and
-1000 for orders 1 and 2.  It counts the kernel tuples per case and the
+1000 for orders 1 and 2.  It also times ``apply_An_recursive`` at d=2 n=64
+order 2 and d=3 n=32 order 1, grids where its padded passes are split.  It
+counts the kernel tuples per case, the ``grid.padded_samples`` and
+``grid.truncate_padded`` calls per ``apply_An_recursive`` and the
 ``symbol_an`` calls per ``estimate_Cn``, and records the oracle's relative
 error and the envelope ratios as values.
 
@@ -58,6 +61,9 @@ MIN_SAMPLE_S = 0.05
 WARM_STEPS = 10
 # (dim, n, order) of the acceptance-1 oracle cases
 ORACLE_CASES = ((1, 16, 1), (1, 16, 2), (2, 8, 1), (2, 8, 2))
+# (dim, n, order) of operator-recursion calls on grids too large for the
+# oracle, where the padded passes are split into chunks
+LARGE_TOWER_CASES = ((2, 64, 2), (3, 32, 1))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -198,24 +204,30 @@ def measure_oracle(repeats: int, samples: dict, counts: dict, values: dict) -> N
     import numpy as np
 
     from epdifflab import conjugation
+    from epdifflab import grid as grid_module
     from epdifflab.epdiff import bandlimited_draw
     from epdifflab.grid import TorusGrid
     from epdifflab.operators import sobolev_multiplier
     from epdifflab.symbols import sobolev_symbol
 
-    for dim, n, order in ORACLE_CASES:
-        tag = f"oracle.d{dim}_n{n}_order{order}"
+    towers = {}
+    for dim, n, order in ORACLE_CASES + LARGE_TOWER_CASES:
+        oracle = (dim, n, order) in ORACLE_CASES
+        tag = f"{'oracle' if oracle else 'tower'}.d{dim}_n{n}_order{order}"
         mult = sobolev_multiplier(1.0, TorusGrid(dim, n))
         rng = np.random.default_rng(1000 + 10 * order + dim)
         kmax = (n // 2 - 1) // (order + 1)
         fields = [bandlimited_draw(mult.grid, kmax, rng) for _ in range(order + 1)]
+        tower = towers[tag] = functools.partial(conjugation.apply_An_recursive, mult, order, *fields)
+        samples[f"{tag}.apply_An_recursive_ms"] = _per_call_ms(tower, repeats)
+        counts[tag] = {}
+        if not oracle:
+            continue
         kernel = conjugation.ConvolutionKernel(mult, order)
         samples[f"{tag}.build_ms"] = _per_call_ms(lambda: conjugation.ConvolutionKernel(mult, order), repeats)
         samples[f"{tag}.apply_ms"] = _per_call_ms(lambda: kernel.apply(*fields), repeats)
-        samples[f"{tag}.apply_An_recursive_ms"] = _per_call_ms(
-            lambda: conjugation.apply_An_recursive(mult, order, *fields), repeats)
-        counts[tag] = {"kernel_tuples": sum(idx.shape[1] for idx, _, _ in kernel.chunks)}
-        rec = conjugation.apply_An_recursive(mult, order, *fields).coeffs
+        counts[tag]["kernel_tuples"] = sum(idx.shape[1] for idx, _, _ in kernel.chunks)
+        rec = tower().coeffs
         conv = kernel.apply(*fields).coeffs
         values[f"{tag}.rel_err"] = float(np.abs(rec - conv).max() / np.abs(rec).max())
 
@@ -231,6 +243,14 @@ def measure_oracle(repeats: int, samples: dict, counts: dict, values: dict) -> N
     counter = CallCounter([(conjugation, "symbol_an")])
     for tag, call in envelopes.items():
         counts[tag] = counter.calls_in(call)
+    # padded passes per apply_An_recursive, also where conjugation binds the
+    # grid functions by name
+    passes = CallCounter([(grid_module, "padded_samples"), (grid_module, "truncate_padded")])
+    for name in ("padded_samples", "truncate_padded"):
+        if hasattr(conjugation, name):
+            setattr(conjugation, name, getattr(grid_module, name))
+    for tag, call in towers.items():
+        counts[tag].update(passes.calls_in(call))
 
 
 # --- the parent process -----------------------------------------------------------

@@ -11,12 +11,8 @@ from .grid import (
     SpectralScalarField,
     SpectralVectorField,
     TorusGrid,
-    dealiased_product,
-    directional_derivative,
     divergence,
     l2_inner,
-    spectral_gradient,
-    translate,
 )
 from .symbols import (
     ClassCertificate,
@@ -38,7 +34,6 @@ from .operators import (
     FourierMultiplier,
     apply,
     apply_inverse,
-    inner_product,
     sobolev_multiplier,
     sobolev_norm,
 )
@@ -60,8 +55,6 @@ from .epdiff import (
     Diagnostics,
     EulerState,
     IntegrationResult,
-    ad_transpose,
-    arnold_B,
     detect_blowup,
     euler_rhs,
     gaussian_blob,
@@ -76,7 +69,6 @@ from .lagrangian import (
     GeodesicState,
     InversionError,
     compose,
-    compose_diffeo,
     distance_dq,
     integrate_geodesic,
     invert,

@@ -14,7 +14,9 @@ verifies the antisymmetrized frozen-tensor identity behind that envelope.
 
 Inside this module ``B`` frequency tuples are component-major, ``(n+1, dim, B)``,
 and so is every tensor, ``(dim, ..., dim, B)``; the public functions take and
-return batch-major arrays through one conversion pair.
+return batch-major arrays through one conversion pair.  The operator
+recursion stacks the spectra of ``B`` field tuples batch-major,
+``(B, dim, n, ..., n)`` per slot.
 
 Sign convention: with coefficients of ``exp(+2 pi i k.x/L)`` and the
 derivative rule ``d_j <-> 2 pi i k_j / L``, the symbol recursion is
@@ -37,11 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import (
-    SpectralVectorField,
-    TorusGrid,
-    directional_derivative,
-)
+from .grid import SpectralVectorField, TorusGrid, padded_samples, truncate_padded
 from .operators import FourierMultiplier, apply
 from .symbols import MatrixSymbol, sobolev_weight
 
@@ -90,24 +88,80 @@ def apply_An_recursive(mult: FourierMultiplier, n: int, *fields: SpectralVectorF
             f"grid n >= {required_headroom(n, kmax)} (have {grid_n}); refine the grid "
             f"or band-limit inputs to |k| <= {headroom_band(n, grid_n)}"
         )
-    return _tower(mult, list(fields))
+    slots = [f.coeffs[None] for f in fields]
+    return SpectralVectorField(mult.grid, _tower(mult, slots)[0])
 
 
-def _tower(mult: FourierMultiplier, us: list[SpectralVectorField]) -> SpectralVectorField:
-    if len(us) == 1:
-        return apply(mult, us[0])
-    prefix, last = us[:-1], us[-1]
-    out = directional_derivative(last, _tower(mult, prefix))
-    for k in range(len(prefix)):
-        modified = list(prefix)
-        modified[k] = directional_derivative(last, modified[k])
-        out = out - _tower(mult, modified)
+def _tower(mult: FourierMultiplier, slots: list[np.ndarray]) -> np.ndarray:
+    """``A_m`` of ``B`` tuples given as ``m+1`` slots of spectra ``(B, d, n, ..., n)``.
+
+    With ``*prefix, last = slots``, one level makes one padded pass of
+    ``last`` and the gradients of every prefix field, forms
+    ``(last . grad) prefix[k]`` there and truncates once; recurses once on
+    the ``m+1`` tuples ``(prefix, prefix with slot k moved)`` of every input
+    tuple, as one stack; forms ``(last . grad)`` of the plain inner result
+    from the padded samples of ``last`` it holds; and subtracts the moved
+    terms in slot order.  One recursion takes at most ``plan.batch // d``
+    tuples, so on large grids a level walks its variants in turn.
+    """
+    *prefix, last = slots
+    if not prefix:
+        return np.einsum("...ij,bj...->bi...", mult.table, last)
+    grid, m = mult.grid, len(prefix)
+    step = max(1, grid.plan.batch // (grid.dim * len(last)))  # variants per recursion
+    padded = out = None
+    for lo in range(0, m + 1, step):
+        hi = min(lo + step, m + 1)
+        k0 = max(lo, 1) - 1  # variant v moves slot v - 1
+        padded, moved = _advect(grid, prefix[k0:hi - 1], last, padded)
+        parts = [[moved[k - k0] if v == k + 1 else prefix[k] for v in range(lo, hi)]
+                 for k in range(m)]
+        inner = _tower(mult, [p[0] if len(p) == 1 else np.concatenate(p) for p in parts])
+        for v, result in enumerate(inner.reshape((hi - lo,) + last.shape), start=lo):
+            if v == 0:
+                out = _advect(grid, [result], last, padded)[1][0]
+            else:
+                out -= result
+        del inner, result  # freed before the next recursion: 5 MB of peak at d=3 n=32 order 3
     return out
 
 
-def commutator_A1(mult: FourierMultiplier, u0: SpectralVectorField, u1: SpectralVectorField) -> SpectralVectorField:
-    """Direct form of the first derivative, ``[grad_{u_1}, A] u_0``."""
-    return directional_derivative(u1, apply(mult, u0)) - apply(mult, directional_derivative(u1, u0))
+def _advect(
+    grid: TorusGrid, fields: list[np.ndarray], last: np.ndarray, padded: np.ndarray | None
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Dealiased ``(last . grad) field`` for each of ``fields``, spectra
+    ``(B, d, n, ..., n)`` like the directions ``last``.
+
+    Returns the padded samples of ``last`` with the results.  Pass the
+    samples of an earlier call as ``padded``; otherwise those of ``last``
+    join the first padded pass.  The fields go to the 3/2 grid as many at a
+    time as ``plan.batch`` rows of gradients hold (at least one), and each
+    pass is truncated once.
+    """
+    plan = grid.plan
+    d, lead = grid.dim, last.shape[0] * grid.dim
+    per = max(1, plan.batch // (lead * d))
+    moved: list[np.ndarray] = []
+    lo = 0
+    while padded is None or lo < len(fields):
+        chunk = fields[lo:lo + per]
+        head = lead if padded is None else 0  # rows of ``last`` in this pass
+        stack = np.empty((head + len(chunk) * lead * d,) + plan.half_shape, dtype=complex)
+        if head:
+            stack[:head] = last[..., :plan.half].reshape((head,) + plan.half_shape)
+        grads = stack[head:].reshape((len(chunk),) + last.shape[:2] + (d,) + plan.half_shape)
+        for field, grad in zip(chunk, grads):
+            np.multiply(field[:, :, None, ..., :plan.half], plan.factors, out=grad)
+        samples = padded_samples(grid, stack)
+        if head:  # a copy, so the gradient rows are freed with this pass
+            padded = samples[:head].reshape(last.shape[:2] + plan.padded_shape).copy()
+        if chunk:
+            sampled = samples[head:].reshape(grads.shape[:4] + plan.padded_shape)
+            products = np.einsum("bj...,fbij...->fbi...", padded, sampled)
+            spectra = truncate_padded(grid, products.reshape((-1,) + plan.padded_shape))
+            moved += list(spectra.reshape((len(chunk),) + last.shape))
+        lo += per
+    return padded, moved
 
 
 # --- symbol recursion ----------------------------------------------------------

@@ -207,23 +207,6 @@ def euler_rhs(mult: FourierMultiplier, m: SpectralVectorField) -> SpectralVector
     return SpectralVectorField(grid, _full(grid, _transport_half(grid, stack), _MINUS_ONE))
 
 
-def ad_transpose(
-    mult: FourierMultiplier, v: SpectralVectorField, u: SpectralVectorField
-) -> SpectralVectorField:
-    """Metric adjoint of the adjoint action:
-    ``A^-1[(v . grad) A u + (grad v)^T A u + (div v) A u]``."""
-    if not mult.invertible:
-        raise ValueError("ad_transpose needs an invertible (elliptic) multiplier")
-    return apply_inverse(mult, momentum_transport(v, apply(mult, u)))
-
-
-def arnold_B(
-    mult: FourierMultiplier, u: SpectralVectorField, v: SpectralVectorField
-) -> SpectralVectorField:
-    """Symmetrized bilinear operator of the Euler equation ``u_t = -B(u, u)``."""
-    return 0.5 * (ad_transpose(mult, u, v) + ad_transpose(mult, v, u))
-
-
 # --- time stepping ---------------------------------------------------------------
 
 def cfl_limit(u: SpectralVectorField) -> float:

@@ -402,13 +402,6 @@ class SpectralVectorField(_FieldBase):
 Field = Union[SpectralScalarField, SpectralVectorField]
 
 
-def spectral_gradient(u: Field, axis: int) -> Field:
-    """Exact partial derivative along ``axis``; Nyquist modes are zeroed."""
-    if not 0 <= axis < u.grid.dim:
-        raise ValueError(f"axis {axis} out of range for dim {u.grid.dim}")
-    return u._sibling(u.coeffs * u.grid.derivative_factors[axis])
-
-
 def divergence(u: SpectralVectorField) -> SpectralScalarField:
     return SpectralScalarField(u.grid, np.sum(u.coeffs * u.grid.derivative_factors, axis=0))
 
@@ -416,16 +409,6 @@ def divergence(u: SpectralVectorField) -> SpectralScalarField:
 def jacobian_coeffs(u: SpectralVectorField) -> np.ndarray:
     """Coefficients of ``du^i/dx_j``, shape ``(d, d, n, ..., n)`` indexed [i, j]."""
     return u.coeffs[:, None] * u.grid.derivative_factors
-
-
-def translate(u: Field, shift: np.ndarray) -> Field:
-    """Translate a field by ``h``: acts as the phase ``exp(-2*pi*i k.h/L)``."""
-    shift = np.atleast_1d(np.asarray(shift, dtype=float))
-    if shift.shape != (u.grid.dim,):
-        raise ValueError(f"shift must have {u.grid.dim} components")
-    phase_exp = np.tensordot(shift, u.grid.wavenumbers, axes=(0, 0))
-    phase = np.exp(-2j * np.pi * phase_exp / u.grid.length)
-    return u._sibling(u.coeffs * phase)
 
 
 # --- alias-free products ----------------------------------------------------
@@ -556,44 +539,6 @@ def truncate_padded(grid: TorusGrid, samples: np.ndarray) -> np.ndarray:
     the n grid would do and keeps the result real-valued.
     """
     return _full(grid, _truncate_half(grid, samples))
-
-
-def _stack(u: Field) -> np.ndarray:
-    return u.coeffs.reshape((-1,) + u.grid.shape)
-
-
-def dealiased_product(f: Field, g: Field) -> Field:
-    """Pointwise product of two fields with no aliasing contamination.
-
-    The result equals the exact product of the two band-limited functions
-    restricted to the lattice.  Scalar*scalar gives a scalar; any combination
-    involving a vector broadcasts to a (componentwise) vector product.
-    """
-    _require_same_grid(f, g)
-    grid = f.grid
-    fs, gs = _stack(f), _stack(g)
-    padded = padded_samples(grid, np.concatenate([fs, gs]))
-    out = truncate_padded(grid, padded[:len(fs)] * padded[len(fs):])
-    if isinstance(f, SpectralScalarField) and isinstance(g, SpectralScalarField):
-        return SpectralScalarField(grid, out[0])
-    return SpectralVectorField(grid, out)
-
-
-def directional_derivative(v: SpectralVectorField, w: Field) -> Field:
-    """Advective derivative ``(v . grad) w`` with dealiased products.
-
-    The padded samples of ``v`` are built once; the gradient of each
-    component of ``w`` is transformed only while its output is formed.
-    """
-    _require_same_grid(v, w)
-    grid = v.grid
-    vs = padded_samples(grid, v.coeffs)
-    ws = _stack(w)
-    out = np.empty((len(ws),) + grid.plan.padded_shape)
-    for i, wi in enumerate(ws):
-        np.einsum("j...,j...->...", vs, padded_samples(grid, wi * grid.derivative_factors),
-                  out=out[i])
-    return w._sibling(truncate_padded(grid, out).reshape(w.coeffs.shape))
 
 
 def l2_inner(u: Field, v: Field) -> float:

@@ -177,12 +177,6 @@ def compose(u: Field, phi: DiffeoChart) -> Field:
     return type(u).from_samples(u.grid, vals.reshape(samples.shape))
 
 
-def compose_diffeo(phi: DiffeoChart, psi: DiffeoChart) -> DiffeoChart:
-    """Chart composition ``phi o psi``; displacement ``f_psi + f_phi o psi``."""
-    pulled = compose(phi.f, psi)
-    return DiffeoChart(psi.f + pulled)
-
-
 def invert(phi: DiffeoChart, start: Optional[np.ndarray] = None) -> DiffeoChart:
     """Inverse chart by damped Newton on the displacement.
 

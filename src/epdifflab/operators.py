@@ -1,4 +1,4 @@
-"""Fourier multipliers acting on spectral fields, with norms and inner products.
+"""Fourier multipliers acting on spectral fields, with Sobolev norms.
 
 A multiplier applies its matrix symbol diagonally in frequency:
 ``(a(D) u)^(k) = a(k/L) u^(k)``.  Elliptic multipliers additionally carry a
@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import GridMismatchError, SpectralVectorField, TorusGrid, l2_inner
+from .grid import GridMismatchError, SpectralVectorField, TorusGrid
 from .symbols import ClassCertificate, MatrixSymbol, check_ellipticity, sobolev_weight
 
 
@@ -123,13 +123,6 @@ def sobolev_norm(u: SpectralVectorField, q: float) -> float:
     weight = sobolev_weight(q, grid.frequency_points()).reshape(grid.shape)
     total = np.sum(weight**2 * np.sum(np.abs(u.coeffs) ** 2, axis=0))
     return float(np.sqrt(total / grid.length**grid.dim))
-
-
-def inner_product(mult: FourierMultiplier, u: SpectralVectorField, v: SpectralVectorField) -> float:
-    """Metric pairing ``integral (A u) . v dx`` for Hermitian positive definite ``A``."""
-    if not (mult.symbol.hermitian and mult.symbol.positive_definite):
-        raise ValueError("inner products need a Hermitian positive definite symbol")
-    return l2_inner(v, apply(mult, u))
 
 
 def sobolev_multiplier(s: float, grid: TorusGrid) -> FourierMultiplier:

@@ -14,7 +14,6 @@ from epdifflab.conjugation import (
     _t_frozen,
     apply_An_convolution,
     apply_An_recursive,
-    commutator_A1,
     convolution_kernel,
     estimate_Cn,
     rec_tensor,
@@ -24,16 +23,37 @@ from epdifflab.conjugation import (
     verify_sn_identity,
 )
 from epdifflab.epdiff import bandlimited_draw
-from epdifflab.grid import SpectralVectorField, TorusGrid, directional_derivative
+from epdifflab import conjugation
+from epdifflab import grid as grid_module
+from epdifflab.grid import SpectralVectorField, TorusGrid
 from epdifflab.operators import FourierMultiplier, apply, sobolev_multiplier
 from epdifflab.symbols import MatrixSymbol, scalar_symbol, sobolev_symbol, sobolev_weight
 
-from test_grid import band_limited
+from test_grid import band_limited, directional_derivative
 
 
 def headroom_field(grid, n_order, seed):
     kmax = (grid.n // 2 - 1) // (n_order + 1)
     return band_limited(grid, kmax, seed=seed)
+
+
+def per_product_tower(mult, us):
+    """The operator recursion one product at a time: each directional
+    derivative samples its direction field and gradients on its own."""
+    if len(us) == 1:
+        return apply(mult, us[0])
+    prefix, last = us[:-1], us[-1]
+    out = directional_derivative(last, per_product_tower(mult, prefix))
+    for k in range(len(prefix)):
+        modified = list(prefix)
+        modified[k] = directional_derivative(last, modified[k])
+        out = out - per_product_tower(mult, modified)
+    return out
+
+
+def commutator_A1(mult, u0, u1):
+    """Direct form of the first derivative, ``[grad_{u_1}, A] u_0``."""
+    return directional_derivative(u1, apply(mult, u0)) - apply(mult, directional_derivative(u1, u0))
 
 
 def rel_diff(a, b):
@@ -258,6 +278,67 @@ class TestOperatorRecursion:
         assert rel_diff(a, b) < 1e-10
         with pytest.raises(ValueError, match="limited"):
             apply_An_recursive(mult, 4, *(us + [us[0]]))
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("dim,n,symbol", [
+        (1, 32, sobolev_symbol(1.0, 1)),
+        (2, 16, sobolev_symbol(1.5, 2)),
+        (2, 16, hermitian_complex_symbol()),
+    ])
+    def test_same_bits_as_per_product_recursion(self, dim, n, symbol, order):
+        mult = FourierMultiplier.build(symbol, TorusGrid(dim, n))
+        us = [headroom_field(mult.grid, order, 60 + 10 * order + i) for i in range(order + 1)]
+        assert_same_bits(apply_An_recursive(mult, order, *us), per_product_tower(mult, us))
+
+    @pytest.mark.parametrize("per_call", [1, 2, 5])
+    @pytest.mark.parametrize("dim,n,order", [(1, 32, 3), (2, 16, 2), (3, 16, 2)])
+    def test_same_bits_when_passes_are_split(self, dim, n, order, per_call, monkeypatch):
+        # a small transform cap makes each level walk its variants and fields
+        # in chunks, as on large grids
+        m = (3 * n) // 2
+        monkeypatch.setattr(grid_module, "MAX_TRANSFORM_BYTES",
+                            per_call * 16 * m ** (dim - 1) * (m // 2 + 1))
+        mult = sobolev_multiplier(1.0, TorusGrid(dim, n))  # a new grid reads the cap
+        assert mult.grid.plan.batch == per_call
+        us = [headroom_field(mult.grid, order, 90 + i) for i in range(order + 1)]
+        assert_same_bits(apply_An_recursive(mult, order, *us), per_product_tower(mult, us))
+
+    @pytest.mark.parametrize("dim,n,order", [(1, 16, 1), (1, 16, 2), (1, 16, 3), (2, 8, 1), (2, 8, 2)])
+    def test_two_padded_passes_per_level(self, dim, n, order, monkeypatch):
+        # on the oracle grids every level fits one pass each way: 2n padded
+        # samplings and 2n truncations per call
+        calls = {"padded_samples": 0, "truncate_padded": 0}
+
+        def counting(name):
+            fn = getattr(conjugation, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            return counted
+
+        mult = sobolev_multiplier(1.0, TorusGrid(dim, n))
+        us = [headroom_field(mult.grid, order, 120 + i) for i in range(order + 1)]
+        for name in calls:
+            monkeypatch.setattr(conjugation, name, counting(name))
+        apply_An_recursive(mult, order, *us)
+        assert calls == {"padded_samples": 2 * order, "truncate_padded": 2 * order}
+
+    def test_memory_peak_3d(self, monkeypatch):
+        # d=3 n=32 splits every pass; the per-product recursion peaked at about
+        # 20 MB of traced allocations at order 2, and the stacked levels stay
+        # within twice that
+        monkeypatch.setattr(grid_module, "TRANSFORM_WORKERS", 2)
+        mult = sobolev_multiplier(1.0, TorusGrid(3, 32))
+        us = [headroom_field(mult.grid, 2, 150 + i) for i in range(3)]
+        apply_An_recursive(mult, 2, *us)  # plan tables and thread pool
+        tracemalloc.start()
+        try:
+            apply_An_recursive(mult, 2, *us)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
 
 
 class TestSymbolRecursion:

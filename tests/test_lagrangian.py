@@ -14,18 +14,12 @@ from epdifflab.conjugation import apply_An_recursive
 from epdifflab.epdiff import (
     MAX_STEPS,
     EulerState,
-    arnold_B,
     diagnostics,
     gaussian_blob,
     integrate,
     momentum_transport,
 )
-from epdifflab.grid import (
-    SpectralVectorField,
-    TorusGrid,
-    directional_derivative,
-    translate,
-)
+from epdifflab.grid import SpectralVectorField, TorusGrid
 from epdifflab import lagrangian
 from epdifflab.lagrangian import (
     ChartError,
@@ -33,7 +27,6 @@ from epdifflab.lagrangian import (
     GeodesicState,
     InversionError,
     compose,
-    compose_diffeo,
     distance_dq,
     integrate_geodesic,
     invert,
@@ -46,7 +39,13 @@ from epdifflab.lagrangian import (
 )
 from epdifflab.operators import apply, apply_inverse, sobolev_multiplier, sobolev_norm
 
-from test_grid import band_limited
+from test_epdiff import arnold_B
+from test_grid import band_limited, directional_derivative, translate
+
+
+def compose_diffeo(phi, psi):
+    """Chart composition ``phi o psi``; displacement ``f_psi + f_phi o psi``."""
+    return DiffeoChart(psi.f + compose(phi.f, psi))
 
 
 def small_chart(grid, scale=0.02, kmax=3, seed=0):

@@ -49,7 +49,6 @@ from epdifflab.grid import (
     GridMismatchError,
     SpectralVectorField,
     TorusGrid,
-    directional_derivative,
     divergence,
     padded_samples,
     truncate_padded,
@@ -57,6 +56,8 @@ from epdifflab.grid import (
 from epdifflab.lagrangian import spray_at_identity
 from epdifflab.operators import FourierMultiplier, apply, apply_inverse, sobolev_multiplier
 from epdifflab.symbols import sobolev_symbol
+
+from test_grid import directional_derivative
 
 TOL = 1e-13
 # The spray cancels terms of size a(k)|u|^2 against each other, so its
