@@ -1,9 +1,9 @@
-"""Layer timings of the Lagrangian solver and the convolution oracle, written
-to a ``BENCH_*.json`` record.
+"""Layer timings of the Lagrangian solver, the convolution oracle and the
+Eulerian solver, written to a ``BENCH_*.json`` record.
 
 Usage (from the repository root):
 
-    python bench/run_bench.py --output BENCH_lagrangian.json --baseline HEAD --rounds 3
+    python bench/run_bench.py --output BENCH_eulerian.json --baseline HEAD --rounds 5
 
 Times, at d=1 n=256 and d=2 n=64 on the datum of ``configs/consistency.ini``:
 ``spray_at_identity``, a warm-started ``invert``, ``compose``, one
@@ -22,6 +22,16 @@ counts the kernel tuples per case, the ``grid.padded_samples`` and
 ``grid.truncate_padded`` calls per ``apply_An_recursive`` and the
 ``symbol_an`` calls per ``estimate_Cn``, and records the oracle's relative
 error and the envelope ratios as values.
+
+The Eulerian group times one ``euler_rhs`` and one ``step_rk4`` call at
+d=1 n=256 and 1024 on the datum of ``configs/peakon_blowup.ini``, and at
+d=2 n=64 and d=3 n=32 on the seeded band-limited datum of the
+``bandlimited_3d`` benchmark workload (H^2 metric), each step half the CFL
+limit, and the whole peakon ``integrate`` to t=0.5.  It counts, per ``step_rk4``,
+the transform calls (``grid._rfft``/``grid._irfft``), the conjugate
+reflections (``epdiff._full``) and the calls of the stage's right-hand side
+(``epdiff.euler_rhs``, and ``epdiff._rhs_half`` where it exists), and
+records the final energy and sup|grad u| of the peakon run as values.
 
 Each round measures every side in a fresh child process.  The working tree
 is one side; ``--baseline REF`` adds the tree of a git commit as the other,
@@ -46,11 +56,13 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import threading
 from pathlib import Path
 from time import perf_counter
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIG = REPO / "configs" / "consistency.ini"
+PEAKON_CONFIG = REPO / "configs" / "peakon_blowup.ini"
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 GRIDS = ((1, 256), (2, 64))
 # A timed sample repeats a call until it takes at least this long.
@@ -64,6 +76,10 @@ ORACLE_CASES = ((1, 16, 1), (1, 16, 2), (2, 8, 1), (2, 8, 2))
 # (dim, n, order) of operator-recursion calls on grids too large for the
 # oracle, where the padded passes are split into chunks
 LARGE_TOWER_CASES = ((2, 64, 2), (3, 32, 1))
+# (dim, n) of the Eulerian per-call timings: the peakon datum at d=1, the
+# band-limited datum (|k|_inf <= 4, unit H^1.5 norm, H^2 metric, seed 0) above
+EULER_GRIDS = ((1, 256), (1, 1024), (2, 64), (3, 32))
+PEAKON_T_END = 0.5
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,18 +95,23 @@ def build_parser() -> argparse.ArgumentParser:
 # --- measurements, in a child process ------------------------------------------------
 
 class CallCounter:
-    """Counts the calls of module attributes by replacing them with counting wrappers."""
+    """Counts the calls of module attributes by replacing them with counting
+    wrappers, until :meth:`close` puts the originals back.  Transform chunks
+    call from worker threads, so a lock guards the counts."""
 
     def __init__(self, targets) -> None:
-        self.counts = {}
+        self.counts, self.originals = {}, []
+        self.lock = threading.Lock()
         for module, name in targets:
             key, fn = f"{module.__name__}.{name}", getattr(module, name)
             self.counts[key] = 0
+            self.originals.append((module, name, fn))
             setattr(module, name, self._counted(key, fn))
 
     def _counted(self, key: str, fn):
         def counted(*args, **kwargs):
-            self.counts[key] += 1
+            with self.lock:
+                self.counts[key] += 1
             return fn(*args, **kwargs)
         return counted
 
@@ -98,6 +119,10 @@ class CallCounter:
         before = dict(self.counts)
         call()
         return {key: self.counts[key] - before[key] for key in self.counts}
+
+    def close(self) -> None:
+        for module, name, fn in self.originals:
+            setattr(module, name, fn)
 
 
 def _per_call_ms(call, repeats: int) -> list[float]:
@@ -122,20 +147,32 @@ def _per_call_ms(call, repeats: int) -> list[float]:
     return samples
 
 
-def _consistency_params() -> dict[str, float]:
+def _config_params(path: Path, *scenario_keys: str) -> dict[str, float]:
     parser = configparser.ConfigParser()
-    parser.read(CONFIG)
-    return {
+    parser.read(path)
+    params = {
         "s": parser.getfloat("metric", "s"),
         "dt": parser.getfloat("integrator", "dt"),
         "t_end": parser.getfloat("integrator", "t_end"),
-        "amplitude": parser.getfloat("scenario", "amplitude"),
-        "width": parser.getfloat("scenario", "width"),
     }
+    params.update({key: parser.getfloat("scenario", key) for key in scenario_keys})
+    return params
 
 
 def measure(repeats: int) -> dict:
-    """Samples, counts and gaps of the package that ``import epdifflab`` finds."""
+    """Samples, counts and values of the package that ``import epdifflab`` finds."""
+    from epdifflab import grid as grid_module
+
+    samples, counts, values = {}, {}, {}
+    for group in (measure_lagrangian, measure_oracle, measure_eulerian):
+        group(repeats, samples, counts, values)
+    return {"samples": samples, "counts": counts, "values": values,
+            "transform_workers": grid_module.TRANSFORM_WORKERS}
+
+
+def measure_lagrangian(repeats: int, samples: dict, counts: dict, values: dict) -> None:
+    """The Lagrangian group: the layers of ``integrate_geodesic`` on the
+    datum of ``configs/consistency.ini``, and the whole run."""
     import numpy as np
     from scipy import ndimage
 
@@ -165,9 +202,9 @@ def measure(repeats: int) -> dict:
             "spray_rhs_stage": lambda: spray_rhs(mult, GeodesicState(DiffeoChart(f), v), warm),
         }
 
-    params = _consistency_params()
+    params = _config_params(CONFIG, "amplitude", "width")
     dt = params["dt"]
-    samples, counts, values, counted = {}, {}, {}, {}
+    counted = {}
     for dim, n in GRIDS:
         tag = f"d{dim}_n{n}"
         grid = grid_module.TorusGrid(dim, n)
@@ -193,9 +230,7 @@ def measure(repeats: int) -> dict:
                            (ndimage, "spline_filter"), (ndimage, "map_coordinates")])
     for key, call in counted.items():
         counts[key] = counter.calls_in(call)
-    measure_oracle(repeats, samples, counts, values)
-    return {"samples": samples, "counts": counts, "values": values,
-            "transform_workers": grid_module.TRANSFORM_WORKERS}
+    counter.close()
 
 
 def measure_oracle(repeats: int, samples: dict, counts: dict, values: dict) -> None:
@@ -246,11 +281,66 @@ def measure_oracle(repeats: int, samples: dict, counts: dict, values: dict) -> N
     # padded passes per apply_An_recursive, also where conjugation binds the
     # grid functions by name
     passes = CallCounter([(grid_module, "padded_samples"), (grid_module, "truncate_padded")])
-    for name in ("padded_samples", "truncate_padded"):
-        if hasattr(conjugation, name):
-            setattr(conjugation, name, getattr(grid_module, name))
+    bound = [name for name in ("padded_samples", "truncate_padded") if hasattr(conjugation, name)]
+    originals = {name: getattr(conjugation, name) for name in bound}
+    for name in bound:
+        setattr(conjugation, name, getattr(grid_module, name))
     for tag, call in towers.items():
         counts[tag].update(passes.calls_in(call))
+    passes.close()
+    for name, fn in originals.items():
+        setattr(conjugation, name, fn)
+    counter.close()
+
+
+def measure_eulerian(repeats: int, samples: dict, counts: dict, values: dict) -> None:
+    """The Eulerian group: ``euler_rhs`` and ``step_rk4`` per call, the
+    peakon ``integrate`` to ``PEAKON_T_END``, and the calls one step makes."""
+    from epdifflab import epdiff
+    from epdifflab import grid as grid_module
+    from epdifflab.epdiff import (
+        EulerState,
+        euler_rhs,
+        integrate,
+        peakon_pair,
+        random_bandlimited,
+        step_rk4,
+    )
+    from epdifflab.operators import sobolev_multiplier
+
+    peakon = _config_params(PEAKON_CONFIG, "amplitude", "separation", "width")
+    steps = {}
+    for dim, n in EULER_GRIDS:
+        tag = f"eulerian.d{dim}_n{n}"
+        grid = grid_module.TorusGrid(dim, n)
+        if dim == 1:
+            mult = sobolev_multiplier(peakon["s"], grid)
+            u = peakon_pair(grid, peakon["amplitude"], peakon["separation"], peakon["width"])
+        else:
+            mult = sobolev_multiplier(2.0, grid)
+            u = random_bandlimited(grid, 4, norm_order=1.5, target_norm=1.0, seed=0)
+        state = EulerState.from_velocity(mult, u)
+        step = steps[tag] = functools.partial(step_rk4, mult, state, 0.5 * state.cfl)
+        samples[f"{tag}.euler_rhs_ms"] = _per_call_ms(lambda: euler_rhs(mult, state.m), repeats)
+        samples[f"{tag}.step_rk4_ms"] = _per_call_ms(step, repeats)
+
+    grid = grid_module.TorusGrid(1, 256)
+    mult = sobolev_multiplier(peakon["s"], grid)
+    initial = EulerState.from_velocity(
+        mult, peakon_pair(grid, peakon["amplitude"], peakon["separation"], peakon["width"]))
+    run = functools.partial(integrate, mult, initial, PEAKON_T_END, peakon["dt"], cadence=10**9)
+    samples["eulerian.peakon_integrate_ms"] = _per_call_ms(run, repeats)
+    final = run().final_state
+    values["eulerian.peakon_integrate.energy"] = final.energy
+    values["eulerian.peakon_integrate.sup_gradient"] = final.sup_gradient
+    # counted after every timing, as in measure_lagrangian()
+    targets = [(grid_module, "_rfft"), (grid_module, "_irfft"), (epdiff, "_full"),
+               (epdiff, "euler_rhs"), (epdiff, "_rhs_half")]
+    counter = CallCounter([(module, name) for module, name in targets if hasattr(module, name)])
+    for tag, step in steps.items():
+        counts[f"{tag}.per_step"] = counter.calls_in(step)
+    counter.close()
+
 
 
 # --- the parent process -----------------------------------------------------------

@@ -9,7 +9,10 @@ Momentum is the prognostic variable; velocity is recovered diagonally through
 the inverse multiplier table.  The integrator is fixed-step classical RK4
 behind a CFL guard, with power-of-two substepping when the guard bites: a
 step whose guard bites part-way keeps its accepted substeps and finishes its
-interval at half the substep.  Conservation diagnostics stay interpretable:
+interval at half the substep.  An RK4 step runs its stages and their
+combination on half spectra (last-axis bins ``0..n/2``, all a stage reads);
+the step, not the stage, rebuilds the negative bins of the new momentum by
+conjugate reflection.  Conservation diagnostics stay interpretable:
 energy and total momentum are recomputed from the state at every emission,
 never accumulated, and the first time the energy drifts past
 ``RESOLVED_ENERGY_DRIFT`` is recorded as ``resolved_until``.
@@ -18,7 +21,7 @@ never accumulated, and the first time the energy drifts past
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -26,14 +29,20 @@ import numpy as np
 from .grid import (
     SpectralVectorField,
     TorusGrid,
-    jacobian_coeffs,
     l2_inner,
     padded_samples,
     _full,
     _samples,
     _truncate_half,
 )
-from .operators import FourierMultiplier, apply, apply_inverse, sobolev_norm, _apply_inverse_half
+from .operators import (
+    FourierMultiplier,
+    apply,
+    apply_inverse,
+    sobolev_norm,
+    _apply_inverse_half,
+    _require_inverse,
+)
 
 MAX_SUBSTEP_DOUBLINGS = 12
 CFL_FRACTION = 0.5
@@ -43,7 +52,9 @@ MAX_STEPS = 10**7
 # Relative energy drift beyond which a trajectory no longer counts as resolved
 # (the tolerance of the energy-conservation acceptance check).
 RESOLVED_ENERGY_DRIFT = 1e-6
-_MINUS_ONE = np.complex128(-1.0)  # a numpy scalar: see grid._HALF
+# numpy scalars: see grid._HALF
+_MINUS_ONE = np.complex128(-1.0)
+_TWO = np.float64(2.0)
 
 
 class CFLError(ValueError):
@@ -97,8 +108,10 @@ class Diagnostics:
 
 
 def sup_velocity_gradient(u: SpectralVectorField) -> float:
-    """Max over the grid and all components of ``|du^i/dx_j|``."""
-    grads = _samples(u.grid, jacobian_coeffs(u))
+    """Max over the grid and all components of ``|du^i/dx_j|``; the Jacobian
+    is formed on the half spectra that the inverse transform reads."""
+    plan = u.grid.plan
+    grads = _samples(u.grid, u.coeffs[:, None, ..., :plan.half] * plan.factors)
     return float(np.abs(grads).max())
 
 
@@ -200,11 +213,20 @@ def euler_rhs(mult: FourierMultiplier, m: SpectralVectorField) -> SpectralVector
     ``u`` and the transport term are formed on half spectra; the negative
     last-axis bins are rebuilt once, by conjugate reflection.
     """
-    grid, d = m.grid, m.grid.dim
+    _require_inverse(mult, m)
+    grid = m.grid
+    return SpectralVectorField(grid, _full(grid, _rhs_half(mult, m.coeffs[..., :grid.plan.half])))
+
+
+def _rhs_half(mult: FourierMultiplier, m: np.ndarray) -> np.ndarray:
+    """Half spectra ``(d, n, ..., n/2+1)`` of :func:`euler_rhs` from those of
+    ``m``; the caller runs the checks of :func:`apply_inverse`."""
+    grid, d = mult.grid, mult.grid.dim
     stack = _transport_stack(grid)
     _apply_inverse_half(mult, m, out=stack[:d])
-    stack[d:2 * d] = m.coeffs[..., :grid.plan.half]
-    return SpectralVectorField(grid, _full(grid, _transport_half(grid, stack), _MINUS_ONE))
+    stack[d:2 * d] = m
+    out = _transport_half(grid, stack)
+    return np.multiply(out, _MINUS_ONE, out=out)
 
 
 # --- time stepping ---------------------------------------------------------------
@@ -218,7 +240,16 @@ def cfl_limit(u: SpectralVectorField) -> float:
 
 
 def step_rk4(mult: FourierMultiplier, state: EulerState, dt: float) -> EulerState:
-    """One classical RK4 step in momentum form; enforces the CFL guard."""
+    """One classical RK4 step in momentum form; enforces the CFL guard.
+
+    Every stage, and the combination of the stages, runs on the half spectra
+    of ``m`` (last-axis bins ``0..n/2``), which are all a stage reads.  The
+    step rebuilds the negative bins of the new momentum once, by conjugate
+    reflection.  Conjugation commutes exactly with sums and with products by
+    a real step, so for a conjugate-symmetric ``m`` (which a table with
+    ``a(-k) = conj(a(k))`` keeps so) these are the bits that combining the
+    full spectra would give.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if dt > state.cfl * (1 + 1e-12):
@@ -226,18 +257,20 @@ def step_rk4(mult: FourierMultiplier, state: EulerState, dt: float) -> EulerStat
             f"dt={dt:g} violates the guard dt*sup|u| <= {CFL_FRACTION}*spacing "
             f"(limit {state.cfl:g})"
         )
+    _require_inverse(mult, state.m)
     grid = state.m.grid
-    m_new = _rk4(lambda m: euler_rhs(mult, SpectralVectorField(grid, m)).coeffs, state.m.coeffs, dt)
-    return EulerState.from_momentum(mult, SpectralVectorField(grid, m_new), t=state.t + dt)
+    m_new = _rk4(partial(_rhs_half, mult), state.m.coeffs[..., :grid.plan.half], dt)
+    return EulerState.from_momentum(mult, SpectralVectorField(grid, _full(grid, m_new)), t=state.t + dt)
 
 
 def _rk4(rhs: Callable[[np.ndarray], np.ndarray], y: np.ndarray, dt: float) -> np.ndarray:
     """One classical RK4 step of ``y' = rhs(y)`` on arrays (both geodesic solvers)."""
+    half_dt = np.float64(dt / 2)
     k1 = rhs(y)
-    k2 = rhs(y + k1 * (dt / 2))
-    k3 = rhs(y + k2 * (dt / 2))
-    k4 = rhs(y + k3 * dt)
-    return y + (k1 + k2 * 2.0 + k3 * 2.0 + k4) * (dt / 6)
+    k2 = rhs(y + k1 * half_dt)
+    k3 = rhs(y + k2 * half_dt)
+    k4 = rhs(y + k3 * np.float64(dt))
+    return y + (k1 + k2 * _TWO + k3 * _TWO + k4) * np.float64(dt / 6)
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,6 +361,7 @@ def integrate(
     e0 = first.energy
 
     t0 = state.t
+    half = state.m.grid.plan.half
     for step in range(1, n_steps + 1):
         limit = state.cfl
         doublings = 0
@@ -347,7 +381,7 @@ def integrate(
                 continue
             substeps += 1
             left -= 1
-            if not np.isfinite(trial.m.coeffs).all():
+            if not np.isfinite(trial.m.coeffs[..., :half]).all():  # the rest mirrors it
                 return halt("nan_abort", state)
         state = EulerState(t=t0 + step * dt, m=trial.m, u=trial.u)
 

@@ -275,7 +275,8 @@ def _spectra(grid: TorusGrid, samples: np.ndarray) -> np.ndarray:
 
 
 def _samples(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
-    """Real samples of conjugate-symmetric spectra ``(..., n, ..., n)``."""
+    """Real samples of conjugate-symmetric spectra ``(..., n, ..., n)``, or of
+    their half spectra ``(..., n, ..., n/2+1)``: only bins ``0..n/2`` are read."""
     half = coeffs[..., :grid.n // 2 + 1]
     return _irfft(half, grid.shape) / grid.cell_volume
 

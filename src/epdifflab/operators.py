@@ -102,13 +102,9 @@ def apply_inverse(mult: FourierMultiplier, w: SpectralVectorField) -> SpectralVe
     return SpectralVectorField(w.grid, out)
 
 
-def _apply_inverse_half(
-    mult: FourierMultiplier, w: SpectralVectorField, out: np.ndarray
-) -> np.ndarray:
+def _apply_inverse_half(mult: FourierMultiplier, half: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write the half spectra ``(d, n, ..., n/2+1)`` of ``a(D)^-1 w`` to ``out``,
-    with the checks of :func:`apply_inverse`."""
-    _require_inverse(mult, w)
-    half = w.coeffs[..., :w.grid.plan.half]
+    from those of ``w``; the caller runs the checks of :func:`apply_inverse`."""
     return np.einsum("...ij,j...->i...", mult.half_inv_table, half, out=out)
 
 

@@ -65,7 +65,9 @@ from .symbols import (
     shear_laplacian_symbol,
     sobolev_symbol,
     sqrt_symbol,
+    SYMMETRY_GAP,
     _check_flags,
+    _relative_gap,
 )
 
 EXIT_OK = 0
@@ -155,6 +157,23 @@ def _read_table(path: Path) -> tuple[np.ndarray, float, bool, bool]:
         raise ConfigError(f"custom table {path}: {exc}") from exc
 
 
+def _check_conjugate_symmetry(table: np.ndarray, grid: TorusGrid, path: Path) -> None:
+    """Require ``a(-k) = conj(a(k))`` on the whole table, to ``SYMMETRY_GAP``.
+
+    That is what keeps real fields real.  The RK4 step rebuilds every
+    negative last-axis bin of the momentum by conjugate reflection, so a
+    table that breaks it would act through entries no stage reads.
+    """
+    flip = -np.arange(grid.n) % grid.n
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite table fails later checks
+        rel = _relative_gap(table, np.conj(table[np.ix_(*([flip] * grid.dim))]))
+    if rel.max() > SYMMETRY_GAP:
+        worst = np.unravel_index(np.argmax(rel), grid.shape)
+        k = grid.wavenumbers[(slice(None),) + worst]
+        raise ConfigError(f"custom table {path} breaks a(-k) = conj(a(k)): relative gap "
+                          f"{rel.max():.3g} at k={k.tolist()}")
+
+
 def build_metric(cfg: RunConfig, grid: TorusGrid) -> FourierMultiplier:
     if cfg.metric_kind == "sobolev":
         return _build_elliptic(sobolev_symbol(cfg.s, grid.dim), grid)
@@ -164,6 +183,7 @@ def build_metric(cfg: RunConfig, grid: TorusGrid) -> FourierMultiplier:
         raise ConfigError(
             f"custom table shape {table.shape} does not match grid (expected {expected})"
         )
+    _check_conjugate_symmetry(table, grid, cfg.table_path)
     symbol = lattice_table_symbol(
         table,
         grid,

@@ -452,13 +452,22 @@ def hermitian_sqrt(mats: np.ndarray) -> np.ndarray:
     return _eigh_sqrt(mats, require_positive=True)
 
 
+# Largest relative Frobenius gap between a symbol value and the value a
+# symmetry says it equals (the Hermitian flag; conjugate symmetry of tables).
+SYMMETRY_GAP = 1e-12
+
+
+def _relative_gap(values: np.ndarray, partner: np.ndarray) -> np.ndarray:
+    """``|values - partner| / |values|`` per matrix of ``(..., d, d)``, Frobenius."""
+    return _frob(values - partner) / np.maximum(_frob(values), 1e-300)
+
+
 def _check_flags(values: np.ndarray, points: np.ndarray, hermitian=True, positive_definite=True):
     """Raise ``ValueError`` at a point ``xi`` where the values ``(N, d, d)`` break a flag:
-    Hermitian to a relative Frobenius gap of 1e-12, positive definite by ``eigvalsh``."""
+    Hermitian to a relative Frobenius gap of ``SYMMETRY_GAP``, positive definite by ``eigvalsh``."""
     if hermitian:
-        herm_gap = _frob(values - np.conj(np.swapaxes(values, -1, -2)))
-        rel = herm_gap / np.maximum(_frob(values), 1e-300)
-        if rel.max() > 1e-12:
+        rel = _relative_gap(values, np.conj(np.swapaxes(values, -1, -2)))
+        if rel.max() > SYMMETRY_GAP:
             bad = points[np.argmax(rel)]
             raise ValueError(f"symbol not Hermitian at xi={np.array2string(bad, precision=6)}")
     if positive_definite:

@@ -394,6 +394,21 @@ class TestCustomTable:
         cfg = write_config(tmp_path, table_text)
         assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out"), "--quiet"]) == 3
 
+    def test_table_breaking_conjugate_symmetry_rejected(self, tmp_path, capsys):
+        # a real field's momentum is read through bins 0..n/2 only, and the
+        # step rebuilds bin -3 from bin 3, so the entry at k = -3 would act
+        # only where the run never looks
+        save_symbol_table(tmp_path / "table.npz", sobolev_multiplier(1.5, TorusGrid(1, 64)))
+        arrays = dict(np.load(tmp_path / "table.npz"))
+        arrays["table"][-3] *= 1.5
+        np.savez(tmp_path / "table.npz", **arrays)
+        cfg = write_config(tmp_path, BASE_EVOLUTION.replace(
+            "kind = sobolev\ns = 1.5", "kind = custom-table\ntable = table.npz"))
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out"), "--quiet"]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert "a(-k) = conj(a(k))" in err[0] and "k=[3]" in err[0]
+
     @pytest.mark.parametrize("matrix,flag", [
         ([[1.0, 0.05], [0.0, 1.0]], "Hermitian"),
         ([[1.0, 0.0], [0.0, -1.0]], "positive definite"),

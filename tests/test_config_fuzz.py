@@ -109,7 +109,8 @@ def config_text(seed: int) -> str:
 
 @pytest.fixture(scope="module")
 def table_dir(tmp_path_factory):
-    """Custom-table files for the ``table`` key: one valid, the rest unreadable or incomplete."""
+    """Custom-table files for the ``table`` key: one valid, the rest unreadable,
+    incomplete or not conjugate-symmetric."""
     root = tmp_path_factory.mktemp("fuzz")
     save_symbol_table(root / "good.npz", sobolev_multiplier(1.5, TorusGrid(1, 16)))
     (root / "bad.npz").write_text("not an archive\n")
@@ -117,6 +118,9 @@ def table_dir(tmp_path_factory):
     with open(root / "array.npz", "wb") as handle:  # an .npy payload under an .npz name
         np.save(handle, np.ones(3))
     np.savez(root / "no_order.npz", table=np.ones((16, 1, 1)))
+    asymmetric = dict(np.load(root / "good.npz"))  # breaks a(-k) = conj(a(k)) at k = -3
+    asymmetric["table"][-3] *= 1.5
+    np.savez(root / "asymmetric.npz", **asymmetric)
     return root
 
 
@@ -174,6 +178,9 @@ draws = 1
 @FUZZ
 @given(text=st.integers(0, 2**32 - 1).map(config_text))
 @example(text=GAUSSIAN_D1.format(dimension=1, metric="kind = custom-table\ntable = bad.npz",
+                                 name="gaussian_blob", norms="1.5"))
+# a table with a(-k) != conj(a(k)): once a run (exit 0) on entries no RK4 stage reads
+@example(text=GAUSSIAN_D1.format(dimension=1, metric="kind = custom-table\ntable = asymmetric.npz",
                                  name="gaussian_blob", norms="1.5"))
 @example(text=GAUSSIAN_D1.format(dimension=2, metric="s = 400", name="symbol_audit", norms="1.5"))
 @example(text=GAUSSIAN_D1.format(dimension=1, metric="s = 1.5", name="gaussian_blob", norms="1e300"))

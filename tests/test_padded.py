@@ -13,10 +13,12 @@ one-product-at-a-time rule the evaluator replaced: each product padded to the
 3/2 grid on its own, the real part of each inverse transform kept, and the
 ``+n/2`` bin folded into ``-n/2`` after each forward transform.
 
-The RK4 stages run on half spectra; a test-local copy of the full-spectrum
-stage they replaced (``apply_inverse``, the transport term on full spectra,
-and the completion of every negative bin at once) must give the same bits,
-step after step.
+The RK4 steps run on half spectra, stages and their combination alike; a
+test-local copy of the full-spectrum step they replaced (``apply_inverse``,
+the transport term on full spectra, the completion of every negative bin at
+once in every stage, and full-spectrum stage arithmetic) must give the same
+bits, step after step, also at the substeps of the peakon run's halting
+phase.
 
 The spray takes its advective term from the transport pass; a test-local
 copy of the two passes it replaced (``directional_derivative`` and then
@@ -35,10 +37,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from epdifflab import epdiff as epdiff_module
 from epdifflab import grid as grid_module
 from epdifflab.epdiff import (
     EulerState,
     euler_rhs,
+    integrate,
     momentum_transport,
     gaussian_blob,
     peakon_pair,
@@ -423,20 +427,43 @@ def full_step_rk4(mult, state, dt):
     return EulerState.from_momentum(mult, m_new, t=state.t + dt)
 
 
-def _assert_same_trajectory(mult, u, dt, steps):
-    half = full = EulerState.from_velocity(mult, u)
+def _assert_same_trajectory(mult, state, dt, steps):
+    # bytes, not values: a zero of the other sign would pass np.array_equal
+    half = full = state
     for _ in range(steps):
         half, full = step_rk4(mult, half, dt), full_step_rk4(mult, full, dt)
-        assert np.array_equal(half.m.coeffs, full.m.coeffs)
-        assert np.array_equal(half.u.coeffs, full.u.coeffs)
+        assert half.m.coeffs.tobytes() == full.m.coeffs.tobytes()
+        assert half.u.coeffs.tobytes() == full.u.coeffs.tobytes()
     assert half.t == full.t
 
 
-def test_peakon_steps_match_full_spectrum_stage():
+def _peakon(grid, mult):
     # the Camassa-Holm blow-up datum of configs/peakon_blowup.ini
+    return EulerState.from_velocity(mult, peakon_pair(grid, 0.5, 0.3, 0.08))
+
+
+def test_peakon_steps_match_full_spectrum_stage():
     grid = TorusGrid(1, 256)
     mult = sobolev_multiplier(1.0, grid)
-    _assert_same_trajectory(mult, peakon_pair(grid, 0.5, 0.3, 0.08), 1e-3, 50)
+    _assert_same_trajectory(mult, _peakon(grid, mult), 1e-3, 50)
+
+
+@pytest.fixture(scope="module")
+def late_peakon():
+    grid = TorusGrid(1, 256)
+    mult = sobolev_multiplier(1.0, grid)
+    late = integrate(mult, _peakon(grid, mult), 0.92, 1e-3, cadence=10**9)
+    assert late.status == "completed" and late.final_state.sup_gradient > 10
+    return mult, late.final_state
+
+
+@pytest.mark.parametrize("doublings", [3, 6])
+def test_peakon_substeps_match_full_spectrum_stage_near_the_halt(late_peakon, doublings):
+    # past t = 0.9 the peakon runs steepen toward the halt of
+    # configs/peakon_blowup.ini, where the CFL guard cuts the step to dt/2^k
+    # and the bits of every substep decide t*
+    mult, state = late_peakon
+    _assert_same_trajectory(mult, state, 1e-3 / 2**doublings, 20)
 
 
 @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
@@ -445,7 +472,30 @@ def test_steps_match_full_spectrum_stage(dim, n):
     # transform call, at d=3 n=16 it goes in pairs and gradients go apart
     grid = TorusGrid(dim, n)
     mult = sobolev_multiplier(1.5, grid)
-    _assert_same_trajectory(mult, random_bandlimited(grid, n // 2, seed=12), 1e-4, 2)
+    _assert_same_trajectory(
+        mult, EulerState.from_velocity(mult, random_bandlimited(grid, n // 2, seed=12)), 1e-4, 2)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 256), (2, 32)])
+def test_step_reflects_once(dim, n, monkeypatch):
+    # the stages and their combination run on half spectra; only the new
+    # momentum gets its negative bins, and the stages transform as before
+    grid = TorusGrid(dim, n)
+    mult = sobolev_multiplier(1.5, grid)
+    state = EulerState.from_velocity(mult, random_bandlimited(grid, n // 4, seed=21))
+    state.cfl  # the guard's inverse transform of u, outside the count
+    calls = {}
+    for module, name in [(grid_module, "_rfft"), (grid_module, "_irfft"),
+                         (epdiff_module, "_full"), (epdiff_module, "_rhs_half"),
+                         (epdiff_module, "euler_rhs")]:
+        calls[name] = 0
+
+        def counted(*args, _name=name, _fn=getattr(module, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(module, name, counted)
+    step_rk4(mult, state, 1e-4)
+    assert calls == {"_rfft": 4, "_irfft": 4, "_full": 1, "_rhs_half": 4, "euler_rhs": 0}
 
 
 @pytest.mark.parametrize("dim,n", CASES)
@@ -513,6 +563,17 @@ def test_euler_rhs_keeps_the_checks_of_apply_inverse():
         euler_rhs(FourierMultiplier.build(sobolev_symbol(1.0, 1), grid), m)
     with pytest.raises(GridMismatchError):
         euler_rhs(sobolev_multiplier(1.0, TorusGrid(1, 64)), m)
+
+
+def test_step_keeps_the_checks_of_apply_inverse():
+    # the stages skip the checks, so the step runs them once, up front
+    grid = TorusGrid(1, 32)
+    state = EulerState(t=0.0, m=_noise(grid, 15), u=_noise(grid, 16))
+    dt = 1e-3 * state.cfl
+    with pytest.raises(ValueError, match="no inverse table"):
+        step_rk4(FourierMultiplier.build(sobolev_symbol(1.0, 1), grid), state, dt)
+    with pytest.raises(GridMismatchError):
+        step_rk4(sobolev_multiplier(1.0, TorusGrid(1, 64)), state, dt)
 
 
 # --- worker threads ----------------------------------------------------------------
