@@ -8,10 +8,8 @@ the conjugated operator with its convolution oracle.
 
 from .grid import (
     GridMismatchError,
-    SpectralScalarField,
     SpectralVectorField,
     TorusGrid,
-    divergence,
     l2_inner,
 )
 from .symbols import (

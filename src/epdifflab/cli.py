@@ -4,9 +4,10 @@ Usage:
     epdifflab run <config.ini> [--output-dir DIR] [--seed N] [--quiet]
     epdifflab list-scenarios
 
-Exit codes: 0 success, 2 blow-up detected (outputs still written),
-3 invalid configuration, 4 numerical abort (non-finite state, a degenerate
-Lagrangian chart or a failed chart inversion).
+Exit codes: 0 the run finished (its verdict in summary.txt, such as
+``all_pass`` or ``consistency_pass``, may still be False), 2 blow-up detected
+(outputs still written), 3 invalid configuration, 4 numerical abort
+(non-finite state, a degenerate Lagrangian chart or a failed chart inversion).
 """
 
 from __future__ import annotations

@@ -39,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import SpectralVectorField, TorusGrid, padded_samples, truncate_padded
+from .grid import SpectralVectorField, TorusGrid, _require_same_grid, padded_samples, truncate_padded
 from .operators import FourierMultiplier, apply
 from .symbols import MatrixSymbol, sobolev_weight
 
@@ -80,6 +80,8 @@ def apply_An_recursive(mult: FourierMultiplier, n: int, *fields: SpectralVectorF
     _check_order(n)
     if len(fields) != n + 1:
         raise ValueError(f"expected {n + 1} fields, got {len(fields)}")
+    for f in fields:
+        _require_same_grid(f, mult)
     kmax = max(f.max_wavenumber() for f in fields)
     grid_n = mult.grid.n
     if n >= 1 and required_headroom(n, kmax) > grid_n:
@@ -321,8 +323,7 @@ class ConvolutionKernel:
         if len(fields) != self.n + 1:
             raise ValueError(f"expected {self.n + 1} fields, got {len(fields)}")
         for f in fields:
-            if f.grid != grid:
-                raise ValueError("all fields must live on the multiplier's grid")
+            _require_same_grid(f, self.mult)
         d = grid.dim
         modes = grid.n**d
         coeffs = [f.coeffs.reshape(d, modes) for f in fields]

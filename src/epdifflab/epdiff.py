@@ -32,6 +32,7 @@ from .grid import (
     l2_inner,
     padded_samples,
     _full,
+    _require_same_grid,
     _samples,
     _truncate_half,
 )
@@ -131,6 +132,7 @@ def diagnostics(
 
 def momentum_transport(v: SpectralVectorField, m: SpectralVectorField) -> SpectralVectorField:
     """Transport term ``(v . grad) m + (grad v)^T m + (div v) m``, dealiased."""
+    _require_same_grid(v, m)
     return SpectralVectorField(v.grid, _transport_full(v, m))
 
 
@@ -179,7 +181,7 @@ def _transport_half(grid: TorusGrid, stack: np.ndarray, advection: bool = False)
         np.multiply(v, factors[i], out=out[d:])
         return out
 
-    div_v = stack[2 * d]  # d_j v^j summed over j in the order grid.divergence sums
+    div_v = stack[2 * d]  # d_j v^j summed over j in order, as np.sum(v * factors, axis=0) sums
     np.multiply(v[0], factors[0], out=div_v)
     for j in range(1, d):
         div_v += v[j] * factors[j]

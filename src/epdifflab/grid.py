@@ -7,7 +7,9 @@ spectral differentiation, and alias-free pointwise products.
 
 Conventions
 -----------
-Fields are real in physical space and stored as complex Fourier coefficients.
+The geodesic equations act on d-component fields only, so the one field type
+is :class:`SpectralVectorField`.  Fields are real in physical space and stored
+as complex Fourier coefficients.
 The coefficient at integer wavenumber ``k`` approximates the continuous
 transform over the fundamental domain,
 
@@ -29,7 +31,6 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
 
 import numpy as np
 
@@ -252,15 +253,12 @@ def _complete_planes(grid: TorusGrid, half: np.ndarray) -> np.ndarray:
     return half
 
 
-def _full(grid: TorusGrid, half: np.ndarray, factor: complex = 1.0) -> np.ndarray:
-    """Full spectra ``(..., n, ..., n)`` of ``factor`` times half spectra with
-    completed planes: the negative last-axis bins are conjugate reflections."""
+def _full(grid: TorusGrid, half: np.ndarray) -> np.ndarray:
+    """Full spectra ``(..., n, ..., n)`` of half spectra with completed planes:
+    the negative last-axis bins are conjugate reflections."""
     plan = grid.plan
     out = np.empty(half.shape[:-1] + (grid.n,), dtype=complex)
-    if factor == 1.0:
-        out[..., :plan.half] = half
-    else:
-        np.multiply(half, factor, out=out[..., :plan.half])
+    out[..., :plan.half] = half
     np.conjugate(out[plan.negative], out=out[..., plan.half:])
     return out
 
@@ -281,87 +279,15 @@ def _samples(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
     return _irfft(half, grid.shape) / grid.cell_volume
 
 
-class _FieldBase:
-    """Shared arithmetic for spectral fields; ``coeffs`` owned by subclasses."""
-
-    grid: TorusGrid
-    coeffs: np.ndarray
-
-    def _sibling(self, coeffs: np.ndarray):
-        return type(self)(self.grid, coeffs)
-
-    def _require_like(self, other) -> None:
-        if type(other) is not type(self):
-            raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
-        _require_same_grid(self, other)
-
-    def __add__(self, other):
-        self._require_like(other)
-        return self._sibling(self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        self._require_like(other)
-        return self._sibling(self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar: float):
-        return self._sibling(self.coeffs * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self._sibling(-self.coeffs)
-
-    def samples(self) -> np.ndarray:
-        """Physical-space samples on the grid (real inverse transform)."""
-        return _samples(self.grid, self.coeffs)
-
-    def l2_norm(self) -> float:
-        """Norm of ``sqrt(integral |f|^2 dx)`` over the box."""
-        return float(np.sqrt(np.sum(np.abs(self.coeffs) ** 2) / self.grid.length**self.grid.dim))
-
-    def max_wavenumber(self) -> int:
-        """Largest ``|k|_inf`` carrying a coefficient above 1e-13 of the peak."""
-        mag = np.abs(self.coeffs)
-        peak = mag.max()
-        if peak == 0.0:
-            return 0
-        active = mag > 1e-13 * peak
-        while active.ndim > self.grid.dim:
-            active = np.any(active, axis=0)
-        kinf = np.max(np.abs(self.grid.wavenumbers), axis=0)
-        return int(kinf[active].max())
-
-
-def _require_same_grid(a: _FieldBase, b: _FieldBase) -> None:
-    if a.grid != b.grid:
-        raise GridMismatchError("fields live on different grids")
+def _require_same_grid(a, b) -> None:
+    """The one grid check: operands (fields, multipliers, charts) on two grids
+    raise :class:`GridMismatchError`."""
+    if a.grid is not b.grid and a.grid != b.grid:
+        raise GridMismatchError(f"operands live on different grids: {a.grid} and {b.grid}")
 
 
 @dataclass(frozen=True, eq=False)
-class SpectralScalarField(_FieldBase):
-    """Real scalar field stored as Fourier coefficients, shape ``(n, ..., n)``."""
-
-    grid: TorusGrid
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.coeffs.shape != self.grid.shape:
-            raise ValueError(f"coefficient shape {self.coeffs.shape} != grid shape {self.grid.shape}")
-
-    @classmethod
-    def from_samples(cls, grid: TorusGrid, samples: np.ndarray) -> "SpectralScalarField":
-        samples = np.asarray(samples, dtype=float)
-        if samples.shape != grid.shape:
-            raise ValueError(f"sample shape {samples.shape} != grid shape {grid.shape}")
-        return cls(grid, _spectra(grid, samples))
-
-    def integral(self) -> float:
-        """Exact ``integral f dx`` (the k=0 coefficient)."""
-        return float(self.coeffs[(0,) * self.grid.dim].real)
-
-
-@dataclass(frozen=True, eq=False)
-class SpectralVectorField(_FieldBase):
+class SpectralVectorField:
     """Real d-component vector field as Fourier coefficients, shape ``(d, n, ..., n)``.
 
     Conjugate symmetry ``coeff(-k) = conj(coeff(k))`` holds for every field
@@ -389,8 +315,30 @@ class SpectralVectorField(_FieldBase):
     def zero(cls, grid: TorusGrid) -> "SpectralVectorField":
         return cls(grid, np.zeros((grid.dim,) + grid.shape, dtype=complex))
 
-    def component(self, j: int) -> SpectralScalarField:
-        return SpectralScalarField(self.grid, self.coeffs[j])
+    def _require_field(self, other) -> None:
+        if not isinstance(other, SpectralVectorField):
+            raise TypeError(f"cannot combine SpectralVectorField with {type(other).__name__}")
+        _require_same_grid(self, other)
+
+    def __add__(self, other: "SpectralVectorField") -> "SpectralVectorField":
+        self._require_field(other)
+        return SpectralVectorField(self.grid, self.coeffs + other.coeffs)
+
+    def __sub__(self, other: "SpectralVectorField") -> "SpectralVectorField":
+        self._require_field(other)
+        return SpectralVectorField(self.grid, self.coeffs - other.coeffs)
+
+    def __mul__(self, scalar: float) -> "SpectralVectorField":
+        return SpectralVectorField(self.grid, self.coeffs * scalar)
+
+    __rmul__ = __mul__
+
+    def __neg__(self) -> "SpectralVectorField":
+        return SpectralVectorField(self.grid, -self.coeffs)
+
+    def samples(self) -> np.ndarray:
+        """Physical-space samples on the grid (real inverse transform)."""
+        return _samples(self.grid, self.coeffs)
 
     def integral(self) -> np.ndarray:
         """Componentwise ``integral u dx`` (the k=0 coefficients)."""
@@ -399,12 +347,15 @@ class SpectralVectorField(_FieldBase):
     def sup_norm(self) -> float:
         return float(np.abs(self.samples()).max())
 
-
-Field = Union[SpectralScalarField, SpectralVectorField]
-
-
-def divergence(u: SpectralVectorField) -> SpectralScalarField:
-    return SpectralScalarField(u.grid, np.sum(u.coeffs * u.grid.derivative_factors, axis=0))
+    def max_wavenumber(self) -> int:
+        """Largest ``|k|_inf`` carrying a coefficient above 1e-13 of the peak."""
+        mag = np.abs(self.coeffs)
+        peak = mag.max()
+        if peak == 0.0:
+            return 0
+        active = np.any(mag > 1e-13 * peak, axis=0)
+        kinf = np.max(np.abs(self.grid.wavenumbers), axis=0)
+        return int(kinf[active].max())
 
 
 def jacobian_coeffs(u: SpectralVectorField) -> np.ndarray:
@@ -542,7 +493,7 @@ def truncate_padded(grid: TorusGrid, samples: np.ndarray) -> np.ndarray:
     return _full(grid, _truncate_half(grid, samples))
 
 
-def l2_inner(u: Field, v: Field) -> float:
+def l2_inner(u: SpectralVectorField, v: SpectralVectorField) -> float:
     """Inner product ``integral u.v dx`` evaluated as a frequency sum."""
     _require_same_grid(u, v)
     return float(np.sum(np.conj(u.coeffs) * v.coeffs).real / u.grid.length**u.grid.dim)

@@ -23,10 +23,10 @@ import numpy as np
 from scipy import ndimage
 
 from .grid import (
-    Field,
     SpectralVectorField,
     TorusGrid,
     jacobian_coeffs,
+    _require_same_grid,
     _samples,
 )
 from .epdiff import _rk4, _transport_full, step_count
@@ -164,17 +164,16 @@ class DiffeoChart:
         return np.moveaxis(flat.reshape(d, d, *points.shape[1:]), (0, 1), (-2, -1))
 
 
-def compose(u: Field, phi: DiffeoChart) -> Field:
+def compose(u: SpectralVectorField, phi: DiffeoChart) -> SpectralVectorField:
     """Right translation ``u o phi``: evaluate ``u`` at the chart's images.
 
     Uses periodic quintic spline interpolation of the grid samples; exact to
     interpolation order for band-limited fields.
     """
-    if u.grid != phi.grid:
-        raise ChartError("field and chart live on different grids")
+    _require_same_grid(u, phi)
     samples = u.samples()
     vals = _eval_filtered(_spline_filter(samples, u.grid), phi.positions, u.grid)
-    return type(u).from_samples(u.grid, vals.reshape(samples.shape))
+    return SpectralVectorField.from_samples(u.grid, vals.reshape(samples.shape))
 
 
 def invert(phi: DiffeoChart, start: Optional[np.ndarray] = None) -> DiffeoChart:
@@ -252,8 +251,7 @@ def distance_dq(phi1: DiffeoChart, phi2: DiffeoChart, q: float) -> float:
     ``d_q(phi1, phi2) = |phi1 - phi2|_{H^q} + |det(d phi1)^-1 - det(d phi2)^-1|_inf``;
     symmetric, zero on the diagonal, and a metric on valid charts.
     """
-    if phi1.grid != phi2.grid:
-        raise ChartError("charts live on different grids")
+    _require_same_grid(phi1, phi2)
     hq = sobolev_norm(phi1.f - phi2.f, q)
     inv_gap = np.abs(1.0 / phi1.det_samples - 1.0 / phi2.det_samples).max()
     return float(hq + inv_gap)
@@ -270,8 +268,7 @@ class GeodesicState:
     t: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.phi.grid != self.v.grid:
-            raise ChartError("chart and velocity grids differ")
+        _require_same_grid(self.phi, self.v)
 
     def eulerian_velocity(self) -> SpectralVectorField:
         """Right logarithmic derivative ``u = v o phi^-1``, computed once per state."""

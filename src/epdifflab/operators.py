@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import GridMismatchError, SpectralVectorField, TorusGrid
+from .grid import SpectralVectorField, TorusGrid, _require_same_grid
 from .symbols import ClassCertificate, MatrixSymbol, check_ellipticity, sobolev_weight
 
 
@@ -69,10 +69,6 @@ class FourierMultiplier:
             raise EllipticityError(f"inverse table residual {resid:.3g} exceeds 1e-13")
         return cls(symbol=symbol, grid=grid, table=base.table, inv_table=inv, ellipticity=cert)
 
-    @property
-    def invertible(self) -> bool:
-        return self.inv_table is not None
-
     @cached_property
     def half_inv_table(self) -> np.ndarray:
         """A view of ``inv_table`` on the last-axis bins ``0..n/2`` that half spectra keep."""
@@ -82,8 +78,7 @@ class FourierMultiplier:
 
 def apply(mult: FourierMultiplier, u: SpectralVectorField) -> SpectralVectorField:
     """Apply ``a(D)``: multiply each coefficient vector by the tabulated matrix."""
-    if u.grid != mult.grid:
-        raise GridMismatchError("field and multiplier live on different grids")
+    _require_same_grid(u, mult)
     out = np.einsum("...ij,j...->i...", mult.table, u.coeffs)
     return SpectralVectorField(u.grid, out)
 
@@ -91,8 +86,7 @@ def apply(mult: FourierMultiplier, u: SpectralVectorField) -> SpectralVectorFiel
 def _require_inverse(mult: FourierMultiplier, w: SpectralVectorField) -> None:
     if mult.inv_table is None:
         raise ValueError("multiplier has no inverse table (not built as elliptic)")
-    if w.grid is not mult.grid and w.grid != mult.grid:
-        raise GridMismatchError("field and multiplier live on different grids")
+    _require_same_grid(w, mult)
 
 
 def apply_inverse(mult: FourierMultiplier, w: SpectralVectorField) -> SpectralVectorField:

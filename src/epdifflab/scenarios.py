@@ -347,22 +347,25 @@ def run_evolution(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
 
 # --- audit scenarios --------------------------------------------------------------
 
-def _audit_symbol(cfg: RunConfig, grid: TorusGrid) -> MatrixSymbol:
+def _audit_symbol(cfg: RunConfig, grid: TorusGrid) -> tuple[MatrixSymbol, ClassCertificate]:
+    """The audited symbol and its ellipticity certificate, one for the gate and the report."""
     which = cfg.scenario_params.get("symbol", "metric")
-    if which == "metric":
-        if cfg.metric_kind == "sobolev":
-            # the custom-table branch rejects a failing symbol in build_metric
-            symbol = sobolev_symbol(cfg.s, grid.dim)
-            if not check_ellipticity(symbol).verdict:
-                raise ConfigError(f"[metric] s = {cfg.s:g}: symbol '{symbol.name}' failed the ellipticity check")
-            return symbol
-        return build_metric(cfg, grid).symbol
-    if which == "shear_laplacian":
+    if which == "metric" and cfg.metric_kind == "sobolev":
+        symbol = sobolev_symbol(cfg.s, grid.dim)
+        cert = check_ellipticity(symbol)
+        if not cert.verdict:
+            raise ConfigError(f"[metric] s = {cfg.s:g}: symbol '{symbol.name}' failed the ellipticity check")
+        return symbol, cert
+    if which == "metric":  # build_metric rejects a failing custom table
+        symbol = build_metric(cfg, grid).symbol
+    elif which == "shear_laplacian":
         t = param_float(cfg, "shear_t", 1.0, positive=False)
         if cfg.dimension != 2:
             raise ConfigError("shear_laplacian audits need [grid] dimension = 2")
-        return shear_laplacian_symbol(t)
-    raise ConfigError(f"unknown audit symbol {which!r} (use metric or shear_laplacian)")
+        symbol = shear_laplacian_symbol(t)
+    else:
+        raise ConfigError(f"unknown audit symbol {which!r} (use metric or shear_laplacian)")
+    return symbol, check_ellipticity(symbol)
 
 
 class _AuditReport:
@@ -395,14 +398,14 @@ class _AuditReport:
 def run_symbol_audit(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
     sphere = param_int(cfg, "sphere_samples", 4096, minimum=2, maximum=MAX_SPHERE_SAMPLES)
     grid = TorusGrid(cfg.dimension, cfg.points, cfg.length)
-    symbol = _audit_symbol(cfg, grid)
+    symbol, ellipticity = _audit_symbol(cfg, grid)
     report = _AuditReport([
         f"symbol: {symbol.name}",
         "weight_convention: (1 + |2 pi xi|^2)^(rho/2); constants under the plain "
         "(1 + |xi|^2)^(rho/2) convention differ by powers of 2 pi",
     ])
     report.add("order_estimate", check_order_estimate(symbol, max_alpha=2))
-    report.add("ellipticity", check_ellipticity(symbol))
+    report.add("ellipticity", ellipticity)
     if symbol.principal is not None:
         report.add("normal_ellipticity", check_normal_ellipticity(symbol, sphere_samples=sphere))
         report.add("strong_ellipticity", check_strong_ellipticity(symbol, sphere_samples=sphere))
@@ -478,7 +481,7 @@ def run_consistency(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
 
     try:
         eulerian = integrate(mult, state, cfg.t_end, cfg.dt,
-                             cadence=max(cfg.cadence, 1), norm_orders=cfg.norms)
+                             cadence=cfg.cadence, norm_orders=cfg.norms)
         lagrangian = integrate_geodesic(
             mult, GeodesicState(DiffeoChart.identity(grid), state.u), cfg.t_end, cfg.dt
         )[-1]

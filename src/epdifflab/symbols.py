@@ -42,7 +42,7 @@ class MatrixSymbol:
     of shape ``(..., dim, dim)``.  Flags are declarations; the certification
     routines below verify them on sample sets.  ``principal`` is the
     homogeneous principal part (same calling convention) when the symbol is
-    classical.
+    classical, and ``None`` otherwise.
     """
 
     dim: int
@@ -50,7 +50,6 @@ class MatrixSymbol:
     eval_fn: EvalFn
     hermitian: bool = False
     positive_definite: bool = False
-    classical: bool = False
     principal: Optional[EvalFn] = None
     name: str = "symbol"
 
@@ -89,7 +88,6 @@ def scalar_symbol(
         eval_fn=eval_fn,
         hermitian=True,
         positive_definite=True,
-        classical=principal_fn is not None,
         principal=principal,
         name=name,
     )
@@ -132,7 +130,6 @@ def shear_laplacian_symbol(t: float) -> MatrixSymbol:
         eval_fn=eval_fn,
         hermitian=(t == 0.0),
         positive_definite=(t == 0.0),
-        classical=True,
         principal=eval_fn,
         name=f"shear_laplacian(t={t})",
     )
@@ -505,7 +502,6 @@ def sqrt_symbol(symbol: MatrixSymbol) -> MatrixSymbol:
         eval_fn=eval_fn,
         hermitian=True,
         positive_definite=True,
-        classical=symbol.classical,
         principal=principal,
         name=f"sqrt({symbol.name})",
     )

@@ -484,6 +484,26 @@ sphere_samples = 10000
         normal = cert_text.split("[normal_ellipticity]")[1].split("[")[0]
         assert "verdict: pass" in normal
 
+    def test_symbol_audit_certifies_ellipticity_once_per_symbol(self, tmp_path, monkeypatch):
+        # the gate on the Sobolev metric and the report share one certificate:
+        # one call for the symbol, one for its square root
+        import epdifflab.operators as operators
+        import epdifflab.scenarios as scenarios
+
+        calls = []
+        check = scenarios.check_ellipticity
+
+        def counted(symbol, *args, **kwargs):
+            calls.append(symbol.name)
+            return check(symbol, *args, **kwargs)
+
+        monkeypatch.setattr(scenarios, "check_ellipticity", counted)
+        monkeypatch.setattr(operators, "check_ellipticity", counted)
+        out = tmp_path / "out"
+        assert main(["run", str(CONFIGS / "symbol_audit.ini"), "--output-dir", str(out), "--quiet"]) == 0
+        assert calls == ["sobolev(s=1.5)", "sqrt(sobolev(s=1.5))"]
+        assert "[ellipticity]\nkind: elliptic\nverdict: pass" in (out / "certificates.txt").read_text()
+
     def test_conjugation_audit(self, tmp_path):
         text = """\
 [grid]
@@ -550,6 +570,27 @@ class TestAuditGuards:
     @pytest.mark.parametrize("config", ["symbol_audit.ini", "shear_audit.ini", "conjugation_audit.ini"])
     def test_shipped_audits_within_bounds(self, tmp_path, config):
         assert main(["run", str(CONFIGS / config), "--output-dir", str(tmp_path), "--quiet"]) == 0
+
+
+class TestExitZeroIsNotAVerdict:
+    """Exit 0 says the run finished; a failing verdict lives in summary.txt."""
+
+    def test_failing_audit_exits_0(self, tmp_path):
+        text = (CONFIGS / "shear_audit.ini").read_text()
+        assert "shear_t = 1.9" in text
+        cfg = write_config(tmp_path, text.replace("shear_t = 1.9", "shear_t = 2.1"))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--output-dir", str(out), "--quiet"]) == 0
+        assert read_summary(out)["all_pass"] == "False"
+
+    def test_failing_consistency_exits_0(self, tmp_path):
+        text = (CONFIGS / "consistency.ini").read_text()
+        assert "points = 256" in text and "tolerance = 1e-6" in text
+        text = text.replace("points = 256", "points = 32").replace("tolerance = 1e-6", "tolerance = 1e-300")
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--output-dir", str(out), "--quiet"]) == 0
+        assert read_summary(out)["consistency_pass"] == "False"
 
 
 class TestConsistencyScenario:

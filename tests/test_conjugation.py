@@ -25,7 +25,7 @@ from epdifflab.conjugation import (
 from epdifflab.epdiff import bandlimited_draw
 from epdifflab import conjugation
 from epdifflab import grid as grid_module
-from epdifflab.grid import SpectralVectorField, TorusGrid
+from epdifflab.grid import GridMismatchError, SpectralVectorField, TorusGrid
 from epdifflab.operators import FourierMultiplier, apply, sobolev_multiplier
 from epdifflab.symbols import MatrixSymbol, scalar_symbol, sobolev_symbol, sobolev_weight
 
@@ -573,6 +573,20 @@ class TestConvolutionOracle:
         u = band_limited(grid, 3, seed=19)
         with pytest.raises(ValueError, match="cost guard"):
             apply_An_convolution(mult, 1, u, u)
+
+
+@pytest.mark.parametrize("evaluate", [apply_An_recursive, apply_An_convolution],
+                         ids=["recursive", "convolution"])
+@pytest.mark.parametrize("order", [0, 1])
+def test_fields_on_another_grid_rejected(evaluate, order):
+    # same n, other box: the lattice shapes agree, so only the grid check
+    # keeps the multiplier's box off these fields
+    mult = sobolev_multiplier(1.0, TorusGrid(1, 16))
+    on_grid = [headroom_field(mult.grid, 1, seed) for seed in range(order + 1)]
+    stray = headroom_field(TorusGrid(1, 16, length=2.0), 1, 9)
+    for k in range(order + 1):  # the stray field in each slot
+        with pytest.raises(GridMismatchError):
+            evaluate(mult, order, *on_grid[:k], stray, *on_grid[k + 1:])
 
 
 class TestEnvelope:

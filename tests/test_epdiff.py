@@ -21,7 +21,7 @@ from epdifflab.epdiff import (
     step_rk4,
     sup_velocity_gradient,
 )
-from epdifflab.grid import SpectralVectorField, TorusGrid, l2_inner
+from epdifflab.grid import GridMismatchError, SpectralVectorField, TorusGrid, l2_inner
 from epdifflab.operators import apply, apply_inverse, sobolev_multiplier, sobolev_norm
 
 from test_grid import (
@@ -152,19 +152,22 @@ class TestEulerRHS:
         m = apply(mult, u)
         full = momentum_transport(u, m)
         # manual sum without the (div u) m term
-        from epdifflab.grid import SpectralScalarField, jacobian_coeffs
+        from epdifflab.grid import jacobian_coeffs
 
         partial = directional_derivative(u, m)
         jac = jacobian_coeffs(u)
         extra = np.zeros_like(partial.coeffs)
         for i in range(2):
-            acc = None
-            for j in range(2):
-                p = dealiased_product(SpectralScalarField(grid, jac[j, i]), m.component(j))
-                acc = p if acc is None else acc + p
-            extra[i] = acc.coeffs
+            # row i of (grad u)^T m: the products d_i u^j m^j, summed over j
+            extra[i] = dealiased_product(SpectralVectorField(grid, jac[:, i]), m).coeffs.sum(axis=0)
         manual = partial + SpectralVectorField(grid, extra)
         assert np.abs(full.coeffs - manual.coeffs).max() < 1e-12 * np.abs(full.coeffs).max()
+
+    def test_transport_rejects_fields_on_two_grids(self):
+        v = band_limited(TorusGrid(1, 32), 5, seed=1)
+        m = band_limited(TorusGrid(1, 32, length=2.0), 5, seed=2)
+        with pytest.raises(GridMismatchError):
+            momentum_transport(v, m)
 
 
 class TestStepping:

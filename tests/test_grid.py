@@ -5,10 +5,9 @@ import pytest
 
 from epdifflab.grid import (
     GridMismatchError,
-    SpectralScalarField,
     SpectralVectorField,
     TorusGrid,
-    divergence,
+    _require_same_grid,
     l2_inner,
     padded_samples,
     truncate_padded,
@@ -31,50 +30,39 @@ def imag_residual(u):
 
 
 # Spectral calculus that only the tests use, written on the package's padded
-# passes and derivative symbols.
+# passes, derivative symbols and grid check.
 
 def spectral_gradient(u, axis):
     """Exact partial derivative along ``axis``; Nyquist modes are zeroed."""
-    return type(u)(u.grid, u.coeffs * u.grid.derivative_factors[axis])
+    return SpectralVectorField(u.grid, u.coeffs * u.grid.derivative_factors[axis])
 
 
 def translate(u, shift):
     """Translate a field by ``h``: the phase ``exp(-2 pi i k.h / L)``."""
     phase = np.tensordot(np.atleast_1d(np.asarray(shift, dtype=float)), u.grid.wavenumbers,
                          axes=(0, 0))
-    return type(u)(u.grid, u.coeffs * np.exp(-2j * np.pi * phase / u.grid.length))
-
-
-def _rows(u):
-    return u.coeffs.reshape((-1,) + u.grid.shape)
+    return SpectralVectorField(u.grid, u.coeffs * np.exp(-2j * np.pi * phase / u.grid.length))
 
 
 def dealiased_product(f, g):
-    """Pointwise product in one padded pass; scalar times scalar stays scalar,
-    any product with a vector is componentwise."""
-    if f.grid != g.grid:
-        raise GridMismatchError("fields live on different grids")
-    fs, gs = _rows(f), _rows(g)
-    padded = padded_samples(f.grid, np.concatenate([fs, gs]))
-    out = truncate_padded(f.grid, padded[:len(fs)] * padded[len(fs):])
-    if isinstance(f, SpectralScalarField) and isinstance(g, SpectralScalarField):
-        return SpectralScalarField(f.grid, out[0])
-    return SpectralVectorField(f.grid, out)
+    """Componentwise pointwise product in one padded pass."""
+    _require_same_grid(f, g)
+    d = f.grid.dim
+    padded = padded_samples(f.grid, np.concatenate([f.coeffs, g.coeffs]))
+    return SpectralVectorField(f.grid, truncate_padded(f.grid, padded[:d] * padded[d:]))
 
 
 def directional_derivative(v, w):
     """Advective derivative ``(v . grad) w`` with dealiased products: ``v`` is
     sampled once, the gradient of each component of ``w`` per output row."""
-    if v.grid != w.grid:
-        raise GridMismatchError("fields live on different grids")
+    _require_same_grid(v, w)
     grid = v.grid
     vs = padded_samples(grid, v.coeffs)
-    ws = _rows(w)
-    out = np.empty((len(ws),) + grid.plan.padded_shape)
-    for i, wi in enumerate(ws):
+    out = np.empty((grid.dim,) + grid.plan.padded_shape)
+    for i, wi in enumerate(w.coeffs):
         np.einsum("j...,j...->...", vs, padded_samples(grid, wi * grid.derivative_factors),
                   out=out[i])
-    return type(w)(grid, truncate_padded(grid, out).reshape(w.coeffs.shape))
+    return SpectralVectorField(grid, truncate_padded(grid, out))
 
 
 class TestTorusGrid:
@@ -180,14 +168,15 @@ class TestGradient:
         y = g.coordinates[1]
         samples = np.stack([np.sin(2 * np.pi * y), np.zeros(g.shape)])
         u = SpectralVectorField.from_samples(g, samples)
-        assert np.abs(divergence(u).coeffs).max() < 1e-12
+        div = np.sum(u.coeffs * g.derivative_factors, axis=0)
+        assert np.abs(div).max() < 1e-12
 
 
 class TestDealiasedProduct:
     def test_identity_element(self):
         g = TorusGrid(1, 32)
         f = band_limited(g, 15, seed=2)
-        one = SpectralScalarField.from_samples(g, np.ones(g.shape))
+        one = SpectralVectorField.from_samples(g, np.ones((1,) + g.shape))
         prod = dealiased_product(f, one)
         assert np.abs(prod.coeffs - f.coeffs).max() < 1e-13 * np.abs(f.coeffs).max()
 
@@ -195,8 +184,8 @@ class TestDealiasedProduct:
         g = TorusGrid(1, 32)
         x = g.coordinates[0]
         k = 5
-        s = SpectralScalarField.from_samples(g, np.sin(2 * np.pi * k * x))
-        prod = dealiased_product(s, s).samples()
+        s = SpectralVectorField.from_samples(g, np.sin(2 * np.pi * k * x)[None])
+        prod = dealiased_product(s, s).samples()[0]
         expected = 0.5 - 0.5 * np.cos(4 * np.pi * k * x)
         assert np.abs(prod - expected).max() < 1e-13
 
@@ -241,7 +230,9 @@ class TestDealiasedProduct:
     def test_2d_scalar_vector(self):
         g = TorusGrid(2, 16)
         u = band_limited(g, 3, seed=4)
-        s = SpectralScalarField.from_samples(g, 1.0 + 0.3 * np.cos(2 * np.pi * g.coordinates[0]))
+        # the scalar factor as a field with the same samples in each component
+        scalar = 1.0 + 0.3 * np.cos(2 * np.pi * g.coordinates[0])
+        s = SpectralVectorField.from_samples(g, np.stack([scalar, scalar]))
         prod = dealiased_product(s, u)
         expected = s.samples() * u.samples()
         assert np.abs(prod.samples() - expected).max() < 1e-12
@@ -272,3 +263,23 @@ def test_l2_inner_matches_quadrature():
     v = band_limited(g, 5, seed=9)
     quad = np.sum(u.samples() * v.samples()) * g.cell_volume
     assert l2_inner(u, v) == pytest.approx(quad, rel=1e-12)
+
+
+class TestFieldArithmetic:
+    @pytest.mark.parametrize("op", [lambda u, v: u + v, lambda u, v: u - v, l2_inner],
+                             ids=["add", "sub", "l2_inner"])
+    def test_other_grid_rejected(self, op):
+        u = band_limited(TorusGrid(1, 16), 4)
+        # same shape, other box: only the grid check tells them apart
+        v = band_limited(TorusGrid(1, 16, length=2.0), 4)
+        with pytest.raises(GridMismatchError):
+            op(u, v)
+
+    @pytest.mark.parametrize("other", [1.0, np.zeros((1, 16), dtype=complex)],
+                             ids=["float", "array"])
+    def test_non_field_rejected(self, other):
+        u = band_limited(TorusGrid(1, 16), 4)
+        with pytest.raises(TypeError):
+            u + other
+        with pytest.raises(TypeError):
+            u - other

@@ -19,7 +19,7 @@ from epdifflab.epdiff import (
     integrate,
     momentum_transport,
 )
-from epdifflab.grid import SpectralVectorField, TorusGrid
+from epdifflab.grid import GridMismatchError, SpectralVectorField, TorusGrid
 from epdifflab import lagrangian
 from epdifflab.lagrangian import (
     ChartError,
@@ -464,9 +464,13 @@ class TestSpray:
             integrate_geodesic(mult, state, 1.0, 0.5 / MAX_STEPS)
 
     def test_grid_mismatch_rejected(self, grid):
-        other = TorusGrid(1, 64)
-        with pytest.raises(ChartError):
-            GeodesicState(DiffeoChart.identity(grid), SpectralVectorField.zero(other))
+        for other in (TorusGrid(1, 64), TorusGrid(grid.dim, grid.n, length=2 * grid.length)):
+            with pytest.raises(GridMismatchError):
+                GeodesicState(DiffeoChart.identity(grid), SpectralVectorField.zero(other))
+            with pytest.raises(GridMismatchError):
+                compose(SpectralVectorField.zero(other), DiffeoChart.identity(grid))
+            with pytest.raises(GridMismatchError):
+                distance_dq(DiffeoChart.identity(other), DiffeoChart.identity(grid), 1.0)
 
 
 class TestRegularityProbe:

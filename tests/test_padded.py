@@ -53,7 +53,6 @@ from epdifflab.grid import (
     GridMismatchError,
     SpectralVectorField,
     TorusGrid,
-    divergence,
     padded_samples,
     truncate_padded,
 )
@@ -184,7 +183,7 @@ def old_directional(v, w):
 
 def old_transport(v, m):
     grid = v.grid
-    div = divergence(v).coeffs
+    div = np.sum(v.coeffs * grid.derivative_factors, axis=0)
     out = old_directional(v, m).coeffs
     for i in range(grid.dim):
         for j in range(grid.dim):
@@ -400,7 +399,7 @@ def full_transport(v, m):
         np.multiply(v.coeffs, factors[i], out=out[d:])
         return out
 
-    shared = [v.coeffs, m.coeffs, divergence(v).coeffs[None]]
+    shared = [v.coeffs, m.coeffs, np.sum(v.coeffs * grid.derivative_factors, axis=0)[None]]
     fused = 2 * d + 1 + 2 * d * d <= _batch(grid)
     padded = full_padded_samples(
         grid, np.concatenate(shared + ([gradients(i) for i in range(d)] if fused else [])))

@@ -152,14 +152,14 @@ class TestPrincipalPositivity:
         base = sobolev_symbol(1.0, 2)
         neg = MatrixSymbol(
             dim=2, order=2.0, eval_fn=lambda xi: -base.principal(xi),
-            principal=lambda xi: -base.principal(xi), classical=True, name="-laplacian",
+            principal=lambda xi: -base.principal(xi), name="-laplacian",
         )
         assert not check_normal_ellipticity(neg, sphere_samples=256).verdict
 
     def test_homogeneity_violation_detected(self):
         a = sobolev_symbol(1.0, 1)
         fake = MatrixSymbol(dim=1, order=2.0, eval_fn=a.eval_fn, principal=a.eval_fn,
-                            classical=True, name="inhomogeneous")
+                            name="inhomogeneous")
         cert = check_normal_ellipticity(fake, sphere_samples=64)
         assert not cert.verdict
         assert "homogeneity_violation" in cert.details
