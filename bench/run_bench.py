@@ -31,7 +31,15 @@ limit, and the whole peakon ``integrate`` to t=0.5.  It counts, per ``step_rk4``
 the transform calls (``grid._rfft``/``grid._irfft``), the conjugate
 reflections (``epdiff._full``) and the calls of the stage's right-hand side
 (``epdiff.euler_rhs``, and ``epdiff._rhs_half`` where it exists), and
-records the final energy and sup|grad u| of the peakon run as values.
+records the final energy and sup|grad u| of the peakon run as values.  It
+also times ``step_rk4`` at d=3 n=32 with ``grid.TRANSFORM_WORKERS`` at 1 and
+at 2, the two alternating.
+
+The allocation group runs first in each child, before the other groups have
+grown the heap: at d=2 n=64 and d=3 n=32, where the padded passes are split,
+it samples one warm ``euler_rhs`` and one warm ``step_rk4`` call (each after
+a warm-up call) on the band-limited datum.  It records the tracemalloc peak
+in MiB and the process's minor page faults (``ru_minflt``, every thread).
 
 Each round measures every side in a fresh child process.  The working tree
 is one side; ``--baseline REF`` adds the tree of a git commit as the other,
@@ -79,6 +87,8 @@ LARGE_TOWER_CASES = ((2, 64, 2), (3, 32, 1))
 # (dim, n) of the Eulerian per-call timings: the peakon datum at d=1, the
 # band-limited datum (|k|_inf <= 4, unit H^1.5 norm, H^2 metric, seed 0) above
 EULER_GRIDS = ((1, 256), (1, 1024), (2, 64), (3, 32))
+# worker counts of the d=3 n=32 step_rk4 timings
+STEP_WORKERS = (1, 2)
 PEAKON_T_END = 0.5
 
 
@@ -147,6 +157,28 @@ def _per_call_ms(call, repeats: int) -> list[float]:
     return samples
 
 
+def _warm_allocations(call, repeats: int) -> tuple[list[float], list[float]]:
+    """``repeats`` samples each of the tracemalloc peak (MiB) and of the minor
+    page faults of one call, after a warm-up call; faults are counted on calls
+    of their own, outside tracemalloc."""
+    import resource
+    import tracemalloc
+
+    call()
+    peaks, faults = [], []
+    for _ in range(repeats):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        call()
+        faults.append(float(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before))
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
+        finally:
+            tracemalloc.stop()
+    return peaks, faults
+
+
 def _config_params(path: Path, *scenario_keys: str) -> dict[str, float]:
     parser = configparser.ConfigParser()
     parser.read(path)
@@ -164,7 +196,7 @@ def measure(repeats: int) -> dict:
     from epdifflab import grid as grid_module
 
     samples, counts, values = {}, {}, {}
-    for group in (measure_lagrangian, measure_oracle, measure_eulerian):
+    for group in (measure_allocations, measure_lagrangian, measure_oracle, measure_eulerian):
         group(repeats, samples, counts, values)
     return {"samples": samples, "counts": counts, "values": values,
             "transform_workers": grid_module.TRANSFORM_WORKERS}
@@ -293,6 +325,35 @@ def measure_oracle(repeats: int, samples: dict, counts: dict, values: dict) -> N
     counter.close()
 
 
+def _bandlimited_state(dim: int, n: int):
+    """The multiplier and state of the Eulerian band-limited datum on a new grid."""
+    from epdifflab.epdiff import EulerState, random_bandlimited
+    from epdifflab.grid import TorusGrid
+    from epdifflab.operators import sobolev_multiplier
+
+    mult = sobolev_multiplier(2.0, TorusGrid(dim, n))
+    u = random_bandlimited(mult.grid, 4, norm_order=1.5, target_norm=1.0, seed=0)
+    return mult, EulerState.from_velocity(mult, u)
+
+
+def measure_allocations(repeats: int, samples: dict, counts: dict, values: dict) -> None:
+    """The allocation group: tracemalloc peak and minor page faults of one
+    warm ``euler_rhs`` and ``step_rk4`` call on the grids with split passes."""
+    from epdifflab.epdiff import euler_rhs, step_rk4
+
+    for dim, n in EULER_GRIDS:
+        if dim == 1:
+            continue
+        tag = f"eulerian.d{dim}_n{n}"
+        mult, state = _bandlimited_state(dim, n)
+        calls = {"euler_rhs": functools.partial(euler_rhs, mult, state.m),
+                 "step_rk4": functools.partial(step_rk4, mult, state, 0.5 * state.cfl)}
+        for name, call in calls.items():
+            peaks, faults = _warm_allocations(call, repeats)
+            samples[f"{tag}.{name}_peak_mib"] = peaks
+            samples[f"{tag}.{name}_minflt"] = faults
+
+
 def measure_eulerian(repeats: int, samples: dict, counts: dict, values: dict) -> None:
     """The Eulerian group: ``euler_rhs`` and ``step_rk4`` per call, the
     peakon ``integrate`` to ``PEAKON_T_END``, and the calls one step makes."""
@@ -303,7 +364,6 @@ def measure_eulerian(repeats: int, samples: dict, counts: dict, values: dict) ->
         euler_rhs,
         integrate,
         peakon_pair,
-        random_bandlimited,
         step_rk4,
     )
     from epdifflab.operators import sobolev_multiplier
@@ -312,17 +372,28 @@ def measure_eulerian(repeats: int, samples: dict, counts: dict, values: dict) ->
     steps = {}
     for dim, n in EULER_GRIDS:
         tag = f"eulerian.d{dim}_n{n}"
-        grid = grid_module.TorusGrid(dim, n)
         if dim == 1:
+            grid = grid_module.TorusGrid(dim, n)
             mult = sobolev_multiplier(peakon["s"], grid)
             u = peakon_pair(grid, peakon["amplitude"], peakon["separation"], peakon["width"])
+            state = EulerState.from_velocity(mult, u)
         else:
-            mult = sobolev_multiplier(2.0, grid)
-            u = random_bandlimited(grid, 4, norm_order=1.5, target_norm=1.0, seed=0)
-        state = EulerState.from_velocity(mult, u)
+            mult, state = _bandlimited_state(dim, n)
         step = steps[tag] = functools.partial(step_rk4, mult, state, 0.5 * state.cfl)
         samples[f"{tag}.euler_rhs_ms"] = _per_call_ms(lambda: euler_rhs(mult, state.m), repeats)
         samples[f"{tag}.step_rk4_ms"] = _per_call_ms(step, repeats)
+        if dim == 3:
+            # a new grid per count, since a plan reads the count when it is built
+            default, by_workers = grid_module.TRANSFORM_WORKERS, {}
+            for workers in STEP_WORKERS:
+                grid_module.TRANSFORM_WORKERS = workers
+                mult, state = _bandlimited_state(dim, n)
+                by_workers[workers] = functools.partial(step_rk4, mult, state, 0.5 * state.cfl)
+            grid_module.TRANSFORM_WORKERS = default
+            for _ in range(repeats):
+                for workers, call in by_workers.items():
+                    key = f"{tag}.step_rk4_workers{workers}_ms"
+                    samples.setdefault(key, []).extend(_per_call_ms(call, 1))
 
     grid = grid_module.TorusGrid(1, 256)
     mult = sobolev_multiplier(peakon["s"], grid)
@@ -408,16 +479,18 @@ def _side(runs: list[dict], label: str, sha: str, modified: bool) -> dict:
 
 
 def _relative_change(parent: dict, change: dict) -> dict:
-    """Per timing: the change of the medians, the median over rounds of the
-    change of the round medians (the two sides of a round run back to back,
-    so host load that drifts between rounds cancels), and the rounds in
-    which the change was faster."""
+    """Per sample key: the change of the medians, the median over rounds of
+    the change of the round medians (the two sides of a round run back to
+    back, so host load that drifts between rounds cancels), and the rounds in
+    which the change read lower.  A change relative to a parent value of 0
+    (page faults) is None."""
     out = {}
     for key, value in change["medians"].items():
         pairs = list(zip(parent["round_medians"][key], change["round_medians"][key]))
+        ratios = [c / p for p, c in pairs if p]
         out[key] = {
-            "of_medians": value / parent["medians"][key] - 1.0,
-            "paired": statistics.median(c / p for p, c in pairs) - 1.0,
+            "of_medians": value / parent["medians"][key] - 1.0 if parent["medians"][key] else None,
+            "paired": statistics.median(ratios) - 1.0 if ratios else None,
             "rounds_faster": sum(c < p for p, c in pairs),
         }
     return out
@@ -461,9 +534,10 @@ def main(argv=None) -> int:
         line = f"{key:44s} {value:12.4f}"
         if "parent" in sides:
             delta = record["relative_change"][key]
+            paired = "n/a" if delta["paired"] is None else f"{100 * delta['paired']:+6.1f}%"
             line += (f"  parent {record['sides']['parent']['medians'][key]:12.4f}"
-                     f"  paired {100 * delta['paired']:+6.1f}%"
-                     f"  faster in {delta['rounds_faster']}/{args.rounds} rounds")
+                     f"  paired {paired:>7s}"
+                     f"  lower in {delta['rounds_faster']}/{args.rounds} rounds")
         print(line)
     return 0
 

@@ -57,6 +57,15 @@ def _check_order(n: int) -> None:
         raise ValueError(f"derivative order limited to {MAX_DERIVATIVE_ORDER}, got {n}")
 
 
+def _check_tuple(mult: FourierMultiplier, n: int, fields: tuple) -> None:
+    """The tuple rule of both evaluators of ``A_n``: ``n+1`` fields, each on
+    the multiplier's grid."""
+    if len(fields) != n + 1:
+        raise ValueError(f"expected {n + 1} fields, got {len(fields)}")
+    for f in fields:
+        _require_same_grid(f, mult)
+
+
 # --- operator recursion -------------------------------------------------------
 
 def required_headroom(n: int, kmax: int) -> int:
@@ -78,10 +87,7 @@ def apply_An_recursive(mult: FourierMultiplier, n: int, *fields: SpectralVectorF
     ``u_1, ..., u_n`` up to roundoff).
     """
     _check_order(n)
-    if len(fields) != n + 1:
-        raise ValueError(f"expected {n + 1} fields, got {len(fields)}")
-    for f in fields:
-        _require_same_grid(f, mult)
+    _check_tuple(mult, n, fields)
     kmax = max(f.max_wavenumber() for f in fields)
     grid_n = mult.grid.n
     if n >= 1 and required_headroom(n, kmax) > grid_n:
@@ -320,10 +326,7 @@ class ConvolutionKernel:
 
     def apply(self, *fields: SpectralVectorField) -> SpectralVectorField:
         grid = self.mult.grid
-        if len(fields) != self.n + 1:
-            raise ValueError(f"expected {self.n + 1} fields, got {len(fields)}")
-        for f in fields:
-            _require_same_grid(f, self.mult)
+        _check_tuple(self.mult, self.n, fields)
         d = grid.dim
         modes = grid.n**d
         coeffs = [f.coeffs.reshape(d, modes) for f in fields]

@@ -152,7 +152,8 @@ def _transport_stack(grid: TorusGrid) -> np.ndarray:
     ``[v, m, div v]`` go to the 3/2 grid once; per output component ``i`` only
     ``d_j m^i`` and ``d_i v^j`` do, which bounds the padded working set.  When
     the whole stack fits in one transform call, it goes in one call, and the
-    gradients are part of it.
+    gradients are part of it; otherwise the padded samples of both go to the
+    calling thread's workspaces of the grid's plan.
     """
     d = grid.dim
     rows = 2 * d + 1 + 2 * d * d
@@ -189,15 +190,19 @@ def _transport_half(grid: TorusGrid, stack: np.ndarray, advection: bool = False)
     if fused:
         for i in range(d):
             gradients(i, stack[2 * d * (i + 1) + 1:2 * d * (i + 2) + 1])
-    padded = padded_samples(grid, stack)
+        padded = padded_samples(grid, stack)
+    else:
+        base = plan.workspace("transport", (2 * d + 1,) + plan.padded_shape, float)
+        padded = padded_samples(grid, stack, base)
+        grads_out = plan.workspace("gradients", (2 * d,) + plan.padded_shape, float)
     ms, div = padded[d:2 * d], padded[2 * d]
     out = np.empty((2 * d if advection else d,) + plan.padded_shape)
     adv = out[d:]
     for i in range(d):
-        # unless fused, one component's padded gradients at a time, freed after use
+        # unless fused, one component's padded gradients at a time, in one buffer
         lo = 2 * d * (i + 1) + 1
         grads = (padded[lo:lo + 2 * d] if fused else
-                 padded_samples(grid, gradients(i, np.empty_like(stack[:2 * d]))))
+                 padded_samples(grid, gradients(i, np.empty_like(stack[:2 * d])), grads_out))
         np.einsum("k...,k...->...", padded[:2 * d], grads, out=out[i])
         out[i] += div * ms[i]
         if advection:  # grads[d + j] samples d_i v^j
@@ -205,7 +210,6 @@ def _transport_half(grid: TorusGrid, stack: np.ndarray, advection: bool = False)
                 np.multiply(padded[0], grads[d:], out=adv)
             else:
                 adv += padded[i] * grads[d:]
-        del grads
     return _truncate_half(grid, out)
 
 

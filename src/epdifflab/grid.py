@@ -28,6 +28,7 @@ import math
 import os
 import queue
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -141,18 +142,31 @@ def _axes(dim: int) -> tuple[int, ...]:
 # numpy's n-d wrappers cost about as much as a whole d=1 transform, so d=1
 # calls the one-axis transforms.
 
-def _rfft(samples: np.ndarray, dim: int) -> np.ndarray:
-    """Half spectra of real samples over the last ``dim`` axes."""
+def _rfft(samples: np.ndarray, dim: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Half spectra of real samples over the last ``dim`` axes; with ``out``,
+    ``rfftn``'s per-axis calls write there in place."""
     if dim == 1:
-        return np.fft.rfft(samples)
-    return np.fft.rfftn(samples, axes=_axes(dim))
+        return np.fft.rfft(samples, out=out)
+    return np.fft.rfftn(samples, axes=_axes(dim), out=out)
 
 
-def _irfft(half: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Real samples of shape ``shape`` (last axes) from half spectra."""
+def _irfft(half: np.ndarray, shape: tuple[int, ...], out: np.ndarray | None = None,
+           work: np.ndarray | None = None) -> np.ndarray:
+    """Real samples of shape ``shape`` (last axes) from half spectra.
+
+    With ``out``, and at d >= 2 a complex ``work`` buffer shaped like
+    ``half``, the calls of ``irfftn`` are made here in its order: the leading
+    axes into ``work``, the last axis straight into ``out``.  The bits are
+    those of ``irfftn``.
+    """
     if len(shape) == 1:
-        return np.fft.irfft(half, n=shape[0])
-    return np.fft.irfftn(half, s=shape, axes=_axes(len(shape)))
+        return np.fft.irfft(half, n=shape[0], out=out)
+    axes = _axes(len(shape))
+    if out is None:
+        return np.fft.irfftn(half, s=shape, axes=axes)
+    for axis, size in zip(axes[:-1], shape):
+        half = np.fft.ifft(half, size, axis, out=work)
+    return np.fft.irfft(half, shape[-1], axes[-1], out=out)
 
 
 # Scalars of the hot passes are numpy scalars: a Python float operand costs
@@ -171,7 +185,10 @@ class _Plan:
     """
 
     def __init__(self, grid: TorusGrid) -> None:
-        self.grid = grid
+        # a proxy, so that grid and plan form no cycle: the plan's workspaces
+        # are freed as soon as the grid is, not at the next full collection
+        self.grid = weakref.proxy(grid)
+        self._buffers = threading.local()
         n, d = grid.n, grid.dim
         m, h = (3 * n) // 2, n // 2
         self.half = h + 1
@@ -179,6 +196,7 @@ class _Plan:
         self.padded_shape = (m,) * d
         self.padded_half_shape = (m,) * (d - 1) + (m // 2 + 1,)
         self.batch = max(1, MAX_TRANSFORM_BYTES // (16 * math.prod(self.padded_half_shape)))
+        self.chunk_shape = (self.batch,) + self.padded_half_shape
         self.workers = TRANSFORM_WORKERS
         self.truncate_scale = np.complex128(grid.length**d / math.prod(self.padded_shape))
 
@@ -192,6 +210,17 @@ class _Plan:
             self.negative = (Ellipsis, slice(h - 1, 0, -1))
         else:
             self.negative = (Ellipsis,) + np.ix_(*([flip] * (d - 1)), np.arange(h - 1, 0, -1))
+
+    def workspace(self, name: str, shape: tuple[int, ...], dtype: type = complex) -> np.ndarray:
+        """This thread's buffer ``name``, zeroed when made and kept with the plan.
+
+        Each thread gets its own, so threads never share one; a caller must
+        not hand a workspace, or a view of one, back to its own caller.
+        """
+        buffers = vars(self._buffers)
+        if name not in buffers:
+            buffers[name] = np.zeros(shape, dtype)
+        return buffers[name]
 
     @cached_property
     def factors(self) -> np.ndarray:
@@ -333,9 +362,6 @@ class SpectralVectorField:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "SpectralVectorField":
-        return SpectralVectorField(self.grid, -self.coeffs)
-
     def samples(self) -> np.ndarray:
         """Physical-space samples on the grid (real inverse transform)."""
         return _samples(self.grid, self.coeffs)
@@ -374,6 +400,14 @@ def jacobian_coeffs(u: SpectralVectorField) -> np.ndarray:
 # output and scratch are the largest buffers of a step, so at d=3 a stack is
 # transformed in pieces.  At d=1 a whole stack fits in one call.  A grid
 # reads it once, when its plan is built.
+#
+# The pieces of a split stack are transformed in buffers that persist: each
+# thread that runs a chunk keeps an embedding buffer and a complex work
+# buffer of one call each, and each thread that runs the unfused transport
+# term keeps the padded samples of [v, m, div v] and of one component's 2d
+# gradients.  At d=3 n=32 that is about 15 MB per grid with two workers
+# (7 + 6 padded fields of 0.88 MB, and 2 x 0.92 MB per worker).  They belong
+# to the grid's plan and are freed with the grid.
 MAX_TRANSFORM_BYTES = 256 * 1024
 
 
@@ -425,29 +459,36 @@ def _run_chunks(plan: _Plan, task, rows: int) -> None:
             future.result()
 
 
-def padded_samples(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
+def padded_samples(grid: TorusGrid, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Real samples on the 3/2 grid of a stack of n-grid spectra ``(k, n, ..., n)``.
 
     Only last-axis bins ``0..n/2`` are read, so half spectra do as well.
     Each ``-n/2`` bin is split evenly between ``-n/2`` and ``+n/2`` on every
     axis at once: the Hermitian part of the embedding, so a lone ``-n/2``
-    mode contributes its cosine half.  Returns shape ``(k, m, ..., m)``.
+    mode contributes its cosine half.  Returns shape ``(k, m, ..., m)``,
+    written to ``out`` when it is given.
+
+    A stack that fits one transform call, with no ``out``, is embedded and
+    transformed in fresh arrays.  Otherwise each chunk is embedded and
+    transformed in its thread's workspaces and lands in its rows of ``out``.
     """
     plan = grid.plan
     blocks = plan.embed  # built here, not by two threads at once
-
-    def embedded(chunk: np.ndarray) -> np.ndarray:
-        spec = np.zeros((len(chunk),) + plan.padded_half_shape, dtype=complex)
+    if out is None and len(coeffs) <= plan.batch:
+        spec = np.zeros((len(coeffs),) + plan.padded_half_shape, dtype=complex)
         for dst, src, factor in blocks:
-            np.multiply(chunk[src], factor, out=spec[dst])
+            np.multiply(coeffs[src], factor, out=spec[dst])
         return _irfft(spec, plan.padded_shape)
-
-    if len(coeffs) <= plan.batch:
-        return embedded(coeffs)
-    out = np.empty((len(coeffs),) + plan.padded_shape)
+    if out is None:
+        out = np.empty((len(coeffs),) + plan.padded_shape)
 
     def task(lo: int, hi: int) -> None:
-        out[lo:hi] = embedded(coeffs[lo:hi])
+        # every chunk writes the same bins, so the rest stay zero
+        spec = plan.workspace("embed", plan.chunk_shape)[:hi - lo]
+        for dst, src, factor in blocks:
+            np.multiply(coeffs[lo:hi][src], factor, out=spec[dst])
+        work = plan.workspace("work", plan.chunk_shape)[:hi - lo] if grid.dim > 1 else None
+        _irfft(spec, plan.padded_shape, out[lo:hi], work)
 
     _run_chunks(plan, task, len(coeffs))
     return out
@@ -458,10 +499,12 @@ def _truncate_half(grid: TorusGrid, samples: np.ndarray) -> np.ndarray:
 
     The ``+n/2`` partner of each leading axis is folded into the ``-n/2``
     bin before truncation; on the last axis the fold is rebuilt by conjugate
-    reflection when the planes are completed.
+    reflection when the planes are completed.  A split stack is transformed
+    in the work buffers of the threads that run its chunks.
     """
     plan = grid.plan
-    if grid.dim == 1 and len(samples) <= plan.batch:
+    split = len(samples) > plan.batch
+    if grid.dim == 1 and not split:
         out = _rfft(samples, 1)[:, :plan.half]  # the n band, as a view
     else:
         m, h = plan.padded_shape[0], grid.n // 2
@@ -469,7 +512,8 @@ def _truncate_half(grid: TorusGrid, samples: np.ndarray) -> np.ndarray:
         band = plan.band
 
         def task(lo: int, hi: int) -> None:
-            spec = _rfft(samples[lo:hi], grid.dim)
+            work = plan.workspace("work", plan.chunk_shape)[:hi - lo] if split else None
+            spec = _rfft(samples[lo:hi], grid.dim, work)
             for axis in range(1, grid.dim):
                 lead = (slice(None),) * axis
                 spec[lead + (m - h,)] += spec[lead + (h,)]

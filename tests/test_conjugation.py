@@ -589,6 +589,16 @@ def test_fields_on_another_grid_rejected(evaluate, order):
             evaluate(mult, order, *on_grid[:k], stray, *on_grid[k + 1:])
 
 
+@pytest.mark.parametrize("evaluate", [apply_An_recursive, apply_An_convolution],
+                         ids=["recursive", "convolution"])
+def test_wrong_number_of_fields_rejected(evaluate):
+    mult = sobolev_multiplier(1.0, TorusGrid(1, 16))
+    u = headroom_field(mult.grid, 1, 3)
+    for fields in ([u], [u, u, u]):
+        with pytest.raises(ValueError, match=f"expected 2 fields, got {len(fields)}"):
+            evaluate(mult, 1, *fields)
+
+
 class TestEnvelope:
     def test_constant_symbol_ratio_zero(self):
         const = scalar_symbol(lambda xi: np.ones(np.asarray(xi).shape[:-1]), 0.0, 1)

@@ -26,13 +26,18 @@ copy of the two passes it replaced (``directional_derivative`` and then
 
 A stack split into several transform calls runs its chunks on worker
 threads; the passes and the steps must give the same bits for every worker
-count, and a stack that fits one call must start no thread.
+count, and a stack that fits one call must start no thread.  Split passes
+transform in per-thread workspaces of the grid's plan: two threads calling
+one grid at once must each get the serial bits, in arrays of their own.
 """
 
+import gc
 import itertools
 import math
 import sys
 import tracemalloc
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -311,6 +316,23 @@ def test_transport_memory_peak_3d(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 30 * 2**20
+
+
+def test_warm_transport_memory_peak_3d(monkeypatch):
+    # once the plan's workspaces exist (the chunk buffers of both threads and
+    # the transport's padded stacks), a transport allocates only its output,
+    # its n-grid stacks and one padded temporary: 22 MiB before workspaces
+    monkeypatch.setattr(grid_module, "TRANSFORM_WORKERS", 2)
+    grid = TorusGrid(3, 32)
+    u, v = _noise(grid, 5), _noise(grid, 6)
+    momentum_transport(u, v)
+    tracemalloc.start()
+    try:
+        momentum_transport(u, v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 # --- the full-spectrum stage the half-spectrum stages replaced ------------------
@@ -645,3 +667,52 @@ def test_one_call_stacks_start_no_thread(dim, n, monkeypatch):
     mult = sobolev_multiplier(1.0, grid)
     euler_rhs(mult, apply(mult, _noise(grid, 19)))
     assert grid_module._pools == {}
+
+
+def test_two_threads_on_one_grid(monkeypatch):
+    # two callers of one grid at once, each alternating two momenta, while
+    # the pool's helper takes chunks of both: each calling thread has its own
+    # workspaces, and no result is a view of one, so every result held to the
+    # end still has the serial bits
+    n, m = 16, 24
+    monkeypatch.setattr(grid_module, "MAX_TRANSFORM_BYTES", 2 * 16 * m * m * (m // 2 + 1))
+    monkeypatch.setattr(grid_module, "TRANSFORM_WORKERS", 2)
+    grid = TorusGrid(3, n)  # stacks of 7, 6, 5 and 3 rows go in pairs, most with a remainder
+    mult = sobolev_multiplier(1.5, grid)
+    momenta = [apply(mult, _noise(grid, seed)) for seed in (30, 31)]
+    stacks = [np.concatenate([mm.coeffs, mm.coeffs[:2]]) for mm in momenta]
+    serial = [(euler_rhs(mult, mm).coeffs.tobytes(), padded_samples(grid, stack).tobytes())
+              for mm, stack in zip(momenta, stacks)]
+
+    def run(k):
+        held = []
+        for r in range(6):
+            j = (k + r) % 2
+            held.append((j, euler_rhs(mult, momenta[j]).coeffs, padded_samples(grid, stacks[j])))
+        return held
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(2) as callers:
+            results = [f.result(timeout=120) for f in [callers.submit(run, k) for k in range(2)]]
+    finally:
+        sys.setswitchinterval(interval)
+    for held in results:
+        for j, rhs, padded in held:
+            assert (rhs.tobytes(), padded.tobytes()) == serial[j]
+
+
+def test_workspaces_go_with_the_grid(monkeypatch):
+    # the plan refers to its grid by a proxy, so no reference cycle keeps a
+    # dropped grid's workspaces alive until the next full collection
+    monkeypatch.setattr(grid_module, "TRANSFORM_WORKERS", 1)
+    grid = TorusGrid(3, 16)
+    padded_samples(grid, _noise(grid, 18).coeffs)  # three fields in two calls
+    buffer = weakref.ref(grid.plan.workspace("embed", grid.plan.chunk_shape))
+    gc.disable()
+    try:
+        del grid
+        assert buffer() is None
+    finally:
+        gc.enable()
