@@ -1,9 +1,10 @@
-"""Layer timings of the Lagrangian solver, the convolution oracle and the
-Eulerian solver, written to a ``BENCH_*.json`` record.
+"""Layer timings of the transforms, the Lagrangian solver, the convolution
+oracle and the Eulerian solver, written to a ``BENCH_*.json`` record.
 
 Usage (from the repository root):
 
     python bench/run_bench.py --output BENCH_eulerian.json --baseline HEAD --rounds 5
+    python bench/run_bench.py --output BENCH_transforms.json --baseline HEAD --groups transforms
 
 Times, at d=1 n=256 and d=2 n=64 on the datum of ``configs/consistency.ini``:
 ``spray_at_identity``, a warm-started ``invert``, ``compose``, one
@@ -35,18 +36,27 @@ records the final energy and sup|grad u| of the peakon run as values.  It
 also times ``step_rk4`` at d=3 n=32 with ``grid.TRANSFORM_WORKERS`` at 1 and
 at 2, the two alternating.
 
-The allocation group runs first in each child, before the other groups have
-grown the heap: at d=2 n=64 and d=3 n=32, where the padded passes are split,
-it samples one warm ``euler_rhs`` and one warm ``step_rk4`` call (each after
-a warm-up call) on the band-limited datum.  It records the tracemalloc peak
-in MiB and the process's minor page faults (``ru_minflt``, every thread).
+The allocation group, at d=2 n=64 and d=3 n=32, where the padded passes are
+split, samples one warm ``euler_rhs`` and one warm ``step_rk4`` call (each
+after a warm-up call) on the band-limited datum.  It records the tracemalloc
+peak in MiB and the process's minor page faults (``ru_minflt``, every
+thread).
 
-Each round measures every side in a fresh child process.  The working tree
-is one side; ``--baseline REF`` adds the tree of a git commit as the other,
-exported with ``git archive`` into a temporary directory, and the two sides
-alternate their order from round to round.  The record holds each side's
-samples and medians, the relative change of every median (also paired by
-round), the machine, the numpy/scipy versions and the git SHA.  BLAS and OpenMP run one thread each.
+The transform group times, in microseconds, one call of ``grid._rfft``,
+``grid._irfft``, ``grid.padded_samples`` and ``grid._truncate_half`` at d=1
+n=128, 256 and 1024, d=2 n=64 and 128 and d=3 n=32, on the stacks of the
+transport term: its first padded pass, its d-row truncation, and one
+transform call's share of each.  It counts the calls of numpy's pocketfft
+gufuncs (``numpy.fft._pocketfft_umath``) that each helper call makes.
+
+Each round measures every group of every side in a fresh child process, so
+no group runs on a heap that another group grew.  The working tree is one
+side; ``--baseline REF`` adds the tree of a git commit as the other,
+exported with ``git archive`` into a temporary directory, and the side that
+goes first alternates from group to group and round to round.  The record
+holds each side's samples and medians, the relative change of every median
+(also paired by round), the rounds each side read lower, the machine, the
+numpy/scipy versions and the git SHA.  BLAS and OpenMP run one thread each.
 Needs only the standard library and the package's own dependencies.
 """
 
@@ -89,6 +99,9 @@ LARGE_TOWER_CASES = ((2, 64, 2), (3, 32, 1))
 EULER_GRIDS = ((1, 256), (1, 1024), (2, 64), (3, 32))
 # worker counts of the d=3 n=32 step_rk4 timings
 STEP_WORKERS = (1, 2)
+# (dim, n, rows) of the transform timings: rows is the stack of the transport
+# term's first padded pass ([v, m, div v], and at d=1 the fused gradients)
+TRANSFORM_CASES = ((1, 128, 5), (1, 256, 5), (1, 1024, 5), (2, 64, 5), (2, 128, 5), (3, 32, 7))
 PEAKON_T_END = 0.5
 
 
@@ -98,6 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--baseline", help="git ref of the tree to compare the working tree with")
     parser.add_argument("--rounds", type=int, default=1, help="child processes per side")
     parser.add_argument("--repeats", type=int, default=5, help="timed samples per call and round")
+    parser.add_argument("--groups", default=",".join(GROUPS),
+                        help=f"comma-separated groups to measure (default: {','.join(GROUPS)})")
     parser.add_argument("--child", type=Path, help=argparse.SUPPRESS)  # src directory to measure
     return parser
 
@@ -191,13 +206,13 @@ def _config_params(path: Path, *scenario_keys: str) -> dict[str, float]:
     return params
 
 
-def measure(repeats: int) -> dict:
-    """Samples, counts and values of the package that ``import epdifflab`` finds."""
+def measure(group: str, repeats: int) -> dict:
+    """Samples, counts and values of one group, on the package that
+    ``import epdifflab`` finds."""
     from epdifflab import grid as grid_module
 
     samples, counts, values = {}, {}, {}
-    for group in (measure_allocations, measure_lagrangian, measure_oracle, measure_eulerian):
-        group(repeats, samples, counts, values)
+    GROUPS[group](repeats, samples, counts, values)
     return {"samples": samples, "counts": counts, "values": values,
             "transform_workers": grid_module.TRANSFORM_WORKERS}
 
@@ -354,6 +369,44 @@ def measure_allocations(repeats: int, samples: dict, counts: dict, values: dict)
             samples[f"{tag}.{name}_minflt"] = faults
 
 
+def measure_transforms(repeats: int, samples: dict, counts: dict, values: dict) -> None:
+    """The transform group: one call of ``_rfft``, ``_irfft``, ``padded_samples``
+    and ``_truncate_half`` on the stacks of the transport term, and the calls
+    of numpy's pocketfft gufuncs that each makes."""
+    import numpy as np
+    from numpy.fft import _pocketfft_umath
+
+    from epdifflab import grid as grid_module
+
+    rng = np.random.default_rng(0)
+    calls = {}
+    for dim, n, rows in TRANSFORM_CASES:
+        tag = f"transforms.d{dim}_n{n}"
+        grid = grid_module.TorusGrid(dim, n)
+        plan = grid.plan
+        coeffs = grid_module._spectra(grid, rng.standard_normal((rows,) + grid.shape))
+        padded = rng.standard_normal((dim,) + plan.padded_shape)
+        # _rfft/_irfft on one call's share of those stacks, as a chunk of a split pass gets
+        spec = np.fft.rfftn(rng.standard_normal((min(rows, plan.batch),) + plan.padded_shape),
+                            axes=tuple(range(-dim, 0)))
+        calls[tag] = {
+            "rfft": functools.partial(grid_module._rfft, padded[:plan.batch], dim),
+            "irfft": functools.partial(grid_module._irfft, spec, plan.padded_shape),
+            "padded_samples": functools.partial(grid_module.padded_samples, grid, coeffs),
+            "truncate_half": functools.partial(grid_module._truncate_half, grid, padded),
+        }
+        for name, call in calls[tag].items():
+            samples[f"{tag}.{name}_us"] = [1e3 * ms for ms in _per_call_ms(call, repeats)]
+    # counted after every timing, as in measure_lagrangian(); numpy.fft's
+    # wrappers call these gufuncs by module attribute too
+    counter = CallCounter([(_pocketfft_umath, name) for name in ("rfft_n_even", "fft", "ifft", "irfft")])
+    for tag, by_name in calls.items():
+        for name, call in by_name.items():
+            counts[f"{tag}.{name}"] = {key.rsplit(".", 1)[1]: value
+                                       for key, value in counter.calls_in(call).items()}
+    counter.close()
+
+
 def measure_eulerian(repeats: int, samples: dict, counts: dict, values: dict) -> None:
     """The Eulerian group: ``euler_rhs`` and ``step_rk4`` per call, the
     peakon ``integrate`` to ``PEAKON_T_END``, and the calls one step makes."""
@@ -413,6 +466,10 @@ def measure_eulerian(repeats: int, samples: dict, counts: dict, values: dict) ->
     counter.close()
 
 
+# Each group runs in a child process of its own, in this order within a round.
+GROUPS = {"allocations": measure_allocations, "transforms": measure_transforms,
+          "lagrangian": measure_lagrangian, "oracle": measure_oracle, "eulerian": measure_eulerian}
+
 
 # --- the parent process -----------------------------------------------------------
 
@@ -436,10 +493,10 @@ def _export(ref: str, into: Path) -> str:
     return sha
 
 
-def _run_child(src: Path, repeats: int) -> dict:
+def _run_child(src: Path, group: str, repeats: int) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src), **{var: "1" for var in THREAD_VARS})
     out = subprocess.run([sys.executable, __file__, "--output", os.devnull, "--repeats", str(repeats),
-                          "--child", str(src)], env=env, capture_output=True, text=True)
+                          "--groups", group, "--child", str(src)], env=env, capture_output=True, text=True)
     if out.returncode != 0:
         sys.exit(f"measuring {src} failed:\n{out.stderr}")
     return json.loads(out.stdout)
@@ -482,7 +539,7 @@ def _relative_change(parent: dict, change: dict) -> dict:
     """Per sample key: the change of the medians, the median over rounds of
     the change of the round medians (the two sides of a round run back to
     back, so host load that drifts between rounds cancels), and the rounds in
-    which the change read lower.  A change relative to a parent value of 0
+    which each side read lower.  A change relative to a parent value of 0
     (page faults) is None."""
     out = {}
     for key, value in change["medians"].items():
@@ -491,7 +548,8 @@ def _relative_change(parent: dict, change: dict) -> dict:
         out[key] = {
             "of_medians": value / parent["medians"][key] - 1.0 if parent["medians"][key] else None,
             "paired": statistics.median(ratios) - 1.0 if ratios else None,
-            "rounds_faster": sum(c < p for p, c in pairs),
+            "rounds_won": {"change": sum(c < p for p, c in pairs),
+                           "parent": sum(p < c for p, c in pairs)},
         }
     return out
 
@@ -503,8 +561,11 @@ def main(argv=None) -> int:
 
         if Path(epdifflab.__file__).resolve().parent.parent != args.child.resolve():
             sys.exit(f"epdifflab was imported from {epdifflab.__file__}, not from {args.child}")
-        print(json.dumps(measure(args.repeats)))
+        print(json.dumps(measure(args.groups, args.repeats)))
         return 0
+    groups = args.groups.split(",")
+    if not set(groups) <= set(GROUPS):
+        sys.exit(f"--groups: unknown {sorted(set(groups) - set(GROUPS))}; choose from {', '.join(GROUPS)}")
     head = _git("rev-parse", "HEAD")
     modified = bool(_git("status", "--porcelain", "--", "src"))
     with tempfile.TemporaryDirectory() as tmp:
@@ -513,15 +574,22 @@ def main(argv=None) -> int:
         if args.baseline:
             shas["parent"] = _export(args.baseline, Path(tmp))
             sides = {"parent": Path(tmp) / "src", "change": REPO / "src"}
-        runs = {label: [] for label in sides}
+        runs = {label: [{"samples": {}, "counts": {}, "values": {}} for _ in range(args.rounds)]
+                for label in sides}
         for r in range(args.rounds):
-            order = list(sides) if r % 2 == 0 else list(sides)[::-1]
-            for label in order:
-                runs[label].append(_run_child(sides[label], args.repeats))
+            for g, group in enumerate(groups):
+                # a fresh child per group and side, the side that goes first alternating
+                order = list(sides) if (r + g) % 2 == 0 else list(sides)[::-1]
+                for label in order:
+                    child, run = _run_child(sides[label], group, args.repeats), runs[label][r]
+                    for part in ("samples", "counts", "values"):
+                        run[part].update(child[part])
+                    run["transform_workers"] = child["transform_workers"]
     record = {
         "command": "python bench/run_bench.py " + " ".join(argv if argv is not None else sys.argv[1:]),
         "config": str(CONFIG.relative_to(REPO)),
         "rounds": args.rounds,
+        "groups": groups,
         "repeats": args.repeats,
         "machine": _machine(),
         "sides": {label: _side(runs[label], label, shas[label], label == "change" and modified)
@@ -535,9 +603,10 @@ def main(argv=None) -> int:
         if "parent" in sides:
             delta = record["relative_change"][key]
             paired = "n/a" if delta["paired"] is None else f"{100 * delta['paired']:+6.1f}%"
+            won = delta["rounds_won"]
             line += (f"  parent {record['sides']['parent']['medians'][key]:12.4f}"
                      f"  paired {paired:>7s}"
-                     f"  lower in {delta['rounds_faster']}/{args.rounds} rounds")
+                     f"  lower: change {won['change']}, parent {won['parent']} of {args.rounds}")
         print(line)
     return 0
 

@@ -7,7 +7,9 @@ Usage:
 Exit codes: 0 the run finished (its verdict in summary.txt, such as
 ``all_pass`` or ``consistency_pass``, may still be False), 2 blow-up detected
 (outputs still written), 3 invalid configuration, 4 numerical abort
-(non-finite state, a degenerate Lagrangian chart or a failed chart inversion).
+(non-finite state, a degenerate Lagrangian chart, a failed chart inversion,
+or any other ``ValueError``, ``numpy.linalg.LinAlgError`` included, raised
+while the run computes).  Exits 3 and 4 print one line to stderr.
 """
 
 from __future__ import annotations
@@ -60,6 +62,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_BAD_CONFIG
     except (FloatingPointError, ChartError, InversionError) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except ValueError as exc:  # after ConfigError, which is one; so is LinAlgError
+        message = " ".join(str(exc).split())
+        print(f"numerical abort: {type(exc).__name__}: {message}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pfu
 
 
 class GridMismatchError(ValueError):
@@ -135,38 +136,44 @@ class TorusGrid:
         return self.frequencies.reshape(self.dim, -1).T
 
 
-def _axes(dim: int) -> tuple[int, ...]:
-    return tuple(range(-dim, 0))
-
-
-# numpy's n-d wrappers cost about as much as a whole d=1 transform, so d=1
-# calls the one-axis transforms.
+# Every transform calls numpy's pocketfft gufuncs directly: numpy.fft's
+# Python wrapper (``asarray``, dtype and axis checks, a fresh output) costs
+# 3-4 us per call, about what a one-row transform at d=1 n=256 costs itself.
+# The calls, their order and their factors are those of ``rfftn``/``irfftn``,
+# so the bits are theirs; ``tests/test_grid.py`` checks them against the
+# public functions.  Every grid length is even (n and 3n/2, n a power of two
+# >= 8), so ``rfft_n_even`` is the one forward real transform.
 
 def _rfft(samples: np.ndarray, dim: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Half spectra of real samples over the last ``dim`` axes; with ``out``,
-    ``rfftn``'s per-axis calls write there in place."""
-    if dim == 1:
-        return np.fft.rfft(samples, out=out)
-    return np.fft.rfftn(samples, axes=_axes(dim), out=out)
+    """Half spectra of real samples over the last ``dim`` axes, written to
+    ``out`` when it is given: the last axis first, then each leading axis in
+    place, last to first, as ``rfftn`` does."""
+    if out is None:
+        out = np.empty(samples.shape[:-1] + (samples.shape[-1] // 2 + 1,), dtype=complex)
+    _pfu.rfft_n_even(samples, 1.0, out=out)
+    for axis in range(-2, -dim - 1, -1):
+        _pfu.fft(out, 1.0, out=out, axes=[(axis,), (), (axis,)])
+    return out
 
 
 def _irfft(half: np.ndarray, shape: tuple[int, ...], out: np.ndarray | None = None,
            work: np.ndarray | None = None) -> np.ndarray:
-    """Real samples of shape ``shape`` (last axes) from half spectra.
+    """Real samples of shape ``shape`` (last axes) from half spectra, written
+    to ``out`` when it is given.
 
-    With ``out``, and at d >= 2 a complex ``work`` buffer shaped like
-    ``half``, the calls of ``irfftn`` are made here in its order: the leading
-    axes into ``work``, the last axis straight into ``out``.  The bits are
-    those of ``irfftn``.
+    As in ``irfftn``, the leading axes go first, first to last, into the
+    complex ``work`` (shaped like ``half``, made here when not given), and the
+    last axis straight into ``out``; each axis is scaled by ``1/size``.
     """
-    if len(shape) == 1:
-        return np.fft.irfft(half, n=shape[0], out=out)
-    axes = _axes(len(shape))
     if out is None:
-        return np.fft.irfftn(half, s=shape, axes=axes)
-    for axis, size in zip(axes[:-1], shape):
-        half = np.fft.ifft(half, size, axis, out=work)
-    return np.fft.irfft(half, shape[-1], axes[-1], out=out)
+        out = np.empty(half.shape[:-len(shape)] + shape)
+    if len(shape) > 1 and work is None:
+        work = np.empty(half.shape, dtype=complex)
+    for axis, size in zip(range(-len(shape), -1), shape):
+        _pfu.ifft(half, 1 / size, out=work, axes=[(axis,), (), (axis,)])
+        half = work
+    _pfu.irfft(half, 1 / shape[-1], out=out)
+    return out
 
 
 # Scalars of the hot passes are numpy scalars: a Python float operand costs
@@ -304,8 +311,9 @@ def _spectra(grid: TorusGrid, samples: np.ndarray) -> np.ndarray:
 def _samples(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
     """Real samples of conjugate-symmetric spectra ``(..., n, ..., n)``, or of
     their half spectra ``(..., n, ..., n/2+1)``: only bins ``0..n/2`` are read."""
-    half = coeffs[..., :grid.n // 2 + 1]
-    return _irfft(half, grid.shape) / grid.cell_volume
+    out = _irfft(coeffs[..., :grid.n // 2 + 1], grid.shape)
+    out /= grid.cell_volume
+    return out
 
 
 def _require_same_grid(a, b) -> None:

@@ -593,6 +593,29 @@ class TestExitZeroIsNotAVerdict:
         assert read_summary(out)["consistency_pass"] == "False"
 
 
+class TestErrorsRaisedInARun:
+    """A ValueError or LinAlgError raised while a scenario computes exits 4
+    with one stderr line, not a traceback; a ConfigError, also a ValueError,
+    still exits 3."""
+
+    @pytest.mark.parametrize("error, code, line", [
+        (ValueError("operands could not be\nbroadcast"), 4,
+         "numerical abort: ValueError: operands could not be broadcast"),
+        (np.linalg.LinAlgError("Singular matrix"), 4, "numerical abort: LinAlgError: Singular matrix"),
+        (ConfigError("[scenario] width must be positive"), 3, "config error: [scenario] width must be positive"),
+    ])
+    def test_raising_scenario(self, tmp_path, capsys, monkeypatch, error, code, line):
+        import epdifflab.scenarios as sc
+
+        def raising(*args, **kwargs):
+            raise error
+
+        monkeypatch.setitem(sc.SCENARIOS, "gaussian_blob", sc.SCENARIOS["gaussian_blob"]._replace(run=raising))
+        cfg = write_config(tmp_path, BASE_EVOLUTION)
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out"), "--quiet"]) == code
+        assert capsys.readouterr().err.splitlines() == [line]
+
+
 class TestConsistencyScenario:
     def test_runs_and_reports(self, tmp_path):
         text = """\

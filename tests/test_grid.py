@@ -7,7 +7,9 @@ from epdifflab.grid import (
     GridMismatchError,
     SpectralVectorField,
     TorusGrid,
+    _irfft,
     _require_same_grid,
+    _rfft,
     l2_inner,
     padded_samples,
     truncate_padded,
@@ -130,6 +132,44 @@ class TestTransforms:
             SpectralVectorField.from_samples(g, np.zeros((1, 8)))
         with pytest.raises(ValueError):
             SpectralVectorField.from_samples(g, np.zeros((2, 16)))
+
+
+# Every (dim, n) the package is run and benchmarked on
+GRIDS = [(1, 2**j) for j in range(3, 11)] + [(2, 2**j) for j in range(3, 8)] + [(3, 16), (3, 32)]
+
+
+@pytest.mark.parametrize("dim,n", GRIDS)
+def test_transforms_match_numpy_fft(dim, n):
+    """``_rfft``/``_irfft`` call numpy's pocketfft gufuncs directly; their bytes
+    are those of the public ``rfft``/``irfft``/``rfftn``/``irfftn``, on the n
+    grid and on the 3/2 grid, for one row and for a stack, into fresh arrays
+    and into row slices of larger ones, as the padded passes write them.  A
+    numpy release that changes those private gufuncs fails here."""
+    rng = np.random.default_rng(n + dim)
+    axes = tuple(range(-dim, 0))
+    for length in (n, 3 * n // 2):
+        assert length % 2 == 0, "_rfft uses rfft_n_even, the gufunc of even lengths"
+        shape = (length,) * dim
+        half_shape = shape[:-1] + (length // 2 + 1,)
+        for rows in (1, 3):
+            samples = rng.standard_normal((rows,) + shape)
+            half = rng.standard_normal((rows,) + half_shape) + 1j * rng.standard_normal((rows,) + half_shape)
+            if dim == 1:
+                forward, inverse = np.fft.rfft(samples), np.fft.irfft(half, n=length)
+            else:
+                forward, inverse = np.fft.rfftn(samples, axes=axes), np.fft.irfftn(half, s=shape, axes=axes)
+            spectra = np.empty((rows + 2,) + half_shape, dtype=complex)
+            values = np.empty((rows + 2,) + shape)
+            work = np.empty((rows,) + half_shape, dtype=complex)
+            assert _rfft(samples, dim).tobytes() == forward.tobytes()
+            _rfft(samples, dim, spectra[1:rows + 1])
+            assert spectra[1:rows + 1].tobytes() == forward.tobytes()
+            assert _irfft(half, shape).tobytes() == inverse.tobytes()
+            _irfft(half, shape, values[1:rows + 1], work if dim > 1 else None)
+            assert values[1:rows + 1].tobytes() == inverse.tobytes()
+            # a half spectrum read as a view of full-length last axes, as _samples reads it
+            full = np.concatenate([half, half[..., 1:-1]], axis=-1)
+            assert _irfft(full[..., :length // 2 + 1], shape).tobytes() == inverse.tobytes()
 
 
 class TestGradient:
