@@ -136,13 +136,18 @@ def load_config(path: str | Path) -> RunConfig:
     scenario = _get(parser, "scenario", "name", required=True)
     if scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {scenario!r}; choose one of {', '.join(SCENARIOS)}")
-    scenario_params = {
-        k: v for k, v in parser.items("scenario") if k != "name"
-    }
+    entry = SCENARIOS[scenario]
+    scenario_params = {k: v for k, v in parser.items("scenario") if k != "name"}
+    unknown = sorted(scenario_params.keys() - set(entry.keys))
+    if unknown:
+        raise ConfigError(
+            f"[scenario] {', '.join(unknown)}: not read by {scenario!r}, whose keys are "
+            f"{', '.join(('name',) + entry.keys)}"
+        )
 
     dt = t_end = 1.0
     cadence = 1
-    if SCENARIOS[scenario].needs_integrator:
+    if entry.initial is not None:
         if not parser.has_section("integrator"):
             raise ConfigError(f"scenario {scenario!r} needs an [integrator] section")
         dt = _as_float(_get(parser, "integrator", "dt", required=True), "[integrator] dt", positive=True)

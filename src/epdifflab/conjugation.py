@@ -110,7 +110,10 @@ def _tower(mult: FourierMultiplier, slots: list[np.ndarray]) -> np.ndarray:
     tuple, as one stack; forms ``(last . grad)`` of the plain inner result
     from the padded samples of ``last`` it holds; and subtracts the moved
     terms in slot order.  One recursion takes at most ``plan.batch // d``
-    tuples, so on large grids a level walks its variants in turn.
+    tuples, so on large grids a level walks its variants in turn.  This
+    variant loop is the tower's one memory bound: each step of it makes one
+    padded pass (:func:`_advect`), of the gradients of at most ``step``
+    fields, which :func:`padded_samples` splits by the transform cap.
     """
     *prefix, last = slots
     if not prefix:
@@ -142,34 +145,27 @@ def _advect(
 
     Returns the padded samples of ``last`` with the results.  Pass the
     samples of an earlier call as ``padded``; otherwise those of ``last``
-    join the first padded pass.  The fields go to the 3/2 grid as many at a
-    time as ``plan.batch`` rows of gradients hold (at least one), and each
-    pass is truncated once.
+    join the padded pass.  One call makes at most one padded pass and one
+    truncation; :func:`_tower` bounds how many fields a call gets.
     """
-    plan = grid.plan
-    d, lead = grid.dim, last.shape[0] * grid.dim
-    per = max(1, plan.batch // (lead * d))
-    moved: list[np.ndarray] = []
-    lo = 0
-    while padded is None or lo < len(fields):
-        chunk = fields[lo:lo + per]
-        head = lead if padded is None else 0  # rows of ``last`` in this pass
-        stack = np.empty((head + len(chunk) * lead * d,) + plan.half_shape, dtype=complex)
-        if head:
-            stack[:head] = last[..., :plan.half].reshape((head,) + plan.half_shape)
-        grads = stack[head:].reshape((len(chunk),) + last.shape[:2] + (d,) + plan.half_shape)
-        for field, grad in zip(chunk, grads):
-            np.multiply(field[:, :, None, ..., :plan.half], plan.factors, out=grad)
-        samples = padded_samples(grid, stack)
-        if head:  # a copy, so the gradient rows are freed with this pass
-            padded = samples[:head].reshape(last.shape[:2] + plan.padded_shape).copy()
-        if chunk:
-            sampled = samples[head:].reshape(grads.shape[:4] + plan.padded_shape)
-            products = np.einsum("bj...,fbij...->fbi...", padded, sampled)
-            spectra = truncate_padded(grid, products.reshape((-1,) + plan.padded_shape))
-            moved += list(spectra.reshape((len(chunk),) + last.shape))
-        lo += per
-    return padded, moved
+    plan, d, rows = grid.plan, grid.dim, last.shape[0] * grid.dim
+    head = rows if padded is None else 0  # rows of ``last`` in the pass
+    stack = np.empty((head + len(fields) * rows * d,) + plan.half_shape, dtype=complex)
+    if head:
+        stack[:head] = last[..., :plan.half].reshape((head,) + plan.half_shape)
+    grads = stack[head:].reshape((len(fields),) + last.shape[:2] + (d,) + plan.half_shape)
+    for field, grad in zip(fields, grads):
+        np.multiply(field[:, :, None, ..., :plan.half], plan.factors, out=grad)
+    samples = padded_samples(grid, stack)
+    if head:  # a copy, so the gradient rows are freed with this pass
+        padded = samples[:head].reshape(last.shape[:2] + plan.padded_shape).copy()
+    if not fields:
+        return padded, []
+    sampled = samples[head:].reshape(grads.shape[:4] + plan.padded_shape)
+    products = np.einsum("bj...,fbij...->fbi...", padded, sampled)
+    del stack, grads, samples, sampled  # the pass buffers, freed before the truncation allocates
+    spectra = truncate_padded(grid, products.reshape((-1,) + plan.padded_shape))
+    return padded, list(spectra.reshape((len(fields),) + last.shape))
 
 
 # --- symbol recursion ----------------------------------------------------------

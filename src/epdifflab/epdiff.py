@@ -116,9 +116,7 @@ def sup_velocity_gradient(u: SpectralVectorField) -> float:
     return float(np.abs(grads).max())
 
 
-def diagnostics(
-    mult: FourierMultiplier, state: EulerState, norm_orders: Sequence[float] = ()
-) -> Diagnostics:
+def diagnostics(state: EulerState, norm_orders: Sequence[float] = ()) -> Diagnostics:
     return Diagnostics(
         t=state.t,
         energy=state.energy,
@@ -347,7 +345,7 @@ def integrate(
     substeps = retries = 0
 
     def emit(st: EulerState) -> Diagnostics:
-        diags.append(diagnostics(mult, st, norm_orders))
+        diags.append(diagnostics(st, norm_orders))
         if callback:
             callback(diags[-1])
         return diags[-1]

@@ -425,7 +425,8 @@ MAX_TRANSFORM_BYTES = 256 * 1024
 # output allocated up front and the calling thread finishes the pass, so the
 # bits do not depend on the worker count.  A grid reads the count once, when
 # its plan is built; a stack that fits one call runs inline and starts no
-# thread.
+# thread.  The helpers of every plan with the same count come from one pool
+# of count - 1 threads, however many chunks a stack has.
 TRANSFORM_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                      else os.cpu_count() or 1)
 _pools: dict[int, ThreadPoolExecutor] = {}
@@ -460,7 +461,7 @@ def _run_chunks(plan: _Plan, task, rows: int) -> None:
             task(lo, hi)
 
     helpers = min(plan.workers, chunks.qsize()) - 1
-    futures = [_pool(helpers).submit(drain) for _ in range(helpers)]
+    futures = [_pool(plan.workers - 1).submit(drain) for _ in range(helpers)]
     drain()
     for future in futures:
         if not future.cancel():  # a helper that has not started by now has nothing to do

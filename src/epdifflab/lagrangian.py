@@ -361,7 +361,6 @@ class RegularityReport:
     """Max growth of each tracked Sobolev norm along a trajectory."""
 
     ratios: dict[float, float]
-    bound: float
     passed: bool
 
 
@@ -382,4 +381,4 @@ def regularity_probe(diag_series: Sequence, q_list: Sequence[float]) -> Regulari
         else:
             ratios[q] = peak / initial
     passed = all(np.isfinite(r) and r <= 1e3 for r in ratios.values())
-    return RegularityReport(ratios=ratios, bound=1e3, passed=passed)
+    return RegularityReport(ratios=ratios, passed=passed)

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .grid import SpectralVectorField, TorusGrid, _require_same_grid
-from .symbols import ClassCertificate, MatrixSymbol, check_ellipticity, sobolev_weight
+from .symbols import MatrixSymbol, check_ellipticity, sobolev_weight
 
 
 class EllipticityError(ValueError):
@@ -35,7 +35,6 @@ class FourierMultiplier:
     grid: TorusGrid
     table: np.ndarray
     inv_table: Optional[np.ndarray] = None
-    ellipticity: Optional[ClassCertificate] = None
 
     @classmethod
     def build(cls, symbol: MatrixSymbol, grid: TorusGrid) -> "FourierMultiplier":
@@ -67,7 +66,7 @@ class FourierMultiplier:
             resid = np.abs(base.table @ inv - np.eye(grid.dim)).max()
         if not resid <= 1e-13:
             raise EllipticityError(f"inverse table residual {resid:.3g} exceeds 1e-13")
-        return cls(symbol=symbol, grid=grid, table=base.table, inv_table=inv, ellipticity=cert)
+        return cls(symbol=symbol, grid=grid, table=base.table, inv_table=inv)
 
     @cached_property
     def half_inv_table(self) -> np.ndarray:

@@ -118,17 +118,6 @@ def lattice_table_symbol(
     )
 
 
-def save_symbol_table(path: Path, mult: FourierMultiplier) -> None:
-    """Serialize a multiplier's lattice table to the custom-table npz format."""
-    np.savez(
-        path,
-        table=mult.table,
-        order=np.float64(mult.symbol.order),
-        hermitian=np.bool_(mult.symbol.hermitian),
-        positive_definite=np.bool_(mult.symbol.positive_definite),
-    )
-
-
 def _build_elliptic(symbol: MatrixSymbol, grid: TorusGrid, **kwargs) -> FourierMultiplier:
     """The multiplier of a configured symbol; a symbol failing its checks is a config error."""
     try:
@@ -214,30 +203,31 @@ def _bump_width(cfg: RunConfig, default: float) -> float:
     return width
 
 
-def _initial_velocity(cfg: RunConfig, grid: TorusGrid) -> SpectralVectorField:
-    name = cfg.scenario
-    if name in ("gaussian_blob", "consistency"):
-        return gaussian_blob(
-            grid,
-            amplitude=param_float(cfg, "amplitude", 0.25),
-            width=_bump_width(cfg, 0.1),
-        )
-    if name == "random_bandlimited":
-        return random_bandlimited(
-            grid,
-            kmax=param_int(cfg, "kmax", max(2, grid.n // 8), minimum=1),
-            norm_order=param_float(cfg, "norm_order", 1.5),
-            target_norm=param_float(cfg, "target_norm", 1.0),
-            seed=cfg.seed,
-        )
-    if name == "peakon_pair":
-        return peakon_pair(
-            grid,
-            amplitude=param_float(cfg, "amplitude", 0.5),
-            separation=param_float(cfg, "separation", 0.25 * grid.length),
-            width=_bump_width(cfg, 0.05 * grid.length),
-        )
-    raise ConfigError(f"scenario {name!r} has no initial velocity")
+def _blob(cfg: RunConfig, grid: TorusGrid) -> SpectralVectorField:
+    return gaussian_blob(
+        grid,
+        amplitude=param_float(cfg, "amplitude", 0.25),
+        width=_bump_width(cfg, 0.1),
+    )
+
+
+def _bandlimited(cfg: RunConfig, grid: TorusGrid) -> SpectralVectorField:
+    return random_bandlimited(
+        grid,
+        kmax=param_int(cfg, "kmax", max(2, grid.n // 8), minimum=1),
+        norm_order=param_float(cfg, "norm_order", 1.5),
+        target_norm=param_float(cfg, "target_norm", 1.0),
+        seed=cfg.seed,
+    )
+
+
+def _peakons(cfg: RunConfig, grid: TorusGrid) -> SpectralVectorField:
+    return peakon_pair(
+        grid,
+        amplitude=param_float(cfg, "amplitude", 0.5),
+        separation=param_float(cfg, "separation", 0.25 * grid.length),
+        width=_bump_width(cfg, 0.05 * grid.length),
+    )
 
 
 def _initial_state(cfg: RunConfig, grid: TorusGrid) -> tuple[FourierMultiplier, EulerState]:
@@ -247,7 +237,7 @@ def _initial_state(cfg: RunConfig, grid: TorusGrid) -> tuple[FourierMultiplier, 
     at ``dt / 2^MAX_SUBSTEP_DOUBLINGS`` (the run would halt at t = 0 with a
     blow-up verdict), is a config error.
     """
-    u0 = _initial_velocity(cfg, grid)
+    u0 = SCENARIOS[cfg.scenario].initial(cfg, grid)
     mult = build_metric(cfg, grid)
     with np.errstate(over="ignore", invalid="ignore"):
         state = EulerState.from_velocity(mult, u0)
@@ -511,44 +501,39 @@ def run_consistency(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
 
 
 class Scenario(NamedTuple):
-    """One registry entry: what the scenario does, its config keys and its runner."""
+    """One registry entry: what the scenario does, its ``[scenario]`` keys, its
+    runner and, for a time evolution, the builder of its initial velocity."""
 
     description: str
-    keys: str
+    keys: tuple[str, ...]
     run: Callable[[RunConfig, Path, bool], int]
-    needs_integrator: bool
+    initial: Callable[[RunConfig, TorusGrid], SpectralVectorField] | None = None
 
 
 SCENARIOS: dict[str, Scenario] = {
     "gaussian_blob": Scenario(
         "smooth localized velocity bump evolved under EPDiff",
-        "grid, metric, integrator; scenario: amplitude, width",
-        run_evolution, needs_integrator=True,
+        ("amplitude", "width"), run_evolution, _blob,
     ),
     "random_bandlimited": Scenario(
         "random band-limited datum with prescribed Sobolev norm",
-        "grid, metric, integrator; scenario: kmax, norm_order, target_norm",
-        run_evolution, needs_integrator=True,
+        ("kmax", "norm_order", "target_norm"), run_evolution, _bandlimited,
     ),
     "peakon_pair": Scenario(
         "odd colliding-bump datum probing finite-time gradient blow-up",
-        "grid, metric, integrator; scenario: amplitude, separation, width",
-        run_evolution, needs_integrator=True,
+        ("amplitude", "separation", "width"), run_evolution, _peakons,
     ),
     "symbol_audit": Scenario(
         "order/ellipticity/positivity/square-root certificates for a symbol",
-        "grid, metric; scenario: symbol (metric|shear_laplacian), shear_t, sphere_samples",
-        run_symbol_audit, needs_integrator=False,
+        ("symbol", "shear_t", "sphere_samples"), run_symbol_audit,
     ),
     "conjugation_audit": Scenario(
         "derivative-tower oracle equivalence, growth envelopes, tensor identity",
-        "grid (small), metric sobolev; scenario: draws",
-        run_conjugation_audit, needs_integrator=False,
+        ("draws",), run_conjugation_audit,
     ),
     "consistency": Scenario(
         "Eulerian vs Lagrangian geodesic solver cross-validation",
-        "grid, metric, integrator; scenario: amplitude, width, tolerance",
-        run_consistency, needs_integrator=True,
+        ("amplitude", "width", "tolerance"), run_consistency, _blob,
     ),
 }
 
@@ -558,7 +543,8 @@ def list_scenarios_text() -> str:
     for name, entry in SCENARIOS.items():
         lines.append(f"{name}")
         lines.append(f"  {entry.description}")
-        lines.append(f"  config keys: {entry.keys}")
+        sections = "grid, metric, integrator" if entry.initial else "grid, metric"
+        lines.append(f"  config keys: {sections}; scenario: {', '.join(entry.keys)}")
     return "\n".join(lines)
 
 

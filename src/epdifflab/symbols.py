@@ -336,7 +336,7 @@ def check_ellipticity(symbol: MatrixSymbol, xi_max: float = 1e3) -> ClassCertifi
 
 # --- principal-part positivity -----------------------------------------------
 
-def _homogeneity_violation(a_pi: EvalFn, dim: int, degree: float, dirs: np.ndarray) -> float:
+def _homogeneity_violation(a_pi: EvalFn, degree: float, dirs: np.ndarray) -> float:
     """Largest relative gap ``|a(lam xi) - lam^degree a(xi)|``; nan or inf if a value overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
         base = np.asarray(a_pi(dirs), dtype=complex)
@@ -360,7 +360,7 @@ def _principal_certificate(
         raise ValueError(f"symbol '{symbol.name}' has no principal part")
     dirs = _unit_directions(symbol.dim, max(sphere_samples, 2))
     sampling = f"{dirs.shape[0]} unit-sphere samples, homogeneity checked at lam=0.5,2,7"
-    hom = _homogeneity_violation(symbol.principal, symbol.dim, symbol.order, dirs[:: max(1, len(dirs) // 64)])
+    hom = _homogeneity_violation(symbol.principal, symbol.order, dirs[:: max(1, len(dirs) // 64)])
     if not hom <= 1e-10:
         return ClassCertificate(
             kind=kind,
@@ -505,37 +505,3 @@ def sqrt_symbol(symbol: MatrixSymbol) -> MatrixSymbol:
         principal=principal,
         name=f"sqrt({symbol.name})",
     )
-
-
-def minimal_elliptic_shift(symbol: MatrixSymbol, tol: float = 1e-2) -> float:
-    """Smallest ``lam >= 0`` (within ``tol``, by bisection) making ``lam + a(D)`` elliptic.
-
-    Existence is guaranteed for normally elliptic classical symbols; only the
-    measured value is exposed, there is no closed-form target.
-    """
-
-    def shifted(lam: float) -> MatrixSymbol:
-        return MatrixSymbol(
-            dim=symbol.dim,
-            order=symbol.order,
-            eval_fn=lambda xi, lam=lam: symbol(xi) + lam * np.eye(symbol.dim),
-            name=f"{symbol.name}+{lam:g}",
-        )
-
-    def ok(lam: float) -> bool:
-        return check_ellipticity(shifted(lam)).verdict
-
-    lo, hi = 0.0, 1.0
-    while not ok(hi):
-        hi *= 2.0
-        if hi > 1e6:
-            raise RuntimeError("no elliptic shift found below 1e6")
-    if ok(lo):
-        return 0.0
-    while hi - lo > tol * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi

@@ -11,7 +11,7 @@ from epdifflab.config import MAX_DRAWS, MAX_SPHERE_SAMPLES, ConfigError, load_co
 from epdifflab.epdiff import step_count
 from epdifflab.grid import TorusGrid
 from epdifflab.operators import sobolev_multiplier
-from epdifflab.scenarios import SCENARIOS, save_symbol_table
+from epdifflab.scenarios import SCENARIOS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -53,6 +53,17 @@ s = 0
 name = conjugation_audit
 draws = 1
 """
+
+
+def save_symbol_table(path, mult):
+    """A multiplier's lattice table in the custom-table npz format."""
+    np.savez(
+        path,
+        table=mult.table,
+        order=np.float64(mult.symbol.order),
+        hermitian=np.bool_(mult.symbol.hermitian),
+        positive_definite=np.bool_(mult.symbol.positive_definite),
+    )
 
 
 def write_config(tmp_path, text, name="run.ini"):
@@ -126,7 +137,8 @@ class TestConfigValidation:
          .replace("amplitude = 0.2", "amplitude = 1e300"), "[scenario] gaussian_blob"),
         # a finite energy, but no substep the CFL guard accepts: likewise
         (BASE_EVOLUTION.replace("points = 64", "points = 16").replace("dt = 0.005", "dt = 0.01")
-         .replace("name = gaussian_blob", "name = random_bandlimited\ntarget_norm = 1e150"),
+         .replace("name = gaussian_blob\namplitude = 0.2\nwidth = 0.15",
+                  "name = random_bandlimited\ntarget_norm = 1e150"),
          "[scenario] random_bandlimited"),
         # below the initial gradient (about 0.72): once a blow-up verdict at t=0 (exit 2)
         (BASE_EVOLUTION + "blowup_threshold = 0.5\n", "[run] blowup_threshold"),
@@ -134,9 +146,11 @@ class TestConfigValidation:
         (TINY_BOX_AUDIT.format(dimension=1), "length 1e-200"),
         # L^2 underflowed to 0 in the padded pass: once a ZeroDivisionError (exit 1)
         (TINY_BOX_AUDIT.format(dimension=2), "[grid] length 1e-200"),
+        # a misspelled key: once ignored, so the run used the default amplitude (exit 0)
+        (BASE_EVOLUTION.replace("amplitude = 0.2", "amplitdue = 0.9"), "[scenario] amplitdue"),
     ], ids=["unreadable_table", "audit_symbol_overflow", "norm_weight_overflow", "datum_energy_overflow",
             "datum_beyond_cfl_guard", "threshold_below_initial_gradient", "box_overflows_oracle",
-            "box_volume_underflows"])
+            "box_volume_underflows", "misspelled_scenario_key"])
     def test_unusable_inputs_exit_3(self, tmp_path, capsys, text, names):
         (tmp_path / "bad.npz").write_text("not an archive\n")
         cfg = write_config(tmp_path, text)
@@ -218,13 +232,24 @@ name = {name}
     def test_integrator_required_exactly_when_flagged(self, tmp_path):
         for name, entry in SCENARIOS.items():
             cfg = write_config(tmp_path, self.MINIMAL.format(name=name))
-            if entry.needs_integrator:
+            if entry.initial is not None:
                 with pytest.raises(ConfigError, match=r"needs an \[integrator\] section"):
                     load_config(cfg)
             else:
                 assert load_config(cfg).scenario == name
-        needing = {name for name, entry in SCENARIOS.items() if entry.needs_integrator}
+        needing = {name for name, entry in SCENARIOS.items() if entry.initial is not None}
         assert needing == {"gaussian_blob", "random_bandlimited", "peakon_pair", "consistency"}
+
+    def test_scenario_keys_are_exactly_the_listed_ones(self, tmp_path):
+        every = {key for entry in SCENARIOS.values() for key in entry.keys}
+        for name, entry in SCENARIOS.items():
+            text = self.MINIMAL.format(name=name) + "".join(f"{key} = 1\n" for key in entry.keys)
+            cfg = write_config(tmp_path, text + self.INTEGRATOR)
+            assert load_config(cfg).scenario_params == dict.fromkeys(entry.keys, "1")
+            for key in sorted(every - set(entry.keys)):
+                cfg = write_config(tmp_path, text + f"{key} = 1\n" + self.INTEGRATOR)
+                with pytest.raises(ConfigError, match=rf"\[scenario\] {key}: not read by '{name}'"):
+                    load_config(cfg)
 
 
 class TestListScenarios:
@@ -359,7 +384,7 @@ norms = 1.5
 
         def aborting_integrate(mult, state, t_end, dt, cadence=1, norm_orders=(),
                                grad_threshold=None, callback=None):
-            d = diagnostics(mult, state, norm_orders)
+            d = diagnostics(state, norm_orders)
             if callback:
                 callback(d)
             return IntegrationResult("nan_abort", state, [d], t_halt=state.t)

@@ -4,8 +4,10 @@ The CLI's contract is exit 0 (success), 2 (blow-up), 3 (invalid configuration)
 or 4 (numerical abort); a blow-up found at t = 0 is an input the run should
 have rejected.  Hypothesis assembles config files from the keys of every
 section, with plausible, extreme and malformed values, and runs each through
-``main``.  The step, grid, sample and draw caps are lowered for the
-run so that every accepted config finishes in well under a second.
+``main``.  The ``[scenario]`` section holds the keys of the drawn scenario
+and now and then one of another scenario, which must exit 3.  The step,
+grid, sample and draw caps are lowered for the run so that every accepted
+config finishes in well under a second.
 """
 
 import contextlib
@@ -22,7 +24,9 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st  
 from epdifflab.cli import main  # noqa: E402
 from epdifflab.grid import TorusGrid  # noqa: E402
 from epdifflab.operators import sobolev_multiplier  # noqa: E402
-from epdifflab.scenarios import SCENARIOS, save_symbol_table  # noqa: E402
+from epdifflab.scenarios import SCENARIOS  # noqa: E402
+
+from test_cli import save_symbol_table  # noqa: E402
 
 EXIT_CODES = {0, 2, 3, 4}
 
@@ -88,6 +92,18 @@ def _value(rng: random.Random, usable: list[str], rejected: list[str]) -> str:
     return "".join(rng.choice(string.printable[:-5]) for _ in range(rng.randrange(7)))
 
 
+def _scenario_keys(rng: random.Random) -> dict:
+    """``[scenario]`` keys of a drawn entry: its name (now and then a bad
+    one), the keys it reads and, now and then, one that it does not."""
+    keys = SECTIONS["scenario"]
+    usable, rejected = keys["name"]
+    name = rng.choice(usable)
+    own = SCENARIOS[name].keys
+    if rng.random() < 0.05:
+        own += (rng.choice([key for key in keys if key not in own and key != "name"]),)
+    return {"name": ([name], rejected)} | {key: keys[key] for key in own}
+
+
 def config_text(seed: int) -> str:
     """One config file: every section and key most of the time, junk now and then."""
     # a seeded generator keeps the frequencies as written; Hypothesis's own
@@ -98,6 +114,8 @@ def config_text(seed: int) -> str:
         if rng.random() < 0.01:
             continue
         lines.append(f"[{section}]")
+        if section == "scenario":
+            keys = _scenario_keys(rng)
         for key, (usable, rejected) in keys.items():
             if rng.random() < 0.02:
                 continue

@@ -324,6 +324,27 @@ class TestOperatorRecursion:
         apply_An_recursive(mult, order, *us)
         assert calls == {"padded_samples": 2 * order, "truncate_padded": 2 * order}
 
+    def test_one_pass_per_advection_3d(self, monkeypatch):
+        # d=3 n=8: the top level advects both prefix fields in one pass, and
+        # only the level below walks its variants; a second splitter once
+        # gave each top-level field its own pass (6 samplings, 5 truncations)
+        calls = {"padded_samples": 0, "truncate_padded": 0}
+
+        def counting(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            return counted
+
+        mult = sobolev_multiplier(1.0, TorusGrid(3, 8))
+        us = [headroom_field(mult.grid, 2, 160 + i) for i in range(3)]
+        for name in calls:
+            monkeypatch.setattr(conjugation, name, counting(name, getattr(conjugation, name)))
+        got = apply_An_recursive(mult, 2, *us)
+        assert calls == {"padded_samples": 5, "truncate_padded": 4}
+        monkeypatch.undo()
+        assert_same_bits(got, per_product_tower(mult, us))
+
     def test_memory_peak_3d(self, monkeypatch):
         # d=3 n=32 splits every pass; the per-product recursion peaked at about
         # 20 MB of traced allocations at order 2, and the stacked levels stay

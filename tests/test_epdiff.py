@@ -350,7 +350,7 @@ def restart_integrate(mult, state, t_end, dt, cadence=1, norm_orders=(), grad_th
     rejects.  Returns ``(status, final state, diagnostics)``.
     """
     n_steps = step_count(state.t, t_end, dt)
-    diags = [diagnostics(mult, state, norm_orders)]
+    diags = [diagnostics(state, norm_orders)]
     t0 = state.t
     for step in range(1, n_steps + 1):
         doublings = 0
@@ -371,7 +371,7 @@ def restart_integrate(mult, state, t_end, dt, cadence=1, norm_orders=(), grad_th
         state = EulerState(t=t0 + step * dt, m=new_state.m, u=new_state.u)
         crossed = grad_threshold is not None and sup_velocity_gradient(state.u) > grad_threshold
         if step % cadence == 0 or step == n_steps or crossed:
-            diags.append(diagnostics(mult, state, norm_orders))
+            diags.append(diagnostics(state, norm_orders))
             if crossed:
                 return "gradient_threshold", state, diags
     return "completed", state, diags
@@ -515,6 +515,6 @@ class TestInitialData:
         mult = sobolev_multiplier(1.25, grid)
         u = random_bandlimited(grid, 10, seed=4)
         st = EulerState.from_velocity(mult, u)
-        d = diagnostics(mult, st)
+        d = diagnostics(st)
         assert d.energy == pytest.approx(0.5 * sobolev_norm(u, 1.25) ** 2, rel=1e-12)
         assert d.sup_velocity_gradient == pytest.approx(sup_velocity_gradient(u))

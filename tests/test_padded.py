@@ -35,6 +35,7 @@ import gc
 import itertools
 import math
 import sys
+import threading
 import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -656,6 +657,23 @@ def test_split_stack_starts_the_pool(monkeypatch):
     assert grid.plan.batch < grid.dim  # so the three components take two calls
     padded_samples(grid, _noise(grid, 18).coeffs)
     assert list(grid_module._pools) == [1]  # the calling thread and one helper
+
+
+def test_one_pool_per_worker_count(monkeypatch):
+    # a d=3 n=32 step splits stacks into chunks of one row, so a pass takes
+    # 1 to 3 helpers: one pool per helper count once left pools of 2 and 3
+    # threads, 5 where at most 3 run at once
+    def transform_threads():
+        return {t for t in threading.enumerate() if t.name.startswith("epdifflab-transform")}
+
+    monkeypatch.setattr(grid_module, "TRANSFORM_WORKERS", 4)
+    monkeypatch.setattr(grid_module, "_pools", {})
+    before = transform_threads()
+    grid = TorusGrid(3, 32)
+    mult = sobolev_multiplier(2.0, grid)
+    step_rk4(mult, EulerState.from_velocity(mult, _noise(grid, 40, kmax=4)), 0.01)
+    assert list(grid_module._pools) == [3]
+    assert len(transform_threads() - before) == 3
 
 
 @pytest.mark.parametrize("dim,n", [(1, 256), (2, 16)])

