@@ -298,7 +298,7 @@ def measure_oracle(repeats: int, samples: dict, counts: dict, values: dict) -> N
         tag = f"{'oracle' if oracle else 'tower'}.d{dim}_n{n}_order{order}"
         mult = sobolev_multiplier(1.0, TorusGrid(dim, n))
         rng = np.random.default_rng(1000 + 10 * order + dim)
-        kmax = (n // 2 - 1) // (order + 1)
+        kmax = conjugation.headroom_band(order, n)
         fields = [bandlimited_draw(mult.grid, kmax, rng) for _ in range(order + 1)]
         tower = towers[tag] = functools.partial(conjugation.apply_An_recursive, mult, order, *fields)
         samples[f"{tag}.apply_An_recursive_ms"] = _per_call_ms(tower, repeats)

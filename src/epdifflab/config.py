@@ -29,6 +29,16 @@ MAX_SPHERE_SAMPLES = 10**5
 MAX_DRAWS = 10**4
 
 
+# The keys of each fixed section.  [scenario] holds ``name`` and the keys of
+# the named scenario's registry entry; any other section or key is an error.
+_SECTION_KEYS = {
+    "grid": ("dimension", "points", "length"),
+    "metric": ("kind", "s", "table"),
+    "integrator": ("dt", "t_end", "cadence"),
+    "run": ("seed", "blowup_threshold", "norms", "output"),
+}
+
+
 class ConfigError(ValueError):
     """Configuration file is missing, malformed, or violates a guard."""
 
@@ -100,6 +110,16 @@ def load_config(path: str | Path) -> RunConfig:
     for section in ("grid", "scenario"):
         if not parser.has_section(section):
             raise ConfigError(f"missing [{section}] section")
+    for section in parser.sections():
+        if section == "scenario":
+            continue
+        if section not in _SECTION_KEYS:
+            raise ConfigError(f"unknown section [{section}]; the sections are "
+                              f"{', '.join(f'[{name}]' for name in (*_SECTION_KEYS, 'scenario'))}")
+        unknown = sorted(set(parser.options(section)).difference(_SECTION_KEYS[section]))
+        if unknown:
+            raise ConfigError(f"[{section}] {', '.join(unknown)}: unknown key; the keys of "
+                              f"[{section}] are {', '.join(_SECTION_KEYS[section])}")
 
     dimension = _as_int(_get(parser, "grid", "dimension", required=True), "[grid] dimension")
     points = _as_int(_get(parser, "grid", "points", required=True), "[grid] points")

@@ -40,7 +40,7 @@ from typing import Callable
 import numpy as np
 
 from .grid import SpectralVectorField, TorusGrid, _require_same_grid, padded_samples, truncate_padded
-from .operators import FourierMultiplier, apply
+from .operators import FourierMultiplier, apply, _require_conjugate_symmetric
 from .symbols import MatrixSymbol, sobolev_weight
 
 MAX_DERIVATIVE_ORDER = 3
@@ -84,10 +84,13 @@ def apply_An_recursive(mult: FourierMultiplier, n: int, *fields: SpectralVectorF
     All products are dealiased, and the inputs must be band-limited with
     enough headroom that no intermediate spectrum leaves the lattice; then the
     result is the exact multilinear operator value (symmetric in
-    ``u_1, ..., u_n`` up to roundoff).
+    ``u_1, ..., u_n`` up to roundoff).  The padded passes read half spectra,
+    so the multiplier's table must keep ``a(-k) = conj(a(k))`` (``ValueError``
+    otherwise); the convolution oracle needs no such rule.
     """
     _check_order(n)
     _check_tuple(mult, n, fields)
+    _require_conjugate_symmetric(mult)
     kmax = max(f.max_wavenumber() for f in fields)
     grid_n = mult.grid.n
     if n >= 1 and required_headroom(n, kmax) > grid_n:

@@ -32,8 +32,8 @@ from .grid import (
     l2_inner,
     padded_samples,
     _full,
+    _jacobian_samples,
     _require_same_grid,
-    _samples,
     _truncate_half,
 )
 from .operators import (
@@ -41,7 +41,7 @@ from .operators import (
     apply,
     apply_inverse,
     sobolev_norm,
-    _apply_inverse_half,
+    _require_conjugate_symmetric,
     _require_inverse,
 )
 
@@ -109,11 +109,8 @@ class Diagnostics:
 
 
 def sup_velocity_gradient(u: SpectralVectorField) -> float:
-    """Max over the grid and all components of ``|du^i/dx_j|``; the Jacobian
-    is formed on the half spectra that the inverse transform reads."""
-    plan = u.grid.plan
-    grads = _samples(u.grid, u.coeffs[:, None, ..., :plan.half] * plan.factors)
-    return float(np.abs(grads).max())
+    """Max over the grid and all components of ``|du^i/dx_j|``."""
+    return float(np.abs(_jacobian_samples(u)).max())
 
 
 def diagnostics(state: EulerState, norm_orders: Sequence[float] = ()) -> Diagnostics:
@@ -131,38 +128,20 @@ def diagnostics(state: EulerState, norm_orders: Sequence[float] = ()) -> Diagnos
 def momentum_transport(v: SpectralVectorField, m: SpectralVectorField) -> SpectralVectorField:
     """Transport term ``(v . grad) m + (grad v)^T m + (div v) m``, dealiased."""
     _require_same_grid(v, m)
-    return SpectralVectorField(v.grid, _transport_full(v, m))
+    grid, half = v.grid, v.grid.plan.half
+    return SpectralVectorField(grid, _full(grid, _transport_half(grid, v.coeffs[..., :half],
+                                                                 m.coeffs[..., :half])))
 
 
-def _transport_full(v: SpectralVectorField, m: SpectralVectorField, advection: bool = False) -> np.ndarray:
-    """Spectra of :func:`momentum_transport`, ``(d, n, ..., n)``; with
-    ``advection``, followed by those of ``(v . grad) v`` from the same pass."""
-    grid, d = v.grid, v.grid.dim
-    stack = _transport_stack(grid)
-    stack[:d] = v.coeffs[..., :grid.plan.half]
-    stack[d:2 * d] = m.coeffs[..., :grid.plan.half]
-    return _full(grid, _transport_half(grid, stack, advection))
-
-
-def _transport_stack(grid: TorusGrid) -> np.ndarray:
-    """Stack of half spectra ``(k, n, ..., n/2+1)`` for :func:`_transport_half`.
+def _transport_half(grid: TorusGrid, v: np.ndarray, m: np.ndarray, advection: bool = False) -> np.ndarray:
+    """Half spectra of :func:`momentum_transport` from those of ``v`` and
+    ``m``, each ``(d, n, ..., n/2+1)``.
 
     ``[v, m, div v]`` go to the 3/2 grid once; per output component ``i`` only
     ``d_j m^i`` and ``d_i v^j`` do, which bounds the padded working set.  When
     the whole stack fits in one transform call, it goes in one call, and the
     gradients are part of it; otherwise the padded samples of both go to the
     calling thread's workspaces of the grid's plan.
-    """
-    d = grid.dim
-    rows = 2 * d + 1 + 2 * d * d
-    if rows > grid.plan.batch:
-        rows = 2 * d + 1
-    return np.empty((rows,) + grid.plan.half_shape, dtype=complex)
-
-
-def _transport_half(grid: TorusGrid, stack: np.ndarray, advection: bool = False) -> np.ndarray:
-    """Half spectra of the transport term; ``stack`` from :func:`_transport_stack`
-    holds the half spectra of ``v`` and then ``m`` in its first ``2d`` rows.
 
     With ``advection``, ``d`` more rows follow: ``(v . grad) v^j``, the sum
     over ``i`` of ``v^i d_i v^j``, formed from the padded samples of ``v``
@@ -172,6 +151,10 @@ def _transport_half(grid: TorusGrid, stack: np.ndarray, advection: bool = False)
     plan = grid.plan
     d = grid.dim
     factors = plan.factors
+    fused = 2 * d + 1 + 2 * d * d <= plan.batch
+    stack = np.empty((2 * d + 1 + (2 * d * d if fused else 0),) + plan.half_shape, dtype=complex)
+    stack[:d] = v
+    stack[d:2 * d] = m
     v, m = stack[:d], stack[d:2 * d]
 
     def gradients(i: int, out: np.ndarray) -> np.ndarray:
@@ -184,7 +167,6 @@ def _transport_half(grid: TorusGrid, stack: np.ndarray, advection: bool = False)
     np.multiply(v[0], factors[0], out=div_v)
     for j in range(1, d):
         div_v += v[j] * factors[j]
-    fused = len(stack) > 2 * d + 1
     if fused:
         for i in range(d):
             gradients(i, stack[2 * d * (i + 1) + 1:2 * d * (i + 2) + 1])
@@ -215,21 +197,20 @@ def euler_rhs(mult: FourierMultiplier, m: SpectralVectorField) -> SpectralVector
     """Momentum tendency ``dm/dt = -[(u.grad) m + (grad u)^T m + (div u) m]``.
 
     ``u`` and the transport term are formed on half spectra; the negative
-    last-axis bins are rebuilt once, by conjugate reflection.
+    last-axis bins are rebuilt once, by conjugate reflection, so the table
+    must keep ``a(-k) = conj(a(k))`` (``ValueError`` otherwise).
     """
     _require_inverse(mult, m)
+    _require_conjugate_symmetric(mult)
     grid = m.grid
     return SpectralVectorField(grid, _full(grid, _rhs_half(mult, m.coeffs[..., :grid.plan.half])))
 
 
 def _rhs_half(mult: FourierMultiplier, m: np.ndarray) -> np.ndarray:
     """Half spectra ``(d, n, ..., n/2+1)`` of :func:`euler_rhs` from those of
-    ``m``; the caller runs the checks of :func:`apply_inverse`."""
-    grid, d = mult.grid, mult.grid.dim
-    stack = _transport_stack(grid)
-    _apply_inverse_half(mult, m, out=stack[:d])
-    stack[d:2 * d] = m
-    out = _transport_half(grid, stack)
+    ``m``; the caller runs the checks of :func:`euler_rhs`."""
+    # u is copied into the transport stack and freed there, before any pass
+    out = _transport_half(mult.grid, np.einsum("...ij,j...->i...", mult.half_inv_table, m), m)
     return np.multiply(out, _MINUS_ONE, out=out)
 
 
@@ -252,7 +233,8 @@ def step_rk4(mult: FourierMultiplier, state: EulerState, dt: float) -> EulerStat
     reflection.  Conjugation commutes exactly with sums and with products by
     a real step, so for a conjugate-symmetric ``m`` (which a table with
     ``a(-k) = conj(a(k))`` keeps so) these are the bits that combining the
-    full spectra would give.
+    full spectra would give; a table that breaks the rule raises
+    ``ValueError``.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -262,6 +244,7 @@ def step_rk4(mult: FourierMultiplier, state: EulerState, dt: float) -> EulerStat
             f"(limit {state.cfl:g})"
         )
     _require_inverse(mult, state.m)
+    _require_conjugate_symmetric(mult)
     grid = state.m.grid
     m_new = _rk4(partial(_rhs_half, mult), state.m.coeffs[..., :grid.plan.half], dt)
     return EulerState.from_momentum(mult, SpectralVectorField(grid, _full(grid, m_new)), t=state.t + dt)

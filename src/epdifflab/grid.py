@@ -392,9 +392,11 @@ class SpectralVectorField:
         return int(kinf[active].max())
 
 
-def jacobian_coeffs(u: SpectralVectorField) -> np.ndarray:
-    """Coefficients of ``du^i/dx_j``, shape ``(d, d, n, ..., n)`` indexed [i, j]."""
-    return u.coeffs[:, None] * u.grid.derivative_factors
+def _jacobian_samples(u: SpectralVectorField) -> np.ndarray:
+    """Samples of ``du^i/dx_j``, shape ``(d, d, n, ..., n)`` indexed [i, j],
+    formed on the half spectra that the inverse transform reads."""
+    plan = u.grid.plan
+    return _samples(u.grid, u.coeffs[:, None, ..., :plan.half] * plan.factors)
 
 
 # --- alias-free products ----------------------------------------------------

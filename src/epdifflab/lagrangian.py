@@ -25,11 +25,11 @@ from scipy import ndimage
 from .grid import (
     SpectralVectorField,
     TorusGrid,
-    jacobian_coeffs,
+    _full,
+    _jacobian_samples,
     _require_same_grid,
-    _samples,
 )
-from .epdiff import _rk4, _transport_full, step_count
+from .epdiff import _rk4, _transport_half, step_count
 from .operators import FourierMultiplier, apply, apply_inverse, sobolev_norm
 
 SPLINE_ORDER = 5
@@ -119,8 +119,7 @@ class DiffeoChart:
     def jacobian_samples(self) -> np.ndarray:
         """Samples of ``d phi = I + df``, shape ``(d, d, n, ..., n)``."""
         grid = self.grid
-        df = _samples(grid, jacobian_coeffs(self.f))
-        return df + np.eye(grid.dim).reshape(grid.dim, grid.dim, *([1] * grid.dim))
+        return _jacobian_samples(self.f) + np.eye(grid.dim).reshape(grid.dim, grid.dim, *([1] * grid.dim))
 
     @cached_property
     def det_samples(self) -> np.ndarray:
@@ -286,8 +285,9 @@ def spray_at_identity(mult: FourierMultiplier, u: SpectralVectorField) -> Spectr
     quadratic terms come from one padded-grid pass, the transport pass of the
     Eulerian solver: at d=1 one inverse and one forward transform call.
     """
-    grid, d = u.grid, u.grid.dim
-    terms = _transport_full(u, apply(mult, u), advection=True)
+    grid, d, half = u.grid, u.grid.dim, u.grid.plan.half
+    terms = _full(grid, _transport_half(grid, u.coeffs[..., :half], apply(mult, u).coeffs[..., :half],
+                                        advection=True))
     transport, advection = SpectralVectorField(grid, terms[:d]), SpectralVectorField(grid, terms[d:])
     return apply_inverse(mult, apply(mult, advection) - transport)
 

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .grid import SpectralVectorField, TorusGrid, _require_same_grid
-from .symbols import MatrixSymbol, check_ellipticity, sobolev_weight
+from .symbols import SYMMETRY_GAP, MatrixSymbol, _relative_gap, check_ellipticity, sobolev_weight
 
 
 class EllipticityError(ValueError):
@@ -69,10 +69,41 @@ class FourierMultiplier:
         return cls(symbol=symbol, grid=grid, table=base.table, inv_table=inv)
 
     @cached_property
+    def _symmetry_error(self) -> Optional[str]:
+        """:func:`conjugate_symmetry_error` of the table, evaluated once per multiplier."""
+        return conjugate_symmetry_error(self.table, self.grid)
+
+    @cached_property
     def half_inv_table(self) -> np.ndarray:
         """A view of ``inv_table`` on the last-axis bins ``0..n/2`` that half spectra keep."""
         lead = (slice(None),) * (self.grid.dim - 1)
         return self.inv_table[lead + (slice(0, self.grid.plan.half),)]
+
+
+def conjugate_symmetry_error(table: np.ndarray, grid: TorusGrid) -> Optional[str]:
+    """Where a lattice table ``(n, ..., n, d, d)`` breaks ``a(-k) = conj(a(k))``
+    by more than ``SYMMETRY_GAP`` (relative), or ``None``.
+
+    That is what keeps real fields real.  The padded passes of the RK4
+    stages and of the operator recursion read half spectra only, and the RK4
+    step rebuilds every negative last-axis bin by conjugate reflection, so a
+    table that breaks it would act through entries no pass reads.
+    """
+    flip = -np.arange(grid.n) % grid.n
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite table fails later checks
+        rel = _relative_gap(table, np.conj(table[np.ix_(*([flip] * grid.dim))]))
+    if not rel.max() > SYMMETRY_GAP:
+        return None
+    worst = np.unravel_index(np.argmax(rel), grid.shape)
+    k = grid.wavenumbers[(slice(None),) + worst]
+    return f"breaks a(-k) = conj(a(k)): relative gap {rel.max():.3g} at k={k.tolist()}"
+
+
+def _require_conjugate_symmetric(mult: FourierMultiplier) -> None:
+    """Raise ``ValueError`` before a half-spectrum pass with a table that
+    breaks ``a(-k) = conj(a(k))``."""
+    if mult._symmetry_error is not None:
+        raise ValueError(f"multiplier of symbol '{mult.symbol.name}' {mult._symmetry_error}")
 
 
 def apply(mult: FourierMultiplier, u: SpectralVectorField) -> SpectralVectorField:
@@ -93,12 +124,6 @@ def apply_inverse(mult: FourierMultiplier, w: SpectralVectorField) -> SpectralVe
     _require_inverse(mult, w)
     out = np.einsum("...ij,j...->i...", mult.inv_table, w.coeffs)
     return SpectralVectorField(w.grid, out)
-
-
-def _apply_inverse_half(mult: FourierMultiplier, half: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write the half spectra ``(d, n, ..., n/2+1)`` of ``a(D)^-1 w`` to ``out``,
-    from those of ``w``; the caller runs the checks of :func:`apply_inverse`."""
-    return np.einsum("...ij,j...->i...", mult.half_inv_table, half, out=out)
 
 
 def sobolev_norm(u: SpectralVectorField, q: float) -> float:

@@ -54,7 +54,7 @@ from .lagrangian import (
     lagrangian_energy,
     regularity_probe,
 )
-from .operators import EllipticityError, FourierMultiplier
+from .operators import EllipticityError, FourierMultiplier, conjugate_symmetry_error
 from .symbols import (
     ClassCertificate,
     MatrixSymbol,
@@ -65,9 +65,7 @@ from .symbols import (
     shear_laplacian_symbol,
     sobolev_symbol,
     sqrt_symbol,
-    SYMMETRY_GAP,
     _check_flags,
-    _relative_gap,
 )
 
 EXIT_OK = 0
@@ -146,23 +144,6 @@ def _read_table(path: Path) -> tuple[np.ndarray, float, bool, bool]:
         raise ConfigError(f"custom table {path}: {exc}") from exc
 
 
-def _check_conjugate_symmetry(table: np.ndarray, grid: TorusGrid, path: Path) -> None:
-    """Require ``a(-k) = conj(a(k))`` on the whole table, to ``SYMMETRY_GAP``.
-
-    That is what keeps real fields real.  The RK4 step rebuilds every
-    negative last-axis bin of the momentum by conjugate reflection, so a
-    table that breaks it would act through entries no stage reads.
-    """
-    flip = -np.arange(grid.n) % grid.n
-    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite table fails later checks
-        rel = _relative_gap(table, np.conj(table[np.ix_(*([flip] * grid.dim))]))
-    if rel.max() > SYMMETRY_GAP:
-        worst = np.unravel_index(np.argmax(rel), grid.shape)
-        k = grid.wavenumbers[(slice(None),) + worst]
-        raise ConfigError(f"custom table {path} breaks a(-k) = conj(a(k)): relative gap "
-                          f"{rel.max():.3g} at k={k.tolist()}")
-
-
 def build_metric(cfg: RunConfig, grid: TorusGrid) -> FourierMultiplier:
     if cfg.metric_kind == "sobolev":
         return _build_elliptic(sobolev_symbol(cfg.s, grid.dim), grid)
@@ -172,7 +153,9 @@ def build_metric(cfg: RunConfig, grid: TorusGrid) -> FourierMultiplier:
         raise ConfigError(
             f"custom table shape {table.shape} does not match grid (expected {expected})"
         )
-    _check_conjugate_symmetry(table, grid, cfg.table_path)
+    error = conjugate_symmetry_error(table, grid)
+    if error is not None:
+        raise ConfigError(f"custom table {cfg.table_path} {error}")
     symbol = lattice_table_symbol(
         table,
         grid,
@@ -340,6 +323,8 @@ def run_evolution(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
 def _audit_symbol(cfg: RunConfig, grid: TorusGrid) -> tuple[MatrixSymbol, ClassCertificate]:
     """The audited symbol and its ellipticity certificate, one for the gate and the report."""
     which = cfg.scenario_params.get("symbol", "metric")
+    if "shear_t" in cfg.scenario_params and which != "shear_laplacian":
+        raise ConfigError(f"[scenario] shear_t: read only with symbol = shear_laplacian, not {which!r}")
     if which == "metric" and cfg.metric_kind == "sobolev":
         symbol = sobolev_symbol(cfg.s, grid.dim)
         cert = check_ellipticity(symbol)

@@ -148,9 +148,19 @@ class TestConfigValidation:
         (TINY_BOX_AUDIT.format(dimension=2), "[grid] length 1e-200"),
         # a misspelled key: once ignored, so the run used the default amplitude (exit 0)
         (BASE_EVOLUTION.replace("amplitude = 0.2", "amplitdue = 0.9"), "[scenario] amplitdue"),
+        # misspelled keys of the fixed sections: once a run at length 1 and
+        # seed 0 with no h_norm column (exit 0)
+        (BASE_EVOLUTION.replace("points = 64", "points = 64\nlenght = 2.0")
+         .replace("cadence = 2", "cadance = 1").replace("seed = 1\nnorms = 1.5, 2.5", "seeed = 3\nnorm = 1.5"),
+         "[grid] lenght"),
+        (BASE_EVOLUTION + "\n[extra]\nseed = 3\n", "unknown section [extra]"),
+        # read only by shear_laplacian audits: once ignored, auditing the metric (exit 0)
+        ("[grid]\ndimension = 2\npoints = 16\n[metric]\ns = 1.0\n[scenario]\nname = symbol_audit\n"
+         "shear_t = 5\nsphere_samples = 64\n", "[scenario] shear_t"),
     ], ids=["unreadable_table", "audit_symbol_overflow", "norm_weight_overflow", "datum_energy_overflow",
             "datum_beyond_cfl_guard", "threshold_below_initial_gradient", "box_overflows_oracle",
-            "box_volume_underflows", "misspelled_scenario_key"])
+            "box_volume_underflows", "misspelled_scenario_key", "misspelled_fixed_keys", "unknown_section",
+            "shear_t_without_shear_laplacian"])
     def test_unusable_inputs_exit_3(self, tmp_path, capsys, text, names):
         (tmp_path / "bad.npz").write_text("not an archive\n")
         cfg = write_config(tmp_path, text)

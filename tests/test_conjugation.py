@@ -16,6 +16,7 @@ from epdifflab.conjugation import (
     apply_An_recursive,
     convolution_kernel,
     estimate_Cn,
+    headroom_band,
     rec_tensor,
     required_headroom,
     s_tensor,
@@ -27,14 +28,13 @@ from epdifflab import conjugation
 from epdifflab import grid as grid_module
 from epdifflab.grid import GridMismatchError, SpectralVectorField, TorusGrid
 from epdifflab.operators import FourierMultiplier, apply, sobolev_multiplier
-from epdifflab.symbols import MatrixSymbol, scalar_symbol, sobolev_symbol, sobolev_weight
+from epdifflab.symbols import MatrixSymbol, scalar_symbol, shear_laplacian_symbol, sobolev_symbol, sobolev_weight
 
 from test_grid import band_limited, directional_derivative
 
 
 def headroom_field(grid, n_order, seed):
-    kmax = (grid.n // 2 - 1) // (n_order + 1)
-    return band_limited(grid, kmax, seed=seed)
+    return band_limited(grid, headroom_band(n_order, grid.n), seed=seed)
 
 
 def per_product_tower(mult, us):
@@ -68,6 +68,21 @@ def hermitian_complex_symbol():
         dim=2, order=2.0, eval_fn=lambda xi: sobolev_weight(2.0, xi)[..., None, None] * mat,
         hermitian=True, positive_definite=True, name="hermitian_complex",
     )
+
+
+def conjugate_symmetric_complex_symbol(n):
+    """Complex Hermitian d=2 symbol ``sobolev_weight(2, xi) I + b(xi) [[0, i], [-i, 0]]``
+    with ``b = 0.1 sin(2 pi xi_1 / n)``: odd, and zero on the Nyquist planes of
+    an n grid of unit length, so its table keeps ``a(-k) = conj(a(k))``."""
+    def eval_fn(xi):
+        off = 0.1j * np.sin(2 * np.pi * xi[..., 0] / n)
+        out = sobolev_weight(2.0, xi)[..., None, None] * np.eye(2, dtype=complex)
+        out[..., 0, 1] += off
+        out[..., 1, 0] -= off
+        return out
+
+    return MatrixSymbol(dim=2, order=2.0, eval_fn=eval_fn, hermitian=True, positive_definite=True,
+                        name="conjugate_symmetric_complex")
 
 
 def per_level_an(symbol, n, xis):
@@ -283,7 +298,7 @@ class TestOperatorRecursion:
     @pytest.mark.parametrize("dim,n,symbol", [
         (1, 32, sobolev_symbol(1.0, 1)),
         (2, 16, sobolev_symbol(1.5, 2)),
-        (2, 16, hermitian_complex_symbol()),
+        (2, 16, conjugate_symmetric_complex_symbol(16)),
     ])
     def test_same_bits_as_per_product_recursion(self, dim, n, symbol, order):
         mult = FourierMultiplier.build(symbol, TorusGrid(dim, n))
@@ -452,8 +467,6 @@ class TestConvolutionOracle:
     def test_oracle_equivalence_matrix_symbol(self):
         # non-scalar symbol: the operator recursion knows nothing about the
         # matrix structure, so this pins the tensor slot ordering
-        from epdifflab.symbols import shear_laplacian_symbol
-
         grid = TorusGrid(2, 8)
         mult = FourierMultiplier.build(shear_laplacian_symbol(0.8), grid)
         u0 = headroom_field(grid, 1, 21)
@@ -461,6 +474,30 @@ class TestConvolutionOracle:
         conv = apply_An_convolution(mult, 1, u0, u1)
         rec = apply_An_recursive(mult, 1, u0, u1)
         assert rel_diff(conv, rec) < 1e-10
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("symbol", [
+        sobolev_symbol(1.5, 2), shear_laplacian_symbol(0.8), conjugate_symmetric_complex_symbol(8),
+    ], ids=["sobolev", "shear", "conjugate_symmetric_complex"])
+    def test_recursion_matches_oracle_to_roundoff(self, symbol, order):
+        # on headroom inputs both evaluators are exact, so they agree to
+        # roundoff, complex matrix symbols included
+        mult = FourierMultiplier.build(symbol, TorusGrid(2, 8))
+        us = [headroom_field(mult.grid, order, 170 + 10 * order + i) for i in range(order + 1)]
+        assert rel_diff(apply_An_recursive(mult, order, *us), apply_An_convolution(mult, order, *us)) <= 1e-13
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_recursion_rejects_table_breaking_conjugate_symmetry(self, order, monkeypatch):
+        # the padded passes read half spectra, so such a table once gave the
+        # recursion a 9e-2 (order 1) and 0.29 (order 2) relative error
+        mult = FourierMultiplier.build(hermitian_complex_symbol(), TorusGrid(2, 8))
+        us = [headroom_field(mult.grid, order, 200 + i) for i in range(order + 1)]
+        with monkeypatch.context() as patch:
+            patch.setattr(conjugation, "padded_samples", None)  # no pass may start
+            with pytest.raises(ValueError, match=r"breaks a\(-k\) = conj\(a\(k\)\)"):
+                apply_An_recursive(mult, order, *us)
+        # the oracle has no such rule
+        assert rel_diff(apply_An_convolution(mult, order, *us), add_at_contraction(mult, order, *us)) <= 1e-13
 
     def test_kernel_cache(self):
         grid = TorusGrid(1, 8)
@@ -730,8 +767,6 @@ class TestFrozenTensors:
         assert any("+2*pi*i" in note for note in report.notes)
 
     def test_identity_for_matrix_symbol(self):
-        from epdifflab.symbols import shear_laplacian_symbol
-
         for n in (1, 2):
             report = verify_sn_identity(shear_laplacian_symbol(0.7), n, num_tuples=50, seed=n)
             assert report.passed, report.cases

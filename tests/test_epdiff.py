@@ -22,8 +22,9 @@ from epdifflab.epdiff import (
     sup_velocity_gradient,
 )
 from epdifflab.grid import GridMismatchError, SpectralVectorField, TorusGrid, l2_inner
-from epdifflab.operators import apply, apply_inverse, sobolev_multiplier, sobolev_norm
+from epdifflab.operators import FourierMultiplier, apply, apply_inverse, sobolev_multiplier, sobolev_norm
 
+from test_conjugation import hermitian_complex_symbol
 from test_grid import (
     band_limited,
     dealiased_product,
@@ -152,10 +153,8 @@ class TestEulerRHS:
         m = apply(mult, u)
         full = momentum_transport(u, m)
         # manual sum without the (div u) m term
-        from epdifflab.grid import jacobian_coeffs
-
         partial = directional_derivative(u, m)
-        jac = jacobian_coeffs(u)
+        jac = u.coeffs[:, None] * grid.derivative_factors  # d_j u^i, indexed [i, j]
         extra = np.zeros_like(partial.coeffs)
         for i in range(2):
             # row i of (grad u)^T m: the products d_i u^j m^j, summed over j
@@ -186,6 +185,16 @@ class TestStepping:
         st = EulerState.from_velocity(ch, gaussian_blob(grid, amplitude=1.0))
         with pytest.raises(CFLError):
             step_rk4(ch, st, 1.0)
+
+    def test_table_breaking_conjugate_symmetry_rejected(self):
+        # the stages read half spectra and the step rebuilds the rest by
+        # conjugate reflection, which such a table does not commute with
+        g = TorusGrid(2, 8)
+        mult = FourierMultiplier.build_elliptic(hermitian_complex_symbol(), g)
+        st = EulerState.from_velocity(mult, band_limited(g, 2, seed=3))
+        for call in (lambda: euler_rhs(mult, st.m), lambda: step_rk4(mult, st, 1e-3)):
+            with pytest.raises(ValueError, match=r"breaks a\(-k\) = conj\(a\(k\)\)"):
+                call()
 
     def test_cfl_limit_once_per_state(self, grid, ch, monkeypatch):
         # the outer step's check and its first RK4 substep share one evaluation

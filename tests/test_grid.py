@@ -8,8 +8,10 @@ from epdifflab.grid import (
     SpectralVectorField,
     TorusGrid,
     _irfft,
+    _jacobian_samples,
     _require_same_grid,
     _rfft,
+    _samples,
     l2_inner,
     padded_samples,
     truncate_padded,
@@ -210,6 +212,16 @@ class TestGradient:
         u = SpectralVectorField.from_samples(g, samples)
         div = np.sum(u.coeffs * g.derivative_factors, axis=0)
         assert np.abs(div).max() < 1e-12
+
+    @pytest.mark.parametrize("dim,n", [(1, 32), (2, 16), (3, 8)])
+    def test_jacobian_samples_same_bits_as_full_spectra(self, dim, n):
+        # the Jacobian is formed on half spectra only: the bits of sampling
+        # the full-spectrum Jacobian d_j u^i
+        g = TorusGrid(dim, n)
+        u = SpectralVectorField.from_samples(g, np.random.default_rng(dim).standard_normal((dim,) + g.shape))
+        got = _jacobian_samples(u)
+        assert got.shape == (dim, dim) + g.shape
+        assert got.tobytes() == _samples(g, u.coeffs[:, None] * g.derivative_factors).tobytes()
 
 
 class TestDealiasedProduct:
