@@ -25,8 +25,8 @@ counts the kernel tuples per case, the ``grid.padded_samples`` and
 error and the envelope ratios as values.
 
 The Eulerian group times one ``euler_rhs`` and one ``step_rk4`` call at
-d=1 n=256 and 1024 on the datum of ``configs/peakon_blowup.ini``, and at
-d=2 n=64 and d=3 n=32 on the seeded band-limited datum of the
+d=1 n=128, 256 and 1024 on the datum of ``configs/peakon_blowup.ini``, and at
+d=2 n=64 and 128 and d=3 n=32 on the seeded band-limited datum of the
 ``bandlimited_3d`` benchmark workload (H^2 metric), each step half the CFL
 limit, and the whole peakon ``integrate`` to t=0.5.  It counts, per ``step_rk4``,
 the transform calls (``grid._rfft``/``grid._irfft``), the conjugate
@@ -36,8 +36,8 @@ records the final energy and sup|grad u| of the peakon run as values.  It
 also times ``step_rk4`` at d=3 n=32 with ``grid.TRANSFORM_WORKERS`` at 1 and
 at 2, the two alternating.
 
-The allocation group, at d=2 n=64 and d=3 n=32, where the padded passes are
-split, samples one warm ``euler_rhs`` and one warm ``step_rk4`` call (each
+The allocation group, at d=2 n=64 and 128 and d=3 n=32, where the padded
+passes are split, samples one warm ``euler_rhs`` and one warm ``step_rk4`` call (each
 after a warm-up call) on the band-limited datum.  It records the tracemalloc
 peak in MiB and the process's minor page faults (``ru_minflt``, every
 thread).
@@ -96,7 +96,7 @@ ORACLE_CASES = ((1, 16, 1), (1, 16, 2), (2, 8, 1), (2, 8, 2))
 LARGE_TOWER_CASES = ((2, 64, 2), (3, 32, 1))
 # (dim, n) of the Eulerian per-call timings: the peakon datum at d=1, the
 # band-limited datum (|k|_inf <= 4, unit H^1.5 norm, H^2 metric, seed 0) above
-EULER_GRIDS = ((1, 256), (1, 1024), (2, 64), (3, 32))
+EULER_GRIDS = ((1, 128), (1, 256), (1, 1024), (2, 64), (2, 128), (3, 32))
 # worker counts of the d=3 n=32 step_rk4 timings
 STEP_WORKERS = (1, 2)
 # (dim, n, rows) of the transform timings: rows is the stack of the transport

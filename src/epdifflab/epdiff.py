@@ -26,11 +26,15 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+# the transport pass calls _rfft/_irfft through the module, as the split
+# passes do, so that a wrapper set on the module (a counter) sees its calls
+from . import grid as _grid
 from .grid import (
     SpectralVectorField,
     TorusGrid,
     l2_inner,
     padded_samples,
+    _HALF,
     _full,
     _jacobian_samples,
     _require_same_grid,
@@ -56,6 +60,7 @@ RESOLVED_ENERGY_DRIFT = 1e-6
 # numpy scalars: see grid._HALF
 _MINUS_ONE = np.complex128(-1.0)
 _TWO = np.float64(2.0)
+_CONTRACT = partial(np.einsum, "k...,k...->...")
 
 
 class CFLError(ValueError):
@@ -129,68 +134,147 @@ def momentum_transport(v: SpectralVectorField, m: SpectralVectorField) -> Spectr
     """Transport term ``(v . grad) m + (grad v)^T m + (div v) m``, dealiased."""
     _require_same_grid(v, m)
     grid, half = v.grid, v.grid.plan.half
-    return SpectralVectorField(grid, _full(grid, _transport_half(grid, v.coeffs[..., :half],
-                                                                 m.coeffs[..., :half])))
+    transport = _transport_pass(grid, False)
+    transport.v[...] = v.coeffs[..., :half]
+    out = transport(m.coeffs[..., :half], np.empty((grid.dim,) + grid.plan.half_shape, dtype=complex))
+    return SpectralVectorField(grid, _full(grid, out))
 
 
-def _transport_half(grid: TorusGrid, v: np.ndarray, m: np.ndarray, advection: bool = False) -> np.ndarray:
-    """Half spectra of :func:`momentum_transport` from those of ``v`` and
-    ``m``, each ``(d, n, ..., n/2+1)``.
+def _transport_pass(grid: TorusGrid, advection: bool) -> "_TransportPass":
+    """This thread's transport pass on ``grid``, built on its first use."""
+    plan = grid.plan
+    return plan.prepared(("transport", advection), _TransportPass, plan.grid, advection)
 
-    ``[v, m, div v]`` go to the 3/2 grid once; per output component ``i`` only
-    ``d_j m^i`` and ``d_i v^j`` do, which bounds the padded working set.  When
-    the whole stack fits in one transform call, it goes in one call, and the
-    gradients are part of it; otherwise the padded samples of both go to the
-    calling thread's workspaces of the grid's plan.
+
+class _TransportPass:
+    """Half spectra of :func:`momentum_transport`, on one grid and thread.
+
+    A call reads the half spectra ``(d, n, ..., n/2+1)`` of ``v`` from the
+    rows :attr:`v`, which its caller writes, and those of ``m`` from its
+    argument, and writes the transport term to ``out``.
+
+    ``[v, m, div v]`` go to the 3/2 grid once; per output component ``i``
+    only ``d_j m^i`` and ``d_i v^j`` do, which bounds the padded working set.
+    When the whole stack fits in one transform call (``fused``), it goes in
+    one call, the gradients are part of it, and one forward call comes back;
+    otherwise the stack, then each component's gradients, go through the
+    split passes of :func:`padded_samples` and :func:`_truncate_half`.
 
     With ``advection``, ``d`` more rows follow: ``(v . grad) v^j``, the sum
     over ``i`` of ``v^i d_i v^j``, formed from the padded samples of ``v``
     and of its gradients that the transport term samples anyway.  All ``2d``
     rows share one truncation.
+
+    The pass owns every buffer it fills (stack, embedding spectrum, padded
+    samples, products, forward spectrum), and every view a call reads or
+    writes is bound here, so a call runs only the ufuncs of the pass, in the
+    order and on the operands that give the bits of the pass on fresh
+    arrays.  It refers to its grid by the plan's proxy, so the grid's plan,
+    which keeps it, forms no cycle with it.
     """
-    plan = grid.plan
-    d = grid.dim
-    factors = plan.factors
-    fused = 2 * d + 1 + 2 * d * d <= plan.batch
-    stack = np.empty((2 * d + 1 + (2 * d * d if fused else 0),) + plan.half_shape, dtype=complex)
-    stack[:d] = v
-    stack[d:2 * d] = m
-    v, m = stack[:d], stack[d:2 * d]
 
-    def gradients(i: int, out: np.ndarray) -> np.ndarray:
-        # [d_j m^i, d_i v^j] pairs with [v^j, m^j]: the first two terms at once
-        np.multiply(m[i], factors, out=out[:d])
-        np.multiply(v, factors[i], out=out[d:])
-        return out
+    def __init__(self, grid: TorusGrid, advection: bool) -> None:
+        plan = grid.plan
+        d = grid.dim
+        factors = plan.factors
+        self.grid = grid
+        self.fused = fused = 2 * d + 1 + 2 * d * d <= plan.batch
+        rows = 2 * d + 1 + (2 * d * d if fused else 0)
+        self.stack = stack = np.empty((rows,) + plan.half_shape, dtype=complex)
+        self.v, self.m = v, m = stack[:d], stack[d:2 * d]
 
-    div_v = stack[2 * d]  # d_j v^j summed over j in order, as np.sum(v * factors, axis=0) sums
-    np.multiply(v[0], factors[0], out=div_v)
-    for j in range(1, d):
-        div_v += v[j] * factors[j]
-    if fused:
+        # div v: d_j v^j summed over j in order, as np.sum(v * factors, axis=0) sums
+        div_v = stack[2 * d]
+        term = np.empty(plan.half_shape, dtype=complex)
+        self.spectral = [(np.multiply, v[0], factors[0], div_v)]
+        for j in range(1, d):
+            self.spectral += [(np.multiply, v[j], factors[j], term), (np.add, div_v, term, div_v)]
+
+        def gradients(i: int, out: np.ndarray) -> list:
+            # [d_j m^i, d_i v^j] pairs with [v^j, m^j]: the first two terms at once
+            return [(np.multiply, m[i], factors, out[:d]), (np.multiply, v, factors[i], out[d:])]
+
+        self.padded_shape = padded_shape = plan.padded_shape
+        self.padded = padded = np.empty((rows,) + padded_shape)
+        if fused:
+            for i in range(d):
+                self.spectral += gradients(i, stack[2 * d * (i + 1) + 1:2 * d * (i + 2) + 1])
+            # every call writes the same bins, so the rest stay zero
+            self.spectrum = spectrum = np.zeros((rows,) + plan.padded_half_shape, dtype=complex)
+            self.embed = [(np.multiply, stack[src], factor, spectrum[dst]) for dst, src, factor in plan.embed]
+            self.work = np.empty_like(spectrum) if d > 1 else None
+        else:
+            # one component's gradients at a time, in one buffer each side
+            self.gradients = np.empty((2 * d,) + plan.half_shape, dtype=complex)
+            self.padded_gradients = np.empty((2 * d,) + padded_shape)
+
+        k = 2 * d if advection else d
+        self.products = out = np.empty((k,) + padded_shape)
+        scratch = np.empty((d if advection else 1,) + padded_shape)
+        ms, div, adv = padded[d:2 * d], padded[2 * d], out[d:]
+        self.components = []
         for i in range(d):
-            gradients(i, stack[2 * d * (i + 1) + 1:2 * d * (i + 2) + 1])
-        padded = padded_samples(grid, stack)
-    else:
-        base = plan.workspace("transport", (2 * d + 1,) + plan.padded_shape, float)
-        padded = padded_samples(grid, stack, base)
-        grads_out = plan.workspace("gradients", (2 * d,) + plan.padded_shape, float)
-    ms, div = padded[d:2 * d], padded[2 * d]
-    out = np.empty((2 * d if advection else d,) + plan.padded_shape)
-    adv = out[d:]
-    for i in range(d):
-        # unless fused, one component's padded gradients at a time, in one buffer
-        lo = 2 * d * (i + 1) + 1
-        grads = (padded[lo:lo + 2 * d] if fused else
-                 padded_samples(grid, gradients(i, np.empty_like(stack[:2 * d])), grads_out))
-        np.einsum("k...,k...->...", padded[:2 * d], grads, out=out[i])
-        out[i] += div * ms[i]
-        if advection:  # grads[d + j] samples d_i v^j
-            if i == 0:
-                np.multiply(padded[0], grads[d:], out=adv)
+            lo = 2 * d * (i + 1) + 1
+            grads = padded[lo:lo + 2 * d] if fused else self.padded_gradients
+            products = [(_CONTRACT, padded[:2 * d], grads, out[i]),
+                        (np.multiply, div, ms[i], scratch[0]), (np.add, out[i], scratch[0], out[i])]
+            if advection:  # grads[d + j] samples d_i v^j
+                if i == 0:
+                    products.append((np.multiply, padded[0], grads[d:], adv))
+                else:
+                    products += [(np.multiply, padded[i], grads[d:], scratch), (np.add, adv, scratch, adv)]
+            self.components.append(([] if fused else gradients(i, self.gradients), products))
+
+        if fused:
+            # the truncation of _truncate_half on one call, with its views bound
+            m_pad, h = padded_shape[0], grid.n // 2
+            self.transformed = spec = np.empty((k,) + plan.padded_half_shape, dtype=complex)
+            self.fold = []
+            for axis in range(1, d):
+                lead = (slice(None),) * axis
+                self.fold.append((np.add, spec[lead + (m_pad - h,)], spec[lead + (h,)], spec[lead + (m_pad - h,)]))
+            if d == 1:
+                self.band, self.band_copies = spec[:, :plan.half], []  # the n band, as a view
             else:
-                adv += padded[i] * grads[d:]
-    return _truncate_half(grid, out)
+                self.band = np.empty((k,) + plan.half_shape, dtype=complex)
+                self.band_copies = [(self.band[dst], spec[src]) for src, dst in plan.band]
+            self.bin0 = self.band[..., 0]
+            self.planes = self.band[plan.planes]
+            self.plane_mirror = plan.plane_mirror
+            self.mirrored = np.empty(self.planes.shape, dtype=complex)
+            self.scale = plan.truncate_scale
+
+    def __call__(self, m: np.ndarray, out: np.ndarray) -> np.ndarray:
+        grid = self.grid
+        self.m[...] = m
+        _run(self.spectral)
+        if self.fused:
+            _run(self.embed)
+            _grid._irfft(self.spectrum, self.padded_shape, self.padded, self.work)
+        else:
+            padded_samples(grid, self.stack, self.padded)
+        for gradients, products in self.components:
+            if gradients:
+                _run(gradients)
+                padded_samples(grid, self.gradients, self.padded_gradients)
+            _run(products)
+        if not self.fused:
+            return _truncate_half(grid, self.products, out)
+        _grid._rfft(self.products, len(self.padded_shape), self.transformed)
+        _run(self.fold)
+        for dst, src in self.band_copies:
+            dst[...] = src
+        np.multiply(self.bin0, _HALF, out=self.bin0)  # bin 0 is its own reflection on the last axis
+        planes = self.planes  # grid._complete_planes
+        np.conjugate(planes[self.plane_mirror], out=self.mirrored)
+        np.add(planes, self.mirrored, out=planes)
+        return np.multiply(self.band, self.scale, out=out)
+
+
+def _run(ops: list) -> None:
+    """Run bound ``(function, a, b, out)`` operations in order."""
+    for function, a, b, out in ops:
+        function(a, b, out=out)
 
 
 def euler_rhs(mult: FourierMultiplier, m: SpectralVectorField) -> SpectralVectorField:
@@ -203,14 +287,16 @@ def euler_rhs(mult: FourierMultiplier, m: SpectralVectorField) -> SpectralVector
     _require_inverse(mult, m)
     _require_conjugate_symmetric(mult)
     grid = m.grid
-    return SpectralVectorField(grid, _full(grid, _rhs_half(mult, m.coeffs[..., :grid.plan.half])))
+    out = np.empty((grid.dim,) + grid.plan.half_shape, dtype=complex)
+    return SpectralVectorField(grid, _full(grid, _rhs_half(mult, m.coeffs[..., :grid.plan.half], out)))
 
 
-def _rhs_half(mult: FourierMultiplier, m: np.ndarray) -> np.ndarray:
+def _rhs_half(mult: FourierMultiplier, m: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Half spectra ``(d, n, ..., n/2+1)`` of :func:`euler_rhs` from those of
-    ``m``; the caller runs the checks of :func:`euler_rhs`."""
-    # u is copied into the transport stack and freed there, before any pass
-    out = _transport_half(mult.grid, np.einsum("...ij,j...->i...", mult.half_inv_table, m), m)
+    ``m``, written to ``out``; the caller runs the checks of :func:`euler_rhs`."""
+    transport = _transport_pass(mult.grid, False)
+    np.einsum("...ij,j...->i...", mult.half_inv_table, m, out=transport.v)  # u, in the pass's rows
+    transport(m, out)
     return np.multiply(out, _MINUS_ONE, out=out)
 
 
@@ -250,14 +336,30 @@ def step_rk4(mult: FourierMultiplier, state: EulerState, dt: float) -> EulerStat
     return EulerState.from_momentum(mult, SpectralVectorField(grid, _full(grid, m_new)), t=state.t + dt)
 
 
-def _rk4(rhs: Callable[[np.ndarray], np.ndarray], y: np.ndarray, dt: float) -> np.ndarray:
-    """One classical RK4 step of ``y' = rhs(y)`` on arrays (both geodesic solvers)."""
-    half_dt = np.float64(dt / 2)
-    k1 = rhs(y)
-    k2 = rhs(y + k1 * half_dt)
-    k3 = rhs(y + k2 * half_dt)
-    k4 = rhs(y + k3 * np.float64(dt))
-    return y + (k1 + k2 * _TWO + k3 * _TWO + k4) * np.float64(dt / 6)
+def _rk4(rhs: Callable[[np.ndarray, np.ndarray], object], y: np.ndarray, dt: float) -> np.ndarray:
+    """One classical RK4 step of ``y' = rhs(y)`` on arrays (both geodesic solvers).
+
+    ``rhs(y, out)`` writes the tendency at ``y`` to ``out``.  The four
+    tendencies and the stage sums are written in place, in arrays of this
+    call, in the operand order of ``y + k1 * (dt/2)`` and
+    ``y + (k1 + k2 * 2 + k3 * 2 + k4) * (dt/6)``, so the bits are those of
+    the expressions; the new ``y`` is a fresh array.
+    """
+    k = np.empty((4,) + y.shape, dtype=y.dtype)
+    stage = np.empty_like(k[0])
+    rhs(y, k[0])
+    for i, h in enumerate((np.float64(dt / 2), np.float64(dt / 2), np.float64(dt)), start=1):
+        np.multiply(k[i - 1], h, out=stage)
+        np.add(y, stage, out=stage)
+        rhs(stage, k[i])
+    k1, k2, k3, k4 = k
+    np.multiply(k2, _TWO, out=stage)
+    np.add(k1, stage, out=stage)
+    np.multiply(k3, _TWO, out=k3)
+    np.add(stage, k3, out=stage)
+    np.add(stage, k4, out=stage)
+    np.multiply(stage, np.float64(dt / 6), out=stage)
+    return np.add(y, stage, out=stage)
 
 
 @dataclass(frozen=True, eq=False)

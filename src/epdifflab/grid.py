@@ -218,16 +218,22 @@ class _Plan:
         else:
             self.negative = (Ellipsis,) + np.ix_(*([flip] * (d - 1)), np.arange(h - 1, 0, -1))
 
-    def workspace(self, name: str, shape: tuple[int, ...], dtype: type = complex) -> np.ndarray:
-        """This thread's buffer ``name``, zeroed when made and kept with the plan.
+    def prepared(self, key, build, *args):
+        """This thread's object ``key``, made by ``build(*args)`` on first use
+        and kept with the plan.
 
         Each thread gets its own, so threads never share one; a caller must
-        not hand a workspace, or a view of one, back to its own caller.
+        not hand such an object's buffers, or views of them, back to its own
+        caller.
         """
-        buffers = vars(self._buffers)
-        if name not in buffers:
-            buffers[name] = np.zeros(shape, dtype)
-        return buffers[name]
+        objects = vars(self._buffers)
+        if key not in objects:
+            objects[key] = build(*args)
+        return objects[key]
+
+    def workspace(self, name: str, shape: tuple[int, ...], dtype: type = complex) -> np.ndarray:
+        """This thread's buffer ``name``, zeroed when made (see :meth:`prepared`)."""
+        return self.prepared(name, np.zeros, shape, dtype)
 
     @cached_property
     def factors(self) -> np.ndarray:
@@ -413,11 +419,10 @@ def _jacobian_samples(u: SpectralVectorField) -> np.ndarray:
 #
 # The pieces of a split stack are transformed in buffers that persist: each
 # thread that runs a chunk keeps an embedding buffer and a complex work
-# buffer of one call each, and each thread that runs the unfused transport
-# term keeps the padded samples of [v, m, div v] and of one component's 2d
-# gradients.  At d=3 n=32 that is about 15 MB per grid with two workers
-# (7 + 6 padded fields of 0.88 MB, and 2 x 0.92 MB per worker).  They belong
-# to the grid's plan and are freed with the grid.
+# buffer of one call each (2 x 0.92 MB at d=3 n=32), and each thread that
+# runs the transport term keeps its prepared pass (epdiff._TransportPass,
+# 18.9 MB at d=3 n=32).  They belong to the grid's plan and are freed with
+# the grid.
 MAX_TRANSFORM_BYTES = 256 * 1024
 
 
@@ -505,8 +510,9 @@ def padded_samples(grid: TorusGrid, coeffs: np.ndarray, out: np.ndarray | None =
     return out
 
 
-def _truncate_half(grid: TorusGrid, samples: np.ndarray) -> np.ndarray:
-    """Half spectra ``(k, n, ..., n/2+1)`` of real 3/2-grid samples ``(k, m, ..., m)``.
+def _truncate_half(grid: TorusGrid, samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Half spectra ``(k, n, ..., n/2+1)`` of real 3/2-grid samples ``(k, m, ..., m)``,
+    written to ``out`` when it is given.
 
     The ``+n/2`` partner of each leading axis is folded into the ``-n/2``
     bin before truncation; on the last axis the fold is rebuilt by conjugate
@@ -515,11 +521,12 @@ def _truncate_half(grid: TorusGrid, samples: np.ndarray) -> np.ndarray:
     """
     plan = grid.plan
     split = len(samples) > plan.batch
-    if grid.dim == 1 and not split:
+    if grid.dim == 1 and not split and out is None:
         out = _rfft(samples, 1)[:, :plan.half]  # the n band, as a view
     else:
         m, h = plan.padded_shape[0], grid.n // 2
-        out = np.empty((len(samples),) + plan.half_shape, dtype=complex)
+        if out is None:
+            out = np.empty((len(samples),) + plan.half_shape, dtype=complex)
         band = plan.band
 
         def task(lo: int, hi: int) -> None:

@@ -29,8 +29,8 @@ from .grid import (
     _jacobian_samples,
     _require_same_grid,
 )
-from .epdiff import _rk4, _transport_half, step_count
-from .operators import FourierMultiplier, apply, apply_inverse, sobolev_norm
+from .epdiff import _rk4, _transport_pass, step_count
+from .operators import FourierMultiplier, apply, apply_inverse, sobolev_norm, _require_conjugate_symmetric
 
 SPLINE_ORDER = 5
 INVERT_MAX_ITER = 50
@@ -284,10 +284,16 @@ def spray_at_identity(mult: FourierMultiplier, u: SpectralVectorField) -> Spectr
     Collected as ``A^-1(A (u . grad) u - momentum_transport(u, A u))``.  Both
     quadratic terms come from one padded-grid pass, the transport pass of the
     Eulerian solver: at d=1 one inverse and one forward transform call.
+    The pass reads half spectra and treats ``A u`` as a real field, so the
+    table must keep ``a(-k) = conj(a(k))`` (``ValueError`` before any pass
+    otherwise).
     """
+    _require_conjugate_symmetric(mult)
     grid, d, half = u.grid, u.grid.dim, u.grid.plan.half
-    terms = _full(grid, _transport_half(grid, u.coeffs[..., :half], apply(mult, u).coeffs[..., :half],
-                                        advection=True))
+    m = apply(mult, u)
+    spray_pass = _transport_pass(grid, True)
+    spray_pass.v[...] = u.coeffs[..., :half]
+    terms = _full(grid, spray_pass(m.coeffs[..., :half], np.empty((2 * d,) + grid.plan.half_shape, dtype=complex)))
     transport, advection = SpectralVectorField(grid, terms[:d]), SpectralVectorField(grid, terms[d:])
     return apply_inverse(mult, apply(mult, advection) - transport)
 
@@ -327,11 +333,11 @@ def integrate_geodesic(
 
     start = None  # displacement samples of the last stage's inverse chart
 
-    def rhs(y: np.ndarray) -> np.ndarray:
+    def rhs(y: np.ndarray, out: np.ndarray) -> None:
         nonlocal start
         dphi, dv, inverse = spray_rhs(mult, chart_state(y, 0.0), start)
         start = inverse.displacement_samples
-        return np.stack([dphi.coeffs, dv.coeffs])
+        out[0], out[1] = dphi.coeffs, dv.coeffs
 
     out = [state]
     y = np.stack([state.phi.f.coeffs, state.v.coeffs])

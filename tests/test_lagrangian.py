@@ -37,8 +37,9 @@ from epdifflab.lagrangian import (
     _det,
     _solve,
 )
-from epdifflab.operators import apply, apply_inverse, sobolev_multiplier, sobolev_norm
+from epdifflab.operators import FourierMultiplier, apply, apply_inverse, sobolev_multiplier, sobolev_norm
 
+from test_conjugation import hermitian_complex_symbol
 from test_epdiff import arnold_B
 from test_grid import band_limited, directional_derivative, translate
 
@@ -449,6 +450,19 @@ class TestSpray:
         assert len(calls) == 4 * 20
         assert np.array_equal(one_pass.phi.f.coeffs, two_pass.phi.f.coeffs)
         assert np.array_equal(one_pass.v.coeffs, two_pass.v.coeffs)
+
+    def test_table_breaking_conjugate_symmetry_rejected(self, monkeypatch):
+        # the transport pass reads half spectra and treats A u as a real
+        # field: with such a table the spray once ran silently, its samples
+        # complex with an imaginary part 0.15 of their peak
+        grid = TorusGrid(2, 16)
+        mult = FourierMultiplier.build_elliptic(hermitian_complex_symbol(), grid)
+        u = band_limited(grid, 3, seed=4)
+        state = GeodesicState(DiffeoChart.identity(grid), u)
+        monkeypatch.setattr(lagrangian, "_transport_pass", None)  # no pass may start
+        for call in (lambda: spray_at_identity(mult, u), lambda: spray_rhs(mult, state)):
+            with pytest.raises(ValueError, match=r"breaks a\(-k\) = conj\(a\(k\)\)"):
+                call()
 
     def test_zero_steps_rejected(self, grid):
         mult = sobolev_multiplier(1.5, grid)

@@ -320,9 +320,9 @@ def test_transport_memory_peak_3d(monkeypatch):
 
 
 def test_warm_transport_memory_peak_3d(monkeypatch):
-    # once the plan's workspaces exist (the chunk buffers of both threads and
-    # the transport's padded stacks), a transport allocates only its output,
-    # its n-grid stacks and one padded temporary: 22 MiB before workspaces
+    # once the plan's workspaces and the thread's transport pass exist, a
+    # transport allocates only its half and full outputs (3.2 MiB); 22 MiB
+    # before workspaces, 6.4 MiB before the pass owned its buffers
     monkeypatch.setattr(grid_module, "TRANSFORM_WORKERS", 2)
     grid = TorusGrid(3, 32)
     u, v = _noise(grid, 5), _noise(grid, 6)
@@ -498,7 +498,12 @@ def test_steps_match_full_spectrum_stage(dim, n):
         mult, EulerState.from_velocity(mult, random_bandlimited(grid, n // 2, seed=12)), 1e-4, 2)
 
 
-@pytest.mark.parametrize("dim,n", [(1, 256), (2, 32)])
+# (_rfft, _irfft) calls per step: one each way per stage where the stack fits
+# one call, and at d=3 n=32 one per padded field (3 forward, 7 + 3 x 6 inverse)
+TRANSFORMS_PER_STEP = {(1, 256): (4, 4), (2, 32): (4, 4), (3, 32): (12, 100)}
+
+
+@pytest.mark.parametrize("dim,n", list(TRANSFORMS_PER_STEP))
 def test_step_reflects_once(dim, n, monkeypatch):
     # the stages and their combination run on half spectra; only the new
     # momentum gets its negative bins, and the stages transform as before
@@ -507,17 +512,20 @@ def test_step_reflects_once(dim, n, monkeypatch):
     state = EulerState.from_velocity(mult, random_bandlimited(grid, n // 4, seed=21))
     state.cfl  # the guard's inverse transform of u, outside the count
     calls = {}
+    lock = threading.Lock()  # split passes transform on worker threads
     for module, name in [(grid_module, "_rfft"), (grid_module, "_irfft"),
                          (epdiff_module, "_full"), (epdiff_module, "_rhs_half"),
                          (epdiff_module, "euler_rhs")]:
         calls[name] = 0
 
         def counted(*args, _name=name, _fn=getattr(module, name)):
-            calls[_name] += 1
+            with lock:
+                calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(module, name, counted)
     step_rk4(mult, state, 1e-4)
-    assert calls == {"_rfft": 4, "_irfft": 4, "_full": 1, "_rhs_half": 4, "euler_rhs": 0}
+    rfft, irfft = TRANSFORMS_PER_STEP[dim, n]
+    assert calls == {"_rfft": rfft, "_irfft": irfft, "_full": 1, "_rhs_half": 4, "euler_rhs": 0}
 
 
 @pytest.mark.parametrize("dim,n", CASES)
@@ -721,16 +729,45 @@ def test_two_threads_on_one_grid(monkeypatch):
             assert (rhs.tobytes(), padded.tobytes()) == serial[j]
 
 
+def test_two_threads_step_one_grid_1d():
+    # the one-call path: each calling thread runs the transport passes it
+    # built on the grid, and no stage result is a view of a pass buffer, so
+    # every step held to the end still has the serial bits
+    grid = TorusGrid(1, 256)
+    mult = sobolev_multiplier(1.0, grid)
+    states = [_peakon(grid, mult), EulerState.from_velocity(mult, gaussian_blob(grid, 0.25, 0.1))]
+    dt = 0.5 * min(state.cfl for state in states)
+    serial = [(new.m.coeffs.tobytes(), new.u.coeffs.tobytes())
+              for new in (step_rk4(mult, state, dt) for state in states)]
+
+    def run(k):
+        return [(j, step_rk4(mult, states[j], dt)) for j in ((k + r) % 2 for r in range(40))]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(2) as callers:
+            results = [f.result(timeout=120) for f in [callers.submit(run, k) for k in range(2)]]
+    finally:
+        sys.setswitchinterval(interval)
+    for held in results:
+        for j, new in held:
+            assert (new.m.coeffs.tobytes(), new.u.coeffs.tobytes()) == serial[j]
+
+
 def test_workspaces_go_with_the_grid(monkeypatch):
-    # the plan refers to its grid by a proxy, so no reference cycle keeps a
-    # dropped grid's workspaces alive until the next full collection
+    # the plan and its transport passes refer to the grid by a proxy, so no
+    # reference cycle keeps a dropped grid's workspaces alive until the next
+    # full collection
     monkeypatch.setattr(grid_module, "TRANSFORM_WORKERS", 1)
     grid = TorusGrid(3, 16)
     padded_samples(grid, _noise(grid, 18).coeffs)  # three fields in two calls
-    buffer = weakref.ref(grid.plan.workspace("embed", grid.plan.chunk_shape))
+    momentum_transport(_noise(grid, 19), _noise(grid, 20))
+    buffers = [weakref.ref(grid.plan.workspace("embed", grid.plan.chunk_shape)),
+               weakref.ref(epdiff_module._transport_pass(grid, False).padded)]
     gc.disable()
     try:
         del grid
-        assert buffer() is None
+        assert [buffer() for buffer in buffers] == [None, None]
     finally:
         gc.enable()
