@@ -11,8 +11,10 @@ Times, at d=1 n=256 and d=2 n=64 on the datum of ``configs/consistency.ini``:
 ``spray_rhs`` stage, and the whole ``integrate_geodesic`` run of that config.
 The run's sup velocity gap against the Eulerian solver is recorded beside
 it.  Machine-independent counts go with the timings: transform calls
-(``grid._rfft``/``grid._irfft``) and spline calls (``ndimage.spline_filter``
-/``map_coordinates``) per spray and per stage.
+(``grid._rfft``/``grid._irfft``) and calls of scipy's spline kernels
+(``scipy.ndimage._nd_image.spline_filter1d``/``geometric_transform``, which
+the package calls directly and ``ndimage``'s public wrappers call too) per
+spray and per stage.
 
 The oracle group times, for the four cases of acceptance criterion 1, the
 ``ConvolutionKernel`` build, one ``apply`` and one ``apply_An_recursive`` on a
@@ -221,7 +223,7 @@ def measure_lagrangian(repeats: int, samples: dict, counts: dict, values: dict) 
     """The Lagrangian group: the layers of ``integrate_geodesic`` on the
     datum of ``configs/consistency.ini``, and the whole run."""
     import numpy as np
-    from scipy import ndimage
+    from scipy.ndimage import _nd_image
 
     from epdifflab import grid as grid_module
     from epdifflab.epdiff import EulerState, gaussian_blob, integrate
@@ -274,7 +276,7 @@ def measure_lagrangian(repeats: int, samples: dict, counts: dict, values: dict) 
         values[f"{tag}.sup_velocity_gap"] = float(gap)
     # counted after every timing, so that no timed call runs through a counting wrapper
     counter = CallCounter([(grid_module, "_rfft"), (grid_module, "_irfft"),
-                           (ndimage, "spline_filter"), (ndimage, "map_coordinates")])
+                           (_nd_image, "spline_filter1d"), (_nd_image, "geometric_transform")])
     for key, call in counted.items():
         counts[key] = counter.calls_in(call)
     counter.close()

@@ -5,12 +5,17 @@ positive Jacobian determinant.  Composition ``u o phi`` is evaluated by
 periodic quintic B-spline interpolation of grid samples (error O(n^-6) for
 smooth fields), inversion by damped Newton iteration on the displacement with
 a fixed-point fallback, warm-started from the previous RK4 stage's inverse
-inside :func:`integrate_geodesic`.  Spline prefilters and evaluations write
-each component into one preallocated array.  The spray at the identity
-shares the Eulerian transport pass.  The Lagrangian solver built on these is
-cross-validation machinery for the Eulerian one: composition and
-interpolation error accumulates, so the Eulerian path stays authoritative for
-long runs.
+inside :func:`integrate_geodesic`.  Prefilters and evaluations call scipy's
+spline kernels (``scipy.ndimage._nd_image``) directly, with the arguments of
+``ndimage``'s public wrappers: one filter call per spatial axis for a whole
+stack of components, one evaluation call per component, each written into
+one preallocated array.  A chart samples ``f`` and ``df`` in one inverse
+transform.  The spray at the identity shares the Eulerian transport pass
+and runs on half spectra, with one conjugate reflection at the end; a stage
+of :func:`spray_rhs` makes 5 inverse and 4 forward transform calls.  The
+Lagrangian solver built on these is cross-validation machinery for the
+Eulerian one: composition and interpolation error accumulates, so the
+Eulerian path stays authoritative for long runs.
 """
 
 from __future__ import annotations
@@ -20,19 +25,22 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import ndimage
+from scipy.ndimage import _nd_image
 
-from .grid import (
-    SpectralVectorField,
-    TorusGrid,
-    _full,
-    _jacobian_samples,
-    _require_same_grid,
-)
+from .grid import SpectralVectorField, TorusGrid, _full, _require_same_grid, _samples
 from .epdiff import _rk4, _transport_pass, step_count
-from .operators import FourierMultiplier, apply, apply_inverse, sobolev_norm, _require_conjugate_symmetric
+from .operators import (
+    FourierMultiplier,
+    apply,
+    sobolev_norm,
+    _require_conjugate_symmetric,
+    _require_inverse,
+)
 
 SPLINE_ORDER = 5
+# scipy.ndimage's code for mode="grid-wrap" (_ni_support._extend_mode_to_code):
+# the spline kernels are called directly, as ndimage's wrappers call them
+_GRID_WRAP = 5
 INVERT_MAX_ITER = 50
 INVERT_TOL = 1e-10  # times the box length
 
@@ -46,21 +54,31 @@ class InversionError(RuntimeError):
 
 
 def _spline_filter(samples: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Prefilter each component of grid samples; shape ``(components, n, ..., n)``."""
+    """Prefilter each component of grid samples; shape ``(components, n, ..., n)``.
+
+    One kernel call per spatial axis filters the whole stack, the first from
+    ``samples`` into the output and the rest in place, as
+    ``ndimage.spline_filter`` does for each component.
+    """
     components = samples.reshape((-1,) + grid.shape)
     out = np.empty(components.shape)
-    for c, o in zip(components, out):
-        ndimage.spline_filter(c, order=SPLINE_ORDER, mode="grid-wrap", output=o)
+    for axis in range(1, grid.dim + 1):
+        _nd_image.spline_filter1d(components, SPLINE_ORDER, axis, out, _GRID_WRAP)
+        components = out
     return out
 
 
 def _eval_filtered(filtered: np.ndarray, points: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Evaluate each prefiltered component at physical points of shape (d, ...)."""
+    """Evaluate each prefiltered component at physical points of shape (d, ...).
+
+    The kernel call of ``ndimage.map_coordinates(..., prefilter=False)``,
+    with ``cval`` 0 and no padding, without its wrapper.
+    """
     coords = (points * (grid.n / grid.length)).reshape(grid.dim, -1)
     out = np.empty((len(filtered), coords.shape[1]))
     for c, o in zip(filtered, out):
-        ndimage.map_coordinates(c, coords, order=SPLINE_ORDER, mode="grid-wrap",
-                                prefilter=False, output=o)
+        _nd_image.geometric_transform(c, None, coords, None, None, o, SPLINE_ORDER, _GRID_WRAP,
+                                      0.0, 0, None, None)
     return out.reshape((len(filtered),) + points.shape[1:])
 
 
@@ -112,14 +130,27 @@ class DiffeoChart:
         return self.f.grid
 
     @cached_property
+    def _chart_samples(self) -> np.ndarray:
+        """Samples of ``f`` and of ``df`` (row-major ``(i, j)``), shape
+        ``(d + d*d, n, ..., n)``: one inverse transform of their half spectra."""
+        grid, d = self.grid, self.grid.dim
+        plan = grid.plan
+        half = self.f.coeffs[..., :plan.half]
+        stack = np.empty((d + d * d,) + plan.half_shape, dtype=complex)
+        stack[:d] = half
+        np.multiply(half[:, None], plan.factors, out=stack[d:].reshape((d, d) + plan.half_shape))
+        return _samples(grid, stack)
+
+    @cached_property
     def displacement_samples(self) -> np.ndarray:
-        return self.f.samples()
+        return self._chart_samples[:self.grid.dim]
 
     @cached_property
     def jacobian_samples(self) -> np.ndarray:
         """Samples of ``d phi = I + df``, shape ``(d, d, n, ..., n)``."""
-        grid = self.grid
-        return _jacobian_samples(self.f) + np.eye(grid.dim).reshape(grid.dim, grid.dim, *([1] * grid.dim))
+        grid, d = self.grid, self.grid.dim
+        jacobian = self._chart_samples[d:].reshape((d, d) + grid.shape)
+        return jacobian + np.eye(d).reshape(d, d, *([1] * d))
 
     @cached_property
     def det_samples(self) -> np.ndarray:
@@ -158,9 +189,9 @@ class DiffeoChart:
 
     def jacobian_at(self, points: np.ndarray) -> np.ndarray:
         """Spline-interpolated ``d phi`` at physical points, shape (..., d, d)."""
-        d = self.grid.dim
+        d, lead = self.grid.dim, points.ndim - 1
         flat = _eval_filtered(self._filtered_jacobian, points, self.grid)  # row-major (i, j)
-        return np.moveaxis(flat.reshape(d, d, *points.shape[1:]), (0, 1), (-2, -1))
+        return flat.reshape((d, d) + points.shape[1:]).transpose(*range(2, 2 + lead), 0, 1)
 
 
 def compose(u: SpectralVectorField, phi: DiffeoChart) -> SpectralVectorField:
@@ -212,13 +243,12 @@ def _newton_inverse(phi: DiffeoChart, start: np.ndarray) -> DiffeoChart:
     for _ in range(INVERT_MAX_ITER):
         if res_norm <= tol:
             break
-        jac = np.moveaxis(phi.jacobian_at(y), (-2, -1), (0, 1))  # (d, d, N)
-        step = _solve(jac, res)
+        step = _solve(phi.jacobian_at(y).transpose(1, 2, 0), res)  # (N, d, d) -> (d, d, N)
         improved = False
         if np.isfinite(step).all():  # a singular Jacobian goes to the fallback
             damping = 1.0
             for _ in range(5):
-                y_try = y - damping * step
+                y_try = y - step if damping == 1.0 else y - damping * step  # 1.0 * step is step
                 res_try = residual(y_try)
                 norm_try = np.abs(res_try).max()
                 if norm_try < res_norm:
@@ -284,18 +314,23 @@ def spray_at_identity(mult: FourierMultiplier, u: SpectralVectorField) -> Spectr
     Collected as ``A^-1(A (u . grad) u - momentum_transport(u, A u))``.  Both
     quadratic terms come from one padded-grid pass, the transport pass of the
     Eulerian solver: at d=1 one inverse and one forward transform call.
-    The pass reads half spectra and treats ``A u`` as a real field, so the
-    table must keep ``a(-k) = conj(a(k))`` (``ValueError`` before any pass
-    otherwise).
+    ``A u``, the pass and both multiplier products run on half spectra
+    (last-axis bins ``0..n/2``), and the negative bins of ``S(u)`` are
+    rebuilt once, by conjugate reflection, as in :func:`~epdifflab.epdiff.euler_rhs`.
+    The pass treats ``A u`` as a real field, so the table must keep
+    ``a(-k) = conj(a(k))`` (``ValueError`` before any pass otherwise).
     """
+    _require_inverse(mult, u)
     _require_conjugate_symmetric(mult)
-    grid, d, half = u.grid, u.grid.dim, u.grid.plan.half
-    m = apply(mult, u)
+    grid, d, plan = u.grid, u.grid.dim, u.grid.plan
     spray_pass = _transport_pass(grid, True)
-    spray_pass.v[...] = u.coeffs[..., :half]
-    terms = _full(grid, spray_pass(m.coeffs[..., :half], np.empty((2 * d,) + grid.plan.half_shape, dtype=complex)))
-    transport, advection = SpectralVectorField(grid, terms[:d]), SpectralVectorField(grid, terms[d:])
-    return apply_inverse(mult, apply(mult, advection) - transport)
+    u_half = spray_pass.v
+    u_half[...] = u.coeffs[..., :plan.half]
+    m = np.einsum("...ij,j...->i...", mult.half_table, u_half)
+    terms = spray_pass(m, np.empty((2 * d,) + plan.half_shape, dtype=complex))
+    transport, advection = terms[:d], terms[d:]
+    momentum = np.einsum("...ij,j...->i...", mult.half_table, advection) - transport
+    return SpectralVectorField(grid, _full(grid, np.einsum("...ij,j...->i...", mult.half_inv_table, momentum)))
 
 
 def spray_rhs(mult: FourierMultiplier, state: GeodesicState, start: Optional[np.ndarray] = None):

@@ -73,11 +73,17 @@ class FourierMultiplier:
         """:func:`conjugate_symmetry_error` of the table, evaluated once per multiplier."""
         return conjugate_symmetry_error(self.table, self.grid)
 
+    # Half tables are contiguous copies: at d >= 2 einsum runs 3-5 times
+    # slower on the strided view of a full table, with the same bits.
+    @cached_property
+    def half_table(self) -> np.ndarray:
+        """``table`` on the last-axis bins ``0..n/2`` that half spectra keep."""
+        return np.ascontiguousarray(self.table[..., :self.grid.plan.half, :, :])
+
     @cached_property
     def half_inv_table(self) -> np.ndarray:
-        """A view of ``inv_table`` on the last-axis bins ``0..n/2`` that half spectra keep."""
-        lead = (slice(None),) * (self.grid.dim - 1)
-        return self.inv_table[lead + (slice(0, self.grid.plan.half),)]
+        """``inv_table`` on the last-axis bins ``0..n/2``."""
+        return np.ascontiguousarray(self.inv_table[..., :self.grid.plan.half, :, :])
 
 
 def conjugate_symmetry_error(table: np.ndarray, grid: TorusGrid) -> Optional[str]:

@@ -21,8 +21,16 @@ from epdifflab.epdiff import (
     step_rk4,
     sup_velocity_gradient,
 )
-from epdifflab.grid import GridMismatchError, SpectralVectorField, TorusGrid, l2_inner
-from epdifflab.operators import FourierMultiplier, apply, apply_inverse, sobolev_multiplier, sobolev_norm
+from epdifflab.grid import GridMismatchError, SpectralVectorField, TorusGrid, _full, l2_inner
+from epdifflab.operators import (
+    FourierMultiplier,
+    apply,
+    apply_inverse,
+    conjugate_symmetry_error,
+    sobolev_multiplier,
+    sobolev_norm,
+)
+from epdifflab.symbols import MatrixSymbol, sobolev_weight
 
 from test_conjugation import hermitian_complex_symbol
 from test_grid import (
@@ -195,6 +203,28 @@ class TestStepping:
         for call in (lambda: euler_rhs(mult, st.m), lambda: step_rk4(mult, st, 1e-3)):
             with pytest.raises(ValueError, match=r"breaks a\(-k\) = conj\(a\(k\)\)"):
                 call()
+
+    @pytest.mark.parametrize("dim,n", [(1, 64), (2, 16), (3, 8)])
+    def test_step_velocity_reads_every_bin(self, dim, n):
+        # the new state's velocity is apply_inverse on the full momentum: on a
+        # table conjugate-symmetric only to SYMMETRY_GAP, half spectra and one
+        # reflection would give the bits of neither u nor the energy, since
+        # l2_inner sums all n bins and a reflected bin is inv_table(-k) m(-k)
+        # only where the table is symmetric bit for bit
+        def eval_fn(xi):
+            w = sobolev_weight(1.5, xi) * (1 + 1e-14 * (xi[..., 0] > 0))
+            return w[..., None, None] * np.eye(dim)
+
+        symbol = MatrixSymbol(dim=dim, order=1.5, eval_fn=eval_fn, hermitian=True,
+                              positive_definite=True, name="nearly_conjugate_symmetric")
+        g = TorusGrid(dim, n)
+        mult = FourierMultiplier.build_elliptic(symbol, g)
+        assert conjugate_symmetry_error(mult.table, g) is None  # accepted by the step
+        new = step_rk4(mult, EulerState.from_velocity(mult, random_bandlimited(g, n // 4, seed=3)), 1e-3)
+        assert new.u.coeffs.tobytes() == apply_inverse(mult, new.m).coeffs.tobytes()
+        m_half = new.m.coeffs[..., :g.plan.half]
+        u_half = SpectralVectorField(g, _full(g, np.einsum("...ij,j...->i...", mult.half_inv_table, m_half)))
+        assert 0.5 * l2_inner(new.m, u_half) != new.energy
 
     def test_cfl_limit_once_per_state(self, grid, ch, monkeypatch):
         # the outer step's check and its first RK4 substep share one evaluation

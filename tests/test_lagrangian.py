@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from epdifflab.conjugation import apply_An_recursive
 from epdifflab.epdiff import (
@@ -19,7 +20,8 @@ from epdifflab.epdiff import (
     integrate,
     momentum_transport,
 )
-from epdifflab.grid import GridMismatchError, SpectralVectorField, TorusGrid
+from epdifflab.grid import GridMismatchError, SpectralVectorField, TorusGrid, _jacobian_samples
+from epdifflab import grid as grid_module
 from epdifflab import lagrangian
 from epdifflab.lagrangian import (
     ChartError,
@@ -35,7 +37,9 @@ from epdifflab.lagrangian import (
     spray_at_identity,
     spray_rhs,
     _det,
+    _eval_filtered,
     _solve,
+    _spline_filter,
 )
 from epdifflab.operators import FourierMultiplier, apply, apply_inverse, sobolev_multiplier, sobolev_norm
 
@@ -485,6 +489,81 @@ class TestSpray:
                 compose(SpectralVectorField.zero(other), DiffeoChart.identity(grid))
             with pytest.raises(GridMismatchError):
                 distance_dq(DiffeoChart.identity(other), DiffeoChart.identity(grid), 1.0)
+
+
+class TestKernels:
+    # _spline_filter and _eval_filtered call scipy.ndimage's private C
+    # kernels with the arguments its public wrappers pass: a scipy whose
+    # kernel signatures or mode codes change fails here
+
+    CASES = [(1, 256), (2, 32), (3, 16)]
+
+    @staticmethod
+    def stack(dim, n, seed):
+        grid = TorusGrid(dim, n, 2.0)
+        rng = np.random.default_rng(seed)
+        samples = rng.standard_normal((dim + 1,) + grid.shape)
+        # points on [-1.5 L, 2.5 L): outside the box on both sides, so the wrap is exercised
+        points = grid.length * rng.uniform(-1.5, 2.5, (dim, 7, 5))
+        return grid, samples, points
+
+    @pytest.mark.parametrize("dim,n", CASES)
+    def test_filter_same_bytes_as_ndimage(self, dim, n):
+        grid, samples, _ = self.stack(dim, n, seed=30 + dim)
+        expected = np.stack([ndimage.spline_filter(c, order=5, mode="grid-wrap") for c in samples])
+        got = _spline_filter(samples, grid)
+        assert got.shape == samples.shape
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dim,n", CASES)
+    def test_evaluation_same_bytes_as_ndimage(self, dim, n):
+        grid, samples, points = self.stack(dim, n, seed=40 + dim)
+        filtered = _spline_filter(samples, grid)
+        coords = points * (grid.n / grid.length)
+        expected = np.stack([ndimage.map_coordinates(c, coords, order=5, mode="grid-wrap", prefilter=False)
+                             for c in filtered])
+        got = _eval_filtered(filtered, points, grid)
+        assert got.shape == (dim + 1,) + points.shape[1:]
+        assert got.tobytes() == expected.tobytes()
+
+
+class TestChartSamples:
+    @pytest.mark.parametrize("dim,n", [(1, 64), (2, 16), (3, 8)])
+    def test_same_bytes_as_one_transform_each(self, dim, n):
+        # f and df share one inverse transform: the bits of sampling each alone
+        grid = TorusGrid(dim, n)
+        f = SpectralVectorField.from_samples(grid, np.random.default_rng(dim).standard_normal((dim,) + grid.shape))
+        phi = DiffeoChart(1e-4 * f)  # full band, Nyquist modes included
+        jacobian = _jacobian_samples(phi.f) + np.eye(dim).reshape(dim, dim, *([1] * dim))
+        assert phi.displacement_samples.tobytes() == phi.f.samples().tobytes()
+        assert phi.jacobian_samples.tobytes() == jacobian.tobytes()
+        assert phi.det_samples.tobytes() == _det(jacobian).tobytes()
+        assert phi.positions.tobytes() == (grid.coordinates + phi.f.samples()).tobytes()
+
+
+# (_rfft, _irfft) calls of a warm spray_rhs stage: the chart and the inverse
+# chart one inverse transform each, then compose, spray, compose one each way,
+# and the inverse chart's spectra one forward transform
+TRANSFORMS_PER_STAGE = {(1, 256): (4, 5), (2, 32): (4, 5)}
+
+
+@pytest.mark.parametrize("dim,n", list(TRANSFORMS_PER_STAGE))
+def test_stage_transforms(dim, n, monkeypatch):
+    grid = TorusGrid(dim, n)
+    mult = sobolev_multiplier(1.5, grid)
+    u0 = gaussian_blob(grid, amplitude=0.25, width=0.1)
+    *_, before, state = integrate_geodesic(mult, GeodesicState(DiffeoChart.identity(grid), u0),
+                                           4e-3, 2e-3, snapshot_cadence=1)
+    warm = invert(before.phi).displacement_samples
+    calls = {"_rfft": 0, "_irfft": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(grid_module, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(grid_module, name, counted)
+    # a new chart per stage, as integrate_geodesic builds one
+    spray_rhs(mult, GeodesicState(DiffeoChart(state.phi.f), state.v), warm)
+    assert (calls["_rfft"], calls["_irfft"]) == TRANSFORMS_PER_STAGE[dim, n]
 
 
 class TestRegularityProbe:
