@@ -26,15 +26,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-# the transport pass calls _rfft/_irfft through the module, as the split
-# passes do, so that a wrapper set on the module (a counter) sees its calls
-from . import grid as _grid
 from .grid import (
     SpectralVectorField,
     TorusGrid,
     l2_inner,
     padded_samples,
-    _HALF,
+    _Sampling,
+    _Truncation,
     _full,
     _jacobian_samples,
     _require_same_grid,
@@ -57,7 +55,7 @@ MAX_STEPS = 10**7
 # Relative energy drift beyond which a trajectory no longer counts as resolved
 # (the tolerance of the energy-conservation acceptance check).
 RESOLVED_ENERGY_DRIFT = 1e-6
-# numpy scalars: see grid._HALF
+# numpy scalars, as in grid: a Python float operand costs a promotion per call
 _MINUS_ONE = np.complex128(-1.0)
 _TWO = np.float64(2.0)
 _CONTRACT = partial(np.einsum, "k...,k...->...")
@@ -165,12 +163,13 @@ class _TransportPass:
     and of its gradients that the transport term samples anyway.  All ``2d``
     rows share one truncation.
 
-    The pass owns every buffer it fills (stack, embedding spectrum, padded
-    samples, products, forward spectrum), and every view a call reads or
-    writes is bound here, so a call runs only the ufuncs of the pass, in the
-    order and on the operands that give the bits of the pass on fresh
-    arrays.  It refers to its grid by the plan's proxy, so the grid's plan,
-    which keeps it, forms no cycle with it.
+    The pass owns its n-grid stack, its padded samples and its products, and
+    binds every view of them that a call reads or writes here, so a call runs
+    only the ufuncs of the pass.  The way to the 3/2 grid and back is
+    grid's: when fused, a :class:`~epdifflab.grid._Sampling` over the stack
+    and this thread's :class:`~epdifflab.grid._Truncation` of the product
+    rows, the bits of the pass on fresh arrays.  It refers to its grid by the
+    plan's proxy, so the grid's plan, which keeps it, forms no cycle with it.
     """
 
     def __init__(self, grid: TorusGrid, advection: bool) -> None:
@@ -194,21 +193,19 @@ class _TransportPass:
             # [d_j m^i, d_i v^j] pairs with [v^j, m^j]: the first two terms at once
             return [(np.multiply, m[i], factors, out[:d]), (np.multiply, v, factors[i], out[d:])]
 
-        self.padded_shape = padded_shape = plan.padded_shape
+        padded_shape = plan.padded_shape
         self.padded = padded = np.empty((rows,) + padded_shape)
+        k = 2 * d if advection else d
         if fused:
             for i in range(d):
                 self.spectral += gradients(i, stack[2 * d * (i + 1) + 1:2 * d * (i + 2) + 1])
-            # every call writes the same bins, so the rest stay zero
-            self.spectrum = spectrum = np.zeros((rows,) + plan.padded_half_shape, dtype=complex)
-            self.embed = [(np.multiply, stack[src], factor, spectrum[dst]) for dst, src, factor in plan.embed]
-            self.work = np.empty_like(spectrum) if d > 1 else None
+            self.sampling = _Sampling(plan, rows, stack)
+            self.truncation = plan.prepared(("truncation", k), _Truncation, plan, k)
         else:
             # one component's gradients at a time, in one buffer each side
             self.gradients = np.empty((2 * d,) + plan.half_shape, dtype=complex)
             self.padded_gradients = np.empty((2 * d,) + padded_shape)
 
-        k = 2 * d if advection else d
         self.products = out = np.empty((k,) + padded_shape)
         scratch = np.empty((d if advection else 1,) + padded_shape)
         ms, div, adv = padded[d:2 * d], padded[2 * d], out[d:]
@@ -225,32 +222,12 @@ class _TransportPass:
                     products += [(np.multiply, padded[i], grads[d:], scratch), (np.add, adv, scratch, adv)]
             self.components.append(([] if fused else gradients(i, self.gradients), products))
 
-        if fused:
-            # the truncation of _truncate_half on one call, with its views bound
-            m_pad, h = padded_shape[0], grid.n // 2
-            self.transformed = spec = np.empty((k,) + plan.padded_half_shape, dtype=complex)
-            self.fold = []
-            for axis in range(1, d):
-                lead = (slice(None),) * axis
-                self.fold.append((np.add, spec[lead + (m_pad - h,)], spec[lead + (h,)], spec[lead + (m_pad - h,)]))
-            if d == 1:
-                self.band, self.band_copies = spec[:, :plan.half], []  # the n band, as a view
-            else:
-                self.band = np.empty((k,) + plan.half_shape, dtype=complex)
-                self.band_copies = [(self.band[dst], spec[src]) for src, dst in plan.band]
-            self.bin0 = self.band[..., 0]
-            self.planes = self.band[plan.planes]
-            self.plane_mirror = plan.plane_mirror
-            self.mirrored = np.empty(self.planes.shape, dtype=complex)
-            self.scale = plan.truncate_scale
-
     def __call__(self, m: np.ndarray, out: np.ndarray) -> np.ndarray:
         grid = self.grid
         self.m[...] = m
         _run(self.spectral)
         if self.fused:
-            _run(self.embed)
-            _grid._irfft(self.spectrum, self.padded_shape, self.padded, self.work)
+            self.sampling(self.padded)
         else:
             padded_samples(grid, self.stack, self.padded)
         for gradients, products in self.components:
@@ -258,17 +235,9 @@ class _TransportPass:
                 _run(gradients)
                 padded_samples(grid, self.gradients, self.padded_gradients)
             _run(products)
-        if not self.fused:
-            return _truncate_half(grid, self.products, out)
-        _grid._rfft(self.products, len(self.padded_shape), self.transformed)
-        _run(self.fold)
-        for dst, src in self.band_copies:
-            dst[...] = src
-        np.multiply(self.bin0, _HALF, out=self.bin0)  # bin 0 is its own reflection on the last axis
-        planes = self.planes  # grid._complete_planes
-        np.conjugate(planes[self.plane_mirror], out=self.mirrored)
-        np.add(planes, self.mirrored, out=planes)
-        return np.multiply(self.band, self.scale, out=out)
+        if self.fused:
+            return self.truncation(self.products, out)
+        return _truncate_half(grid, self.products, out)
 
 
 def _run(ops: list) -> None:

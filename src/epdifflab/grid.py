@@ -282,19 +282,6 @@ class _Plan:
                 for combo in itertools.product(*([lead] * (self.grid.dim - 1) + [last]))]
 
 
-def _complete_planes(grid: TorusGrid, half: np.ndarray) -> np.ndarray:
-    """Make last-axis bins 0 and n/2 of half spectra conjugate-symmetric in place.
-
-    Each plane gets the conjugate of its reflection added: bin 0 must hold
-    half of its value on entry, bin ``n/2`` its ``+n/2`` mode (or half of
-    the shared ``+-n/2`` bin).
-    """
-    plan = grid.plan
-    planes = half[plan.planes]
-    planes += np.conjugate(planes[plan.plane_mirror])
-    return half
-
-
 def _full(grid: TorusGrid, half: np.ndarray) -> np.ndarray:
     """Full spectra ``(..., n, ..., n)`` of half spectra with completed planes:
     the negative last-axis bins are conjugate reflections."""
@@ -308,8 +295,9 @@ def _full(grid: TorusGrid, half: np.ndarray) -> np.ndarray:
 def _spectra(grid: TorusGrid, samples: np.ndarray) -> np.ndarray:
     """Spectra of real samples ``(..., n, ..., n)``."""
     half = _rfft(samples, grid.dim)
-    half[grid.plan.planes] *= _HALF  # bin 0 is its own reflection, +-n/2 is shared
-    half = _complete_planes(grid, half)
+    planes = half[grid.plan.planes]  # last-axis bins 0 and n/2
+    planes *= _HALF  # bin 0 is its own reflection, +-n/2 is shared
+    planes += np.conjugate(planes[grid.plan.plane_mirror])  # each plane gets its conjugate reflection
     half *= grid.cell_volume
     return _full(grid, half)
 
@@ -417,23 +405,24 @@ def _jacobian_samples(u: SpectralVectorField) -> np.ndarray:
 # transformed in pieces.  At d=1 a whole stack fits in one call.  A grid
 # reads it once, when its plan is built.
 #
-# The pieces of a split stack are transformed in buffers that persist: each
-# thread that runs a chunk keeps an embedding buffer and a complex work
-# buffer of one call each (2 x 0.92 MB at d=3 n=32), and each thread that
-# runs the transport term keeps its prepared pass (epdiff._TransportPass,
-# 18.9 MB at d=3 n=32).  They belong to the grid's plan and are freed with
-# the grid.
+# Every padded pass runs in buffers that persist: each thread that runs a
+# chunk keeps an embedding buffer and a complex work buffer of one call each
+# (2 x 0.92 MB at d=3 n=32) and, at d > 1, an n-band buffer of one call
+# (0.28 MB), with one _Sampling and one _Truncation per chunk height that
+# bind views of them; each thread that runs the transport term keeps its
+# prepared pass (epdiff._TransportPass, 18.9 MB at d=3 n=32, where its stack
+# is split).  They belong to the grid's plan and are freed with the grid.
 MAX_TRANSFORM_BYTES = 256 * 1024
 
 
 # Threads that run the chunks of a split stack, the calling thread included:
 # numpy's real transforms release the GIL, so the chunks of one stack
 # transform on several cores at once.  Each chunk writes its own rows of an
-# output allocated up front and the calling thread finishes the pass, so the
-# bits do not depend on the worker count.  A grid reads the count once, when
-# its plan is built; a stack that fits one call runs inline and starts no
-# thread.  The helpers of every plan with the same count come from one pool
-# of count - 1 threads, however many chunks a stack has.
+# output allocated up front, so the bits do not depend on the worker count.
+# A grid reads the count once, when its plan is built; a stack that fits one
+# call runs inline and starts no thread.  The helpers of every plan with the
+# same count come from one pool of count - 1 threads, however many chunks a
+# stack has.
 TRANSFORM_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                      else os.cpu_count() or 1)
 _pools: dict[int, ThreadPoolExecutor] = {}
@@ -449,12 +438,15 @@ def _pool(size: int) -> ThreadPoolExecutor:
 
 def _run_chunks(plan: _Plan, task, rows: int) -> None:
     """Call ``task(lo, hi)`` on consecutive chunks of at most ``plan.batch`` of
-    ``rows`` rows; with more than one chunk, ``plan.workers`` threads take
-    chunks from one queue until it is empty.
+    ``rows`` rows: a lone chunk inline, more than one from one queue, which
+    ``plan.workers`` threads drain.
 
     A task may call only private helpers: the tracer of the benchmark keeps
     one span stack, which a traced call from a worker thread would corrupt.
     """
+    if rows <= plan.batch:
+        task(0, rows)
+        return
     chunks = queue.SimpleQueue()
     for lo in range(0, rows, plan.batch):
         chunks.put((lo, min(lo + plan.batch, rows)))
@@ -475,6 +467,66 @@ def _run_chunks(plan: _Plan, task, rows: int) -> None:
             future.result()
 
 
+# The two directions of the padded pass on one chunk of ``rows`` rows and one
+# thread.  Each binds every view a call touches, in this thread's workspaces,
+# when it is built, and keeps no reference to the plan or the grid, which
+# keep it.  A call looks up ``_rfft``/``_irfft`` as globals of this module,
+# so a wrapper set on the module (a counter) sees every call.
+
+class _Sampling:
+    """Real 3/2-grid samples of ``rows`` half spectra: a call embeds them in
+    this thread's ``embed`` workspace and inverse transforms it into ``out``.
+    Built over ``source``, it reads that stack through views bound here;
+    otherwise a call reads the rows ``coeffs`` it is given."""
+
+    def __init__(self, plan: _Plan, rows: int, source: np.ndarray | None = None) -> None:
+        # every call writes the same bins, so the rest stay zero
+        self.spec = spec = plan.workspace("embed", plan.chunk_shape)[:rows]
+        self.blocks = [(src if source is None else source[src], factor, spec[dst])
+                       for dst, src, factor in plan.embed]
+        self.shape = plan.padded_shape
+        self.work = plan.workspace("work", plan.chunk_shape)[:rows] if len(self.shape) > 1 else None
+
+    def __call__(self, out: np.ndarray, coeffs: np.ndarray | None = None) -> np.ndarray:
+        for src, factor, dst in self.blocks:
+            np.multiply(src if coeffs is None else coeffs[src], factor, out=dst)
+        return _irfft(self.spec, self.shape, out, self.work)
+
+
+class _Truncation:
+    """Half spectra ``(rows, n, ..., n/2+1)`` of real 3/2-grid samples: a call
+    transforms them into this thread's ``work`` workspace, folds the ``+n/2``
+    partner of each leading axis into ``-n/2`` (on the last axis, completing
+    the planes rebuilds the fold by conjugate reflection), keeps the n band
+    (in the ``band`` workspace; a view at d=1), halves bin 0, completes the
+    planes and scales into ``out``."""
+
+    def __init__(self, plan: _Plan, rows: int) -> None:
+        m, h = plan.padded_shape[0], plan.half - 1
+        self.dim = d = len(plan.padded_shape)
+        self.spec = spec = plan.workspace("work", plan.chunk_shape)[:rows]
+        self.fold = [(spec[lead + (m - h,)], spec[lead + (h,)])
+                     for lead in ((slice(None),) * axis for axis in range(1, d))]
+        if d == 1:
+            band, self.copies = spec[:, :plan.half], []  # the n band, as a view
+        else:
+            band = plan.workspace("band", (plan.batch,) + plan.half_shape)[:rows]
+            self.copies = [(band[dst], spec[src]) for src, dst in plan.band]
+        self.band, self.bin0, self.planes = band, band[..., 0], band[plan.planes]
+        self.plane_mirror, self.scale = plan.plane_mirror, plan.truncate_scale
+
+    def __call__(self, samples: np.ndarray, out: np.ndarray) -> np.ndarray:
+        _rfft(samples, self.dim, self.spec)
+        for minus, plus in self.fold:
+            np.add(minus, plus, out=minus)
+        for dst, src in self.copies:
+            dst[...] = src
+        np.multiply(self.bin0, _HALF, out=self.bin0)  # bin 0 is its own reflection on the last axis
+        planes = self.planes  # each plane gets its conjugate reflection
+        np.add(planes, np.conjugate(planes[self.plane_mirror]), out=planes)
+        return np.multiply(self.band, self.scale, out=out)
+
+
 def padded_samples(grid: TorusGrid, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Real samples on the 3/2 grid of a stack of n-grid spectra ``(k, n, ..., n)``.
 
@@ -484,27 +536,16 @@ def padded_samples(grid: TorusGrid, coeffs: np.ndarray, out: np.ndarray | None =
     mode contributes its cosine half.  Returns shape ``(k, m, ..., m)``,
     written to ``out`` when it is given.
 
-    A stack that fits one transform call, with no ``out``, is embedded and
-    transformed in fresh arrays.  Otherwise each chunk is embedded and
-    transformed in its thread's workspaces and lands in its rows of ``out``.
+    Each chunk of the stack is embedded and transformed by its thread's
+    :class:`_Sampling` and lands in its rows of ``out``.
     """
     plan = grid.plan
-    blocks = plan.embed  # built here, not by two threads at once
-    if out is None and len(coeffs) <= plan.batch:
-        spec = np.zeros((len(coeffs),) + plan.padded_half_shape, dtype=complex)
-        for dst, src, factor in blocks:
-            np.multiply(coeffs[src], factor, out=spec[dst])
-        return _irfft(spec, plan.padded_shape)
+    plan.embed  # built here, not by two threads at once
     if out is None:
         out = np.empty((len(coeffs),) + plan.padded_shape)
 
     def task(lo: int, hi: int) -> None:
-        # every chunk writes the same bins, so the rest stay zero
-        spec = plan.workspace("embed", plan.chunk_shape)[:hi - lo]
-        for dst, src, factor in blocks:
-            np.multiply(coeffs[lo:hi][src], factor, out=spec[dst])
-        work = plan.workspace("work", plan.chunk_shape)[:hi - lo] if grid.dim > 1 else None
-        _irfft(spec, plan.padded_shape, out[lo:hi], work)
+        plan.prepared(("sampling", hi - lo), _Sampling, plan, hi - lo)(out[lo:hi], coeffs[lo:hi])
 
     _run_chunks(plan, task, len(coeffs))
     return out
@@ -512,36 +553,17 @@ def padded_samples(grid: TorusGrid, coeffs: np.ndarray, out: np.ndarray | None =
 
 def _truncate_half(grid: TorusGrid, samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Half spectra ``(k, n, ..., n/2+1)`` of real 3/2-grid samples ``(k, m, ..., m)``,
-    written to ``out`` when it is given.
-
-    The ``+n/2`` partner of each leading axis is folded into the ``-n/2``
-    bin before truncation; on the last axis the fold is rebuilt by conjugate
-    reflection when the planes are completed.  A split stack is transformed
-    in the work buffers of the threads that run its chunks.
-    """
+    written to ``out`` when it is given: each chunk of the stack goes through
+    its thread's :class:`_Truncation` into its rows of ``out``."""
     plan = grid.plan
-    split = len(samples) > plan.batch
-    if grid.dim == 1 and not split and out is None:
-        out = _rfft(samples, 1)[:, :plan.half]  # the n band, as a view
-    else:
-        m, h = plan.padded_shape[0], grid.n // 2
-        if out is None:
-            out = np.empty((len(samples),) + plan.half_shape, dtype=complex)
-        band = plan.band
+    plan.band  # built here, not by two threads at once
+    if out is None:
+        out = np.empty((len(samples),) + plan.half_shape, dtype=complex)
 
-        def task(lo: int, hi: int) -> None:
-            work = plan.workspace("work", plan.chunk_shape)[:hi - lo] if split else None
-            spec = _rfft(samples[lo:hi], grid.dim, work)
-            for axis in range(1, grid.dim):
-                lead = (slice(None),) * axis
-                spec[lead + (m - h,)] += spec[lead + (h,)]
-            for src, dst in band:
-                out[lo:hi][dst] = spec[src]
+    def task(lo: int, hi: int) -> None:
+        plan.prepared(("truncation", hi - lo), _Truncation, plan, hi - lo)(samples[lo:hi], out[lo:hi])
 
-        _run_chunks(plan, task, len(samples))
-    out[..., 0] *= _HALF  # bin 0 is its own reflection on the last axis
-    out = _complete_planes(grid, out)
-    out *= plan.truncate_scale
+    _run_chunks(plan, task, len(samples))
     return out
 
 

@@ -28,10 +28,14 @@ A stack split into several transform calls runs its chunks on worker
 threads; the passes and the steps must give the same bits for every worker
 count, and a stack that fits one call must start no thread.  Split passes
 transform in per-thread workspaces of the grid's plan: two threads calling
-one grid at once must each get the serial bits, in arrays of their own.
+one grid at once must each get the serial bits, in arrays of their own.  The
+sampling and truncation objects the plan keeps per stack height must bind
+views of those workspaces and go with the grid, and no chunk may call a
+public function off the calling thread.
 """
 
 import gc
+import inspect
 import itertools
 import math
 import sys
@@ -756,18 +760,94 @@ def test_two_threads_step_one_grid_1d():
 
 
 def test_workspaces_go_with_the_grid(monkeypatch):
-    # the plan and its transport passes refer to the grid by a proxy, so no
+    # the plan and its transport passes refer to the grid by a proxy, and the
+    # sampling and truncation objects the plan keeps refer to neither, so no
     # reference cycle keeps a dropped grid's workspaces alive until the next
     # full collection
     monkeypatch.setattr(grid_module, "TRANSFORM_WORKERS", 1)
     grid = TorusGrid(3, 16)
     padded_samples(grid, _noise(grid, 18).coeffs)  # three fields in two calls
     momentum_transport(_noise(grid, 19), _noise(grid, 20))
+    passes = [obj for obj in vars(grid.plan._buffers).values()
+              if isinstance(obj, (grid_module._Sampling, grid_module._Truncation))]
+    assert {type(obj) for obj in passes} == {grid_module._Sampling, grid_module._Truncation}
     buffers = [weakref.ref(grid.plan.workspace("embed", grid.plan.chunk_shape)),
                weakref.ref(epdiff_module._transport_pass(grid, False).padded)]
+    buffers += [weakref.ref(obj) for obj in passes]
+    del passes
     gc.disable()
     try:
         del grid
-        assert [buffer() for buffer in buffers] == [None, None]
+        assert [buffer() for buffer in buffers] == [None] * len(buffers)
     finally:
         gc.enable()
+
+
+def _owners(value, found):
+    """The arrays that own the memory of every array reachable from ``value``
+    through attributes, lists, tuples and dicts, by id."""
+    if isinstance(value, np.ndarray):
+        while isinstance(value.base, np.ndarray):
+            value = value.base
+        found[id(value)] = value
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            _owners(item, found)
+    elif isinstance(value, dict):
+        _owners(list(value.values()), found)
+    elif hasattr(value, "__dict__"):
+        _owners(vars(value), found)
+    return found
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 16), (3, 8)])
+def test_pass_objects_share_the_workspaces(dim, n):
+    # one sampling and one truncation object per stack height, each binding
+    # views of this thread's workspaces: however many heights a grid sees,
+    # its padded-pass arrays stay within three chunk-sized buffers (embedding,
+    # work and n band), where a copy per height would grow with the heights
+    grid = TorusGrid(dim, n)
+    plan = grid.plan
+    stack = _noise(grid, 22).coeffs
+    stack = np.concatenate([stack] * (plan.batch // dim + 1))
+    for rows in range(1, plan.batch + 1):
+        truncate_padded(grid, padded_samples(grid, stack[:rows]))
+    kept = vars(plan._buffers)
+    assert {("sampling", rows) in kept and ("truncation", rows) in kept
+            for rows in range(1, plan.batch + 1)} == {True}
+    chunk = 16 * math.prod(plan.chunk_shape)
+    assert sum(owner.nbytes for owner in _owners(kept, {}).values()) <= 3 * chunk
+
+
+def test_split_pass_tasks_call_no_public_function(monkeypatch):
+    # the benchmark's tracer wraps every public function and keeps one span
+    # stack, which a call from a helper thread would corrupt: with the chunks
+    # of every split pass on two threads, each public grid function, wrapped
+    # under every name that binds it, must run on the calling thread only
+    n, m = 8, 12
+    monkeypatch.setattr(grid_module, "MAX_TRANSFORM_BYTES", 2 * 16 * m * (m // 2 + 1))
+    monkeypatch.setattr(grid_module, "TRANSFORM_WORKERS", 2)
+    monkeypatch.setattr(grid_module, "_pools", {})
+    threads = []
+    binders = [module for name, module in sys.modules.items()
+               if name == "epdifflab" or name.startswith("epdifflab.")]
+    for name, fn in list(vars(grid_module).items()):
+        if name.startswith("_") or not inspect.isfunction(fn) or fn.__module__ != grid_module.__name__:
+            continue
+
+        def wrapped(*args, _fn=fn, **kwargs):
+            threads.append(threading.get_ident())
+            return _fn(*args, **kwargs)
+        for module in binders:
+            for bound, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, bound, wrapped)
+    grid = TorusGrid(2, n)  # pairs of rows per transform call
+    assert grid.plan.batch == 2
+    mult = sobolev_multiplier(1.5, grid)
+    momentum = apply(mult, _noise(grid, 23))
+    stack = np.concatenate([momentum.coeffs, momentum.coeffs[:1]])  # three rows: a pair and one
+    truncate_padded(grid, padded_samples(grid, stack))
+    euler_rhs(mult, momentum)
+    assert list(grid_module._pools) == [1]  # split passes: a helper was asked to take chunks
+    assert len(threads) > 2 and set(threads) == {threading.get_ident()}
