@@ -1,5 +1,6 @@
-"""Layer timings of the transforms, the Lagrangian solver, the convolution
-oracle and the Eulerian solver, written to a ``BENCH_*.json`` record.
+"""Layer timings of the transforms, the Fourier multipliers, the Lagrangian
+solver, the convolution oracle and the Eulerian solver, written to a
+``BENCH_*.json`` record.
 
 Usage (from the repository root):
 
@@ -51,6 +52,14 @@ transport term: its first padded pass, its d-row truncation, and one
 transform call's share of each.  It counts the calls of numpy's pocketfft
 gufuncs (``numpy.fft._pocketfft_umath``) that each helper call makes.
 
+The multiplier group times ``operators.sobolev_multiplier`` (the ellipticity
+certificate, the lattice table and its inverse table), ``apply`` and
+``apply_inverse`` at d=1 n=256 and 1024, d=2 n=64 and 128 and d=3 n=32, for
+the H^2 metric on the seeded band-limited datum.  It counts, per build, the
+matrices passed to ``np.linalg.inv`` by each package module that calls it:
+``operators`` for the inverse table, ``symbols`` for the certificate's
+sample points.
+
 Each round measures every group of every side in a fresh child process, so
 no group runs on a heap that another group grew.  The working tree is one
 side; ``--baseline REF`` adds the tree of a git commit as the other,
@@ -99,6 +108,8 @@ LARGE_TOWER_CASES = ((2, 64, 2), (3, 32, 1))
 # (dim, n) of the Eulerian per-call timings: the peakon datum at d=1, the
 # band-limited datum (|k|_inf <= 4, unit H^1.5 norm, H^2 metric, seed 0) above
 EULER_GRIDS = ((1, 128), (1, 256), (1, 1024), (2, 64), (2, 128), (3, 32))
+# (dim, n) of the multiplier timings
+MULTIPLIER_GRIDS = ((1, 256), (1, 1024), (2, 64), (2, 128), (3, 32))
 # worker counts of the d=3 n=32 step_rk4 timings
 STEP_WORKERS = (1, 2)
 # (dim, n, rows) of the transform timings: rows is the stack of the transport
@@ -409,6 +420,44 @@ def measure_transforms(repeats: int, samples: dict, counts: dict, values: dict) 
     counter.close()
 
 
+def measure_multiplier(repeats: int, samples: dict, counts: dict, values: dict) -> None:
+    """The multiplier group: ``sobolev_multiplier``, ``apply`` and
+    ``apply_inverse`` per call, and the matrices each build inverts."""
+    import numpy as np
+
+    from epdifflab.epdiff import random_bandlimited
+    from epdifflab.grid import TorusGrid
+    from epdifflab.operators import apply, apply_inverse, sobolev_multiplier
+
+    builds = {}
+    for dim, n in MULTIPLIER_GRIDS:
+        tag = f"multiplier.d{dim}_n{n}"
+        grid = TorusGrid(dim, n)
+        build = builds[tag] = functools.partial(sobolev_multiplier, 2.0, grid)
+        mult = build()
+        u = random_bandlimited(grid, 4, norm_order=1.5, target_norm=1.0, seed=0)
+        samples[f"{tag}.build_ms"] = _per_call_ms(build, repeats)
+        samples[f"{tag}.apply_ms"] = _per_call_ms(lambda: apply(mult, u), repeats)
+        samples[f"{tag}.apply_inverse_ms"] = _per_call_ms(lambda: apply_inverse(mult, u), repeats)
+    # counted after every timing, as in measure_lagrangian(): the matrices of
+    # each np.linalg.inv call, under the last name of the calling module
+    inv, by_module = np.linalg.inv, {}
+
+    def counted_inv(a):
+        caller = sys._getframe(1).f_globals.get("__name__", "?").rsplit(".", 1)[-1]
+        by_module[caller] = by_module.get(caller, 0) + int(np.prod(np.shape(a)[:-2]))
+        return inv(a)
+
+    np.linalg.inv = counted_inv
+    try:
+        for tag, build in builds.items():
+            by_module.clear()
+            build()
+            counts[f"{tag}.linalg_inv_matrices"] = {"operators": 0, **by_module}
+    finally:
+        np.linalg.inv = inv
+
+
 def measure_eulerian(repeats: int, samples: dict, counts: dict, values: dict) -> None:
     """The Eulerian group: ``euler_rhs`` and ``step_rk4`` per call, the
     peakon ``integrate`` to ``PEAKON_T_END``, and the calls one step makes."""
@@ -470,7 +519,8 @@ def measure_eulerian(repeats: int, samples: dict, counts: dict, values: dict) ->
 
 # Each group runs in a child process of its own, in this order within a round.
 GROUPS = {"allocations": measure_allocations, "transforms": measure_transforms,
-          "lagrangian": measure_lagrangian, "oracle": measure_oracle, "eulerian": measure_eulerian}
+          "multiplier": measure_multiplier, "lagrangian": measure_lagrangian,
+          "oracle": measure_oracle, "eulerian": measure_eulerian}
 
 
 # --- the parent process -----------------------------------------------------------

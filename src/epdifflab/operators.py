@@ -28,7 +28,10 @@ class FourierMultiplier:
 
     ``table`` holds ``a(k/L)`` with shape ``(n, ..., n, d, d)``; ``inv_table``
     is present only when the symbol's ellipticity certificate passed, and then
-    satisfies ``table @ inv_table = I`` to 1e-13 at every mode.
+    satisfies ``table @ inv_table = I`` to 1e-13 at every mode.  On a positive
+    real diagonal table, such as the inertia operator ``(1 - Laplacian)^s``'s,
+    ``inv_table`` is the entrywise reciprocal, with the bytes that
+    ``np.linalg.inv`` gives.
     """
 
     symbol: MatrixSymbol
@@ -54,19 +57,26 @@ class FourierMultiplier:
         Runs the ellipticity certificate first (out to ``xi_max``; lattice
         -sampled symbols should cap this at the represented band); a failing
         symbol is rejected, so ``apply_inverse`` is only ever available behind
-        a passed check.  A table that overflows on the lattice fails the
-        residual check, without a floating-point warning.
+        a passed check.
+
+        The table picks how it is inverted (:func:`_inverse_table`): a
+        positive real diagonal one, as every ``sobolev`` table is, entrywise
+        as ``1 / a`` on the diagonal and ``+0`` elsewhere, any other by
+        ``np.linalg.inv``.  Either way ``table @ inv_table = I`` must hold to
+        1e-13 (on the entrywise route ``|a (1/a) - 1|``), so a table that
+        overflows on the lattice fails the residual check, without a
+        floating-point warning.  A table singular at some mode is rejected
+        with that mode's wavenumber ``k``.
         """
         cert = check_ellipticity(symbol, xi_max=xi_max)
         if not cert.verdict:
             raise EllipticityError(f"symbol '{symbol.name}' failed the ellipticity check")
         with np.errstate(over="ignore", invalid="ignore"):
-            base = cls.build(symbol, grid)
-            inv = np.linalg.inv(base.table)
-            resid = np.abs(base.table @ inv - np.eye(grid.dim)).max()
+            table = cls.build(symbol, grid).table
+        inv, resid = _inverse_table(table, grid)
         if not resid <= 1e-13:
             raise EllipticityError(f"inverse table residual {resid:.3g} exceeds 1e-13")
-        return cls(symbol=symbol, grid=grid, table=base.table, inv_table=inv)
+        return cls(symbol=symbol, grid=grid, table=table, inv_table=inv)
 
     @cached_property
     def _symmetry_error(self) -> Optional[str]:
@@ -84,6 +94,74 @@ class FourierMultiplier:
     def half_inv_table(self) -> np.ndarray:
         """``inv_table`` on the last-axis bins ``0..n/2``."""
         return np.ascontiguousarray(self.inv_table[..., :self.grid.plan.half, :, :])
+
+
+def _inverse_table(table: np.ndarray, grid: TorusGrid) -> tuple[np.ndarray, float]:
+    """The inverse of a lattice table and the residual of ``table @ inv = I``.
+
+    A positive real diagonal table (:func:`_positive_diagonal`) is inverted
+    entrywise, any other by ``np.linalg.inv``; a table that ``np.linalg.inv``
+    finds singular raises :class:`EllipticityError` naming the first such mode.
+    A non-finite table gives a NaN residual, without a floating-point warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        diag = _positive_diagonal(table)
+        if diag is not None:
+            inv = np.zeros(table.shape, dtype=table.dtype)
+            inv_diag = np.divide(1.0, diag, out=_diagonal(inv))
+            # both imaginary parts are +0, so a (1/a) is real (nan where a is inf)
+            gap = np.multiply(diag.real, inv_diag.real)
+            gap -= 1.0
+            return inv, np.abs(gap, out=gap).max()
+        try:
+            inv = np.linalg.inv(table)
+        except np.linalg.LinAlgError:
+            k = grid.wavenumbers[(slice(None),) + _first_singular(table, grid)]
+            raise EllipticityError(f"table is singular at k={k.tolist()}") from None
+        return inv, np.abs(table @ inv - np.eye(grid.dim)).max()
+
+
+def _diagonal(table: np.ndarray) -> np.ndarray:
+    """The diagonal entries of a ``(..., d, d)`` table as ``(modes, d)``: every
+    ``d + 1``-th entry of the flat table, a writable view if it is C-contiguous."""
+    d = table.shape[-1]
+    return table.reshape(-1, d * d)[:, ::d + 1]
+
+
+def _positive_diagonal(table: np.ndarray) -> Optional[np.ndarray]:
+    """:func:`_diagonal` of a positive real diagonal table, else ``None``.
+
+    That is a table whose off-diagonal entries are bitwise ``+0+0j`` and
+    whose diagonal entries have an imaginary part that is bitwise ``+0`` and
+    a real part ``> 0`` (``inf`` counts, NaN does not).  On these ``1 / a``
+    has the bytes of ``np.linalg.inv``, signed zeros included; on negative or
+    complex entries, or a ``-0`` imaginary part, it does not.  A C-contiguous
+    table, as every build makes, is read through views only.
+    """
+    d = table.shape[-1]
+    words = table.reshape(-1, d * d).view(np.uint64)  # real and imaginary word of each entry
+    # past the first entry, the flat matrix is d - 1 rows of d off-diagonal
+    # entries followed by a diagonal one
+    off = words[:, 2:].reshape(len(words), d - 1, 2 * d + 2)[..., :2 * d]
+    diag = _diagonal(table)
+    if off.any() or diag.imag.view(np.uint64).any() or not diag.real.min() > 0:
+        return None
+    return diag
+
+
+def _first_singular(table: np.ndarray, grid: TorusGrid) -> tuple:
+    """Index in ``grid.shape`` of the first mode, in C order, whose matrix
+    ``np.linalg.inv`` rejects as singular; the table must have one."""
+    flat = table.reshape((-1,) + table.shape[-2:])
+    lo, hi = 0, len(flat)  # flat[:lo] inverts, flat[:hi] does not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            np.linalg.inv(flat[:mid])
+            lo = mid
+        except np.linalg.LinAlgError:
+            hi = mid
+    return np.unravel_index(lo, grid.shape)
 
 
 def conjugate_symmetry_error(table: np.ndarray, grid: TorusGrid) -> Optional[str]:

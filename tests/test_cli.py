@@ -105,7 +105,9 @@ class TestConfigValidation:
             # t_end/dt overflows to inf: once an OverflowError (exit 1)
             ("dt = 0.005\nt_end = 0.05", "dt = 1e-10\nt_end = 1e300"),
             # the symbol overflows on the lattice only: once a nan inverse
-            # table and a blow-up verdict at t=0 (exit 2)
+            # table and a blow-up verdict at t=0 (exit 2); the [run] norms
+            # check now rejects this config first, and the lattice_overflow
+            # cases of test_unusable_inputs_exit_3 reach the inverse table
             ("dimension = 1\npoints = 64", "dimension = 1\npoints = 64\nlength = 1e-110"),
         ],
     )
@@ -157,10 +159,19 @@ class TestConfigValidation:
         # read only by shear_laplacian audits: once ignored, auditing the metric (exit 0)
         ("[grid]\ndimension = 2\npoints = 16\n[metric]\ns = 1.0\n[scenario]\nname = symbol_audit\n"
          "shear_t = 5\nsphere_samples = 64\n", "[scenario] shear_t"),
+        # the symbol overflows on the lattice only (inf * 0 is nan on either
+        # inverse route); no [run] norms, whose weights would overflow first,
+        # and at d=3 a length the cell volume allows, so s = 2
+        *[(BASE_EVOLUTION.replace("norms = 1.5, 2.5\n", "").replace("dimension = 1\npoints = 64", grid)
+           .replace("s = 1.5", metric), "[metric] inverse table residual nan exceeds 1e-13")
+          for grid, metric in (("dimension = 1\npoints = 64\nlength = 1e-110", "s = 1.5"),
+                               ("dimension = 2\npoints = 16\nlength = 1e-110", "s = 1.5"),
+                               ("dimension = 3\npoints = 8\nlength = 1e-100", "s = 2"))],
     ], ids=["unreadable_table", "audit_symbol_overflow", "norm_weight_overflow", "datum_energy_overflow",
             "datum_beyond_cfl_guard", "threshold_below_initial_gradient", "box_overflows_oracle",
             "box_volume_underflows", "misspelled_scenario_key", "misspelled_fixed_keys", "unknown_section",
-            "shear_t_without_shear_laplacian"])
+            "shear_t_without_shear_laplacian", "lattice_overflow_d1", "lattice_overflow_d2",
+            "lattice_overflow_d3"])
     def test_unusable_inputs_exit_3(self, tmp_path, capsys, text, names):
         (tmp_path / "bad.npz").write_text("not an archive\n")
         cfg = write_config(tmp_path, text)
@@ -443,6 +454,19 @@ class TestCustomTable:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("config error:")
         assert "a(-k) = conj(a(k))" in err[0] and "k=[3]" in err[0]
+
+    def test_singular_table_rejected(self, tmp_path, capsys):
+        # zero at k = +-20: the certificate passes, and np.linalg.inv once
+        # raised LinAlgError, a numerical abort (exit 4)
+        save_symbol_table(tmp_path / "table.npz", sobolev_multiplier(1.0, TorusGrid(1, 64)))
+        arrays = dict(np.load(tmp_path / "table.npz"))
+        arrays["table"][[20, -20]] = 0.0
+        np.savez(tmp_path / "table.npz", **arrays)
+        cfg = write_config(tmp_path, BASE_EVOLUTION.replace(
+            "kind = sobolev\ns = 1.5", "kind = custom-table\ntable = table.npz"))
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out"), "--quiet"]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:") and "singular at k=[20]" in err[0]
 
     @pytest.mark.parametrize("matrix,flag", [
         ([[1.0, 0.05], [0.0, 1.0]], "Hermitian"),

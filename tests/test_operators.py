@@ -5,7 +5,10 @@ import pytest
 
 from epdifflab.grid import GridMismatchError, SpectralVectorField, TorusGrid, l2_inner
 from epdifflab.operators import (
+    EllipticityError,
     FourierMultiplier,
+    _inverse_table,
+    _positive_diagonal,
     apply,
     apply_inverse,
     sobolev_multiplier,
@@ -110,6 +113,77 @@ class TestInverse:
         grid = TorusGrid(2, 16)
         with pytest.raises(ValueError, match="ellipticity"):
             FourierMultiplier.build_elliptic(shear_laplacian_symbol(1.0), grid)
+
+
+def _lapack_bytes(table):
+    """``np.linalg.inv(table)`` as bytes, or the exception type it raises."""
+    try:
+        return np.linalg.inv(table).tobytes()
+    except np.linalg.LinAlgError as exc:
+        return type(exc)
+
+
+class TestInverseRoutes:
+    """The entrywise route must give the bytes ``np.linalg.inv`` gives on
+    every table it takes, and leave every other table to ``np.linalg.inv``."""
+
+    @pytest.mark.parametrize("dim,sizes", [(1, (16, 64, 256, 1024)), (2, (8, 32, 64)), (3, (8, 16, 32))])
+    @pytest.mark.parametrize("s", [0.0, 0.5, 1.0, 1.5, 2.0, 2.5])
+    def test_sobolev_tables_take_the_entrywise_route_with_lapack_bytes(self, dim, sizes, s):
+        for n in sizes:
+            mult = sobolev_multiplier(s, TorusGrid(dim, n))
+            assert _positive_diagonal(mult.table) is not None
+            assert mult.inv_table.tobytes() == _lapack_bytes(mult.table)
+
+    @pytest.mark.parametrize("dim,n", [(1, 4096), (2, 64), (3, 16)])
+    def test_random_positive_diagonals_take_the_entrywise_route_with_lapack_bytes(self, dim, n):
+        grid = TorusGrid(dim, n)
+        rng = np.random.default_rng(dim)
+        table = np.zeros(grid.shape + (dim, dim), dtype=complex)
+        for i in range(dim):
+            table[..., i, i] = 10.0 ** rng.uniform(-300, 300, grid.shape)
+        assert _positive_diagonal(table) is not None
+        inv, resid = _inverse_table(table, grid)
+        assert inv.tobytes() == _lapack_bytes(table) and resid <= 1e-13
+
+    @pytest.mark.parametrize("entry", ["negative", "complex", "minus_zero_imag", "nan", "off_diagonal"])
+    def test_other_tables_keep_lapack_bytes(self, entry):
+        grid = TorusGrid(2, 8)
+        table = sobolev_multiplier(1.0, grid).table.copy()
+        mode = table[1, 2]
+        if entry == "negative":
+            mode[0, 0] *= -1
+        elif entry == "complex":
+            mode[1, 1] += 0.5j
+        elif entry == "minus_zero_imag":
+            mode[0, 0] = complex(mode[0, 0].real, -0.0)
+        elif entry == "nan":
+            mode[1, 1] = np.nan
+        else:  # positive definite Hermitian at every mode
+            table[..., 0, 1] = table[..., 1, 0] = 0.25 * table[..., 0, 0]
+        assert _positive_diagonal(table) is None
+        inv, resid = _inverse_table(table, grid)
+        assert inv.tobytes() == _lapack_bytes(table)
+        assert (resid <= 1e-13) == (entry != "nan")
+
+    def test_infinite_entry_gives_a_nan_residual_without_a_warning(self):
+        # a table that overflows on the lattice; inf * 0 is nan
+        grid = TorusGrid(2, 8)
+        table = sobolev_multiplier(1.0, grid).table.copy()
+        table[1, 2, 0, 0] = np.inf
+        assert _positive_diagonal(table) is not None
+        inv, resid = _inverse_table(table, grid)
+        assert np.isnan(resid)
+        assert inv.tobytes() == _lapack_bytes(table)
+
+    def test_singular_table_names_its_first_singular_mode(self):
+        grid = TorusGrid(2, 8)
+        table = sobolev_multiplier(1.0, grid).table.copy()
+        table[5, 3, 1, 1] = table[1, 2, 0, 0] = 0.0
+        assert _positive_diagonal(table) is None
+        assert _lapack_bytes(table) is np.linalg.LinAlgError
+        with pytest.raises(EllipticityError, match=r"singular at k=\[1, 2\]"):
+            _inverse_table(table, grid)
 
 
 class TestSobolevNorm:
