@@ -49,8 +49,13 @@ The transform group times, in microseconds, one call of ``grid._rfft``,
 ``grid._irfft``, ``grid.padded_samples`` and ``grid._truncate_half`` at d=1
 n=128, 256 and 1024, d=2 n=64 and 128 and d=3 n=32, on the stacks of the
 transport term: its first padded pass, its d-row truncation, and one
-transform call's share of each.  It counts the calls of numpy's pocketfft
-gufuncs (``numpy.fft._pocketfft_umath``) that each helper call makes.
+transform call's share of each.  At d > 1, where the pass objects transform
+only the lines of ``grid._Plan.columns``, it also times the pruned inverse
+(the zeroing included) and forward transform of one call against the whole
+``_irfft``/``_rfft`` on the same embedded spectrum and samples, alternating
+in one process, with the ratio of each pair as a sample of its own.  It
+counts the calls of numpy's pocketfft gufuncs (``numpy.fft._pocketfft_umath``)
+that each helper call makes, the pruned ones included.
 
 The multiplier group times ``operators.sobolev_multiplier`` (the ellipticity
 certificate, the lattice table and its inverse table), ``apply`` and
@@ -410,6 +415,16 @@ def measure_transforms(repeats: int, samples: dict, counts: dict, values: dict) 
         }
         for name, call in calls[tag].items():
             samples[f"{tag}.{name}_us"] = [1e3 * ms for ms in _per_call_ms(call, repeats)]
+        if dim > 1 and hasattr(plan, "columns"):  # a tree whose passes skip lines
+            pairs = _pruned_and_whole(grid, coeffs[:min(rows, plan.batch)], padded[:plan.batch])
+            for direction, (pruned, whole) in pairs.items():
+                for _ in range(repeats):
+                    times = {"pruned": _per_call_ms(pruned, 1)[0], "whole": _per_call_ms(whole, 1)[0]}
+                    for side, ms in times.items():
+                        samples.setdefault(f"{tag}.{direction}_{side}_us", []).append(1e3 * ms)
+                    samples.setdefault(f"{tag}.{direction}_pruned_over_whole", []).append(
+                        times["pruned"] / times["whole"])
+                calls[tag][f"{direction}_pruned"] = pruned
     # counted after every timing, as in measure_lagrangian(); numpy.fft's
     # wrappers call these gufuncs by module attribute too
     counter = CallCounter([(_pocketfft_umath, name) for name in ("rfft_n_even", "fft", "ifft", "irfft")])
@@ -418,6 +433,35 @@ def measure_transforms(repeats: int, samples: dict, counts: dict, values: dict) 
             counts[f"{tag}.{name}"] = {key.rsplit(".", 1)[1]: value
                                        for key, value in counter.calls_in(call).items()}
     counter.close()
+
+
+def _pruned_and_whole(grid, coeffs, padded) -> dict:
+    """``{"irfft": (pruned, whole), "rfft": (pruned, whole)}``: one transform
+    call of the grid's pass objects on the embedded spectrum of ``coeffs``
+    and on the samples ``padded``, with the lines they skip and with every
+    line.  The pruned inverse zeroes what its transforms do not write, as a
+    sampling does before each call."""
+    import numpy as np
+
+    from epdifflab import grid as grid_module
+
+    plan = grid.plan
+    sampling = plan.prepared(("sampling", len(coeffs)), grid_module._Sampling, plan, len(coeffs))
+    truncation = plan.prepared(("truncation", len(padded)), grid_module._Truncation, plan, len(padded))
+    out = np.empty((len(coeffs),) + plan.padded_shape)
+    sampling(out, coeffs)  # embeds coeffs in the workspace that both inverses read
+
+    def irfft_pruned():
+        for zeros in sampling.zeros:
+            zeros.fill(0)
+        grid_module._irfft(sampling.spec, plan.padded_shape, out, sampling.work, sampling.lines)
+
+    return {
+        "irfft": (irfft_pruned,
+                  functools.partial(grid_module._irfft, sampling.spec, plan.padded_shape, out, sampling.work)),
+        "rfft": (functools.partial(grid_module._rfft, padded, grid.dim, truncation.spec, truncation.lines),
+                 functools.partial(grid_module._rfft, padded, grid.dim, truncation.spec)),
+    }
 
 
 def measure_multiplier(repeats: int, samples: dict, counts: dict, values: dict) -> None:
@@ -588,13 +632,15 @@ def _side(runs: list[dict], label: str, sha: str, modified: bool) -> dict:
 
 
 def _relative_change(parent: dict, change: dict) -> dict:
-    """Per sample key: the change of the medians, the median over rounds of
-    the change of the round medians (the two sides of a round run back to
-    back, so host load that drifts between rounds cancels), and the rounds in
-    which each side read lower.  A change relative to a parent value of 0
-    (page faults) is None."""
+    """Per sample key that both sides measured: the change of the medians,
+    the median over rounds of the change of the round medians (the two sides
+    of a round run back to back, so host load that drifts between rounds
+    cancels), and the rounds in which each side read lower.  A change
+    relative to a parent value of 0 (page faults) is None."""
     out = {}
     for key, value in change["medians"].items():
+        if key not in parent["medians"]:  # measured on one side only
+            continue
         pairs = list(zip(parent["round_medians"][key], change["round_medians"][key]))
         ratios = [c / p for p, c in pairs if p]
         out[key] = {
@@ -652,7 +698,7 @@ def main(argv=None) -> int:
     args.output.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     for key, value in record["sides"]["change"]["medians"].items():
         line = f"{key:44s} {value:12.4f}"
-        if "parent" in sides:
+        if key in record.get("relative_change", {}):
             delta = record["relative_change"][key]
             paired = "n/a" if delta["paired"] is None else f"{100 * delta['paired']:+6.1f}%"
             won = delta["rounds_won"]

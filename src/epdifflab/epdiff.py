@@ -166,9 +166,9 @@ class _TransportPass:
     The pass owns its n-grid stack, its padded samples and its products, and
     binds every view of them that a call reads or writes here, so a call runs
     only the ufuncs of the pass.  The way to the 3/2 grid and back is
-    grid's: when fused, a :class:`~epdifflab.grid._Sampling` over the stack
-    and this thread's :class:`~epdifflab.grid._Truncation` of the product
-    rows, the bits of the pass on fresh arrays.  It refers to its grid by the
+    grid's: when fused, this thread's :class:`~epdifflab.grid._Sampling` of
+    the stack and :class:`~epdifflab.grid._Truncation` of the product rows,
+    the bits of the pass on fresh arrays.  It refers to its grid by the
     plan's proxy, so the grid's plan, which keeps it, forms no cycle with it.
     """
 
@@ -199,7 +199,7 @@ class _TransportPass:
         if fused:
             for i in range(d):
                 self.spectral += gradients(i, stack[2 * d * (i + 1) + 1:2 * d * (i + 2) + 1])
-            self.sampling = _Sampling(plan, rows, stack)
+            self.sampling = plan.prepared(("sampling", rows), _Sampling, plan, rows)
             self.truncation = plan.prepared(("truncation", k), _Truncation, plan, k)
         else:
             # one component's gradients at a time, in one buffer each side
@@ -227,7 +227,7 @@ class _TransportPass:
         self.m[...] = m
         _run(self.spectral)
         if self.fused:
-            self.sampling(self.padded)
+            self.sampling(self.padded, self.stack)
         else:
             padded_samples(grid, self.stack, self.padded)
         for gradients, products in self.components:

@@ -144,33 +144,51 @@ class TorusGrid:
 # public functions.  Every grid length is even (n and 3n/2, n a power of two
 # >= 8), so ``rfft_n_even`` is the one forward real transform.
 
-def _rfft(samples: np.ndarray, dim: int, out: np.ndarray | None = None) -> np.ndarray:
+def _rfft(samples: np.ndarray, dim: int, out: np.ndarray | None = None,
+          lines: list | None = None) -> np.ndarray:
     """Half spectra of real samples over the last ``dim`` axes, written to
     ``out`` when it is given: the last axis first, then each leading axis in
-    place, last to first, as ``rfftn`` does."""
+    place, last to first, as ``rfftn`` does.
+
+    ``lines``, which only the pass objects give, lists per leading axis, in
+    that order, the views of ``out`` that its transform covers; the rest of
+    ``out`` is left as the earlier axes left it.  By default each transform
+    covers all of ``out``.
+    """
     if out is None:
         out = np.empty(samples.shape[:-1] + (samples.shape[-1] // 2 + 1,), dtype=complex)
     _pfu.rfft_n_even(samples, 1.0, out=out)
-    for axis in range(-2, -dim - 1, -1):
-        _pfu.fft(out, 1.0, out=out, axes=[(axis,), (), (axis,)])
+    for axis, views in zip(range(-2, -dim - 1, -1), lines or [[out]] * (dim - 1)):
+        for view in views:
+            _pfu.fft(view, 1.0, out=view, axes=[(axis,), (), (axis,)])
     return out
 
 
 def _irfft(half: np.ndarray, shape: tuple[int, ...], out: np.ndarray | None = None,
-           work: np.ndarray | None = None) -> np.ndarray:
+           work: np.ndarray | None = None, lines: list | None = None) -> np.ndarray:
     """Real samples of shape ``shape`` (last axes) from half spectra, written
     to ``out`` when it is given.
 
     As in ``irfftn``, the leading axes go first, first to last, into the
     complex ``work`` (shaped like ``half``, made here when not given), and the
     last axis straight into ``out``; each axis is scaled by ``1/size``.
+
+    ``lines``, which only the pass objects give, lists per leading axis the
+    ``(input, output)`` views of ``half`` (first axis) or ``work`` (later
+    axes) that its transform covers; by default all of them.  The last axis
+    reads all of ``work``, so a caller that gives ``lines`` keeps zero what
+    they do not write.
     """
     if out is None:
         out = np.empty(half.shape[:-len(shape)] + shape)
-    if len(shape) > 1 and work is None:
-        work = np.empty(half.shape, dtype=complex)
-    for axis, size in zip(range(-len(shape), -1), shape):
-        _pfu.ifft(half, 1 / size, out=work, axes=[(axis,), (), (axis,)])
+    if len(shape) > 1:
+        if work is None:
+            work = np.empty(half.shape, dtype=complex)
+        if lines is None:
+            lines = [[(half, work)]] + [[(work, work)]] * (len(shape) - 2)
+        for axis, size, pairs in zip(range(-len(shape), -1), shape, lines):
+            for src, dst in pairs:
+                _pfu.ifft(src, 1 / size, out=dst, axes=[(axis,), (), (axis,)])
         half = work
     _pfu.irfft(half, 1 / shape[-1], out=out)
     return out
@@ -232,8 +250,23 @@ class _Plan:
         return objects[key]
 
     def workspace(self, name: str, shape: tuple[int, ...], dtype: type = complex) -> np.ndarray:
-        """This thread's buffer ``name``, zeroed when made (see :meth:`prepared`)."""
-        return self.prepared(name, np.zeros, shape, dtype)
+        """This thread's buffer ``name`` of rows ``shape[1:]``, at least
+        ``shape[0]`` of them, zeroed when made (see :meth:`prepared`).
+
+        A buffer holds as many rows as the largest request so far.  A larger
+        request replaces it and rebinds this thread's pass objects, which
+        bind views of it, so the smaller buffer is freed at once.
+        """
+        objects = vars(self._buffers)
+        buffer = objects.get(name)
+        if buffer is None or len(buffer) < shape[0]:
+            stale, buffer = buffer, np.zeros(shape, dtype)
+            objects[name] = buffer
+            if stale is not None:
+                for obj in list(objects.values()):
+                    if isinstance(obj, (_Sampling, _Truncation)):
+                        obj.bind(self)
+        return buffer
 
     @cached_property
     def factors(self) -> np.ndarray:
@@ -280,6 +313,33 @@ class _Plan:
         last = [(slice(0, h + 1), slice(0, h + 1))]
         return [tuple((Ellipsis,) + side for side in zip(*combo))
                 for combo in itertools.product(*([lead] * (self.grid.dim - 1) + [last]))]
+
+    @cached_property
+    def columns(self) -> tuple[list, list]:
+        """``(passes, zeros)``: index tuples of the pruned leading-axis
+        transforms of a padded chunk ``(rows, m, ..., m, m/2+1)``, d > 1.
+
+        On a leading axis the embedded bins are ``0..n/2`` and
+        ``m-n/2..m-1``; the zero band between them is never embedded and
+        never kept.  On the last axis only bins ``0..n/2`` are.  So the
+        transform along leading axis ``a`` needs only the columns whose
+        later leading axes lie in the embedded bins and whose last axis lies
+        in ``0..n/2``: ``passes[a]``, the same columns either way.  The
+        inverse reads what those transforms do not write: along each axis
+        ``a > 0`` the zero band of ``a``, and the last-axis bins above
+        ``n/2``, all of which the last-axis transform reads (numpy's
+        ``irfft`` takes its vectorized loop only on full-length lines).
+        Those are ``zeros``.
+        """
+        m, h, d = self.padded_shape[0], self.half - 1, self.grid.dim
+        low, every = slice(0, h + 1), slice(None)
+        embedded = (low, slice(m - h, m))
+        passes = [[(every,) * (a + 2) + later + (low,)
+                   for later in itertools.product(embedded, repeat=d - 2 - a)] for a in range(d - 1)]
+        zeros = [(every,) * (a + 1) + (slice(h + 1, m - h),) + later + (low,)
+                 for a in range(1, d - 1) for later in itertools.product(embedded, repeat=d - 2 - a)]
+        zeros.append((Ellipsis, slice(h + 1, None)))
+        return passes, zeros
 
 
 def _full(grid: TorusGrid, half: np.ndarray) -> np.ndarray:
@@ -406,12 +466,20 @@ def _jacobian_samples(u: SpectralVectorField) -> np.ndarray:
 # reads it once, when its plan is built.
 #
 # Every padded pass runs in buffers that persist: each thread that runs a
-# chunk keeps an embedding buffer and a complex work buffer of one call each
-# (2 x 0.92 MB at d=3 n=32) and, at d > 1, an n-band buffer of one call
-# (0.28 MB), with one _Sampling and one _Truncation per chunk height that
-# bind views of them; each thread that runs the transport term keeps its
-# prepared pass (epdiff._TransportPass, 18.9 MB at d=3 n=32, where its stack
-# is split).  They belong to the grid's plan and are freed with the grid.
+# chunk keeps an embedding buffer and a complex work buffer and, at d > 1, an
+# n-band buffer, each with as many rows as the largest chunk it has run (one
+# row is 0.92, 0.92 and 0.28 MB at d=3 n=32), and one _Sampling and one
+# _Truncation per chunk height that bind views of them; each thread that runs
+# the transport term keeps its prepared pass (epdiff._TransportPass, 18.9 MB
+# at d=3 n=32, where its stack is split).  They belong to the grid's plan and
+# are freed with the grid.
+#
+# The embedding buffer is zero outside the embedded bins, since every call
+# writes the same bins.  The work buffer is scratch that both directions
+# share, and a truncation fills all of it; so before every inverse transform
+# a sampling zeroes what its transforms read there and do not write
+# (_Plan.columns): the last-axis bins above n/2 and, at d=3, the zero band
+# of the second leading axis.
 MAX_TRANSFORM_BYTES = 256 * 1024
 
 
@@ -469,28 +537,41 @@ def _run_chunks(plan: _Plan, task, rows: int) -> None:
 
 # The two directions of the padded pass on one chunk of ``rows`` rows and one
 # thread.  Each binds every view a call touches, in this thread's workspaces,
-# when it is built, and keeps no reference to the plan or the grid, which
-# keep it.  A call looks up ``_rfft``/``_irfft`` as globals of this module,
-# so a wrapper set on the module (a counter) sees every call.
+# when it is built, and again when a larger chunk replaces a workspace
+# (_Plan.workspace); it keeps no reference to the plan or the grid, which
+# keep it.  At d > 1 its transforms cover only the lines of _Plan.columns,
+# which give the bytes of the whole transform on every line the pass reads.
+# A call looks up ``_rfft``/``_irfft`` as globals of this module, so a
+# wrapper set on the module (a counter) sees every call.
 
 class _Sampling:
-    """Real 3/2-grid samples of ``rows`` half spectra: a call embeds them in
-    this thread's ``embed`` workspace and inverse transforms it into ``out``.
-    Built over ``source``, it reads that stack through views bound here;
-    otherwise a call reads the rows ``coeffs`` it is given."""
+    """Real 3/2-grid samples of ``rows`` half spectra: a call embeds the rows
+    ``coeffs`` in this thread's ``embed`` workspace, zeroes what its pruned
+    transforms read in the ``work`` workspace and do not write (a truncation
+    may have filled it), and inverse transforms into ``out``."""
 
-    def __init__(self, plan: _Plan, rows: int, source: np.ndarray | None = None) -> None:
-        # every call writes the same bins, so the rest stay zero
-        self.spec = spec = plan.workspace("embed", plan.chunk_shape)[:rows]
-        self.blocks = [(src if source is None else source[src], factor, spec[dst])
-                       for dst, src, factor in plan.embed]
-        self.shape = plan.padded_shape
-        self.work = plan.workspace("work", plan.chunk_shape)[:rows] if len(self.shape) > 1 else None
+    def __init__(self, plan: _Plan, rows: int) -> None:
+        self.rows, self.shape = rows, plan.padded_shape
+        self.bind(plan)
 
-    def __call__(self, out: np.ndarray, coeffs: np.ndarray | None = None) -> np.ndarray:
+    def bind(self, plan: _Plan) -> None:
+        rows, shape = self.rows, (self.rows,) + plan.padded_half_shape
+        self.spec = spec = plan.workspace("embed", shape)[:rows]
+        self.blocks = [(src, factor, spec[dst]) for dst, src, factor in plan.embed]
+        self.work, self.lines, self.zeros = None, None, []
+        if len(self.shape) > 1:
+            self.work = work = plan.workspace("work", shape)[:rows]
+            passes, zeros = plan.columns
+            self.lines = [[(spec[index] if a == 0 else work[index], work[index]) for index in columns]
+                          for a, columns in enumerate(passes)]
+            self.zeros = [work[index] for index in zeros]
+
+    def __call__(self, out: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
         for src, factor, dst in self.blocks:
-            np.multiply(src if coeffs is None else coeffs[src], factor, out=dst)
-        return _irfft(self.spec, self.shape, out, self.work)
+            np.multiply(coeffs[src], factor, out=dst)
+        for zeros in self.zeros:
+            zeros.fill(0)
+        return _irfft(self.spec, self.shape, out, self.work, self.lines)
 
 
 class _Truncation:
@@ -502,21 +583,26 @@ class _Truncation:
     planes and scales into ``out``."""
 
     def __init__(self, plan: _Plan, rows: int) -> None:
-        m, h = plan.padded_shape[0], plan.half - 1
-        self.dim = d = len(plan.padded_shape)
-        self.spec = spec = plan.workspace("work", plan.chunk_shape)[:rows]
-        self.fold = [(spec[lead + (m - h,)], spec[lead + (h,)])
+        self.rows, self.dim = rows, len(plan.padded_shape)
+        self.plane_mirror, self.scale = plan.plane_mirror, plan.truncate_scale
+        self.bind(plan)
+
+    def bind(self, plan: _Plan) -> None:
+        m, h, d, rows = plan.padded_shape[0], plan.half - 1, self.dim, self.rows
+        self.spec = spec = plan.workspace("work", (rows,) + plan.padded_half_shape)[:rows]
+        kept = (Ellipsis, slice(0, h + 1))  # only last-axis bins 0..n/2 are kept, so only they fold
+        self.fold = [(spec[lead + (m - h,) + kept], spec[lead + (h,) + kept])
                      for lead in ((slice(None),) * axis for axis in range(1, d))]
         if d == 1:
-            band, self.copies = spec[:, :plan.half], []  # the n band, as a view
+            band, self.copies, self.lines = spec[:, :plan.half], [], None  # the n band, as a view
         else:
-            band = plan.workspace("band", (plan.batch,) + plan.half_shape)[:rows]
+            band = plan.workspace("band", (rows,) + plan.half_shape)[:rows]
             self.copies = [(band[dst], spec[src]) for src, dst in plan.band]
+            self.lines = [[spec[index] for index in columns] for columns in reversed(plan.columns[0])]
         self.band, self.bin0, self.planes = band, band[..., 0], band[plan.planes]
-        self.plane_mirror, self.scale = plan.plane_mirror, plan.truncate_scale
 
     def __call__(self, samples: np.ndarray, out: np.ndarray) -> np.ndarray:
-        _rfft(samples, self.dim, self.spec)
+        _rfft(samples, self.dim, self.spec, self.lines)
         for minus, plus in self.fold:
             np.add(minus, plus, out=minus)
         for dst, src in self.copies:
@@ -540,7 +626,7 @@ def padded_samples(grid: TorusGrid, coeffs: np.ndarray, out: np.ndarray | None =
     :class:`_Sampling` and lands in its rows of ``out``.
     """
     plan = grid.plan
-    plan.embed  # built here, not by two threads at once
+    plan.embed, plan.columns  # built here, not by two threads at once
     if out is None:
         out = np.empty((len(coeffs),) + plan.padded_shape)
 
@@ -556,7 +642,7 @@ def _truncate_half(grid: TorusGrid, samples: np.ndarray, out: np.ndarray | None 
     written to ``out`` when it is given: each chunk of the stack goes through
     its thread's :class:`_Truncation` into its rows of ``out``."""
     plan = grid.plan
-    plan.band  # built here, not by two threads at once
+    plan.band, plan.columns  # built here, not by two threads at once
     if out is None:
         out = np.empty((len(samples),) + plan.half_shape, dtype=complex)
 

@@ -1,7 +1,10 @@
 """Tests for the torus grid, transforms, differentiation, and dealiased products."""
 
+import itertools
+
 import numpy as np
 import pytest
+from numpy.fft import _pocketfft_umath as pfu
 
 from epdifflab.grid import (
     GridMismatchError,
@@ -172,6 +175,57 @@ def test_transforms_match_numpy_fft(dim, n):
             # a half spectrum read as a view of full-length last axes, as _samples reads it
             full = np.concatenate([half, half[..., 1:-1]], axis=-1)
             assert _irfft(full[..., :length // 2 + 1], shape).tobytes() == inverse.tobytes()
+
+
+@pytest.mark.parametrize("dim,n", [(dim, n) for dim, n in GRIDS if dim > 1])
+def test_gufuncs_on_column_subsets_give_the_whole_bytes(dim, n):
+    """At d > 1 the padded passes call numpy's pocketfft gufuncs on strided
+    column subsets of a 3/2-grid half spectrum (``axes=``), in place and out
+    of place, and write zeros in place of the lines they skip, which the
+    whole transform would fill with transformed zeros.  Both must give the
+    bytes of the whole transforms on every line that is read: the embedded
+    bins ``0..n/2`` and ``m-n/2..m-1`` of the leading axes, ``0..n/2`` of the
+    last.  A numpy release that breaks either fails here."""
+    m, h = 3 * n // 2, n // 2
+    rng = np.random.default_rng(n + dim)
+    shape = (2,) + (m,) * (dim - 1) + (m // 2 + 1,)
+    low, embedded = slice(0, h + 1), (slice(0, h + 1), slice(m - h, m))
+
+    def columns(axis):  # along leading axis ``axis``: later leading axes embedded, last axis low
+        return [(slice(None),) * (dim + axis + 2) + later + (low,)
+                for later in itertools.product(embedded, repeat=-axis - 2)]
+
+    spec = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for axis, gufunc in itertools.product(range(-dim, -1), (pfu.fft, pfu.ifft)):
+        axes = [(axis,), (), (axis,)]
+        whole = np.empty(shape, dtype=complex)
+        gufunc(spec, 1 / m, out=whole, axes=axes)
+        for index in columns(axis):
+            apart, inplace = np.empty(shape, dtype=complex), spec.copy()
+            gufunc(spec[index], 1 / m, out=apart[index], axes=axes)
+            gufunc(inplace[index], 1 / m, out=inplace[index], axes=axes)
+            assert apart[index].tobytes() == inplace[index].tobytes() == whole[index].tobytes()
+
+    # the inverse of an embedded spectrum: transformed zero lines, or zeros
+    embed = np.zeros(shape, dtype=complex)
+    for later in itertools.product(embedded, repeat=dim - 1):
+        block = embed[(slice(None),) + later + (low,)]
+        block[...] = rng.standard_normal(block.shape) + 1j * rng.standard_normal(block.shape)
+    whole, skipped = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+    whole_out, skipped_out = np.empty((2,) + (m,) * dim), np.empty((2,) + (m,) * dim)
+    skipped[...] = np.nan  # what no view writes must be zeroed, not left
+    skipped[..., h + 1:] = 0
+    if dim == 3:
+        skipped[:, :, h + 1:m - h, low] = 0
+    for axis in range(-dim, -1):
+        src = embed if axis == -dim else whole
+        pfu.ifft(src, 1 / m, out=whole, axes=[(axis,), (), (axis,)])
+        for index in columns(axis):
+            src = embed if axis == -dim else skipped
+            pfu.ifft(src[index], 1 / m, out=skipped[index], axes=[(axis,), (), (axis,)])
+    pfu.irfft(whole, 1 / m, out=whole_out)
+    pfu.irfft(skipped, 1 / m, out=skipped_out)
+    assert skipped_out.tobytes() == whole_out.tobytes()
 
 
 class TestGradient:

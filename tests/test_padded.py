@@ -247,11 +247,20 @@ def test_from_samples_exactly_conjugate_symmetric(dim, n):
     assert np.array_equal(coeffs, np.conj(_mirror(coeffs, dim)))
 
 
-@pytest.mark.parametrize("dim,n", CASES)
+# the grids where the padded pass skips lines (d > 1), with one and several
+# transform calls per stack
+PRUNED_CASES = ((2, 8), (2, 64), (3, 16), (3, 32))
+
+
+@pytest.mark.parametrize("dim,n", CASES + PRUNED_CASES)
 def test_padded_samples_full_band(dim, n):
+    # at d > 1 the pass transforms only the lines that can be nonzero: the
+    # bytes must still be those of irfftn on the whole embedded spectrum
     grid = TorusGrid(dim, n, LENGTH)
     coeffs = SpectralVectorField.from_samples(grid, _full_band_samples(grid, 10)).coeffs
-    assert _max_rel(padded_samples(grid, coeffs), old_padded_samples(grid, coeffs)) <= TOL
+    got = padded_samples(grid, coeffs)
+    assert _max_rel(got, old_padded_samples(grid, coeffs)) <= TOL
+    assert got.tobytes() == full_padded_samples(grid, coeffs).tobytes()
 
 
 @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
@@ -259,12 +268,15 @@ def test_padded_samples_nyquist_corners(dim, n):
     # Supported only where two or more axes sit at -n/2.  Halving each
     # Nyquist plane axis by axis gets these modes wrong by O(1); the Hermitian
     # part of the embedding matches the real part of the complex inverse.
+    # The corners sit at both ends of the zero band that the pass skips.
     grid = TorusGrid(dim, n, LENGTH)
     at_nyquist = np.sum(grid.wavenumbers == -(n // 2), axis=0)
     coeffs = SpectralVectorField.from_samples(grid, _full_band_samples(grid, 11)).coeffs
     corners = coeffs * (at_nyquist >= 2)
     assert np.abs(corners).max() > 0
-    assert _max_rel(padded_samples(grid, corners), old_padded_samples(grid, corners)) <= TOL
+    got = padded_samples(grid, corners)
+    assert _max_rel(got, old_padded_samples(grid, corners)) <= TOL
+    assert got.tobytes() == full_padded_samples(grid, corners).tobytes()
 
 
 # --- the checks ----------------------------------------------------------------
@@ -492,10 +504,11 @@ def test_peakon_substeps_match_full_spectrum_stage_near_the_halt(late_peakon, do
     _assert_same_trajectory(mult, state, 1e-3 / 2**doublings, 20)
 
 
-@pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+@pytest.mark.parametrize("dim,n", [(2, 32), (2, 64), (3, 16), (3, 32)])
 def test_steps_match_full_spectrum_stage(dim, n):
     # full-band data with Nyquist content; at d=2 n=32 the whole stack is one
-    # transform call, at d=3 n=16 it goes in pairs and gradients go apart
+    # transform call, at d=3 n=16 it goes in pairs and gradients go apart, at
+    # d=2 n=64 in threes and at d=3 n=32 one field per call
     grid = TorusGrid(dim, n)
     mult = sobolev_multiplier(1.5, grid)
     _assert_same_trajectory(
@@ -640,6 +653,42 @@ def test_same_bits_for_every_worker_count(dim, n, per_call, monkeypatch):
         got = _threaded_results(dim, n, workers, per_call, monkeypatch)
         for a, b in zip(got, ref):
             assert np.array_equal(a, b)
+
+
+def _whole_transforms(monkeypatch):
+    """Make the pass objects transform every line of the padded grid, as the
+    padded pass did before it skipped the zero band and the unkept bins."""
+    rfft, irfft = grid_module._rfft, grid_module._irfft
+    monkeypatch.setattr(grid_module, "_rfft",
+                        lambda samples, dim, out=None, lines=None: rfft(samples, dim, out))
+    monkeypatch.setattr(grid_module, "_irfft",
+                        lambda half, shape, out=None, work=None, lines=None: irfft(half, shape, out, work))
+
+
+@pytest.mark.parametrize("dim,n", PRUNED_CASES)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pruned_pass_gives_the_bytes_of_whole_transforms(dim, n, workers, monkeypatch):
+    # stacks of batch + h rows for every chunk height h: two chunks, on two
+    # threads with two workers.  Each sampling follows a truncation, which
+    # fills the work buffer that both directions share, on the one thread
+    # when there is one worker: a sampling that leaves a stale zero band or
+    # stale last-axis bins there fails here.
+    monkeypatch.setattr(grid_module, "TRANSFORM_WORKERS", workers)
+    results = []
+    for whole in (False, True):
+        if whole:
+            _whole_transforms(monkeypatch)
+        grid = TorusGrid(dim, n)  # a new grid builds its plan with the patched count
+        batch, m = grid.plan.batch, (3 * n) // 2
+        stack = np.concatenate([_noise(grid, 24).coeffs] * (2 * batch // dim + 1))[:2 * batch]
+        samples = np.random.default_rng(25).standard_normal((2 * batch,) + (m,) * dim)
+        passes = []
+        for height in range(1, batch + 1):
+            passes.append(truncate_padded(grid, samples[:batch + height]))
+            passes.append(padded_samples(grid, stack[:batch + height]))
+        results.append(passes)
+    for pruned, whole in zip(*results):
+        assert pruned.tobytes() == whole.tobytes()
 
 
 def test_chunks_under_frequent_thread_switches(monkeypatch):
