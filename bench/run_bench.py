@@ -23,7 +23,7 @@ band-limited draw with headroom, and ``estimate_Cn`` at ``xi_max`` 500 and
 1000 for orders 1 and 2.  It also times ``apply_An_recursive`` at d=2 n=64
 order 2 and d=3 n=32 order 1, grids where its padded passes are split.  It
 counts the kernel tuples per case, the ``grid.padded_samples`` and
-``grid.truncate_padded`` calls per ``apply_An_recursive`` and the
+``grid._truncate_half`` calls per ``apply_An_recursive`` and the
 ``symbol_an`` calls per ``estimate_Cn``, and records the oracle's relative
 error and the envelope ratios as values.
 
@@ -345,8 +345,8 @@ def measure_oracle(repeats: int, samples: dict, counts: dict, values: dict) -> N
         counts[tag] = counter.calls_in(call)
     # padded passes per apply_An_recursive, also where conjugation binds the
     # grid functions by name
-    passes = CallCounter([(grid_module, "padded_samples"), (grid_module, "truncate_padded")])
-    bound = [name for name in ("padded_samples", "truncate_padded") if hasattr(conjugation, name)]
+    passes = CallCounter([(grid_module, "padded_samples"), (grid_module, "_truncate_half")])
+    bound = [name for name in ("padded_samples", "_truncate_half") if hasattr(conjugation, name)]
     originals = {name: getattr(conjugation, name) for name in bound}
     for name in bound:
         setattr(conjugation, name, getattr(grid_module, name))
@@ -440,16 +440,20 @@ def _pruned_and_whole(grid, coeffs, padded) -> dict:
     call of the grid's pass objects on the embedded spectrum of ``coeffs``
     and on the samples ``padded``, with the lines they skip and with every
     line.  The pruned inverse zeroes what its transforms do not write, as a
-    sampling does before each call."""
+    sampling does before each call.  The objects are the ones the passes
+    build and keep, found in the plan by type and height."""
     import numpy as np
 
     from epdifflab import grid as grid_module
 
     plan = grid.plan
-    sampling = plan.prepared(("sampling", len(coeffs)), grid_module._Sampling, plan, len(coeffs))
-    truncation = plan.prepared(("truncation", len(padded)), grid_module._Truncation, plan, len(padded))
     out = np.empty((len(coeffs),) + plan.padded_shape)
-    sampling(out, coeffs)  # embeds coeffs in the workspace that both inverses read
+    grid_module.padded_samples(grid, coeffs, out)  # embeds coeffs in the workspace that both inverses read
+    grid_module._truncate_half(grid, padded)
+    kept = vars(plan._buffers).values()
+    sampling, truncation = (next(obj for obj in kept if type(obj) is kind and obj.rows == rows)
+                            for kind, rows in ((grid_module._Sampling, len(coeffs)),
+                                               (grid_module._Truncation, len(padded))))
 
     def irfft_pruned():
         for zeros in sampling.zeros:

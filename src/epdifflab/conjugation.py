@@ -15,8 +15,8 @@ verifies the antisymmetrized frozen-tensor identity behind that envelope.
 Inside this module ``B`` frequency tuples are component-major, ``(n+1, dim, B)``,
 and so is every tensor, ``(dim, ..., dim, B)``; the public functions take and
 return batch-major arrays through one conversion pair.  The operator
-recursion stacks the spectra of ``B`` field tuples batch-major,
-``(B, dim, n, ..., n)`` per slot.
+recursion stacks the half spectra of ``B`` field tuples batch-major,
+``(B, dim, n, ..., n/2+1)`` per slot.
 
 Sign convention: with coefficients of ``exp(+2 pi i k.x/L)`` and the
 derivative rule ``d_j <-> 2 pi i k_j / L``, the symbol recursion is
@@ -39,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import SpectralVectorField, TorusGrid, _require_same_grid, padded_samples, truncate_padded
+from .grid import SpectralVectorField, TorusGrid, _full, _require_same_grid, _truncate_half, padded_samples
 from .operators import FourierMultiplier, apply, _require_conjugate_symmetric
 from .symbols import MatrixSymbol, sobolev_weight
 
@@ -84,8 +84,9 @@ def apply_An_recursive(mult: FourierMultiplier, n: int, *fields: SpectralVectorF
     All products are dealiased, and the inputs must be band-limited with
     enough headroom that no intermediate spectrum leaves the lattice; then the
     result is the exact multilinear operator value (symmetric in
-    ``u_1, ..., u_n`` up to roundoff).  The padded passes read half spectra,
-    so the multiplier's table must keep ``a(-k) = conj(a(k))`` (``ValueError``
+    ``u_1, ..., u_n`` up to roundoff).  The tower runs on half spectra and
+    rebuilds the negative last-axis bins once, by conjugate reflection, so
+    the multiplier's table must keep ``a(-k) = conj(a(k))`` (``ValueError``
     otherwise); the convolution oracle needs no such rule.
     """
     _check_order(n)
@@ -99,12 +100,13 @@ def apply_An_recursive(mult: FourierMultiplier, n: int, *fields: SpectralVectorF
             f"grid n >= {required_headroom(n, kmax)} (have {grid_n}); refine the grid "
             f"or band-limit inputs to |k| <= {headroom_band(n, grid_n)}"
         )
-    slots = [f.coeffs[None] for f in fields]
-    return SpectralVectorField(mult.grid, _tower(mult, slots)[0])
+    slots = [f.coeffs[None, ..., :mult.grid.plan.half] for f in fields]
+    return SpectralVectorField(mult.grid, _full(mult.grid, _tower(mult, slots)[0]))
 
 
 def _tower(mult: FourierMultiplier, slots: list[np.ndarray]) -> np.ndarray:
-    """``A_m`` of ``B`` tuples given as ``m+1`` slots of spectra ``(B, d, n, ..., n)``.
+    """Half spectra of ``A_m`` of ``B`` tuples given as ``m+1`` slots of half
+    spectra ``(B, d, n, ..., n/2+1)``.
 
     With ``*prefix, last = slots``, one level makes one padded pass of
     ``last`` and the gradients of every prefix field, forms
@@ -120,7 +122,7 @@ def _tower(mult: FourierMultiplier, slots: list[np.ndarray]) -> np.ndarray:
     """
     *prefix, last = slots
     if not prefix:
-        return np.einsum("...ij,bj...->bi...", mult.table, last)
+        return np.einsum("...ij,bj...->bi...", mult.half_table, last)
     grid, m = mult.grid, len(prefix)
     step = max(1, grid.plan.batch // (grid.dim * len(last)))  # variants per recursion
     padded = out = None
@@ -143,8 +145,8 @@ def _tower(mult: FourierMultiplier, slots: list[np.ndarray]) -> np.ndarray:
 def _advect(
     grid: TorusGrid, fields: list[np.ndarray], last: np.ndarray, padded: np.ndarray | None
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Dealiased ``(last . grad) field`` for each of ``fields``, spectra
-    ``(B, d, n, ..., n)`` like the directions ``last``.
+    """Dealiased ``(last . grad) field`` for each of ``fields``, half spectra
+    ``(B, d, n, ..., n/2+1)`` like the directions ``last``.
 
     Returns the padded samples of ``last`` with the results.  Pass the
     samples of an earlier call as ``padded``; otherwise those of ``last``
@@ -155,10 +157,10 @@ def _advect(
     head = rows if padded is None else 0  # rows of ``last`` in the pass
     stack = np.empty((head + len(fields) * rows * d,) + plan.half_shape, dtype=complex)
     if head:
-        stack[:head] = last[..., :plan.half].reshape((head,) + plan.half_shape)
+        stack[:head] = last.reshape((head,) + plan.half_shape)
     grads = stack[head:].reshape((len(fields),) + last.shape[:2] + (d,) + plan.half_shape)
     for field, grad in zip(fields, grads):
-        np.multiply(field[:, :, None, ..., :plan.half], plan.factors, out=grad)
+        np.multiply(field[:, :, None], plan.factors, out=grad)
     samples = padded_samples(grid, stack)
     if head:  # a copy, so the gradient rows are freed with this pass
         padded = samples[:head].reshape(last.shape[:2] + plan.padded_shape).copy()
@@ -167,7 +169,7 @@ def _advect(
     sampled = samples[head:].reshape(grads.shape[:4] + plan.padded_shape)
     products = np.einsum("bj...,fbij...->fbi...", padded, sampled)
     del stack, grads, samples, sampled  # the pass buffers, freed before the truncation allocates
-    spectra = truncate_padded(grid, products.reshape((-1,) + plan.padded_shape))
+    spectra = _truncate_half(grid, products.reshape((-1,) + plan.padded_shape))
     return padded, list(spectra.reshape((len(fields),) + last.shape))
 
 

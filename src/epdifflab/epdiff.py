@@ -55,6 +55,9 @@ MAX_STEPS = 10**7
 # Relative energy drift beyond which a trajectory no longer counts as resolved
 # (the tolerance of the energy-conservation acceptance check).
 RESOLVED_ENERGY_DRIFT = 1e-6
+# Relative gap between the blow-up times at dt and at dt/2 within which a
+# verdict counts as confirmed (the 5% rule of the blow-up acceptance check).
+BLOWUP_CONFIRM_WINDOW = 0.05
 # numpy scalars, as in grid: a Python float operand costs a promotion per call
 _MINUS_ONE = np.complex128(-1.0)
 _TWO = np.float64(2.0)
@@ -199,8 +202,8 @@ class _TransportPass:
         if fused:
             for i in range(d):
                 self.spectral += gradients(i, stack[2 * d * (i + 1) + 1:2 * d * (i + 2) + 1])
-            self.sampling = plan.prepared(("sampling", rows), _Sampling, plan, rows)
-            self.truncation = plan.prepared(("truncation", k), _Truncation, plan, k)
+            self.sampling = plan.prepared((_Sampling, rows), _Sampling, plan, rows)
+            self.truncation = plan.prepared((_Truncation, k), _Truncation, plan, k)
         else:
             # one component's gradients at a time, in one buffer each side
             self.gradients = np.empty((2 * d,) + plan.half_shape, dtype=complex)
@@ -227,7 +230,7 @@ class _TransportPass:
         self.m[...] = m
         _run(self.spectral)
         if self.fused:
-            self.sampling(self.padded, self.stack)
+            self.sampling(self.stack, self.padded)
         else:
             padded_samples(grid, self.stack, self.padded)
         for gradients, products in self.components:
@@ -476,16 +479,13 @@ class BlowupVerdict:
         return out
 
 
-def detect_blowup(
-    result: IntegrationResult,
-    refined: Optional[IntegrationResult] = None,
-    rel_window: float = 0.05,
-) -> BlowupVerdict:
+def detect_blowup(result: IntegrationResult, refined: Optional[IntegrationResult] = None) -> BlowupVerdict:
     """Blow-up verdict from a trajectory, confirmed against a dt-halved rerun.
 
     The verdict time is the first diagnostic time at which the gradient
     threshold was crossed; with a refined trajectory supplied, the verdict is
-    confirmed when the refined crossing lands within ``rel_window`` of it.
+    confirmed when the refined crossing lands within ``BLOWUP_CONFIRM_WINDOW``
+    of it (relative).
     """
     if not result.blown_up:
         return BlowupVerdict(kind="none")
@@ -495,7 +495,7 @@ def detect_blowup(
     if not refined.blown_up:
         return BlowupVerdict(kind="gradient_blowup", t_star=t_star, confirmed=False)
     t_ref = refined.t_halt
-    confirmed = abs(t_ref - t_star) <= rel_window * abs(t_star)
+    confirmed = abs(t_ref - t_star) <= BLOWUP_CONFIRM_WINDOW * abs(t_star)
     return BlowupVerdict(
         kind="gradient_blowup", t_star=t_star, t_star_refined=t_ref, confirmed=confirmed
     )

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import os
 import queue
 import threading
@@ -221,7 +222,6 @@ class _Plan:
         self.padded_shape = (m,) * d
         self.padded_half_shape = (m,) * (d - 1) + (m // 2 + 1,)
         self.batch = max(1, MAX_TRANSFORM_BYTES // (16 * math.prod(self.padded_half_shape)))
-        self.chunk_shape = (self.batch,) + self.padded_half_shape
         self.workers = TRANSFORM_WORKERS
         self.truncate_scale = np.complex128(grid.length**d / math.prod(self.padded_shape))
 
@@ -388,6 +388,7 @@ class SpectralVectorField:
 
     grid: TorusGrid
     coeffs: np.ndarray
+    __array_ufunc__ = None  # numpy operands defer to the operators below
 
     def __post_init__(self) -> None:
         expected = (self.grid.dim,) + self.grid.shape
@@ -420,6 +421,8 @@ class SpectralVectorField:
         return SpectralVectorField(self.grid, self.coeffs - other.coeffs)
 
     def __mul__(self, scalar: float) -> "SpectralVectorField":
+        if not isinstance(scalar, numbers.Real):  # a field is real: only real factors keep it so
+            return NotImplemented
         return SpectralVectorField(self.grid, self.coeffs * scalar)
 
     __rmul__ = __mul__
@@ -504,17 +507,19 @@ def _pool(size: int) -> ThreadPoolExecutor:
         return _pools[size]
 
 
-def _run_chunks(plan: _Plan, task, rows: int) -> None:
-    """Call ``task(lo, hi)`` on consecutive chunks of at most ``plan.batch`` of
-    ``rows`` rows: a lone chunk inline, more than one from one queue, which
-    ``plan.workers`` threads drain.
+def _run_chunks(plan: _Plan, build: type, src: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Run this thread's ``build(plan, rows)`` object (:class:`_Sampling` or
+    :class:`_Truncation`) on consecutive chunks of at most ``plan.batch`` rows
+    of ``src``, each into its rows of ``out``: a lone chunk inline, more than
+    one from one queue, which ``plan.workers`` threads drain.
 
-    A task may call only private helpers: the tracer of the benchmark keeps
+    A chunk may call only private helpers: the tracer of the benchmark keeps
     one span stack, which a traced call from a worker thread would corrupt.
     """
+    rows = len(src)
     if rows <= plan.batch:
-        task(0, rows)
-        return
+        return plan.prepared((build, rows), build, plan, rows)(src, out)
+    plan.embed, plan.band, plan.columns  # built here, not by two threads at once
     chunks = queue.SimpleQueue()
     for lo in range(0, rows, plan.batch):
         chunks.put((lo, min(lo + plan.batch, rows)))
@@ -525,7 +530,7 @@ def _run_chunks(plan: _Plan, task, rows: int) -> None:
                 lo, hi = chunks.get_nowait()
             except queue.Empty:
                 return
-            task(lo, hi)
+            plan.prepared((build, hi - lo), build, plan, hi - lo)(src[lo:hi], out[lo:hi])
 
     helpers = min(plan.workers, chunks.qsize()) - 1
     futures = [_pool(plan.workers - 1).submit(drain) for _ in range(helpers)]
@@ -533,6 +538,7 @@ def _run_chunks(plan: _Plan, task, rows: int) -> None:
     for future in futures:
         if not future.cancel():  # a helper that has not started by now has nothing to do
             future.result()
+    return out
 
 
 # The two directions of the padded pass on one chunk of ``rows`` rows and one
@@ -546,7 +552,7 @@ def _run_chunks(plan: _Plan, task, rows: int) -> None:
 
 class _Sampling:
     """Real 3/2-grid samples of ``rows`` half spectra: a call embeds the rows
-    ``coeffs`` in this thread's ``embed`` workspace, zeroes what its pruned
+    ``src`` in this thread's ``embed`` workspace, zeroes what its pruned
     transforms read in the ``work`` workspace and do not write (a truncation
     may have filled it), and inverse transforms into ``out``."""
 
@@ -566,9 +572,9 @@ class _Sampling:
                           for a, columns in enumerate(passes)]
             self.zeros = [work[index] for index in zeros]
 
-    def __call__(self, out: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-        for src, factor, dst in self.blocks:
-            np.multiply(coeffs[src], factor, out=dst)
+    def __call__(self, src: np.ndarray, out: np.ndarray) -> np.ndarray:
+        for index, factor, dst in self.blocks:
+            np.multiply(src[index], factor, out=dst)
         for zeros in self.zeros:
             zeros.fill(0)
         return _irfft(self.spec, self.shape, out, self.work, self.lines)
@@ -576,11 +582,11 @@ class _Sampling:
 
 class _Truncation:
     """Half spectra ``(rows, n, ..., n/2+1)`` of real 3/2-grid samples: a call
-    transforms them into this thread's ``work`` workspace, folds the ``+n/2``
-    partner of each leading axis into ``-n/2`` (on the last axis, completing
-    the planes rebuilds the fold by conjugate reflection), keeps the n band
-    (in the ``band`` workspace; a view at d=1), halves bin 0, completes the
-    planes and scales into ``out``."""
+    transforms the rows ``src`` into this thread's ``work`` workspace, folds
+    the ``+n/2`` partner of each leading axis into ``-n/2`` (on the last axis,
+    completing the planes rebuilds the fold by conjugate reflection), keeps
+    the n band (in the ``band`` workspace; a view at d=1), halves bin 0,
+    completes the planes and scales into ``out``."""
 
     def __init__(self, plan: _Plan, rows: int) -> None:
         self.rows, self.dim = rows, len(plan.padded_shape)
@@ -601,12 +607,12 @@ class _Truncation:
             self.lines = [[spec[index] for index in columns] for columns in reversed(plan.columns[0])]
         self.band, self.bin0, self.planes = band, band[..., 0], band[plan.planes]
 
-    def __call__(self, samples: np.ndarray, out: np.ndarray) -> np.ndarray:
-        _rfft(samples, self.dim, self.spec, self.lines)
+    def __call__(self, src: np.ndarray, out: np.ndarray) -> np.ndarray:
+        _rfft(src, self.dim, self.spec, self.lines)
         for minus, plus in self.fold:
             np.add(minus, plus, out=minus)
-        for dst, src in self.copies:
-            dst[...] = src
+        for dst, kept in self.copies:
+            dst[...] = kept
         np.multiply(self.bin0, _HALF, out=self.bin0)  # bin 0 is its own reflection on the last axis
         planes = self.planes  # each plane gets its conjugate reflection
         np.add(planes, np.conjugate(planes[self.plane_mirror]), out=planes)
@@ -614,53 +620,32 @@ class _Truncation:
 
 
 def padded_samples(grid: TorusGrid, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Real samples on the 3/2 grid of a stack of n-grid spectra ``(k, n, ..., n)``.
+    """Real samples on the 3/2 grid of a stack of half spectra ``(k, n, ..., n/2+1)``.
 
-    Only last-axis bins ``0..n/2`` are read, so half spectra do as well.
-    Each ``-n/2`` bin is split evenly between ``-n/2`` and ``+n/2`` on every
-    axis at once: the Hermitian part of the embedding, so a lone ``-n/2``
-    mode contributes its cosine half.  Returns shape ``(k, m, ..., m)``,
-    written to ``out`` when it is given.
-
-    Each chunk of the stack is embedded and transformed by its thread's
-    :class:`_Sampling` and lands in its rows of ``out``.
+    Full spectra ``(k, n, ..., n)`` do as well: only last-axis bins
+    ``0..n/2`` are read.  Each ``-n/2`` bin is split evenly between ``-n/2``
+    and ``+n/2`` on every axis at once: the Hermitian part of the embedding,
+    so a lone ``-n/2`` mode contributes its cosine half.  Returns shape
+    ``(k, m, ..., m)``, written to ``out`` when it is given, each chunk of
+    the stack by its thread's :class:`_Sampling`.
     """
-    plan = grid.plan
-    plan.embed, plan.columns  # built here, not by two threads at once
     if out is None:
-        out = np.empty((len(coeffs),) + plan.padded_shape)
-
-    def task(lo: int, hi: int) -> None:
-        plan.prepared(("sampling", hi - lo), _Sampling, plan, hi - lo)(out[lo:hi], coeffs[lo:hi])
-
-    _run_chunks(plan, task, len(coeffs))
-    return out
+        out = np.empty((len(coeffs),) + grid.plan.padded_shape)
+    return _run_chunks(grid.plan, _Sampling, coeffs, out)
 
 
 def _truncate_half(grid: TorusGrid, samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Half spectra ``(k, n, ..., n/2+1)`` of real 3/2-grid samples ``(k, m, ..., m)``,
-    written to ``out`` when it is given: each chunk of the stack goes through
-    its thread's :class:`_Truncation` into its rows of ``out``."""
-    plan = grid.plan
-    plan.band, plan.columns  # built here, not by two threads at once
-    if out is None:
-        out = np.empty((len(samples),) + plan.half_shape, dtype=complex)
+    written to ``out`` when it is given, each chunk of the stack by its
+    thread's :class:`_Truncation`.
 
-    def task(lo: int, hi: int) -> None:
-        plan.prepared(("truncation", hi - lo), _Truncation, plan, hi - lo)(samples[lo:hi], out[lo:hi])
-
-    _run_chunks(plan, task, len(samples))
-    return out
-
-
-def truncate_padded(grid: TorusGrid, samples: np.ndarray) -> np.ndarray:
-    """n-grid spectra of a stack of real 3/2-grid samples ``(k, m, ..., m)``.
-
-    The ``+n/2`` partner of each axis is folded into the ``-n/2`` bin before
-    truncation, which reproduces what sampling the band-limited product on
-    the n grid would do and keeps the result real-valued.
+    The ``+n/2`` partner of each axis is folded into the ``-n/2`` bin, which
+    reproduces what sampling the band-limited product on the n grid would do
+    and keeps the result real-valued; :func:`_full` gives the full spectra.
     """
-    return _full(grid, _truncate_half(grid, samples))
+    if out is None:
+        out = np.empty((len(samples),) + grid.plan.half_shape, dtype=complex)
+    return _run_chunks(grid.plan, _Truncation, samples, out)
 
 
 def l2_inner(u: SpectralVectorField, v: SpectralVectorField) -> float:

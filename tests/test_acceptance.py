@@ -187,7 +187,7 @@ def test_criterion_6_global_vs_blowup():
     thr = default_blowup_threshold(st_b)
     coarse = integrate(ch, st_b, 8.0, 1e-3, cadence=200, grad_threshold=thr)
     refined = integrate(ch, st_b, 8.0, 5e-4, cadence=400, grad_threshold=thr)
-    verdict = detect_blowup(coarse, refined, rel_window=0.05)
+    verdict = detect_blowup(coarse, refined)
     blowup_ok = verdict.kind == "gradient_blowup" and bool(verdict.confirmed)
     elapsed = time.time() - t0
     ok = smooth_ok and blowup_ok and elapsed < 600

@@ -26,7 +26,7 @@ from epdifflab.conjugation import (
 from epdifflab.epdiff import bandlimited_draw
 from epdifflab import conjugation
 from epdifflab import grid as grid_module
-from epdifflab.grid import GridMismatchError, SpectralVectorField, TorusGrid
+from epdifflab.grid import GridMismatchError, SpectralVectorField, TorusGrid, _full
 from epdifflab.operators import FourierMultiplier, apply, sobolev_multiplier
 from epdifflab.symbols import MatrixSymbol, scalar_symbol, shear_laplacian_symbol, sobolev_symbol, sobolev_weight
 
@@ -70,19 +70,26 @@ def hermitian_complex_symbol():
     )
 
 
-def conjugate_symmetric_complex_symbol(n):
-    """Complex Hermitian d=2 symbol ``sobolev_weight(2, xi) I + b(xi) [[0, i], [-i, 0]]``
-    with ``b = 0.1 sin(2 pi xi_1 / n)``: odd, and zero on the Nyquist planes of
-    an n grid of unit length, so its table keeps ``a(-k) = conj(a(k))``."""
+def sine_complex_symbol(b, name):
+    """Complex Hermitian d=2 symbol ``sobolev_weight(2, xi) I + b(xi_1) [[0, i], [-i, 0]]``."""
     def eval_fn(xi):
-        off = 0.1j * np.sin(2 * np.pi * xi[..., 0] / n)
+        off = 1j * b(xi[..., 0])
         out = sobolev_weight(2.0, xi)[..., None, None] * np.eye(2, dtype=complex)
         out[..., 0, 1] += off
         out[..., 1, 0] -= off
         return out
 
-    return MatrixSymbol(dim=2, order=2.0, eval_fn=eval_fn, hermitian=True, positive_definite=True,
-                        name="conjugate_symmetric_complex")
+    return MatrixSymbol(dim=2, order=2.0, eval_fn=eval_fn, hermitian=True, positive_definite=True, name=name)
+
+
+def conjugate_symmetric_complex_symbol(n):
+    """:func:`sine_complex_symbol` with ``b = 0.1 sin(2 pi xi_1 / n)``: odd, and
+    zero on the Nyquist planes of an n grid of unit length, so its table
+    keeps ``a(-k) = conj(a(k))`` bit for bit.  ``np.sin`` gives
+    ``sin(-pi) = -1.2e-16``, so ``b`` is set to 0 there."""
+    return sine_complex_symbol(
+        lambda xi1: np.where(np.abs(xi1) == n / 2, 0.0, 0.1 * np.sin(2 * np.pi * xi1 / n)),
+        "conjugate_symmetric_complex")
 
 
 def per_level_an(symbol, n, xis):
@@ -305,6 +312,26 @@ class TestOperatorRecursion:
         us = [headroom_field(mult.grid, order, 60 + 10 * order + i) for i in range(order + 1)]
         assert_same_bits(apply_An_recursive(mult, order, *us), per_product_tower(mult, us))
 
+    def test_table_symmetric_to_the_gap_gives_a_reflected_result(self, monkeypatch):
+        # b = 0.1 sin(2 pi xi_1 / n) straight from np.sin: sin(-pi) = -1.2e-16,
+        # so the table breaks a(-k) = conj(a(k)) on the kx = -n/2 plane by
+        # 2.4e-17, within SYMMETRY_GAP.  The tower reads bins 0..n/2 only and
+        # reflects once, so its negative last-axis bins are reflections, not
+        # the table's own values there (two entries differ by 6e-34)
+        n = 16
+        mult = FourierMultiplier.build(
+            sine_complex_symbol(lambda xi1: 0.1 * np.sin(2 * np.pi * xi1 / n), "sine_complex"),
+            TorusGrid(2, n))
+        plane = mult.table[n // 2]  # kx = -n/2, its own reflection
+        assert (plane[-np.arange(n) % n] != np.conj(plane)).any()
+        us = [headroom_field(mult.grid, 1, 70 + i) for i in range(2)]
+        got = apply_An_recursive(mult, 1, *us).coeffs
+        half = mult.grid.plan.half
+        assert np.array_equal(got, _full(mult.grid, got[..., :half]))
+        assert got[..., :half].tobytes() == per_product_tower(mult, us).coeffs[..., :half].tobytes()
+        monkeypatch.setitem(conjugation.CONVOLUTION_GRID_LIMIT, 2, n)  # 256^2 tuples at order 1
+        assert rel_diff(SpectralVectorField(mult.grid, got), apply_An_convolution(mult, 1, *us)) <= 1e-10
+
     @pytest.mark.parametrize("per_call", [1, 2, 5])
     @pytest.mark.parametrize("dim,n,order", [(1, 32, 3), (2, 16, 2), (3, 16, 2)])
     def test_same_bits_when_passes_are_split(self, dim, n, order, per_call, monkeypatch):
@@ -322,7 +349,7 @@ class TestOperatorRecursion:
     def test_two_padded_passes_per_level(self, dim, n, order, monkeypatch):
         # on the oracle grids every level fits one pass each way: 2n padded
         # samplings and 2n truncations per call
-        calls = {"padded_samples": 0, "truncate_padded": 0}
+        calls = {"padded_samples": 0, "_truncate_half": 0}
 
         def counting(name):
             fn = getattr(conjugation, name)
@@ -337,13 +364,13 @@ class TestOperatorRecursion:
         for name in calls:
             monkeypatch.setattr(conjugation, name, counting(name))
         apply_An_recursive(mult, order, *us)
-        assert calls == {"padded_samples": 2 * order, "truncate_padded": 2 * order}
+        assert calls == {"padded_samples": 2 * order, "_truncate_half": 2 * order}
 
     def test_one_pass_per_advection_3d(self, monkeypatch):
         # d=3 n=8: the top level advects both prefix fields in one pass, and
         # only the level below walks its variants; a second splitter once
         # gave each top-level field its own pass (6 samplings, 5 truncations)
-        calls = {"padded_samples": 0, "truncate_padded": 0}
+        calls = {"padded_samples": 0, "_truncate_half": 0}
 
         def counting(name, fn):
             def counted(*args):
@@ -356,7 +383,7 @@ class TestOperatorRecursion:
         for name in calls:
             monkeypatch.setattr(conjugation, name, counting(name, getattr(conjugation, name)))
         got = apply_An_recursive(mult, 2, *us)
-        assert calls == {"padded_samples": 5, "truncate_padded": 4}
+        assert calls == {"padded_samples": 5, "_truncate_half": 4}
         monkeypatch.undo()
         assert_same_bits(got, per_product_tower(mult, us))
 

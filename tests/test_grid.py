@@ -10,14 +10,15 @@ from epdifflab.grid import (
     GridMismatchError,
     SpectralVectorField,
     TorusGrid,
+    _full,
     _irfft,
     _jacobian_samples,
     _require_same_grid,
     _rfft,
     _samples,
+    _truncate_half,
     l2_inner,
     padded_samples,
-    truncate_padded,
 )
 
 
@@ -56,7 +57,7 @@ def dealiased_product(f, g):
     _require_same_grid(f, g)
     d = f.grid.dim
     padded = padded_samples(f.grid, np.concatenate([f.coeffs, g.coeffs]))
-    return SpectralVectorField(f.grid, truncate_padded(f.grid, padded[:d] * padded[d:]))
+    return SpectralVectorField(f.grid, _full(f.grid, _truncate_half(f.grid, padded[:d] * padded[d:])))
 
 
 def directional_derivative(v, w):
@@ -69,7 +70,7 @@ def directional_derivative(v, w):
     for i, wi in enumerate(w.coeffs):
         np.einsum("j...,j...->...", vs, padded_samples(grid, wi * grid.derivative_factors),
                   out=out[i])
-    return SpectralVectorField(grid, truncate_padded(grid, out))
+    return SpectralVectorField(grid, _full(grid, _truncate_half(grid, out)))
 
 
 class TestTorusGrid:
@@ -389,3 +390,19 @@ class TestFieldArithmetic:
             u + other
         with pytest.raises(TypeError):
             u - other
+
+    @pytest.mark.parametrize("other", ["field", 1j, np.complex128(1j), np.full((1, 16), 2.0)],
+                             ids=["field", "complex", "numpy_complex", "array"])
+    def test_non_real_factor_rejected(self, other):
+        # a field times a field would hold an object array of nested fields,
+        # and a complex factor would make a field that is no longer real
+        u = band_limited(TorusGrid(1, 16), 4)
+        other = u if isinstance(other, str) else other
+        with pytest.raises(TypeError):
+            u * other
+        with pytest.raises(TypeError):
+            other * u
+        for factor in (2.0, 2, np.float64(2), np.int64(2)):
+            for product in (factor * u, u * factor):
+                assert product.coeffs.dtype == complex
+                assert np.array_equal(product.coeffs, u.coeffs * 2.0)

@@ -63,8 +63,9 @@ from epdifflab.grid import (
     GridMismatchError,
     SpectralVectorField,
     TorusGrid,
+    _full,
+    _truncate_half,
     padded_samples,
-    truncate_padded,
 )
 from epdifflab.lagrangian import spray_at_identity
 from epdifflab.operators import FourierMultiplier, apply, apply_inverse, sobolev_multiplier
@@ -550,7 +551,7 @@ def test_truncate_and_from_samples_match_old_completion(dim, n):
     grid = TorusGrid(dim, n, LENGTH)
     m = (3 * n) // 2
     padded = np.random.default_rng(13).standard_normal((dim + 1,) + (m,) * dim)
-    assert np.array_equal(truncate_padded(grid, padded), full_truncate_padded(grid, padded))
+    assert np.array_equal(_full(grid, _truncate_half(grid, padded)), full_truncate_padded(grid, padded))
     samples = _full_band_samples(grid, 14)
     got = SpectralVectorField.from_samples(grid, samples).coeffs
     assert np.array_equal(got, full_from_samples(grid, samples))
@@ -640,7 +641,7 @@ def _threaded_results(dim, n, workers, per_call, monkeypatch):
     state = EulerState.from_velocity(mult, random_bandlimited(grid, n // 2, seed=17))
     for _ in range(2):
         state = step_rk4(mult, state, 1e-4)
-    return padded, truncate_padded(grid, padded), state.m.coeffs, state.u.coeffs
+    return padded, _full(grid, _truncate_half(grid, padded)), state.m.coeffs, state.u.coeffs
 
 
 @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
@@ -684,7 +685,7 @@ def test_pruned_pass_gives_the_bytes_of_whole_transforms(dim, n, workers, monkey
         samples = np.random.default_rng(25).standard_normal((2 * batch,) + (m,) * dim)
         passes = []
         for height in range(1, batch + 1):
-            passes.append(truncate_padded(grid, samples[:batch + height]))
+            passes.append(_full(grid, _truncate_half(grid, samples[:batch + height])))
             passes.append(padded_samples(grid, stack[:batch + height]))
         results.append(passes)
     for pruned, whole in zip(*results):
@@ -820,7 +821,7 @@ def test_workspaces_go_with_the_grid(monkeypatch):
     passes = [obj for obj in vars(grid.plan._buffers).values()
               if isinstance(obj, (grid_module._Sampling, grid_module._Truncation))]
     assert {type(obj) for obj in passes} == {grid_module._Sampling, grid_module._Truncation}
-    buffers = [weakref.ref(grid.plan.workspace("embed", grid.plan.chunk_shape)),
+    buffers = [weakref.ref(grid.plan.workspace("embed", (grid.plan.batch,) + grid.plan.padded_half_shape)),
                weakref.ref(epdiff_module._transport_pass(grid, False).padded)]
     buffers += [weakref.ref(obj) for obj in passes]
     del passes
@@ -860,11 +861,11 @@ def test_pass_objects_share_the_workspaces(dim, n):
     stack = _noise(grid, 22).coeffs
     stack = np.concatenate([stack] * (plan.batch // dim + 1))
     for rows in range(1, plan.batch + 1):
-        truncate_padded(grid, padded_samples(grid, stack[:rows]))
+        _full(grid, _truncate_half(grid, padded_samples(grid, stack[:rows])))
     kept = vars(plan._buffers)
-    assert {("sampling", rows) in kept and ("truncation", rows) in kept
+    assert {(grid_module._Sampling, rows) in kept and (grid_module._Truncation, rows) in kept
             for rows in range(1, plan.batch + 1)} == {True}
-    chunk = 16 * math.prod(plan.chunk_shape)
+    chunk = 16 * plan.batch * math.prod(plan.padded_half_shape)
     assert sum(owner.nbytes for owner in _owners(kept, {}).values()) <= 3 * chunk
 
 
@@ -896,7 +897,7 @@ def test_split_pass_tasks_call_no_public_function(monkeypatch):
     mult = sobolev_multiplier(1.5, grid)
     momentum = apply(mult, _noise(grid, 23))
     stack = np.concatenate([momentum.coeffs, momentum.coeffs[:1]])  # three rows: a pair and one
-    truncate_padded(grid, padded_samples(grid, stack))
+    _full(grid, _truncate_half(grid, padded_samples(grid, stack)))
     euler_rhs(mult, momentum)
     assert list(grid_module._pools) == [1]  # split passes: a helper was asked to take chunks
     assert len(threads) > 2 and set(threads) == {threading.get_ident()}
