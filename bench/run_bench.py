@@ -65,6 +65,15 @@ matrices passed to ``np.linalg.inv`` by each package module that calls it:
 ``operators`` for the inverse table, ``symbols`` for the certificate's
 sample points.
 
+The certificate group times the normal and strong ellipticity certificates
+of the shear Laplacian pair at t=1.99 and of ``sobolev_symbol(1.5, 2)`` on
+10 000 sphere samples; for d=1 and 2, ``sqrt_symbol(sobolev_symbol(1.5,
+d))``, the square root at 10 000 uniform points in [-200, 200]^d and its
+``check_order_estimate``; ``verify_sn_identity`` at order 2 for d=1 and 2; and
+``symbols._check_flags`` on the ``sobolev_multiplier(1.5, TorusGrid(3, 32))``
+table.  It counts, per call, the ``np.linalg.eigh``/``eigvalsh``/``eigvals``
+calls and the ``conjugation._s_tensor_scaled`` calls.
+
 Each round measures every group of every side in a fresh child process, so
 no group runs on a heap that another group grew.  The working tree is one
 side; ``--baseline REF`` adds the tree of a git commit as the other,
@@ -121,6 +130,9 @@ STEP_WORKERS = (1, 2)
 # term's first padded pass ([v, m, div v], and at d=1 the fused gradients)
 TRANSFORM_CASES = ((1, 128, 5), (1, 256, 5), (1, 1024, 5), (2, 64, 5), (2, 128, 5), (3, 32, 7))
 PEAKON_T_END = 0.5
+# sphere samples of the ellipticity certificates and points of the square
+# root, as the tower_oracle benchmark workload uses them
+CERT_SAMPLES = 10_000
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -565,10 +577,56 @@ def measure_eulerian(repeats: int, samples: dict, counts: dict, values: dict) ->
     counter.close()
 
 
+def measure_certificates(repeats: int, samples: dict, counts: dict, values: dict) -> None:
+    """The certificate group: the symbol certificates that ``tower_oracle``
+    and the audits run, per call, and the LAPACK eigen-solver calls of each."""
+    import numpy as np
+
+    from epdifflab import conjugation
+    from epdifflab.grid import TorusGrid
+    from epdifflab.operators import sobolev_multiplier
+    from epdifflab.symbols import (
+        _check_flags,
+        check_normal_ellipticity,
+        check_order_estimate,
+        check_strong_ellipticity,
+        shear_laplacian_symbol,
+        sobolev_symbol,
+        sqrt_symbol,
+    )
+
+    calls = {}
+    for tag, symbol in (("shear_t1.99", shear_laplacian_symbol(1.99)), ("sobolev_d2", sobolev_symbol(1.5, 2))):
+        calls[f"certificates.normal_{tag}"] = functools.partial(check_normal_ellipticity, symbol, CERT_SAMPLES)
+        calls[f"certificates.strong_{tag}"] = functools.partial(check_strong_ellipticity, symbol, CERT_SAMPLES)
+    for dim in (1, 2):
+        symbol = sobolev_symbol(1.5, dim)
+        root = sqrt_symbol(symbol)
+        pts = np.random.default_rng(dim).uniform(-200.0, 200.0, size=(CERT_SAMPLES, dim))
+        calls[f"certificates.sqrt_symbol_d{dim}"] = functools.partial(sqrt_symbol, symbol)
+        calls[f"certificates.sqrt_eval_d{dim}"] = functools.partial(root, pts)
+        calls[f"certificates.sqrt_order_d{dim}"] = functools.partial(check_order_estimate, root, max_alpha=2)
+    identities = {f"certificates.sn_identity_d{dim}_n2": functools.partial(
+        conjugation.verify_sn_identity, sobolev_symbol(1.5, dim), 2, num_tuples=100, seed=0) for dim in (1, 2)}
+    calls.update(identities)
+    grid = TorusGrid(3, 32)
+    table = sobolev_multiplier(1.5, grid).table.reshape(-1, 3, 3)
+    calls["certificates.check_flags_d3_n32"] = functools.partial(_check_flags, table, grid.frequency_points())
+    for tag, call in calls.items():
+        samples[f"{tag}_ms"] = _per_call_ms(call, repeats)
+    # counted after every timing, as in measure_lagrangian()
+    solvers = CallCounter([(np.linalg, name) for name in ("eigh", "eigvalsh", "eigvals")]
+                          + [(conjugation, "_s_tensor_scaled")])
+    for tag, call in calls.items():
+        counts[tag] = {key.rsplit(".", 1)[1]: value for key, value in solvers.calls_in(call).items()}
+    solvers.close()
+
+
 # Each group runs in a child process of its own, in this order within a round.
 GROUPS = {"allocations": measure_allocations, "transforms": measure_transforms,
           "multiplier": measure_multiplier, "lagrangian": measure_lagrangian,
-          "oracle": measure_oracle, "eulerian": measure_eulerian}
+          "oracle": measure_oracle, "eulerian": measure_eulerian,
+          "certificates": measure_certificates}
 
 
 # --- the parent process -----------------------------------------------------------

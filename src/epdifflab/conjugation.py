@@ -39,7 +39,15 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import SpectralVectorField, TorusGrid, _full, _require_same_grid, _truncate_half, padded_samples
+from .grid import (
+    SpectralVectorField,
+    TorusGrid,
+    _complete_planes,
+    _full,
+    _require_same_grid,
+    _truncate_half,
+    padded_samples,
+)
 from .operators import FourierMultiplier, apply, _require_conjugate_symmetric
 from .symbols import MatrixSymbol, sobolev_weight
 
@@ -101,7 +109,10 @@ def apply_An_recursive(mult: FourierMultiplier, n: int, *fields: SpectralVectorF
             f"or band-limit inputs to |k| <= {headroom_band(n, grid_n)}"
         )
     slots = [f.coeffs[None, ..., :mult.grid.plan.half] for f in fields]
-    return SpectralVectorField(mult.grid, _full(mult.grid, _tower(mult, slots)[0]))
+    # a table symmetric only to SYMMETRY_GAP leaves the self-reflecting bins
+    # of planes 0 and n/2 slightly complex, and _full copies those planes
+    half = _complete_planes(mult.grid, _tower(mult, slots)[0])
+    return SpectralVectorField(mult.grid, _full(mult.grid, half))
 
 
 def _tower(mult: FourierMultiplier, slots: list[np.ndarray]) -> np.ndarray:
@@ -536,26 +547,31 @@ def s_tensor(
 
 def _rec_tensor_scaled(
     symbol: MatrixSymbol, nn: int, positions: tuple[int, ...], xis: np.ndarray
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float, tuple[np.ndarray, float]]:
+    """``Rec(s_nn)`` at ``(nn+2, dim, B)`` tuples and its term scale, with
+    :func:`_s_tensor_scaled` at the plain tuple ``xis[:nn+1]``, which the
+    recursion evaluates first."""
     r = len(positions)
-    scale = 0.0
+    scale, plain = 0.0, None
 
     def minus_s(args: np.ndarray) -> np.ndarray:
         # Rec(s) = -shift_difference(s) = shift_difference(-s); negating each s
         # keeps the bits of s(shifted) - s(plain), zero signs included
-        nonlocal scale
+        nonlocal scale, plain
         tensor, term_scale = _s_tensor_scaled(symbol, nn, positions, args[:r], args[r:])
         scale = max(scale, term_scale)
+        if plain is None:
+            plain = tensor, term_scale
         return -tensor
 
     out = _shift_difference(minus_s, xis)
-    return out, scale * float(np.abs(xis).max())
+    return out, scale * float(np.abs(xis).max()), plain
 
 
 def rec_tensor(symbol: MatrixSymbol, nn: int, positions: tuple[int, ...], xis: np.ndarray) -> np.ndarray:
     """Apply the shift-difference recursion operator to ``s_nn`` at tuples
     ``(xi_0, ..., xi_{nn+1})`` of shape ``(..., nn+2, dim)``."""
-    tensor, _ = _rec_tensor_scaled(symbol, nn, positions, _component_major(xis))
+    tensor, _, _ = _rec_tensor_scaled(symbol, nn, positions, _component_major(xis))
     return _batch_major(tensor, xis.shape[:-2])
 
 
@@ -614,7 +630,7 @@ def verify_sn_identity(symbol: MatrixSymbol, n: int, num_tuples: int = 100, seed
         for positions in itertools.combinations(range(1, n + 1), r):
             tag = f"r{r}_p{'_'.join(map(str, positions))}"
             xis = _component_major(rng.normal(0.0, 2.0, size=(num_tuples, n + 2, d)))
-            lhs, scale_l = _rec_tensor_scaled(symbol, n, positions, xis)
+            lhs, scale_l, (s_plain, sc1) = _rec_tensor_scaled(symbol, n, positions, xis)
             rhs1, scale_1 = _s_tensor_scaled(symbol, n + 1, positions, xis[:r], xis[r:])
             frozen_second = xis[[*range(r), n + 1]]
             rhs2, scale_2 = _s_tensor_scaled(symbol, n + 1, positions + (n + 1,), frozen_second, xis[r : n + 1])
@@ -622,11 +638,9 @@ def verify_sn_identity(symbol: MatrixSymbol, n: int, num_tuples: int = 100, seed
 
             # skew symmetry in the frozen block, symmetry in the free block
             blocks = (xis[:r], xis[r : n + 1])
-            swaps = [(kind, b, sign) for kind, b, sign in (("skew", 0, -1.0), ("sym", 1, 1.0))
-                     if len(blocks[b]) >= 2]
-            if swaps:
-                s_plain, sc1 = _s_tensor_scaled(symbol, n, positions, *blocks)
-            for kind, b, sign in swaps:
+            for kind, b, sign in (("skew", 0, -1.0), ("sym", 1, 1.0)):
+                if len(blocks[b]) < 2:
+                    continue
                 swapped = list(blocks)
                 swapped[b] = blocks[b][[1, 0, *range(2, len(blocks[b]))]]
                 s_swap, sc2 = _s_tensor_scaled(symbol, n, positions, *swapped)

@@ -354,12 +354,20 @@ def _full(grid: TorusGrid, half: np.ndarray) -> np.ndarray:
 
 def _spectra(grid: TorusGrid, samples: np.ndarray) -> np.ndarray:
     """Spectra of real samples ``(..., n, ..., n)``."""
-    half = _rfft(samples, grid.dim)
+    half = _complete_planes(grid, _rfft(samples, grid.dim))
+    half *= grid.cell_volume
+    return _full(grid, half)
+
+
+def _complete_planes(grid: TorusGrid, half: np.ndarray) -> np.ndarray:
+    """Half spectra ``(..., n, ..., n/2+1)`` whose last-axis planes 0 and n/2
+    are made conjugate-symmetric in place, each entry the mean of itself and
+    the conjugate of its reflection; returns ``half``.  On planes that are
+    already symmetric this is ``x/2 + x/2``, the same values."""
     planes = half[grid.plan.planes]  # last-axis bins 0 and n/2
     planes *= _HALF  # bin 0 is its own reflection, +-n/2 is shared
     planes += np.conjugate(planes[grid.plan.plane_mirror])  # each plane gets its conjugate reflection
-    half *= grid.cell_volume
-    return _full(grid, half)
+    return half
 
 
 def _samples(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:

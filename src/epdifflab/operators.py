@@ -15,7 +15,15 @@ from typing import Optional
 import numpy as np
 
 from .grid import SpectralVectorField, TorusGrid, _require_same_grid
-from .symbols import SYMMETRY_GAP, MatrixSymbol, _relative_gap, check_ellipticity, sobolev_weight
+from .symbols import (
+    SYMMETRY_GAP,
+    MatrixSymbol,
+    _diagonal,
+    _positive_diagonal,
+    _relative_gap,
+    check_ellipticity,
+    sobolev_weight,
+)
 
 
 class EllipticityError(ValueError):
@@ -119,34 +127,6 @@ def _inverse_table(table: np.ndarray, grid: TorusGrid) -> tuple[np.ndarray, floa
             k = grid.wavenumbers[(slice(None),) + _first_singular(table, grid)]
             raise EllipticityError(f"table is singular at k={k.tolist()}") from None
         return inv, np.abs(table @ inv - np.eye(grid.dim)).max()
-
-
-def _diagonal(table: np.ndarray) -> np.ndarray:
-    """The diagonal entries of a ``(..., d, d)`` table as ``(modes, d)``: every
-    ``d + 1``-th entry of the flat table, a writable view if it is C-contiguous."""
-    d = table.shape[-1]
-    return table.reshape(-1, d * d)[:, ::d + 1]
-
-
-def _positive_diagonal(table: np.ndarray) -> Optional[np.ndarray]:
-    """:func:`_diagonal` of a positive real diagonal table, else ``None``.
-
-    That is a table whose off-diagonal entries are bitwise ``+0+0j`` and
-    whose diagonal entries have an imaginary part that is bitwise ``+0`` and
-    a real part ``> 0`` (``inf`` counts, NaN does not).  On these ``1 / a``
-    has the bytes of ``np.linalg.inv``, signed zeros included; on negative or
-    complex entries, or a ``-0`` imaginary part, it does not.  A C-contiguous
-    table, as every build makes, is read through views only.
-    """
-    d = table.shape[-1]
-    words = table.reshape(-1, d * d).view(np.uint64)  # real and imaginary word of each entry
-    # past the first entry, the flat matrix is d - 1 rows of d off-diagonal
-    # entries followed by a diagonal one
-    off = words[:, 2:].reshape(len(words), d - 1, 2 * d + 2)[..., :2 * d]
-    diag = _diagonal(table)
-    if off.any() or diag.imag.view(np.uint64).any() or not diag.real.min() > 0:
-        return None
-    return diag
 
 
 def _first_singular(table: np.ndarray, grid: TorusGrid) -> tuple:

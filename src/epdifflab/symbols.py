@@ -394,7 +394,7 @@ def check_normal_ellipticity(symbol: MatrixSymbol, sphere_samples: int = 4096) -
         "normally_elliptic",
         symbol,
         sphere_samples,
-        lambda values: np.linalg.eigvals(values).real.min(axis=-1),
+        _min_real_eigenvalue,
     )
 
 
@@ -407,9 +407,110 @@ def check_strong_ellipticity(symbol: MatrixSymbol, sphere_samples: int = 4096) -
     """
     def min_form(values: np.ndarray) -> np.ndarray:
         herm = 0.5 * (values + np.conj(np.swapaxes(values, -1, -2)))
-        return np.linalg.eigvalsh(herm)[..., 0]
+        return _eigvalsh(herm)[..., 0]
 
     return _principal_certificate("strongly_elliptic", symbol, sphere_samples, min_form)
+
+
+# --- eigenvalues read off the diagonal ------------------------------------------
+
+# LAPACK's zheevd (``np.linalg.eigh``/``eigvalsh``) and zgeev
+# (``np.linalg.eigvals``) rescale a matrix whose largest |entry| lies outside
+# about [1.5e-146, 7e145] and [1.3e-138, 7e137] (LAPACK Users' Guide, 3rd ed.),
+# which moves the last bits of its eigenvalues.  Inside this range neither
+# rescales, and both return the diagonal of a diagonal or triangular matrix
+# bit for bit.
+_UNSCALED_RANGE = (1e-130, 1e130)
+
+
+def _unscaled(largest: np.ndarray) -> bool:
+    """True when every matrix's largest ``|entry|`` lies in ``_UNSCALED_RANGE``;
+    a non-finite one does not."""
+    return bool(_UNSCALED_RANGE[0] <= largest.min() and largest.max() <= _UNSCALED_RANGE[1])
+
+
+def _complex_stack(mats: np.ndarray) -> bool:
+    """A non-empty complex128 stack of square matrices, the only input the
+    diagonal routes read (a real stack gets real results from LAPACK)."""
+    return (mats.dtype == np.complex128 and mats.ndim >= 2 and mats.size > 0
+            and mats.shape[-1] == mats.shape[-2])
+
+
+def _diagonal(table: np.ndarray) -> np.ndarray:
+    """The diagonal entries of a ``(..., d, d)`` table as ``(modes, d)``: every
+    ``d + 1``-th entry of the flat table, a writable view if it is C-contiguous."""
+    d = table.shape[-1]
+    return table.reshape(-1, d * d)[:, ::d + 1]
+
+
+def _positive_diagonal(table: np.ndarray) -> Optional[np.ndarray]:
+    """:func:`_diagonal` of a positive real diagonal complex128 table, else ``None``.
+
+    That is a table whose off-diagonal entries are bitwise ``+0+0j`` and
+    whose diagonal entries have an imaginary part that is bitwise ``+0`` and
+    a real part ``> 0`` (``inf`` counts, NaN does not).  On these ``1 / a``
+    has the bytes of ``np.linalg.inv``, signed zeros included; on negative or
+    complex entries, or a ``-0`` imaginary part, it does not.  A C-contiguous
+    table, as every build makes, is read through views only.
+    """
+    d = table.shape[-1]
+    words = table.reshape(-1, d * d).view(np.uint64)  # real and imaginary word of each entry
+    # past the first entry, the flat matrix is d - 1 rows of d off-diagonal
+    # entries followed by a diagonal one
+    off = words[:, 2:].reshape(len(words), d - 1, 2 * d + 2)[..., :2 * d]
+    diag = _diagonal(table)
+    if off.any() or diag.imag.view(np.uint64).any() or not diag.real.min() > 0:
+        return None
+    return diag
+
+
+def _hermitian_diagonal(mats: np.ndarray) -> Optional[np.ndarray]:
+    """The real diagonal ``(modes, d)`` of a stack ``(..., d, d)`` whose
+    eigenvalues ``np.linalg.eigh`` returns as that diagonal, bit for bit: a
+    positive real diagonal stack (:func:`_positive_diagonal`) whose largest
+    entries lie in ``_UNSCALED_RANGE``.  Any other stack gives ``None``."""
+    if not _complex_stack(mats):
+        return None
+    diag = _positive_diagonal(mats)
+    if diag is None or not _unscaled(diag.real.max(axis=-1)):
+        return None
+    return diag.real
+
+
+def _eigvalsh(mats: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvalsh(mats)``; the sorted diagonal where
+    :func:`_hermitian_diagonal` accepts the stack."""
+    diag = _hermitian_diagonal(mats)
+    if diag is None:
+        return np.linalg.eigvalsh(mats)
+    return np.sort(diag, axis=-1).reshape(mats.shape[:-1])
+
+
+def _triangular_diagonal(mats: np.ndarray) -> Optional[np.ndarray]:
+    """The diagonal ``(..., d)`` of a stack ``(..., d, d)`` whose eigenvalues
+    ``np.linalg.eigvals`` returns as those entries, bit for bit, in some
+    order: a finite stack that is upper- or lower-triangular throughout,
+    whose largest entries lie in ``_UNSCALED_RANGE``.  A diagonal entry with
+    a zero real part is left to LAPACK too, since a minimum over ``+0`` and
+    ``-0`` depends on their order.  Any other stack gives ``None``."""
+    if not _complex_stack(mats):
+        return None
+    below = np.tril_indices(mats.shape[-1], -1)
+    if mats[..., below[0], below[1]].any() and mats[..., below[1], below[0]].any():
+        return None
+    diag = np.diagonal(mats, axis1=-2, axis2=-1)
+    if not diag.real.all() or not _unscaled(np.abs(mats).max(axis=(-2, -1))):
+        return None
+    return diag
+
+
+def _min_real_eigenvalue(mats: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvals(mats).real.min(axis=-1)``; the smallest real part
+    on the diagonal where :func:`_triangular_diagonal` accepts the stack."""
+    diag = _triangular_diagonal(mats)
+    if diag is None:
+        return np.linalg.eigvals(mats).real.min(axis=-1)
+    return diag.real.min(axis=-1)
 
 
 # --- square roots and the Sylvester bound -------------------------------------
@@ -437,7 +538,17 @@ def sylvester_solve(b: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def _eigh_sqrt(mats: np.ndarray, require_positive: bool) -> np.ndarray:
-    """Batched ``V sqrt(max(W, 0)) V^*`` from one ``eigh``, optionally rejecting non-positive ``W``."""
+    """Batched ``V sqrt(max(W, 0)) V^*`` from one ``eigh``, optionally rejecting non-positive ``W``.
+
+    On a stack :func:`_hermitian_diagonal` accepts, ``V`` is a permutation
+    matrix, and the result is ``sqrt`` of the diagonal with ``+0``
+    elsewhere, which is what this writes without calling ``eigh``.
+    """
+    diag = _hermitian_diagonal(mats)
+    if diag is not None:
+        out = np.zeros(mats.shape, dtype=complex)
+        np.sqrt(diag, out=_diagonal(out).real)
+        return out
     w, v = np.linalg.eigh(mats)
     if require_positive and w.min() <= 0:
         raise ValueError(f"matrix not positive definite (min eigenvalue {w.min():.3g})")
@@ -468,7 +579,7 @@ def _check_flags(values: np.ndarray, points: np.ndarray, hermitian=True, positiv
             bad = points[np.argmax(rel)]
             raise ValueError(f"symbol not Hermitian at xi={np.array2string(bad, precision=6)}")
     if positive_definite:
-        eigs = np.linalg.eigvalsh(values)
+        eigs = _eigvalsh(values)
         if eigs.min() <= 0:
             bad = points[np.argmin(eigs[..., 0])]
             raise ValueError(f"symbol not positive definite at xi={np.array2string(bad, precision=6)}")

@@ -26,7 +26,7 @@ from epdifflab.conjugation import (
 from epdifflab.epdiff import bandlimited_draw
 from epdifflab import conjugation
 from epdifflab import grid as grid_module
-from epdifflab.grid import GridMismatchError, SpectralVectorField, TorusGrid, _full
+from epdifflab.grid import GridMismatchError, SpectralVectorField, TorusGrid, _complete_planes, _full
 from epdifflab.operators import FourierMultiplier, apply, sobolev_multiplier
 from epdifflab.symbols import MatrixSymbol, scalar_symbol, shear_laplacian_symbol, sobolev_symbol, sobolev_weight
 
@@ -312,25 +312,35 @@ class TestOperatorRecursion:
         us = [headroom_field(mult.grid, order, 60 + 10 * order + i) for i in range(order + 1)]
         assert_same_bits(apply_An_recursive(mult, order, *us), per_product_tower(mult, us))
 
-    def test_table_symmetric_to_the_gap_gives_a_reflected_result(self, monkeypatch):
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_table_symmetric_to_the_gap_gives_a_reflected_result(self, n, order, monkeypatch):
         # b = 0.1 sin(2 pi xi_1 / n) straight from np.sin: sin(-pi) = -1.2e-16,
         # so the table breaks a(-k) = conj(a(k)) on the kx = -n/2 plane by
         # 2.4e-17, within SYMMETRY_GAP.  The tower reads bins 0..n/2 only and
         # reflects once, so its negative last-axis bins are reflections, not
-        # the table's own values there (two entries differ by 6e-34)
-        n = 16
+        # the table's own values there (two entries differ by 6e-34), and it
+        # completes planes 0 and n/2, whose self-reflecting bins would
+        # otherwise carry imaginary parts of 1e-34
         mult = FourierMultiplier.build(
             sine_complex_symbol(lambda xi1: 0.1 * np.sin(2 * np.pi * xi1 / n), "sine_complex"),
             TorusGrid(2, n))
         plane = mult.table[n // 2]  # kx = -n/2, its own reflection
         assert (plane[-np.arange(n) % n] != np.conj(plane)).any()
-        us = [headroom_field(mult.grid, 1, 70 + i) for i in range(2)]
-        got = apply_An_recursive(mult, 1, *us).coeffs
+        us = [headroom_field(mult.grid, order, 70 + i) for i in range(order + 1)]
+        got = apply_An_recursive(mult, order, *us).coeffs
+        flip = -np.arange(n) % n
+        reflected = np.conj(got[:, flip][:, :, flip])
+        own = np.logical_and.outer(flip == np.arange(n), flip == np.arange(n))  # k = -k
+        assert got[:, ~own].tobytes() == reflected[:, ~own].tobytes()
+        assert np.array_equal(got[:, own], got[:, own].real)  # conj(x) = x up to the sign of 0
         half = mult.grid.plan.half
-        assert np.array_equal(got, _full(mult.grid, got[..., :half]))
-        assert got[..., :half].tobytes() == per_product_tower(mult, us).coeffs[..., :half].tobytes()
-        monkeypatch.setitem(conjugation.CONVOLUTION_GRID_LIMIT, 2, n)  # 256^2 tuples at order 1
-        assert rel_diff(SpectralVectorField(mult.grid, got), apply_An_convolution(mult, 1, *us)) <= 1e-10
+        reference = _complete_planes(mult.grid, per_product_tower(mult, us).coeffs[..., :half].copy())
+        assert got[..., :half].tobytes() == reference.tobytes()
+        if n ** (2 * order + 2) <= 256**2:  # the oracle's tuples
+            monkeypatch.setitem(conjugation.CONVOLUTION_GRID_LIMIT, 2, n)
+            oracle = apply_An_convolution(mult, order, *us)
+            assert rel_diff(SpectralVectorField(mult.grid, got), oracle) <= 1e-10
 
     @pytest.mark.parametrize("per_call", [1, 2, 5])
     @pytest.mark.parametrize("dim,n,order", [(1, 32, 3), (2, 16, 2), (3, 16, 2)])

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from epdifflab import symbols
 from epdifflab.symbols import (
     ClassCertificate,
     MatrixSymbol,
@@ -19,6 +20,13 @@ from epdifflab.symbols import (
     sobolev_weight,
     sqrt_symbol,
     sylvester_solve,
+    _check_flags,
+    _eigvalsh,
+    _hermitian_diagonal,
+    _min_real_eigenvalue,
+    _radial_points,
+    _triangular_diagonal,
+    _unit_directions,
 )
 
 FOUR_PI_SQ = 4 * np.pi**2
@@ -297,6 +305,145 @@ def test_hermitian_sqrt_batched():
     mats = c @ np.conj(np.swapaxes(c, -1, -2)) + np.eye(3)
     roots = hermitian_sqrt(mats)
     assert np.abs(roots @ roots - mats).max() < 1e-11 * np.abs(mats).max()
+
+
+def _lapack_sqrt(mats):
+    """The Hermitian square root from one ``np.linalg.eigh``."""
+    w, v = np.linalg.eigh(mats)
+    return np.einsum("...ik,...k,...jk->...ij", v, np.sqrt(np.maximum(w, 0.0)), np.conj(v))
+
+
+def _outcome(fn, mats):
+    """``fn(mats)`` as bytes, or the type and text of the exception it raises."""
+    try:
+        return fn(mats).tobytes()
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _lapack_min_real(mats):
+    return np.linalg.eigvals(mats).real.min(axis=-1)
+
+
+def _hermitian_part(mats):
+    return 0.5 * (mats + np.conj(np.swapaxes(mats, -1, -2)))
+
+
+class TestEigenRoutes:
+    """The diagonal routes must give the bytes LAPACK gives on every stack
+    they take, and leave every other stack to LAPACK."""
+
+    @staticmethod
+    def sobolev_stacks(s, dim):
+        symbol = sobolev_symbol(s, dim)
+        radial, _, _ = _radial_points(dim, 1e3)
+        uniform = np.random.default_rng(dim).uniform(-200.0, 200.0, size=(10_000, dim))
+        sphere = _unit_directions(dim, 10_000)
+        return [symbol(radial), symbol(uniform), np.asarray(symbol.principal(sphere), dtype=complex)]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("s", [0.5, 1.0, 1.5, 2.0, 2.5])
+    def test_sobolev_stacks_take_the_diagonal_route_with_lapack_bytes(self, s, dim):
+        for mats in self.sobolev_stacks(s, dim):
+            assert _hermitian_diagonal(mats) is not None
+            assert hermitian_sqrt(mats).tobytes() == _lapack_sqrt(mats).tobytes()
+            assert _eigvalsh(mats).tobytes() == np.linalg.eigvalsh(mats).tobytes()
+            herm = _hermitian_part(mats)
+            assert _eigvalsh(herm)[..., 0].tobytes() == np.linalg.eigvalsh(herm)[..., 0].tobytes()
+            assert _triangular_diagonal(mats) is not None
+            assert _min_real_eigenvalue(mats).tobytes() == _lapack_min_real(mats).tobytes()
+
+    @pytest.mark.parametrize("t", [0.0, 1.0, 1.99, 2.01, 5.0, 100.0])
+    def test_shear_principal_takes_the_triangular_route_with_lapack_bytes(self, t):
+        upper = shear_laplacian_symbol(t).principal(_unit_directions(2, 10_000))
+        for mats in (upper, np.ascontiguousarray(np.swapaxes(upper, -1, -2))):
+            assert _triangular_diagonal(mats) is not None
+            assert _min_real_eigenvalue(mats).tobytes() == _lapack_min_real(mats).tobytes()
+
+    @pytest.mark.parametrize("make", [
+        lambda: sobolev_symbol(1.5, 1),
+        lambda: sobolev_symbol(1.5, 2),
+        lambda: shear_laplacian_symbol(1.99),
+        lambda: shear_laplacian_symbol(5.0),
+    ])
+    def test_certificates_keep_their_lines_without_the_routes(self, make, monkeypatch):
+        def certify():
+            symbol = make()
+            certs = [check_normal_ellipticity(symbol, 10_000), check_strong_ellipticity(symbol, 10_000)]
+            if symbol.hermitian:
+                root = sqrt_symbol(symbol)
+                certs += [check_order_estimate(root, max_alpha=2), check_ellipticity(root)]
+            return [line for cert in certs for line in cert.report_lines()]
+
+        routed = certify()
+        monkeypatch.setattr(symbols, "_hermitian_diagonal", lambda mats: None)
+        monkeypatch.setattr(symbols, "_triangular_diagonal", lambda mats: None)
+        assert routed == certify()
+
+    @staticmethod
+    def diagonal_stack(scale=1.0):
+        mats = sobolev_symbol(1.0, 2)(np.random.default_rng(0).uniform(-3.0, 3.0, size=(64, 2)))
+        return mats * (scale / np.abs(mats).max(axis=(-2, -1), keepdims=True))  # each matrix's largest
+
+    @pytest.mark.parametrize("entry", ["minus_zero_off_diagonal", "complex_diagonal", "nan", "inf"])
+    def test_other_stacks_keep_lapack_results(self, entry):
+        mats = self.diagonal_stack()
+        if entry == "minus_zero_off_diagonal":
+            mats[5, 0, 1] = complex(-0.0, 0.0)
+        elif entry == "complex_diagonal":
+            mats[5, 1, 1] += 0.5j
+        else:
+            mats[5, 1, 1] = np.nan if entry == "nan" else np.inf
+        assert _hermitian_diagonal(mats) is None
+        assert _outcome(hermitian_sqrt, mats) == _outcome(_lapack_sqrt, mats)
+        assert _outcome(_eigvalsh, mats) == _outcome(np.linalg.eigvalsh, mats)
+        assert _outcome(_min_real_eigenvalue, mats) == _outcome(_lapack_min_real, mats)
+        if entry in ("nan", "inf"):
+            assert _triangular_diagonal(mats) is None
+            assert _outcome(_min_real_eigenvalue, mats) == (
+                np.linalg.LinAlgError, "Array must not contain infs or NaNs")
+
+    @pytest.mark.parametrize("stack", ["full", "upper_and_lower", "zero_real_part"])
+    def test_other_stacks_keep_lapack_eigenvalues(self, stack):
+        dirs = _unit_directions(2, 256)
+        if stack == "full":
+            mats = random_hpd_symbol(2.0, 2, seed=3)(dirs)
+        else:
+            mats = shear_laplacian_symbol(5.0).principal(dirs)
+        if stack == "upper_and_lower":
+            mats[::2] = np.swapaxes(mats[::2], -1, -2)
+        elif stack == "zero_real_part":
+            mats[9, 1, 1] = 1j
+        assert _triangular_diagonal(mats) is None
+        assert _min_real_eigenvalue(mats).tobytes() == _lapack_min_real(mats).tobytes()
+
+    @pytest.mark.parametrize("sign", [-1.0, 0.0])
+    def test_non_positive_diagonal_keeps_lapack_errors(self, sign):
+        mats = self.diagonal_stack()
+        mats[7, 0, 0] *= sign
+        points = np.arange(2 * len(mats), dtype=float).reshape(-1, 2)
+        assert _hermitian_diagonal(mats) is None
+        least = np.linalg.eigvalsh(mats).min()
+        with pytest.raises(ValueError) as err:
+            hermitian_sqrt(mats)
+        assert str(err.value) == f"matrix not positive definite (min eigenvalue {least:.3g})"
+        with pytest.raises(ValueError, match=r"not positive definite at xi=\[14\. 15\.\]"):
+            _check_flags(mats, points)
+        assert _min_real_eigenvalue(mats).tobytes() == _lapack_min_real(mats).tobytes()
+
+    @pytest.mark.parametrize("scale", [1e-129, 1e129, 1e-150, 1e150])
+    def test_diagonal_route_holds_only_inside_the_unscaled_range(self, scale):
+        mats = self.diagonal_stack(scale)
+        assert (_hermitian_diagonal(mats) is None) == (scale in (1e-150, 1e150))
+        assert hermitian_sqrt(mats).tobytes() == _lapack_sqrt(mats).tobytes()
+        assert _eigvalsh(mats).tobytes() == np.linalg.eigvalsh(mats).tobytes()
+
+    @pytest.mark.parametrize("scale", [1e-129, 1e129, 1e-140, 1e140])
+    def test_triangular_route_holds_only_inside_the_unscaled_range(self, scale):
+        mats = shear_laplacian_symbol(5.0).principal(_unit_directions(2, 256))
+        mats *= scale / np.abs(mats).max(axis=(-2, -1), keepdims=True)
+        assert (_triangular_diagonal(mats) is None) == (scale in (1e-140, 1e140))
+        assert _min_real_eigenvalue(mats).tobytes() == _lapack_min_real(mats).tobytes()
 
 
 def test_certificate_report_lines():
