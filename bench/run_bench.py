@@ -74,6 +74,17 @@ d))``, the square root at 10 000 uniform points in [-200, 200]^d and its
 table.  It counts, per call, the ``np.linalg.eigh``/``eigvalsh``/``eigvals``
 calls and the ``conjugation._s_tensor_scaled`` calls.
 
+The guard group runs ``integrate`` as ``epdifflab run`` does: the config of
+``configs/peakon_blowup.ini`` to its halt at dt and at dt/2 (the
+confirmation run), the datum of ``configs/gaussian_blob.ini`` at d=2 n=64 for
+``GUARD_BLOB_STEPS`` steps, and the band-limited datum at d=3 n=32 (four
+steps of 0.01, as ``bandlimited_3d``), each with the default blow-up
+threshold.  It times each run per outer step and counts, per run, the exact
+samplings of the CFL guard and of the gradient threshold
+(``epdiff.cfl_limit``, ``epdiff.sup_velocity_gradient``) against the
+evaluations of their coefficient bound (``epdiff._guard_ceilings``, where it
+exists), with the outer steps, substeps and retries as values.
+
 Each round measures every group of every side in a fresh child process, so
 no group runs on a heap that another group grew.  The working tree is one
 side; ``--baseline REF`` adds the tree of a git commit as the other,
@@ -127,9 +138,12 @@ MULTIPLIER_GRIDS = ((1, 256), (1, 1024), (2, 64), (2, 128), (3, 32))
 # worker counts of the d=3 n=32 step_rk4 timings
 STEP_WORKERS = (1, 2)
 # (dim, n, rows) of the transform timings: rows is the stack of the transport
-# term's first padded pass ([v, m, div v], and at d=1 the fused gradients)
-TRANSFORM_CASES = ((1, 128, 5), (1, 256, 5), (1, 1024, 5), (2, 64, 5), (2, 128, 5), (3, 32, 7))
+# term's first padded pass ([v, m, div v]; at d=1 [v, m] and the fused
+# gradients, of which d_0 v^0 is div v)
+TRANSFORM_CASES = ((1, 128, 4), (1, 256, 4), (1, 1024, 4), (2, 64, 5), (2, 128, 5), (3, 32, 7))
 PEAKON_T_END = 0.5
+# outer steps of the guard group's d=2 blob run
+GUARD_BLOB_STEPS = 50
 # sphere samples of the ellipticity certificates and points of the square
 # root, as the tower_oracle benchmark workload uses them
 CERT_SAMPLES = 10_000
@@ -622,11 +636,60 @@ def measure_certificates(repeats: int, samples: dict, counts: dict, values: dict
     solvers.close()
 
 
+def measure_guards(repeats: int, samples: dict, counts: dict, values: dict) -> None:
+    """The guard group: per ``integrate`` run, the time per outer step, and
+    the exact samplings of the guards against their bound's evaluations."""
+    from epdifflab import epdiff
+    from epdifflab.epdiff import EulerState, default_blowup_threshold, gaussian_blob, integrate, peakon_pair
+    from epdifflab.grid import TorusGrid
+    from epdifflab.operators import sobolev_multiplier
+
+    peakon = _config_params(PEAKON_CONFIG, "amplitude", "separation", "width")
+    cadence = 200  # configs/peakon_blowup.ini
+    grid = TorusGrid(1, 256)
+    mult = sobolev_multiplier(peakon["s"], grid)
+    state = EulerState.from_velocity(
+        mult, peakon_pair(grid, peakon["amplitude"], peakon["separation"], peakon["width"]))
+    threshold = default_blowup_threshold(state)
+    runs = {  # as scenarios.run_evolution calls integrate
+        "peakon_dt": functools.partial(integrate, mult, state, peakon["t_end"], peakon["dt"],
+                                       cadence=cadence, norm_orders=(1.0,), grad_threshold=threshold),
+        "peakon_dt2": functools.partial(integrate, mult, state, peakon["t_end"], peakon["dt"] / 2,
+                                        cadence=2 * cadence, grad_threshold=threshold),
+    }
+    blob = _config_params(REPO / "configs" / "gaussian_blob.ini", "amplitude", "width")
+    mult = sobolev_multiplier(blob["s"], TorusGrid(2, 64))
+    state = EulerState.from_velocity(mult, gaussian_blob(mult.grid, blob["amplitude"], blob["width"]))
+    runs["blob_d2_n64"] = functools.partial(
+        integrate, mult, state, GUARD_BLOB_STEPS * blob["dt"], blob["dt"], cadence=10,
+        norm_orders=(1.5,), grad_threshold=default_blowup_threshold(state))
+    mult, state = _bandlimited_state(3, 32)
+    runs["bandlimited_d3_n32"] = functools.partial(
+        integrate, mult, state, 0.04, 0.01, cadence=2, norm_orders=(1.0,),
+        grad_threshold=default_blowup_threshold(state))
+
+    for tag, run in runs.items():
+        result = run()
+        _, initial, _, dt = run.args
+        t_last = result.t_halt if result.t_halt is not None else result.final_state.t
+        # a step that halts at dt_underflow or nan_abort ran too
+        steps = round((t_last - initial.t) / dt) + (result.status in ("dt_underflow", "nan_abort"))
+        values[f"guards.{tag}"] = {"status": result.status, "outer_steps": steps,
+                                   "substeps": result.substeps, "retries": result.retries}
+        samples[f"guards.{tag}.outer_step_us"] = [1e3 * ms / steps for ms in _per_call_ms(run, repeats)]
+    # counted after every timing, as in measure_lagrangian(); each run builds its states anew
+    targets = ["cfl_limit", "sup_velocity_gradient", "_guard_ceilings"]
+    counter = CallCounter([(epdiff, name) for name in targets if hasattr(epdiff, name)])
+    for tag, run in runs.items():
+        counts[f"guards.{tag}"] = {key.rsplit(".", 1)[1]: value for key, value in counter.calls_in(run).items()}
+    counter.close()
+
+
 # Each group runs in a child process of its own, in this order within a round.
 GROUPS = {"allocations": measure_allocations, "transforms": measure_transforms,
           "multiplier": measure_multiplier, "lagrangian": measure_lagrangian,
           "oracle": measure_oracle, "eulerian": measure_eulerian,
-          "certificates": measure_certificates}
+          "certificates": measure_certificates, "guards": measure_guards}
 
 
 # --- the parent process -----------------------------------------------------------

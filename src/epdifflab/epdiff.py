@@ -9,7 +9,11 @@ Momentum is the prognostic variable; velocity is recovered diagonally through
 the inverse multiplier table.  The integrator is fixed-step classical RK4
 behind a CFL guard, with power-of-two substepping when the guard bites: a
 step whose guard bites part-way keeps its accepted substeps and finishes its
-interval at half the substep.  An RK4 step runs its stages and their
+interval at half the substep.  The guard and the blow-up threshold read a
+bound from the coefficients first (``sup|u| <= L^-d sum_k w_k |u_k|``, and
+``|xi_j(k)|`` more per term for ``du^i/dx_j``), one small matrix product per
+state, and sample on the grid only when the bound cannot decide; every
+decision is the one the samples give.  An RK4 step runs its stages and their
 combination on half spectra (last-axis bins ``0..n/2``, all a stage reads);
 the step, not the stage, rebuilds the negative bins of the new momentum by
 conjugate reflection.  Conservation diagnostics stay interpretable:
@@ -20,6 +24,7 @@ never accumulated, and the first time the energy drifts past
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable, Optional, Sequence
@@ -58,6 +63,17 @@ RESOLVED_ENERGY_DRIFT = 1e-6
 # Relative gap between the blow-up times at dt and at dt/2 within which a
 # verdict counts as confirmed (the 5% rule of the blow-up acceptance check).
 BLOWUP_CONFIRM_WINDOW = 0.05
+# Relative margin of the guards' coefficient bounds over the samples they
+# bound.  By the normwise error bound of the FFT, a computed sample differs
+# from its exact value by at most about log2(N) sqrt(N) eps times the sum that
+# bounds it (N the grid points; 1e-10 at N = 2^30); the bound's own sum of at
+# most N non-negative terms rounds by at most N eps relative (1.2e-7 at
+# N = 2^30), and each scaling by a few eps.  1e-6 covers all of them.
+GUARD_MARGIN = 1e-6
+# A bound decides only where its sums and its ceilings lie in this range:
+# below it, rounding in the subnormal range is absolute, not relative; above
+# it, a transform may overflow where the sum does not.
+_DECIDING = (2.0**-900, 2.0**900)
 # numpy scalars, as in grid: a Python float operand costs a promotion per call
 _MINUS_ONE = np.complex128(-1.0)
 _TWO = np.float64(2.0)
@@ -86,16 +102,34 @@ class EulerState:
 
     @cached_property
     def cfl(self) -> float:
-        """:func:`cfl_limit` of ``u``, evaluated once per state: an outer step
-        of :func:`integrate` and the first RK4 substep of each try share it."""
+        """:func:`cfl_limit` of ``u``, evaluated once per state, and only
+        where :attr:`bounds` cannot decide a guard."""
         return cfl_limit(self.u)
 
     @cached_property
     def sup_gradient(self) -> float:
         """:func:`sup_velocity_gradient` of ``u``, evaluated once per state:
-        the threshold check of :func:`integrate`, :func:`diagnostics` and
-        :func:`default_blowup_threshold` share it."""
+        :func:`diagnostics`, :func:`default_blowup_threshold` and the
+        threshold checks that :attr:`bounds` cannot decide share it."""
         return sup_velocity_gradient(self.u)
+
+    @cached_property
+    def bounds(self) -> tuple[float, float]:
+        """``(cfl_floor, gradient_ceiling)`` from the coefficients of ``u``,
+        with ``cfl_floor <= cfl`` and ``gradient_ceiling >= sup_gradient``;
+        each is NaN where it decides nothing (see :func:`_guard_ceilings`)."""
+        sup, gradient = _guard_ceilings(self.u)
+        return (math.inf if sup == 0.0 else CFL_FRACTION * self.u.grid.spacing / sup), gradient
+
+    def exceeds_cfl(self, dt: float, slack: float = 1.0) -> bool:
+        """``dt > cfl * slack`` for ``slack >= 1``; :attr:`cfl` is sampled
+        only when ``dt`` is not within the floor of :attr:`bounds`."""
+        return not dt <= self.bounds[0] and dt > self.cfl * slack
+
+    def exceeds_gradient(self, threshold: float) -> bool:
+        """``sup_gradient > threshold``; :attr:`sup_gradient` is sampled only
+        when the ceiling of :attr:`bounds` is not within ``threshold``."""
+        return not self.bounds[1] <= threshold and self.sup_gradient > threshold
 
     @cached_property
     def energy(self) -> float:
@@ -117,6 +151,44 @@ class Diagnostics:
 def sup_velocity_gradient(u: SpectralVectorField) -> float:
     """Max over the grid and all components of ``|du^i/dx_j|``."""
     return float(np.abs(_jacobian_samples(u)).max())
+
+
+def _guard_ceilings(u: SpectralVectorField) -> tuple[float, float]:
+    """Ceilings of :meth:`~epdifflab.grid.SpectralVectorField.sup_norm` and of
+    :func:`sup_velocity_gradient`, read off the half spectra of ``u`` that
+    their samples come from: ``L^-d sum_k w_k |u^i_k|`` and
+    ``L^-d sum_k w_k |xi_j(k)| |u^i_k|``, the largest over ``i`` and ``j``,
+    times ``1 + GUARD_MARGIN``; the weights are ``plan.sum_weights``.
+
+    A ceiling outside ``_DECIDING``, or one whose sum lies outside it, is
+    NaN, which decides nothing: so is every ceiling of a field with a
+    non-finite coefficient, and no ``RuntimeWarning`` is raised for it.
+    A zero sum gives the exact ceiling 0 (see :func:`_ceiling`).
+    """
+    grid = u.grid
+    plan = grid.plan
+    with np.errstate(all="ignore"):
+        sums = np.abs(u.coeffs[..., :plan.half]).reshape(grid.dim, -1) @ plan.sum_weights
+    # numpy's max over the components keeps a NaN (a lone one needs none); a
+    # non-finite coefficient leaves every column of its component non-finite,
+    # so Python's max over the gradients does too
+    sup, *gradients = (sums[0] if len(sums) == 1 else sums.max(axis=0)).tolist()
+    scale = (1 + GUARD_MARGIN) / grid.length**grid.dim
+    return _ceiling(sup, scale), _ceiling(max(gradients), scale)
+
+
+def _ceiling(total: float, scale: float) -> float:
+    """``total * scale`` where it decides, else NaN.  A zero ``total`` is
+    exact, since each of its terms rounded to 0: for ``sup|u|`` each
+    ``|c| w`` with ``w >= 1``, so every coefficient is 0; for a gradient
+    each ``|c| w |xi|``, and then so did each real product of ``c * xi`` in
+    the samples' spectrum, as a computed ``|c|`` is at least both parts of
+    ``c``."""
+    if total == 0.0:
+        return 0.0
+    ceiling = total * scale
+    low, high = _DECIDING
+    return ceiling if low <= total <= high and low <= ceiling <= high else math.nan
 
 
 def diagnostics(state: EulerState, norm_orders: Sequence[float] = ()) -> Diagnostics:
@@ -156,6 +228,9 @@ class _TransportPass:
 
     ``[v, m, div v]`` go to the 3/2 grid once; per output component ``i``
     only ``d_j m^i`` and ``d_i v^j`` do, which bounds the padded working set.
+    At d=1 ``div v`` is ``d_0 v^0``, the same product of the same spectra,
+    so the pass reads it from that gradient's samples and does not sample
+    it twice.
     When the whole stack fits in one transform call (``fused``), it goes in
     one call, the gradients are part of it, and one forward call comes back;
     otherwise the stack, then each component's gradients, go through the
@@ -180,17 +255,20 @@ class _TransportPass:
         d = grid.dim
         factors = plan.factors
         self.grid = grid
-        self.fused = fused = 2 * d + 1 + 2 * d * d <= plan.batch
-        rows = 2 * d + 1 + (2 * d * d if fused else 0)
+        head = 2 * d + (d > 1)  # [v, m, div v] rows; at d=1 div v is a gradient row
+        self.fused = fused = head + 2 * d * d <= plan.batch
+        rows = head + (2 * d * d if fused else 0)
         self.stack = stack = np.empty((rows,) + plan.half_shape, dtype=complex)
         self.v, self.m = v, m = stack[:d], stack[d:2 * d]
 
         # div v: d_j v^j summed over j in order, as np.sum(v * factors, axis=0) sums
-        div_v = stack[2 * d]
-        term = np.empty(plan.half_shape, dtype=complex)
-        self.spectral = [(np.multiply, v[0], factors[0], div_v)]
-        for j in range(1, d):
-            self.spectral += [(np.multiply, v[j], factors[j], term), (np.add, div_v, term, div_v)]
+        self.spectral = []
+        if d > 1:
+            div_v = stack[2 * d]
+            term = np.empty(plan.half_shape, dtype=complex)
+            self.spectral = [(np.multiply, v[0], factors[0], div_v)]
+            for j in range(1, d):
+                self.spectral += [(np.multiply, v[j], factors[j], term), (np.add, div_v, term, div_v)]
 
         def gradients(i: int, out: np.ndarray) -> list:
             # [d_j m^i, d_i v^j] pairs with [v^j, m^j]: the first two terms at once
@@ -201,7 +279,7 @@ class _TransportPass:
         k = 2 * d if advection else d
         if fused:
             for i in range(d):
-                self.spectral += gradients(i, stack[2 * d * (i + 1) + 1:2 * d * (i + 2) + 1])
+                self.spectral += gradients(i, stack[head + 2 * d * i:head + 2 * d * (i + 1)])
             self.sampling = plan.prepared((_Sampling, rows), _Sampling, plan, rows)
             self.truncation = plan.prepared((_Truncation, k), _Truncation, plan, k)
         else:
@@ -211,11 +289,12 @@ class _TransportPass:
 
         self.products = out = np.empty((k,) + padded_shape)
         scratch = np.empty((d if advection else 1,) + padded_shape)
-        ms, div, adv = padded[d:2 * d], padded[2 * d], out[d:]
+        ms, adv = padded[d:2 * d], out[d:]
         self.components = []
         for i in range(d):
-            lo = 2 * d * (i + 1) + 1
+            lo = head + 2 * d * i
             grads = padded[lo:lo + 2 * d] if fused else self.padded_gradients
+            div = padded[2 * d] if d > 1 else grads[1]  # at d=1, the samples of d_0 v^0
             products = [(_CONTRACT, padded[:2 * d], grads, out[i]),
                         (np.multiply, div, ms[i], scratch[0]), (np.add, out[i], scratch[0], out[i])]
             if advection:  # grads[d + j] samples d_i v^j
@@ -296,7 +375,7 @@ def step_rk4(mult: FourierMultiplier, state: EulerState, dt: float) -> EulerStat
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if dt > state.cfl * (1 + 1e-12):
+    if state.exceeds_cfl(dt, 1 + 1e-12):
         raise CFLError(
             f"dt={dt:g} violates the guard dt*sup|u| <= {CFL_FRACTION}*spacing "
             f"(limit {state.cfl:g})"
@@ -424,9 +503,8 @@ def integrate(
     t0 = state.t
     half = state.m.grid.plan.half
     for step in range(1, n_steps + 1):
-        limit = state.cfl
         doublings = 0
-        while dt / 2**doublings > limit and doublings <= MAX_SUBSTEP_DOUBLINGS:
+        while state.exceeds_cfl(dt / 2**doublings) and doublings <= MAX_SUBSTEP_DOUBLINGS:
             doublings += 1
         trial = state
         left = 2**doublings  # substeps of size dt / 2**doublings still to take
@@ -450,7 +528,7 @@ def integrate(
             drift = abs(state.energy - e0)
             if drift > RESOLVED_ENERGY_DRIFT * abs(e0):
                 resolved_until = state.t
-        crossed = grad_threshold is not None and state.sup_gradient > grad_threshold
+        crossed = grad_threshold is not None and state.exceeds_gradient(grad_threshold)
         if crossed or step % cadence == 0 or step == n_steps:
             emit(state)
             if crossed:

@@ -274,6 +274,23 @@ class _Plan:
         return self.grid.derivative_factors[..., :self.half]
 
     @cached_property
+    def sum_weights(self) -> np.ndarray:
+        """``(bins, 1 + d)`` weights of the half-spectrum bins that bound the
+        samples of :func:`_samples` by the coefficients they read.
+
+        The inverse real transform reads last-axis bins ``0`` and ``n/2``
+        once and every other bin with its conjugate reflection, so a sample
+        of a half spectrum ``c`` is at most ``L^-d sum_k w_k |c_k|`` in
+        modulus, with ``w`` 1 on those two bins and 2 elsewhere: column 0.
+        Column ``1 + j`` is ``w |factors[j]|``, which bounds the samples of
+        ``d/dx_j`` as :func:`_jacobian_samples` forms them.
+        """
+        weight = np.full(self.half_shape, 2.0)
+        weight[self.planes] = 1.0
+        columns = np.concatenate([weight[None], weight * np.abs(self.factors)])
+        return np.ascontiguousarray(columns.reshape(len(columns), -1).T)
+
+    @cached_property
     def embed(self) -> list:
         """``(padded, n_grid, factor)`` triples embedding half spectra in the 3/2 grid.
 

@@ -480,7 +480,11 @@ def _hermitian_diagonal(mats: np.ndarray) -> Optional[np.ndarray]:
 def _eigvalsh(mats: np.ndarray) -> np.ndarray:
     """``np.linalg.eigvalsh(mats)``; the sorted diagonal where
     :func:`_hermitian_diagonal` accepts the stack."""
-    diag = _hermitian_diagonal(mats)
+    return _eigvalsh_of(mats, _hermitian_diagonal(mats))
+
+
+def _eigvalsh_of(mats: np.ndarray, diag: Optional[np.ndarray]) -> np.ndarray:
+    """:func:`_eigvalsh` of ``mats`` given ``diag = _hermitian_diagonal(mats)``."""
     if diag is None:
         return np.linalg.eigvalsh(mats)
     return np.sort(diag, axis=-1).reshape(mats.shape[:-1])
@@ -572,14 +576,21 @@ def _relative_gap(values: np.ndarray, partner: np.ndarray) -> np.ndarray:
 
 def _check_flags(values: np.ndarray, points: np.ndarray, hermitian=True, positive_definite=True):
     """Raise ``ValueError`` at a point ``xi`` where the values ``(N, d, d)`` break a flag:
-    Hermitian to a relative Frobenius gap of ``SYMMETRY_GAP``, positive definite by ``eigvalsh``."""
-    if hermitian:
+    Hermitian to a relative Frobenius gap of ``SYMMETRY_GAP``, positive definite by ``eigvalsh``.
+
+    A stack that :func:`_hermitian_diagonal` accepts has a +0 off the
+    diagonal and a real diagonal, so it equals its conjugate transpose bit
+    for bit: its gap is exactly 0, and the gap is not formed."""
+    if not (hermitian or positive_definite):
+        return
+    diag = _hermitian_diagonal(values)
+    if hermitian and diag is None:
         rel = _relative_gap(values, np.conj(np.swapaxes(values, -1, -2)))
         if rel.max() > SYMMETRY_GAP:
             bad = points[np.argmax(rel)]
             raise ValueError(f"symbol not Hermitian at xi={np.array2string(bad, precision=6)}")
     if positive_definite:
-        eigs = _eigvalsh(values)
+        eigs = _eigvalsh_of(values, diag)
         if eigs.min() <= 0:
             bad = points[np.argmin(eigs[..., 0])]
             raise ValueError(f"symbol not positive definite at xi={np.array2string(bad, precision=6)}")

@@ -1,5 +1,7 @@
 """Tests for the Eulerian EPDiff machinery and its conservation structure."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -226,37 +228,71 @@ class TestStepping:
         u_half = SpectralVectorField(g, _full(g, np.einsum("...ij,j...->i...", mult.half_inv_table, m_half)))
         assert 0.5 * l2_inner(new.m, u_half) != new.energy
 
-    def test_cfl_limit_once_per_state(self, grid, ch, monkeypatch):
-        # the outer step's check and its first RK4 substep share one evaluation
-        calls = {"cfl_limit": 0, "step_rk4": 0}
-
-        def counted(name):
+    @staticmethod
+    def _count(monkeypatch, *names):
+        """The arguments of each call of the ``epdiff`` functions ``names``,
+        kept, so that two calls on one live field are seen as such."""
+        calls = {name: [] for name in names}
+        for name in names:
             fn = getattr(epdiff_module, name)
 
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
+            def counted(*args, _name=name, _fn=fn):
+                calls[_name].append(args)
+                return _fn(*args)
+            monkeypatch.setattr(epdiff_module, name, counted)
+        return calls
 
-        for name in calls:
-            monkeypatch.setattr(epdiff_module, name, counted(name))
+    def test_cfl_limit_once_per_state(self, grid, ch, monkeypatch):
+        # the coefficient bound settles every guard of this run, so the grid
+        # is never sampled for sup|u|
+        calls = self._count(monkeypatch, "cfl_limit", "step_rk4", "_guard_ceilings")
         st = EulerState.from_velocity(ch, gaussian_blob(grid, amplitude=0.2))
         res = integrate(ch, st, 0.05, 5e-3)
         assert res.status == "completed"
-        assert calls == {"cfl_limit": 10, "step_rk4": 10}
+        assert {name: len(args) for name, args in calls.items()} == \
+            {"cfl_limit": 0, "step_rk4": 10, "_guard_ceilings": 10}
+
+    def test_cfl_limit_once_per_state_where_the_bound_cannot_decide(self, grid, ch, monkeypatch):
+        # dt at the exact limit of the start: the bound of this centred bump
+        # is attained at its peak, so its floor lies just below dt there,
+        # and so it does for every later state of this run
+        calls = self._count(monkeypatch, "cfl_limit", "step_rk4")
+        st = EulerState.from_velocity(ch, gaussian_blob(grid, amplitude=0.2))
+        dt = st.cfl
+        assert st.bounds[0] < dt
+        res = integrate(ch, st, 10 * dt, dt)
+        assert res.status == "completed"
+        assert (res.substeps, res.retries) == (10, 0)
+        assert {name: len(args) for name, args in calls.items()} == {"cfl_limit": 10, "step_rk4": 10}
+        fields = [u for u, in calls["cfl_limit"]]
+        assert len({id(u) for u in fields}) == len(fields)
 
     def test_sup_gradient_once_per_state(self, grid, ch, monkeypatch):
-        # the default threshold, the first emission, each threshold check
-        # and each emission of one state share one evaluation
-        calls = []
-        fn = epdiff_module.sup_velocity_gradient
-        monkeypatch.setattr(epdiff_module, "sup_velocity_gradient", lambda u: calls.append(u) or fn(u))
+        # the default threshold and each emission sample the gradient; the
+        # coefficient bound settles every threshold check
+        calls = self._count(monkeypatch, "sup_velocity_gradient")["sup_velocity_gradient"]
         st = EulerState.from_velocity(ch, gaussian_blob(grid, amplitude=0.2))
         threshold = default_blowup_threshold(st)
         res = integrate(ch, st, 0.05, 5e-3, cadence=2, grad_threshold=threshold)
         assert res.status == "completed"
-        assert len(calls) == 1 + 10
-        assert [d.sup_velocity_gradient for d in res.diagnostics] == [fn(u) for u in calls[::2]]
+        assert len(calls) == 1 + 5
+        assert [d.sup_velocity_gradient for d in res.diagnostics] == [sup_velocity_gradient(u) for u, in calls]
+
+    def test_sup_gradient_once_per_state_where_the_bound_cannot_decide(self, grid, ch, monkeypatch):
+        # a threshold between every state's gradient and its ceiling: each
+        # check samples, and the emissions of those states share the samples
+        calls = self._count(monkeypatch, "sup_velocity_gradient")["sup_velocity_gradient"]
+        st = EulerState.from_velocity(ch, gaussian_blob(grid, amplitude=0.2))
+        threshold = 1.3
+        assert st.sup_gradient < threshold < st.bounds[1]
+        calls.clear()
+        res = integrate(ch, st, 0.05, 5e-3, cadence=2, grad_threshold=threshold)
+        assert res.status == "completed"
+        assert len(calls) == 10
+        fields = [u for u, in calls]
+        assert len({id(u) for u in fields}) == len(fields)
+        emitted = [d.sup_velocity_gradient for d in res.diagnostics[1:]]
+        assert emitted == [sup_velocity_gradient(u) for u in fields[1::2]]
 
     def test_energy_and_momentum_conservation_short(self, grid):
         mult = sobolev_multiplier(1.5, grid)
@@ -380,6 +416,47 @@ class TestBlowup:
         for res in ch_blowup_runs:
             assert res.resolved_until is not None and 0 < res.resolved_until < res.t_halt
             assert res.retries > 0
+
+    def test_bounds_decide_as_the_samples_do(self, ch_blowup_runs, monkeypatch):
+        # the runs at dt and dt/2 halt at dt_underflow after CFL retries;
+        # with the floor at 0 and the ceiling at inf every guard and every
+        # threshold check samples the grid, and the runs keep their bits
+        coarse, refined, _ = ch_blowup_runs
+        grid = TorusGrid(1, 256)
+        ch = sobolev_multiplier(1.0, grid)
+        st = EulerState.from_velocity(ch, peakon_pair(grid, 0.5, 0.3, 0.08))
+        thr = default_blowup_threshold(st)
+        monkeypatch.setattr(epdiff_module, "_guard_ceilings", undecided)
+        for res, dt, cadence in ((coarse, 1e-3, 200), (refined, 5e-4, 400)):
+            assert res.status == "dt_underflow" and res.retries > 0
+            assert_same_run(integrate(ch, st, 8.0, dt, cadence=cadence, grad_threshold=thr), res)
+
+    @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+    def test_bounds_decide_as_the_samples_do_short(self, dim, n, monkeypatch):
+        # a run whose guard bites until it halts at dt_underflow, and one
+        # that crosses its threshold, each with and without the bounds
+        grid = TorusGrid(dim, n)
+        mult = sobolev_multiplier(1.0, grid)
+        st = EulerState.from_velocity(mult, random_bandlimited(grid, n // 4, norm_order=1.0, seed=5))
+        runs = [(1.9 * st.cfl, None), (0.5 * st.cfl, 1.3 * st.sup_gradient)]
+        results = [integrate(mult, st, 8 * dt, dt, cadence=3, grad_threshold=thr) for dt, thr in runs]
+        assert [res.status for res in results] == ["dt_underflow", "gradient_threshold"]
+        monkeypatch.setattr(epdiff_module, "_guard_ceilings", undecided)
+        for (dt, thr), res in zip(runs, results):
+            assert_same_run(integrate(mult, st, 8 * dt, dt, cadence=3, grad_threshold=thr), res)
+
+
+def undecided(u):
+    """Ceilings that decide nothing: the CFL floor is 0 and the gradient ceiling inf."""
+    return math.inf, math.inf
+
+
+def assert_same_run(a, b):
+    assert (a.status, a.t_halt, a.resolved_until, a.substeps, a.retries) == \
+        (b.status, b.t_halt, b.resolved_until, b.substeps, b.retries)
+    assert_same_diagnostics(a.diagnostics, b.diagnostics)
+    assert a.final_state.t == b.final_state.t
+    assert a.final_state.m.coeffs.tobytes() == b.final_state.m.coeffs.tobytes()
 
 
 def restart_integrate(mult, state, t_end, dt, cadence=1, norm_orders=(), grad_threshold=None):

@@ -587,6 +587,39 @@ def test_spray_1d_is_one_padded_pass(monkeypatch):
     assert calls == {"_rfft": 1, "_irfft": 1}
 
 
+@pytest.mark.parametrize("per_call", [None, 4, 3])
+def test_1d_pass_samples_div_v_once(per_call, monkeypatch):
+    # at d=1 div v is d_0 v^0, the same product of the same spectra, so the
+    # pass reads it from that gradient's samples: a fused stage samples
+    # [v, m, d_0 m, d_0 v] in one call of 4 rows, a split one [v, m] and
+    # then the gradients.  The bits are those of full_transport, which
+    # samples div v as a row of its own: 4 rows per call fuse the new stack
+    # and split the old one, 3 split both.
+    n = 256
+    if per_call is not None:
+        monkeypatch.setattr(grid_module, "MAX_TRANSFORM_BYTES", per_call * 16 * ((3 * n) // 4 + 1))
+    grid = TorusGrid(1, n)  # a new grid builds its plan with the patched size
+    mult = sobolev_multiplier(1.0, grid)
+    u = peakon_pair(grid, 0.5, 0.3, 0.08)
+    m = apply(mult, u)
+    rows = []
+    irfft = grid_module._irfft
+
+    def counted(half, *args):
+        rows.append(len(half))
+        return irfft(half, *args)
+    monkeypatch.setattr(grid_module, "_irfft", counted)
+    half = epdiff_module._rhs_half(mult, m.coeffs[..., :grid.plan.half],
+                                   np.empty((1, grid.plan.half), dtype=complex))
+    spray = spray_at_identity(mult, u)
+    assert rows == ([2, 2] * 2 if per_call == 3 else [4] * 2)
+    monkeypatch.setattr(grid_module, "_irfft", irfft)
+    expected = -1.0 * full_transport(apply_inverse(mult, m), m)
+    assert half.tobytes() == expected.coeffs[..., :grid.plan.half].tobytes()
+    two_pass = apply_inverse(mult, apply(mult, directional_derivative(u, u)) - full_transport(u, m))
+    assert spray.coeffs.tobytes() == two_pass.coeffs.tobytes()
+
+
 @pytest.mark.parametrize("dim,n", [(2, 32), (2, 64), (3, 16)])
 def test_spray_matches_two_passes_every_worker_count(dim, n, monkeypatch):
     # d=2 n=32 samples the gradients in the shared call, d=2 n=64 and d=3

@@ -431,6 +431,38 @@ class TestEigenRoutes:
             _check_flags(mats, points)
         assert _min_real_eigenvalue(mats).tobytes() == _lapack_min_real(mats).tobytes()
 
+    @pytest.mark.parametrize("stack", ["accepted", "minus_zero_off_diagonal", "not_hermitian",
+                                       "non_positive", "outside_the_range"])
+    def test_check_flags_forms_the_gap_only_on_refused_stacks(self, stack, monkeypatch):
+        # an accepted stack equals its conjugate transpose bit for bit, so its
+        # gap is 0; every other stack still forms the gap, with the same verdict
+        mats = self.diagonal_stack(1e150 if stack == "outside_the_range" else 1.0)
+        if stack == "minus_zero_off_diagonal":
+            mats[5, 0, 1] = complex(-0.0, 0.0)
+        elif stack == "not_hermitian":
+            mats[9, 0, 1] = 1e-3
+        elif stack == "non_positive":
+            mats[7, 0, 0] *= -1.0
+        points = np.arange(2 * len(mats), dtype=float).reshape(-1, 2)
+
+        def verdict():
+            try:
+                _check_flags(mats, points)
+            except ValueError as err:
+                return str(err)
+            return None
+
+        gaps = []
+        relative_gap = symbols._relative_gap
+        monkeypatch.setattr(symbols, "_relative_gap", lambda *args: gaps.append(1) or relative_gap(*args))
+        routed = verdict()
+        assert len(gaps) == (stack != "accepted")
+        monkeypatch.setattr(symbols, "_hermitian_diagonal", lambda mats: None)
+        assert routed == verdict()
+        assert routed == {"accepted": None, "minus_zero_off_diagonal": None, "outside_the_range": None,
+                          "not_hermitian": "symbol not Hermitian at xi=[18. 19.]",
+                          "non_positive": "symbol not positive definite at xi=[14. 15.]"}[stack]
+
     @pytest.mark.parametrize("scale", [1e-129, 1e129, 1e-150, 1e150])
     def test_diagonal_route_holds_only_inside_the_unscaled_range(self, scale):
         mats = self.diagonal_stack(scale)
