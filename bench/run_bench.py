@@ -12,10 +12,14 @@ Times, at d=1 n=256 and d=2 n=64 on the datum of ``configs/consistency.ini``:
 ``spray_rhs`` stage, and the whole ``integrate_geodesic`` run of that config.
 The run's sup velocity gap against the Eulerian solver is recorded beside
 it.  Machine-independent counts go with the timings: transform calls
-(``grid._rfft``/``grid._irfft``) and calls of scipy's spline kernels
+(``grid._rfft``/``grid._irfft``), calls of scipy's spline kernels
 (``scipy.ndimage._nd_image.spline_filter1d``/``geometric_transform``, which
-the package calls directly and ``ndimage``'s public wrappers call too) per
-spray and per stage.
+the package calls directly and ``ndimage``'s public wrappers call too) and
+calls of numpy's public ``np.einsum`` per spray and per stage.  An
+``np.einsum`` call is counted where its Python wrapper calls numpy's kernel,
+``numpy._core.einsumfunc.c_einsum``, which it looks up on every call, so a
+``partial`` bound to ``np.einsum`` is counted too; the package's own calls
+of that kernel (``grid._einsum``) are not.
 
 The oracle group times, for the four cases of acceptance criterion 1, the
 ``ConvolutionKernel`` build, one ``apply`` and one ``apply_An_recursive`` on a
@@ -33,8 +37,9 @@ d=2 n=64 and 128 and d=3 n=32 on the seeded band-limited datum of the
 ``bandlimited_3d`` benchmark workload (H^2 metric), each step half the CFL
 limit, and the whole peakon ``integrate`` to t=0.5.  It counts, per ``step_rk4``,
 the transform calls (``grid._rfft``/``grid._irfft``), the conjugate
-reflections (``epdiff._full``) and the calls of the stage's right-hand side
-(``epdiff.euler_rhs``, and ``epdiff._rhs_half`` where it exists), and
+reflections (``epdiff._full``), the calls of the stage's right-hand side
+(``epdiff.euler_rhs``, and ``epdiff._rhs_half`` where it exists) and the
+public ``np.einsum`` calls (counted as in the Lagrangian group), and
 records the final energy and sup|grad u| of the peakon run as values.  It
 also times ``step_rk4`` at d=3 n=32 with ``grid.TRANSFORM_WORKERS`` at 1 and
 at 2, the two alternating.
@@ -265,6 +270,7 @@ def measure_lagrangian(repeats: int, samples: dict, counts: dict, values: dict) 
     """The Lagrangian group: the layers of ``integrate_geodesic`` on the
     datum of ``configs/consistency.ini``, and the whole run."""
     import numpy as np
+    from numpy._core import einsumfunc  # public np.einsum calls are counted at its kernel
     from scipy.ndimage import _nd_image
 
     from epdifflab import grid as grid_module
@@ -318,7 +324,8 @@ def measure_lagrangian(repeats: int, samples: dict, counts: dict, values: dict) 
         values[f"{tag}.sup_velocity_gap"] = float(gap)
     # counted after every timing, so that no timed call runs through a counting wrapper
     counter = CallCounter([(grid_module, "_rfft"), (grid_module, "_irfft"),
-                           (_nd_image, "spline_filter1d"), (_nd_image, "geometric_transform")])
+                           (_nd_image, "spline_filter1d"), (_nd_image, "geometric_transform"),
+                           (einsumfunc, "c_einsum")])
     for key, call in counted.items():
         counts[key] = counter.calls_in(call)
     counter.close()
@@ -535,6 +542,8 @@ def measure_multiplier(repeats: int, samples: dict, counts: dict, values: dict) 
 def measure_eulerian(repeats: int, samples: dict, counts: dict, values: dict) -> None:
     """The Eulerian group: ``euler_rhs`` and ``step_rk4`` per call, the
     peakon ``integrate`` to ``PEAKON_T_END``, and the calls one step makes."""
+    from numpy._core import einsumfunc  # as in measure_lagrangian()
+
     from epdifflab import epdiff
     from epdifflab import grid as grid_module
     from epdifflab.epdiff import (
@@ -584,7 +593,7 @@ def measure_eulerian(repeats: int, samples: dict, counts: dict, values: dict) ->
     values["eulerian.peakon_integrate.sup_gradient"] = final.sup_gradient
     # counted after every timing, as in measure_lagrangian()
     targets = [(grid_module, "_rfft"), (grid_module, "_irfft"), (epdiff, "_full"),
-               (epdiff, "euler_rhs"), (epdiff, "_rhs_half")]
+               (epdiff, "euler_rhs"), (epdiff, "_rhs_half"), (einsumfunc, "c_einsum")]
     counter = CallCounter([(module, name) for module, name in targets if hasattr(module, name)])
     for tag, step in steps.items():
         counts[f"{tag}.per_step"] = counter.calls_in(step)

@@ -43,6 +43,7 @@ from .grid import (
     SpectralVectorField,
     TorusGrid,
     _complete_planes,
+    _einsum,
     _full,
     _require_same_grid,
     _truncate_half,
@@ -133,7 +134,7 @@ def _tower(mult: FourierMultiplier, slots: list[np.ndarray]) -> np.ndarray:
     """
     *prefix, last = slots
     if not prefix:
-        return np.einsum("...ij,bj...->bi...", mult.half_table, last)
+        return _einsum("...ij,bj...->bi...", mult.half_table, last)
     grid, m = mult.grid, len(prefix)
     step = max(1, grid.plan.batch // (grid.dim * len(last)))  # variants per recursion
     padded = out = None
@@ -178,7 +179,7 @@ def _advect(
     if not fields:
         return padded, []
     sampled = samples[head:].reshape(grads.shape[:4] + plan.padded_shape)
-    products = np.einsum("bj...,fbij...->fbi...", padded, sampled)
+    products = _einsum("bj...,fbij...->fbi...", padded, sampled)
     del stack, grads, samples, sampled  # the pass buffers, freed before the truncation allocates
     spectra = _truncate_half(grid, products.reshape((-1,) + plan.padded_shape))
     return padded, list(spectra.reshape((len(fields),) + last.shape))
@@ -365,7 +366,7 @@ class ConvolutionKernel:
             outer = coeffs[0].take(idx[0], axis=1)  # (d, B)
             for c, i in zip(coeffs[1:], idx[1:]):
                 outer = (outer[:, None] * c.take(i, axis=1)).reshape(-1, len(lin))
-            vals = np.einsum("okB,kB->oB", tensor, outer)
+            vals = _einsum("okB,kB->oB", tensor, outer)
             for o in range(d):
                 re[o] += np.bincount(lin, vals[o].real, modes)
                 im[o] += np.bincount(lin, vals[o].imag, modes)

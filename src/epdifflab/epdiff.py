@@ -38,9 +38,9 @@ from .grid import (
     padded_samples,
     _Sampling,
     _Truncation,
+    _einsum,
     _full,
     _jacobian_samples,
-    _require_same_grid,
     _truncate_half,
 )
 from .operators import (
@@ -77,7 +77,7 @@ _DECIDING = (2.0**-900, 2.0**900)
 # numpy scalars, as in grid: a Python float operand costs a promotion per call
 _MINUS_ONE = np.complex128(-1.0)
 _TWO = np.float64(2.0)
-_CONTRACT = partial(np.einsum, "k...,k...->...")
+_CONTRACT = partial(_einsum, "k...,k...->...")
 
 
 class CFLError(ValueError):
@@ -203,16 +203,6 @@ def diagnostics(state: EulerState, norm_orders: Sequence[float] = ()) -> Diagnos
 
 # --- the right-hand side -------------------------------------------------------
 
-def momentum_transport(v: SpectralVectorField, m: SpectralVectorField) -> SpectralVectorField:
-    """Transport term ``(v . grad) m + (grad v)^T m + (div v) m``, dealiased."""
-    _require_same_grid(v, m)
-    grid, half = v.grid, v.grid.plan.half
-    transport = _transport_pass(grid, False)
-    transport.v[...] = v.coeffs[..., :half]
-    out = transport(m.coeffs[..., :half], np.empty((grid.dim,) + grid.plan.half_shape, dtype=complex))
-    return SpectralVectorField(grid, _full(grid, out))
-
-
 def _transport_pass(grid: TorusGrid, advection: bool) -> "_TransportPass":
     """This thread's transport pass on ``grid``, built on its first use."""
     plan = grid.plan
@@ -220,11 +210,14 @@ def _transport_pass(grid: TorusGrid, advection: bool) -> "_TransportPass":
 
 
 class _TransportPass:
-    """Half spectra of :func:`momentum_transport`, on one grid and thread.
+    """Half spectra of the transport term ``(v . grad) m + (grad v)^T m +
+    (div v) m``, dealiased, on one grid and thread.
 
     A call reads the half spectra ``(d, n, ..., n/2+1)`` of ``v`` from the
     rows :attr:`v`, which its caller writes, and those of ``m`` from its
-    argument, and writes the transport term to ``out``.
+    argument, and writes the transport term to ``out``.  A caller may
+    write ``m`` into the rows :attr:`m` and pass them; the call then copies
+    nothing.
 
     ``[v, m, div v]`` go to the 3/2 grid once; per output component ``i``
     only ``d_j m^i`` and ``d_i v^j`` do, which bounds the padded working set.
@@ -306,7 +299,8 @@ class _TransportPass:
 
     def __call__(self, m: np.ndarray, out: np.ndarray) -> np.ndarray:
         grid = self.grid
-        self.m[...] = m
+        if m is not self.m:
+            self.m[...] = m
         _run(self.spectral)
         if self.fused:
             self.sampling(self.stack, self.padded)
@@ -339,14 +333,17 @@ def euler_rhs(mult: FourierMultiplier, m: SpectralVectorField) -> SpectralVector
     _require_conjugate_symmetric(mult)
     grid = m.grid
     out = np.empty((grid.dim,) + grid.plan.half_shape, dtype=complex)
-    return SpectralVectorField(grid, _full(grid, _rhs_half(mult, m.coeffs[..., :grid.plan.half], out)))
+    half = _rhs_half(mult, _transport_pass(grid, False), m.coeffs[..., :grid.plan.half], out)
+    return SpectralVectorField(grid, _full(grid, half))
 
 
-def _rhs_half(mult: FourierMultiplier, m: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _rhs_half(mult: FourierMultiplier, transport: _TransportPass, m: np.ndarray,
+              out: np.ndarray) -> np.ndarray:
     """Half spectra ``(d, n, ..., n/2+1)`` of :func:`euler_rhs` from those of
-    ``m``, written to ``out``; the caller runs the checks of :func:`euler_rhs`."""
-    transport = _transport_pass(mult.grid, False)
-    np.einsum("...ij,j...->i...", mult.half_inv_table, m, out=transport.v)  # u, in the pass's rows
+    ``m``, written to ``out`` by ``transport``, this thread's transport pass
+    on the grid of ``mult``; ``m`` may be the pass's rows ``transport.m``.
+    The caller runs the checks of :func:`euler_rhs`."""
+    _einsum("...ij,j...->i...", mult.half_inv_table, m, out=transport.v)  # u, in the pass's rows
     transport(m, out)
     return np.multiply(out, _MINUS_ONE, out=out)
 
@@ -383,34 +380,39 @@ def step_rk4(mult: FourierMultiplier, state: EulerState, dt: float) -> EulerStat
     _require_inverse(mult, state.m)
     _require_conjugate_symmetric(mult)
     grid = state.m.grid
-    m_new = _rk4(partial(_rhs_half, mult), state.m.coeffs[..., :grid.plan.half], dt)
+    transport = _transport_pass(grid, False)
+    m_new = _rk4(partial(_rhs_half, mult, transport), state.m.coeffs[..., :grid.plan.half], dt,
+                 transport.m)
     return EulerState.from_momentum(mult, SpectralVectorField(grid, _full(grid, m_new)), t=state.t + dt)
 
 
-def _rk4(rhs: Callable[[np.ndarray, np.ndarray], object], y: np.ndarray, dt: float) -> np.ndarray:
+def _rk4(rhs: Callable[[np.ndarray, np.ndarray], object], y: np.ndarray, dt: float,
+         stage: np.ndarray) -> np.ndarray:
     """One classical RK4 step of ``y' = rhs(y)`` on arrays (both geodesic solvers).
 
-    ``rhs(y, out)`` writes the tendency at ``y`` to ``out``.  The four
-    tendencies and the stage sums are written in place, in arrays of this
-    call, in the operand order of ``y + k1 * (dt/2)`` and
+    ``rhs(y, out)`` writes the tendency at ``y`` to ``out``.  Each stage
+    input ``y + k * h`` is written to ``stage``, an array shaped like ``y``
+    that the caller names (the Eulerian step names the rows its transport
+    pass reads), and ``rhs`` is called on it.  The four tendencies and the
+    combination are written in place, in arrays of this call, in the operand
+    order of ``y + k1 * (dt/2)`` and
     ``y + (k1 + k2 * 2 + k3 * 2 + k4) * (dt/6)``, so the bits are those of
     the expressions; the new ``y`` is a fresh array.
     """
     k = np.empty((4,) + y.shape, dtype=y.dtype)
-    stage = np.empty_like(k[0])
     rhs(y, k[0])
     for i, h in enumerate((np.float64(dt / 2), np.float64(dt / 2), np.float64(dt)), start=1):
         np.multiply(k[i - 1], h, out=stage)
         np.add(y, stage, out=stage)
         rhs(stage, k[i])
     k1, k2, k3, k4 = k
-    np.multiply(k2, _TWO, out=stage)
-    np.add(k1, stage, out=stage)
+    total = np.multiply(k2, _TWO)
+    np.add(k1, total, out=total)
     np.multiply(k3, _TWO, out=k3)
-    np.add(stage, k3, out=stage)
-    np.add(stage, k4, out=stage)
-    np.multiply(stage, np.float64(dt / 6), out=stage)
-    return np.add(y, stage, out=stage)
+    np.add(total, k3, out=total)
+    np.add(total, k4, out=total)
+    np.multiply(total, np.float64(dt / 6), out=total)
+    return np.add(y, total, out=total)
 
 
 @dataclass(frozen=True, eq=False)

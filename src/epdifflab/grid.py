@@ -35,7 +35,15 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy._core._multiarray_umath import c_einsum as _einsum
 from numpy.fft import _pocketfft_umath as _pfu
+
+# Every hot contraction calls ``_einsum``, numpy's C kernel: ``np.einsum``
+# without ``optimize`` only forwards its arguments to it, through a Python
+# wrapper that costs about 0.9 us per call, about what a d=1 contraction
+# costs itself.  The kernel is the wrapper's, so the bits are the same;
+# ``tests/test_grid.py`` checks them against ``np.einsum`` on every
+# contraction of the package.
 
 
 class GridMismatchError(ValueError):

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.ndimage import _nd_image
 
-from .grid import SpectralVectorField, TorusGrid, _full, _require_same_grid, _samples
+from .grid import SpectralVectorField, TorusGrid, _einsum, _full, _require_same_grid, _samples
 from .epdiff import _rk4, _transport_pass, step_count
 from .operators import (
     FourierMultiplier,
@@ -311,7 +311,8 @@ class GeodesicState:
 def spray_at_identity(mult: FourierMultiplier, u: SpectralVectorField) -> SpectralVectorField:
     """Quadratic spray ``S(u) = A^-1([A, grad_u] u - (grad u)^T A u - (div u) A u)``.
 
-    Collected as ``A^-1(A (u . grad) u - momentum_transport(u, A u))``.  Both
+    Collected as ``A^-1(A (u . grad) u - T(u, A u))``, with ``T(v, m)`` the
+    transport term ``(v . grad) m + (grad v)^T m + (div v) m``.  Both
     quadratic terms come from one padded-grid pass, the transport pass of the
     Eulerian solver: at d=1 one inverse and one forward transform call.
     ``A u``, the pass and both multiplier products run on half spectra
@@ -326,11 +327,11 @@ def spray_at_identity(mult: FourierMultiplier, u: SpectralVectorField) -> Spectr
     spray_pass = _transport_pass(grid, True)
     u_half = spray_pass.v
     u_half[...] = u.coeffs[..., :plan.half]
-    m = np.einsum("...ij,j...->i...", mult.half_table, u_half)
+    m = _einsum("...ij,j...->i...", mult.half_table, u_half)
     terms = spray_pass(m, np.empty((2 * d,) + plan.half_shape, dtype=complex))
     transport, advection = terms[:d], terms[d:]
-    momentum = np.einsum("...ij,j...->i...", mult.half_table, advection) - transport
-    return SpectralVectorField(grid, _full(grid, np.einsum("...ij,j...->i...", mult.half_inv_table, momentum)))
+    momentum = _einsum("...ij,j...->i...", mult.half_table, advection) - transport
+    return SpectralVectorField(grid, _full(grid, _einsum("...ij,j...->i...", mult.half_inv_table, momentum)))
 
 
 def spray_rhs(mult: FourierMultiplier, state: GeodesicState, start: Optional[np.ndarray] = None):
@@ -377,7 +378,7 @@ def integrate_geodesic(
     out = [state]
     y = np.stack([state.phi.f.coeffs, state.v.coeffs])
     for step in range(1, n_steps + 1):
-        y = _rk4(rhs, y, dt)
+        y = _rk4(rhs, y, dt, np.empty_like(y))
         if step == n_steps or (snapshot_cadence and step % snapshot_cadence == 0):
             out.append(chart_state(y, state.t + step * dt))
     return out

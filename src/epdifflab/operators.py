@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import SpectralVectorField, TorusGrid, _require_same_grid
+from .grid import SpectralVectorField, TorusGrid, _einsum, _require_same_grid
 from .symbols import (
     SYMMETRY_GAP,
     MatrixSymbol,
@@ -173,7 +173,7 @@ def _require_conjugate_symmetric(mult: FourierMultiplier) -> None:
 def apply(mult: FourierMultiplier, u: SpectralVectorField) -> SpectralVectorField:
     """Apply ``a(D)``: multiply each coefficient vector by the tabulated matrix."""
     _require_same_grid(u, mult)
-    out = np.einsum("...ij,j...->i...", mult.table, u.coeffs)
+    out = _einsum("...ij,j...->i...", mult.table, u.coeffs)
     return SpectralVectorField(u.grid, out)
 
 
@@ -186,7 +186,7 @@ def _require_inverse(mult: FourierMultiplier, w: SpectralVectorField) -> None:
 def apply_inverse(mult: FourierMultiplier, w: SpectralVectorField) -> SpectralVectorField:
     """Apply ``a(D)^-1``; available only for multipliers built elliptic."""
     _require_inverse(mult, w)
-    out = np.einsum("...ij,j...->i...", mult.inv_table, w.coeffs)
+    out = _einsum("...ij,j...->i...", mult.inv_table, w.coeffs)
     return SpectralVectorField(w.grid, out)
 
 

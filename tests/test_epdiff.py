@@ -16,7 +16,6 @@ from epdifflab.epdiff import (
     euler_rhs,
     gaussian_blob,
     integrate,
-    momentum_transport,
     peakon_pair,
     random_bandlimited,
     step_count,
@@ -40,6 +39,7 @@ from test_grid import (
     dealiased_product,
     directional_derivative,
     imag_residual,
+    momentum_transport,
     spectral_gradient,
 )
 

@@ -1,11 +1,16 @@
 """Tests for the torus grid, transforms, differentiation, and dealiased products."""
 
+import functools
 import itertools
 
 import numpy as np
 import pytest
 from numpy.fft import _pocketfft_umath as pfu
 
+from epdifflab import conjugation, lagrangian, operators
+from epdifflab import epdiff as epdiff_module
+from epdifflab import grid as grid_module
+from epdifflab.epdiff import EulerState, _transport_pass, euler_rhs, step_rk4
 from epdifflab.grid import (
     GridMismatchError,
     SpectralVectorField,
@@ -20,6 +25,7 @@ from epdifflab.grid import (
     l2_inner,
     padded_samples,
 )
+from epdifflab.operators import sobolev_multiplier
 
 
 def band_limited(grid, kmax, seed=0):
@@ -71,6 +77,17 @@ def directional_derivative(v, w):
         np.einsum("j...,j...->...", vs, padded_samples(grid, wi * grid.derivative_factors),
                   out=out[i])
     return SpectralVectorField(grid, _full(grid, _truncate_half(grid, out)))
+
+
+def momentum_transport(v, m):
+    """Transport term ``(v . grad) m + (grad v)^T m + (div v) m``, dealiased:
+    one call of the Eulerian transport pass."""
+    _require_same_grid(v, m)
+    grid, half = v.grid, v.grid.plan.half
+    transport = _transport_pass(grid, False)
+    transport.v[...] = v.coeffs[..., :half]
+    out = transport(m.coeffs[..., :half], np.empty((grid.dim,) + grid.plan.half_shape, dtype=complex))
+    return SpectralVectorField(grid, _full(grid, out))
 
 
 class TestTorusGrid:
@@ -227,6 +244,62 @@ def test_gufuncs_on_column_subsets_give_the_whole_bytes(dim, n):
     pfu.irfft(whole, 1 / m, out=whole_out)
     pfu.irfft(skipped, 1 / m, out=skipped_out)
     assert skipped_out.tobytes() == whole_out.tobytes()
+
+
+# The contractions of the package: multiplier products (apply, apply_inverse,
+# the stage velocity and the spray), the transport pass's sums over [v, m]
+# rows, the tower's multiplier product and advective sums, and the oracle's
+# kernel contraction.
+CONTRACTIONS = {"...ij,j...->i...", "k...,k...->...", "...ij,bj...->bi...",
+                "bj...,fbij...->fbi...", "okB,kB->oB"}
+# grids the oracle's brute-force kernel runs on (conjugation.CONVOLUTION_GRID_LIMIT)
+ORACLE_GRIDS = {1: 16, 2: 8}
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 16), (3, 16)])
+def test_einsum_kernel_gives_the_bytes_of_np_einsum(dim, n, monkeypatch):
+    """Every hot contraction calls ``grid._einsum``, numpy's C kernel, which
+    ``np.einsum`` without ``optimize`` only forwards to.  Each of its calls
+    in a step, a right-hand side, the spray, the multipliers, the tower and
+    the oracle is replayed through ``np.einsum`` on the same operands and
+    into the same output view, and the bytes must match: full and half
+    tables, the pass's own rows, strided views of full spectra, the padded
+    rows the pass binds (fused at d <= 2, split at d=3 n=16).  A numpy
+    release that changes either function fails here."""
+    assert grid_module._einsum is np._core.einsumfunc.c_einsum
+    seen = set()
+
+    def checked(subscripts, *operands, out=None):
+        seen.add(subscripts)
+        if out is None:
+            expected = np.einsum(subscripts, *operands)
+            got = grid_module._einsum(subscripts, *operands)
+        else:
+            expected = np.einsum(subscripts, *operands, out=out).copy()
+            got = grid_module._einsum(subscripts, *operands, out=out)
+        assert got.tobytes() == expected.tobytes()
+        return got
+
+    for module in (epdiff_module, lagrangian, operators, conjugation):
+        monkeypatch.setattr(module, "_einsum", checked)
+    # a pass binds _CONTRACT when it is built: on the new grids below
+    monkeypatch.setattr(epdiff_module, "_CONTRACT", functools.partial(checked, "k...,k...->..."))
+    grid = TorusGrid(dim, n)
+    mult = sobolev_multiplier(2.0, grid)
+    u = band_limited(grid, conjugation.headroom_band(1, n), seed=dim)
+    state = EulerState.from_velocity(mult, u)
+    step_rk4(mult, state, 0.5 * state.cfl)
+    euler_rhs(mult, state.m)
+    operators.apply_inverse(mult, state.m)
+    lagrangian.spray_at_identity(mult, u)
+    conjugation.apply_An_recursive(mult, 1, u, band_limited(grid, conjugation.headroom_band(1, n), seed=9))
+    expected = CONTRACTIONS - {"okB,kB->oB"}
+    if dim in ORACLE_GRIDS:
+        small = TorusGrid(dim, ORACLE_GRIDS[dim])
+        fields = [band_limited(small, conjugation.headroom_band(1, small.n), seed=s) for s in (1, 2)]
+        conjugation.ConvolutionKernel(sobolev_multiplier(2.0, small), 1).apply(*fields)
+        expected = CONTRACTIONS
+    assert seen == expected
 
 
 class TestGradient:

@@ -18,7 +18,6 @@ from epdifflab.epdiff import (
     diagnostics,
     gaussian_blob,
     integrate,
-    momentum_transport,
 )
 from epdifflab.grid import GridMismatchError, SpectralVectorField, TorusGrid, _jacobian_samples
 from epdifflab import grid as grid_module
@@ -45,7 +44,7 @@ from epdifflab.operators import FourierMultiplier, apply, apply_inverse, sobolev
 
 from test_conjugation import hermitian_complex_symbol
 from test_epdiff import arnold_B
-from test_grid import band_limited, directional_derivative, translate
+from test_grid import band_limited, directional_derivative, momentum_transport, translate
 
 
 def compose_diffeo(phi, psi):

@@ -18,7 +18,9 @@ test-local copy of the full-spectrum step they replaced (``apply_inverse``,
 the transport term on full spectra, the completion of every negative bin at
 once in every stage, and full-spectrum stage arithmetic) must give the same
 bits, step after step, also at the substeps of the peakon run's halting
-phase.
+phase.  Each stage input goes into a buffer the step names (the Eulerian
+transport pass's own rows, a buffer of the spray's step); a test-local copy
+of the RK4 step on fresh arrays must give the same bits for both solvers.
 
 The spray takes its advective term from the transport pass; a test-local
 copy of the two passes it replaced (``directional_derivative`` and then
@@ -53,7 +55,6 @@ from epdifflab.epdiff import (
     EulerState,
     euler_rhs,
     integrate,
-    momentum_transport,
     gaussian_blob,
     peakon_pair,
     random_bandlimited,
@@ -67,11 +68,12 @@ from epdifflab.grid import (
     _truncate_half,
     padded_samples,
 )
-from epdifflab.lagrangian import spray_at_identity
+from epdifflab import lagrangian as lagrangian_module
+from epdifflab.lagrangian import DiffeoChart, GeodesicState, integrate_geodesic, spray_at_identity, spray_rhs
 from epdifflab.operators import FourierMultiplier, apply, apply_inverse, sobolev_multiplier
 from epdifflab.symbols import sobolev_symbol
 
-from test_grid import directional_derivative
+from test_grid import directional_derivative, momentum_transport
 
 TOL = 1e-13
 # The spray cancels terms of size a(k)|u|^2 against each other, so its
@@ -521,29 +523,116 @@ def test_steps_match_full_spectrum_stage(dim, n):
 TRANSFORMS_PER_STEP = {(1, 256): (4, 4), (2, 32): (4, 4), (3, 32): (12, 100)}
 
 
+# Where a call of numpy's public np.einsum shows: the function itself, and the
+# kernel its Python wrapper looks up on every call, which a partial bound to
+# np.einsum reaches too.  The package calls that kernel directly (grid._einsum).
+PUBLIC_EINSUM = [(np, "einsum"), (np._core.einsumfunc, "c_einsum")]
+
+
+def _count_calls(monkeypatch, targets):
+    """Calls of each ``(module, name)`` of ``targets`` by name, counted from
+    now on; split passes transform on worker threads, so a lock guards them."""
+    calls, lock = {}, threading.Lock()
+    for module, name in targets:
+        calls[name] = 0
+
+        def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            with lock:
+                calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("dim,n", list(TRANSFORMS_PER_STEP))
 def test_step_reflects_once(dim, n, monkeypatch):
     # the stages and their combination run on half spectra; only the new
-    # momentum gets its negative bins, and the stages transform as before
+    # momentum gets its negative bins, and the stages transform as before;
+    # every contraction calls numpy's einsum kernel, not np.einsum
     grid = TorusGrid(dim, n)
     mult = sobolev_multiplier(1.5, grid)
     state = EulerState.from_velocity(mult, random_bandlimited(grid, n // 4, seed=21))
     state.cfl  # the guard's inverse transform of u, outside the count
-    calls = {}
-    lock = threading.Lock()  # split passes transform on worker threads
-    for module, name in [(grid_module, "_rfft"), (grid_module, "_irfft"),
-                         (epdiff_module, "_full"), (epdiff_module, "_rhs_half"),
-                         (epdiff_module, "euler_rhs")]:
-        calls[name] = 0
-
-        def counted(*args, _name=name, _fn=getattr(module, name)):
-            with lock:
-                calls[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(module, name, counted)
+    calls = _count_calls(monkeypatch, [
+        (grid_module, "_rfft"), (grid_module, "_irfft"), (epdiff_module, "_full"),
+        (epdiff_module, "_rhs_half"), (epdiff_module, "euler_rhs"), *PUBLIC_EINSUM])
     step_rk4(mult, state, 1e-4)
     rfft, irfft = TRANSFORMS_PER_STEP[dim, n]
-    assert calls == {"_rfft": rfft, "_irfft": irfft, "_full": 1, "_rhs_half": 4, "euler_rhs": 0}
+    assert calls == {"_rfft": rfft, "_irfft": irfft, "_full": 1, "_rhs_half": 4, "euler_rhs": 0,
+                     "einsum": 0, "c_einsum": 0}
+
+
+def fresh_rk4(rhs, y, dt, stage):
+    """The RK4 step before each stage input went into a buffer its caller
+    names: ``stage`` is ignored, every array is fresh, and so the Eulerian
+    transport pass copies each stage input into its rows."""
+    k = np.empty((4,) + y.shape, dtype=y.dtype)
+    stage = np.empty_like(k[0])
+    rhs(y, k[0])
+    for i, h in enumerate((np.float64(dt / 2), np.float64(dt / 2), np.float64(dt)), start=1):
+        np.multiply(k[i - 1], h, out=stage)
+        np.add(y, stage, out=stage)
+        rhs(stage, k[i])
+    k1, k2, k3, k4 = k
+    np.multiply(k2, np.float64(2.0), out=stage)
+    np.add(k1, stage, out=stage)
+    np.multiply(k3, np.float64(2.0), out=k3)
+    np.add(stage, k3, out=stage)
+    np.add(stage, k4, out=stage)
+    np.multiply(stage, np.float64(dt / 6), out=stage)
+    return np.add(y, stage, out=stage)
+
+
+def _stage_datum(dim, n):
+    grid = TorusGrid(dim, n)
+    mult = sobolev_multiplier(1.0 if dim == 1 else 1.5, grid)
+    u = peakon_pair(grid, 0.5, 0.3, 0.08) if dim == 1 else random_bandlimited(grid, n // 4, seed=23)
+    return mult, u
+
+
+# (dim, n of the Eulerian steps, n of the geodesic steps): at d=3 the
+# geodesic runs on n=8, where its stack is split as at n=16, since a stage's
+# quintic splines cost about 80 ms at d=3 n=16
+STAGE_CASES = [(1, 256, 256), (2, 32, 32), (3, 16, 8)]
+
+
+@pytest.mark.parametrize("dim,n,chart_n", STAGE_CASES)
+def test_stage_buffers_keep_the_bytes(dim, n, chart_n, monkeypatch):
+    # the Eulerian step writes each stage input into the transport pass's own
+    # rows and the spray into a buffer of its step; both must give the bits
+    # of fresh stage arrays, step after step (split passes at d=3)
+    mult, u = _stage_datum(dim, n)
+    state = EulerState.from_velocity(mult, u)
+    dt = 0.25 * state.cfl
+    chart_mult, chart_u = _stage_datum(dim, chart_n)
+    chart = GeodesicState(DiffeoChart.identity(chart_mult.grid), chart_u)
+
+    def runs():
+        states = [state]
+        for _ in range(3):
+            states.append(step_rk4(mult, states[-1], dt))
+        return states, integrate_geodesic(chart_mult, chart, 3e-3, 1e-3, snapshot_cadence=1)
+
+    steps, charts = runs()
+    monkeypatch.setattr(epdiff_module, "_rk4", fresh_rk4)
+    monkeypatch.setattr(lagrangian_module, "_rk4", fresh_rk4)
+    fresh_steps, fresh_charts = runs()
+    for new, old in zip(steps[1:], fresh_steps[1:], strict=True):
+        assert new.m.coeffs.tobytes() == old.m.coeffs.tobytes()
+        assert new.u.coeffs.tobytes() == old.u.coeffs.tobytes()
+    assert len(charts) == 4
+    for new, old in zip(charts, fresh_charts, strict=True):
+        assert new.phi.f.coeffs.tobytes() == old.phi.f.coeffs.tobytes()
+        assert new.v.coeffs.tobytes() == old.v.coeffs.tobytes()
+        assert new.t == old.t
+
+
+@pytest.mark.parametrize("dim,n", [(1, 256), (2, 32), (3, 16)])
+def test_spray_stage_calls_no_public_einsum(dim, n, monkeypatch):
+    mult, u = _stage_datum(dim, n)
+    calls = _count_calls(monkeypatch, PUBLIC_EINSUM)
+    spray_rhs(mult, GeodesicState(DiffeoChart.identity(mult.grid), u))
+    assert calls == {"einsum": 0, "c_einsum": 0}
 
 
 @pytest.mark.parametrize("dim,n", CASES)
@@ -577,12 +666,7 @@ def test_spray_1d_is_one_padded_pass(monkeypatch):
     grid = TorusGrid(1, 256)
     mult = sobolev_multiplier(1.5, grid)
     u = gaussian_blob(grid, 0.25, 0.1)
-    calls = {"_rfft": 0, "_irfft": 0}
-    for name in calls:
-        def counted(*args, _name=name, _fn=getattr(grid_module, name)):
-            calls[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(grid_module, name, counted)
+    calls = _count_calls(monkeypatch, [(grid_module, "_rfft"), (grid_module, "_irfft")])
     spray_at_identity(mult, u)
     assert calls == {"_rfft": 1, "_irfft": 1}
 
@@ -609,7 +693,8 @@ def test_1d_pass_samples_div_v_once(per_call, monkeypatch):
         rows.append(len(half))
         return irfft(half, *args)
     monkeypatch.setattr(grid_module, "_irfft", counted)
-    half = epdiff_module._rhs_half(mult, m.coeffs[..., :grid.plan.half],
+    half = epdiff_module._rhs_half(mult, epdiff_module._transport_pass(grid, False),
+                                   m.coeffs[..., :grid.plan.half],
                                    np.empty((1, grid.plan.half), dtype=complex))
     spray = spray_at_identity(mult, u)
     assert rows == ([2, 2] * 2 if per_call == 3 else [4] * 2)
