@@ -39,10 +39,12 @@ limit, and the whole peakon ``integrate`` to t=0.5.  It counts, per ``step_rk4``
 the transform calls (``grid._rfft``/``grid._irfft``), the conjugate
 reflections (``epdiff._full``), the calls of the stage's right-hand side
 (``epdiff.euler_rhs``, and ``epdiff._rhs_half`` where it exists) and the
-public ``np.einsum`` calls (counted as in the Lagrangian group), and
-records the final energy and sup|grad u| of the peakon run as values.  It
-also times ``step_rk4`` at d=3 n=32 with ``grid.TRANSFORM_WORKERS`` at 1 and
-at 2, the two alternating.
+public ``np.einsum`` calls (counted as in the Lagrangian group) and the
+tasks submitted to the transform pool (``grid._pool``, which the runner
+looks up once per submit), and records the final energy and sup|grad u| of
+the peakon run as values.  At every d > 1 grid it also times ``step_rk4``
+with ``grid.TRANSFORM_WORKERS`` at each count of ``STEP_WORKERS``, the counts
+alternating, and counts the pool submits of one step at each.
 
 The allocation group, at d=2 n=64 and 128 and d=3 n=32, where the padded
 passes are split, samples one warm ``euler_rhs`` and one warm ``step_rk4`` call (each
@@ -140,7 +142,7 @@ LARGE_TOWER_CASES = ((2, 64, 2), (3, 32, 1))
 EULER_GRIDS = ((1, 128), (1, 256), (1, 1024), (2, 64), (2, 128), (3, 32))
 # (dim, n) of the multiplier timings
 MULTIPLIER_GRIDS = ((1, 256), (1, 1024), (2, 64), (2, 128), (3, 32))
-# worker counts of the d=3 n=32 step_rk4 timings
+# worker counts of the step_rk4 timings at d > 1
 STEP_WORKERS = (1, 2)
 # (dim, n, rows) of the transform timings: rows is the stack of the transport
 # term's first padded pass ([v, m, div v]; at d=1 [v, m] and the fused
@@ -556,7 +558,7 @@ def measure_eulerian(repeats: int, samples: dict, counts: dict, values: dict) ->
     from epdifflab.operators import sobolev_multiplier
 
     peakon = _config_params(PEAKON_CONFIG, "amplitude", "separation", "width")
-    steps = {}
+    steps, worker_steps = {}, {}
     for dim, n in EULER_GRIDS:
         tag = f"eulerian.d{dim}_n{n}"
         if dim == 1:
@@ -569,18 +571,19 @@ def measure_eulerian(repeats: int, samples: dict, counts: dict, values: dict) ->
         step = steps[tag] = functools.partial(step_rk4, mult, state, 0.5 * state.cfl)
         samples[f"{tag}.euler_rhs_ms"] = _per_call_ms(lambda: euler_rhs(mult, state.m), repeats)
         samples[f"{tag}.step_rk4_ms"] = _per_call_ms(step, repeats)
-        if dim == 3:
+        if dim > 1:
             # a new grid per count, since a plan reads the count when it is built
-            default, by_workers = grid_module.TRANSFORM_WORKERS, {}
+            default = grid_module.TRANSFORM_WORKERS
             for workers in STEP_WORKERS:
                 grid_module.TRANSFORM_WORKERS = workers
                 mult, state = _bandlimited_state(dim, n)
-                by_workers[workers] = functools.partial(step_rk4, mult, state, 0.5 * state.cfl)
+                worker_steps[f"{tag}.step_rk4_workers{workers}"] = functools.partial(
+                    step_rk4, mult, state, 0.5 * state.cfl)
             grid_module.TRANSFORM_WORKERS = default
             for _ in range(repeats):
-                for workers, call in by_workers.items():
-                    key = f"{tag}.step_rk4_workers{workers}_ms"
-                    samples.setdefault(key, []).extend(_per_call_ms(call, 1))
+                for workers in STEP_WORKERS:
+                    key = f"{tag}.step_rk4_workers{workers}"
+                    samples.setdefault(f"{key}_ms", []).extend(_per_call_ms(worker_steps[key], 1))
 
     grid = grid_module.TorusGrid(1, 256)
     mult = sobolev_multiplier(peakon["s"], grid)
@@ -592,11 +595,13 @@ def measure_eulerian(repeats: int, samples: dict, counts: dict, values: dict) ->
     values["eulerian.peakon_integrate.energy"] = final.energy
     values["eulerian.peakon_integrate.sup_gradient"] = final.sup_gradient
     # counted after every timing, as in measure_lagrangian()
-    targets = [(grid_module, "_rfft"), (grid_module, "_irfft"), (epdiff, "_full"),
+    targets = [(grid_module, "_rfft"), (grid_module, "_irfft"), (grid_module, "_pool"), (epdiff, "_full"),
                (epdiff, "euler_rhs"), (epdiff, "_rhs_half"), (einsumfunc, "c_einsum")]
     counter = CallCounter([(module, name) for module, name in targets if hasattr(module, name)])
     for tag, step in steps.items():
         counts[f"{tag}.per_step"] = counter.calls_in(step)
+    for key, step in worker_steps.items():
+        counts[f"{key}.per_step"] = {"pool_submits": counter.calls_in(step)["epdifflab.grid._pool"]}
     counter.close()
 
 

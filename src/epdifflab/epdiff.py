@@ -41,6 +41,7 @@ from .grid import (
     _einsum,
     _full,
     _jacobian_samples,
+    _run_tasks,
     _truncate_half,
 )
 from .operators import (
@@ -227,7 +228,10 @@ class _TransportPass:
     When the whole stack fits in one transform call (``fused``), it goes in
     one call, the gradients are part of it, and one forward call comes back;
     otherwise the stack, then each component's gradients, go through the
-    split passes of :func:`padded_samples` and :func:`_truncate_half`.
+    split passes of :func:`padded_samples` and :func:`_truncate_half`.  A
+    split pass forms component 0's gradients with ``div v``, and each later
+    component's with the products of the one before it (:attr:`phases`),
+    which read none of them.
 
     With ``advection``, ``d`` more rows follow: ``(v . grad) v^j``, the sum
     over ``i`` of ``v^i d_i v^j``, formed from the padded samples of ``v``
@@ -241,6 +245,17 @@ class _TransportPass:
     the stack and :class:`~epdifflab.grid._Truncation` of the product rows,
     the bits of the pass on fresh arrays.  It refers to its grid by the
     plan's proxy, so the grid's plan, which keeps it, forms no cycle with it.
+
+    A split pass whose padded row fills a transform call by itself
+    (``plan.batch == 1``: d=3 n=32, d=2 n=128) runs ``div v``, the
+    gradients and the products as ``plan.workers`` shares (at most ``n``),
+    the tasks of :func:`~epdifflab.grid._run_tasks`.  Share ``j`` of ``w``
+    writes planes ``P j // w`` to ``P (j + 1) // w`` along the first grid
+    axis of every array an operation writes (``P`` its planes: ``n`` on the
+    spectra, ``3n/2`` on the padded rows), and reads only those planes,
+    whichever thread takes it: the calling thread and the pool's helpers
+    take shares from one queue.  A helper runs the views bound here and
+    keeps no pass of its own.  Elsewhere the calling thread runs them all.
     """
 
     def __init__(self, grid: TorusGrid, advection: bool) -> None:
@@ -269,50 +284,61 @@ class _TransportPass:
 
         padded_shape = plan.padded_shape
         self.padded = padded = np.empty((rows,) + padded_shape)
+        if not fused:
+            # one component's gradients at a time, in one buffer each side
+            self.gradients = np.empty((2 * d,) + plan.half_shape, dtype=complex)
+            self.padded_gradients = np.empty((2 * d,) + padded_shape)
+
         k = 2 * d if advection else d
+        self.products = out = np.empty((k,) + padded_shape)
+        scratch = np.empty((d if advection else 1,) + padded_shape)
+        ms, adv = padded[d:2 * d], out[d:]
+        products = []
+        for i in range(d):
+            lo = head + 2 * d * i
+            grads = padded[lo:lo + 2 * d] if fused else self.padded_gradients
+            div = padded[2 * d] if d > 1 else grads[1]  # at d=1, the samples of d_0 v^0
+            ops = [(_CONTRACT, padded[:2 * d], grads, out[i]),
+                   (np.multiply, div, ms[i], scratch[0]), (np.add, out[i], scratch[0], out[i])]
+            if advection:  # grads[d + j] samples d_i v^j
+                if i == 0:
+                    ops.append((np.multiply, padded[0], grads[d:], adv))
+                else:
+                    ops += [(np.multiply, padded[i], grads[d:], scratch), (np.add, adv, scratch, adv)]
+            products.append(ops)
+
         if fused:
             for i in range(d):
                 self.spectral += gradients(i, stack[head + 2 * d * i:head + 2 * d * (i + 1)])
             self.sampling = plan.prepared((_Sampling, rows), _Sampling, plan, rows)
             self.truncation = plan.prepared((_Truncation, k), _Truncation, plan, k)
+            self.run, self.phases = _run, [[op for ops in products for op in ops]]
         else:
-            # one component's gradients at a time, in one buffer each side
-            self.gradients = np.empty((2 * d,) + plan.half_shape, dtype=complex)
-            self.padded_gradients = np.empty((2 * d,) + padded_shape)
-
-        self.products = out = np.empty((k,) + padded_shape)
-        scratch = np.empty((d if advection else 1,) + padded_shape)
-        ms, adv = padded[d:2 * d], out[d:]
-        self.components = []
-        for i in range(d):
-            lo = head + 2 * d * i
-            grads = padded[lo:lo + 2 * d] if fused else self.padded_gradients
-            div = padded[2 * d] if d > 1 else grads[1]  # at d=1, the samples of d_0 v^0
-            products = [(_CONTRACT, padded[:2 * d], grads, out[i]),
-                        (np.multiply, div, ms[i], scratch[0]), (np.add, out[i], scratch[0], out[i])]
-            if advection:  # grads[d + j] samples d_i v^j
-                if i == 0:
-                    products.append((np.multiply, padded[0], grads[d:], adv))
-                else:
-                    products += [(np.multiply, padded[i], grads[d:], scratch), (np.add, adv, scratch, adv)]
-            self.components.append(([] if fused else gradients(i, self.gradients), products))
+            # component i's gradients are sampled before phase i, which forms
+            # its products and the next component's gradients; component 0's
+            # go with div v.  Where a padded row fills a transform call by
+            # itself, the workers share all of it.
+            self.spectral += gradients(0, self.gradients)
+            phases = [ops + (gradients(i + 1, self.gradients) if i + 1 < d else [])
+                      for i, ops in enumerate(products)]
+            shares = min(plan.workers, grid.n) if plan.batch == 1 else 1
+            self.run = _run if shares == 1 else partial(_run_tasks, plan.workers)
+            self.spectral = _slabs(self.spectral, shares, d)
+            self.phases = [_slabs(ops, shares, d) for ops in phases]
 
     def __call__(self, m: np.ndarray, out: np.ndarray) -> np.ndarray:
         grid = self.grid
         if m is not self.m:
             self.m[...] = m
-        _run(self.spectral)
+        self.run(self.spectral)
         if self.fused:
             self.sampling(self.stack, self.padded)
-        else:
-            padded_samples(grid, self.stack, self.padded)
-        for gradients, products in self.components:
-            if gradients:
-                _run(gradients)
-                padded_samples(grid, self.gradients, self.padded_gradients)
-            _run(products)
-        if self.fused:
+            _run(self.phases[0])
             return self.truncation(self.products, out)
+        padded_samples(grid, self.stack, self.padded)
+        for phase in self.phases:
+            padded_samples(grid, self.gradients, self.padded_gradients)
+            self.run(phase)
         return _truncate_half(grid, self.products, out)
 
 
@@ -320,6 +346,24 @@ def _run(ops: list) -> None:
     """Run bound ``(function, a, b, out)`` operations in order."""
     for function, a, b, out in ops:
         function(a, b, out=out)
+
+
+def _slabs(ops: list, shares: int, dim: int) -> list:
+    """``ops`` itself for one share; else one task per share, which runs
+    ``ops`` on that share's slab of whole planes of every operand along its
+    first grid axis (axis ``ndim - dim``), the slabs cut evenly up to a
+    plane.  The operands of one operation have the same grid shape, so each
+    share reads only the planes it and the operations before it in that
+    share write."""
+    if shares == 1:
+        return ops
+
+    def slab(x: np.ndarray, j: int) -> np.ndarray:
+        axis = x.ndim - dim
+        planes = x.shape[axis]
+        return x[(slice(None),) * axis + (slice(planes * j // shares, planes * (j + 1) // shares),)]
+    return [partial(_run, [(function, slab(a, j), slab(b, j), slab(out, j)) for function, a, b, out in ops])
+            for j in range(shares)]
 
 
 def euler_rhs(mult: FourierMultiplier, m: SpectralVectorField) -> SpectralVectorField:

@@ -23,6 +23,7 @@ Parseval reads ``(L/n)^d sum_x |f|^2 = L^{-d} sum_k |coeff|^2``.
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import math
 import numbers
@@ -32,7 +33,7 @@ import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 from numpy._core._multiarray_umath import c_einsum as _einsum
@@ -507,8 +508,9 @@ def _jacobian_samples(u: SpectralVectorField) -> np.ndarray:
 # row is 0.92, 0.92 and 0.28 MB at d=3 n=32), and one _Sampling and one
 # _Truncation per chunk height that bind views of them; each thread that runs
 # the transport term keeps its prepared pass (epdiff._TransportPass, 18.9 MB
-# at d=3 n=32, where its stack is split).  They belong to the grid's plan and
-# are freed with the grid.
+# at d=3 n=32, where its stack is split), and a helper that takes a share of
+# a pass's elementwise work writes into that pass and keeps none.  They
+# belong to the grid's plan and are freed with the grid.
 #
 # The embedding buffer is zero outside the embedded bins, since every call
 # writes the same bins.  The work buffer is scratch that both directions
@@ -523,10 +525,14 @@ MAX_TRANSFORM_BYTES = 256 * 1024
 # numpy's real transforms release the GIL, so the chunks of one stack
 # transform on several cores at once.  Each chunk writes its own rows of an
 # output allocated up front, so the bits do not depend on the worker count.
-# A grid reads the count once, when its plan is built; a stack that fits one
-# call runs inline and starts no thread.  The helpers of every plan with the
-# same count come from one pool of count - 1 threads, however many chunks a
-# stack has.
+# The same threads share the elementwise work of a split transport pass
+# whose padded row fills a call by itself, each share its own planes of the
+# pass's arrays (epdiff._TransportPass); ufuncs and the contraction give the
+# same bits on any slab of planes.  A grid reads the count once, when its
+# plan is built; a stack that fits one call runs inline and starts no
+# thread.  The helpers of every plan with the same count come from one pool
+# of count - 1 threads, however many tasks a runner has; _run_tasks is the
+# one runner.
 TRANSFORM_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                      else os.cpu_count() or 1)
 _pools: dict[int, ThreadPoolExecutor] = {}
@@ -540,38 +546,62 @@ def _pool(size: int) -> ThreadPoolExecutor:
         return _pools[size]
 
 
-def _run_chunks(plan: _Plan, build: type, src: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Run this thread's ``build(plan, rows)`` object (:class:`_Sampling` or
-    :class:`_Truncation`) on consecutive chunks of at most ``plan.batch`` rows
-    of ``src``, each into its rows of ``out``: a lone chunk inline, more than
-    one from one queue, which ``plan.workers`` threads drain.
+def _run_tasks(workers: int, tasks: list) -> None:
+    """Call each of ``tasks`` once, taking them from one queue that the
+    calling thread and up to ``workers - 1`` helpers of the pool drain; a
+    lone task runs inline and submits nothing.
 
-    A chunk may call only private helpers: the tracer of the benchmark keeps
-    one span stack, which a traced call from a worker thread would corrupt.
+    Each helper runs in a copy of the caller's context, so the numpy error
+    state that the caller set (``np.errstate``, a context variable) holds in
+    the helpers too.  Every helper has finished before this returns or
+    raises, so none writes into an output afterwards; the caller's own
+    exception goes first, else the first helper's.
+
+    A task may call only private helpers: the tracer of the benchmark keeps
+    one span stack, which a traced call from a helper thread would corrupt.
     """
-    rows = len(src)
-    if rows <= plan.batch:
-        return plan.prepared((build, rows), build, plan, rows)(src, out)
-    plan.embed, plan.band, plan.columns  # built here, not by two threads at once
-    chunks = queue.SimpleQueue()
-    for lo in range(0, rows, plan.batch):
-        chunks.put((lo, min(lo + plan.batch, rows)))
+    pending = queue.SimpleQueue()
+    for task in tasks:
+        pending.put(task)
 
     def drain() -> None:
         while True:
             try:
-                lo, hi = chunks.get_nowait()
+                task = pending.get_nowait()
             except queue.Empty:
                 return
-            plan.prepared((build, hi - lo), build, plan, hi - lo)(src[lo:hi], out[lo:hi])
+            task()
 
-    helpers = min(plan.workers, chunks.qsize()) - 1
-    futures = [_pool(plan.workers - 1).submit(drain) for _ in range(helpers)]
-    drain()
-    for future in futures:
-        if not future.cancel():  # a helper that has not started by now has nothing to do
-            future.result()
+    helpers = min(workers, len(tasks)) - 1
+    futures = [_pool(workers - 1).submit(contextvars.copy_context().run, drain) for _ in range(helpers)]
+    try:
+        drain()
+    finally:
+        # a helper that has not started by now has nothing to do; the rest are waited for
+        errors = [future.exception() for future in futures if not future.cancel()]
+    for error in errors:
+        if error is not None:
+            raise error
+
+
+def _run_chunks(plan: _Plan, build: type, src: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Run this thread's ``build(plan, rows)`` object (:class:`_Sampling` or
+    :class:`_Truncation`) on consecutive chunks of at most ``plan.batch`` rows
+    of ``src``, each into its rows of ``out``: a lone chunk inline, more than
+    one as the tasks of :func:`_run_tasks` on ``plan.workers`` threads."""
+    rows, batch = len(src), plan.batch
+    if rows <= batch:
+        return plan.prepared((build, rows), build, plan, rows)(src, out)
+    plan.embed, plan.band, plan.columns  # built here, not by two threads at once
+    _run_tasks(plan.workers, [partial(_run_chunk, plan, build, src[lo:lo + batch], out[lo:lo + batch])
+                              for lo in range(0, rows, batch)])
     return out
+
+
+def _run_chunk(plan: _Plan, build: type, src: np.ndarray, out: np.ndarray) -> None:
+    """One chunk of :func:`_run_chunks`, by the running thread's object."""
+    rows = len(src)
+    plan.prepared((build, rows), build, plan, rows)(src, out)
 
 
 # The two directions of the padded pass on one chunk of ``rows`` rows and one

@@ -23,6 +23,7 @@ from epdifflab.epdiff import (
     sup_velocity_gradient,
 )
 from epdifflab.grid import GridMismatchError, SpectralVectorField, TorusGrid, _full, l2_inner
+from epdifflab.lagrangian import spray_at_identity
 from epdifflab.operators import (
     FourierMultiplier,
     apply,
@@ -173,10 +174,12 @@ class TestEulerRHS:
         assert np.abs(full.coeffs - manual.coeffs).max() < 1e-12 * np.abs(full.coeffs).max()
 
     def test_transport_rejects_fields_on_two_grids(self):
-        v = band_limited(TorusGrid(1, 32), 5, seed=1)
-        m = band_limited(TorusGrid(1, 32, length=2.0), 5, seed=2)
+        # the spray's transport pass runs on the grid of u, so a multiplier
+        # on a grid of another length must be rejected before it
+        u = band_limited(TorusGrid(1, 32), 5, seed=1)
+        mult = sobolev_multiplier(1.0, TorusGrid(1, 32, length=2.0))
         with pytest.raises(GridMismatchError):
-            momentum_transport(v, m)
+            spray_at_identity(mult, u)
 
 
 class TestStepping:

@@ -302,6 +302,41 @@ def test_einsum_kernel_gives_the_bytes_of_np_einsum(dim, n, monkeypatch):
     assert seen == expected
 
 
+@pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+@pytest.mark.parametrize("advection", [False, True])
+def test_pass_operations_give_the_same_bytes_on_plane_slabs(dim, n, advection, monkeypatch):
+    """A split pass whose padded row fills a transform call shares each
+    component's elementwise work between the transform workers, each share
+    on a slab of whole planes of every operand (``epdiff._slabs``).  Every
+    operation such a pass binds, the ufuncs and the ``c_einsum``
+    contraction, runs on random operands whole and then slab by slab for 2,
+    3 and 5 shares (even and uneven cuts of 8, 12, 16 and 24 planes), and
+    the bytes must match.  A slab has other lengths and strides than the
+    whole operand, so a numpy release that picks another kernel for it and
+    rounds otherwise fails here."""
+    m = (3 * n) // 2
+    monkeypatch.setattr(grid_module, "MAX_TRANSFORM_BYTES", 16 * m ** (dim - 1) * (m // 2 + 1))
+    monkeypatch.setattr(grid_module, "TRANSFORM_WORKERS", 1)
+    grid = TorusGrid(dim, n)  # a new grid builds its plan with the patched constants
+    transport = _transport_pass(grid, advection)
+    assert not transport.fused and grid.plan.batch == 1
+    rng = np.random.default_rng(dim)
+    for array in (transport.stack, transport.padded, transport.gradients, transport.padded_gradients):
+        floats = array.view(float)
+        floats[...] = rng.standard_normal(floats.shape)
+    outputs = (transport.stack, transport.gradients, transport.products)
+    for ops in [transport.spectral] + transport.phases:
+        before = [out.copy() for out in outputs]  # the advective rows sum over the components
+        epdiff_module._run(ops)
+        whole = [out.tobytes() for out in outputs]
+        for shares in (2, 3, 5):
+            for out, saved in zip(outputs, before):
+                out[...] = saved
+            for task in epdiff_module._slabs(ops, shares, dim):
+                task()
+            assert [out.tobytes() for out in outputs] == whole
+
+
 class TestGradient:
     def test_constant_is_zero(self):
         g = TorusGrid(1, 16)

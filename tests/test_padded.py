@@ -27,8 +27,11 @@ copy of the two passes it replaced (``directional_derivative`` and then
 ``momentum_transport``) must give the same bits at d=1.
 
 A stack split into several transform calls runs its chunks on worker
-threads; the passes and the steps must give the same bits for every worker
-count, and a stack that fits one call must start no thread.  Split passes
+threads, and a split transport pass whose padded row fills a call shares
+its elementwise work between them; the passes and the steps must give the
+same bits for every worker count, and a stack that fits one call must
+start no thread.  The helpers keep the caller's numpy error state, and a
+failing chunk returns only once every helper has stopped writing.  Split passes
 transform in per-thread workspaces of the grid's plan: two threads calling
 one grid at once must each get the serial bits, in arrays of their own.  The
 sampling and truncation objects the plan keeps per stack height must bind
@@ -42,7 +45,9 @@ import itertools
 import math
 import sys
 import threading
+import time
 import tracemalloc
+import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -759,19 +764,75 @@ def _threaded_results(dim, n, workers, per_call, monkeypatch):
     state = EulerState.from_velocity(mult, random_bandlimited(grid, n // 2, seed=17))
     for _ in range(2):
         state = step_rk4(mult, state, 1e-4)
-    return padded, _full(grid, _truncate_half(grid, padded)), state.m.coeffs, state.u.coeffs
+    transport = epdiff_module._transport_pass(grid, False)
+    # one padded row per call: the split passes share their elementwise work
+    assert (transport.run is not epdiff_module._run) == (workers > 1 and grid.plan.batch == 1)
+    rhs = epdiff_module._rhs_half(mult, transport, state.m.coeffs[..., :grid.plan.half],
+                                  np.empty((dim,) + grid.plan.half_shape, dtype=complex))
+    return (padded, _full(grid, _truncate_half(grid, padded)), state.m.coeffs, state.u.coeffs, rhs,
+            spray_at_identity(mult, state.u).coeffs)
 
 
 @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
 @pytest.mark.parametrize("per_call", [None, 1, 2])
 def test_same_bits_for_every_worker_count(dim, n, per_call, monkeypatch):
     # per_call None keeps the default cap: one call at d=2 n=32, pairs at
-    # d=3 n=16; 1 and 2 force single fields and pairs with a remainder
-    ref = _threaded_results(dim, n, 1, per_call, monkeypatch)
+    # d=3 n=16; 1 and 2 force single fields and pairs with a remainder.  With
+    # single fields the transport passes of the steps, the right-hand side
+    # and the spray share their elementwise work, and three workers cut the
+    # n planes of the spectra unevenly
+    ref = [a.tobytes() for a in _threaded_results(dim, n, 1, per_call, monkeypatch)]
     for workers in (2, 3):
-        got = _threaded_results(dim, n, workers, per_call, monkeypatch)
-        for a, b in zip(got, ref):
-            assert np.array_equal(a, b)
+        assert [a.tobytes() for a in _threaded_results(dim, n, workers, per_call, monkeypatch)] == ref
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_helpers_keep_the_callers_error_state(workers, monkeypatch):
+    # numpy's error state is a context variable, which a thread does not
+    # inherit: the helpers run in a copy of the caller's context, so an
+    # overflow (and the inf - inf of the transforms) that the caller ignores
+    # warns on no thread
+    monkeypatch.setattr(grid_module, "TRANSFORM_WORKERS", workers)
+    grid = TorusGrid(3, 16)
+    assert grid.plan.batch < grid.dim  # so the three rows take two calls
+    stack = np.full((grid.dim,) + grid.plan.half_shape, 1e308, dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a helper's warning is raised to the caller
+        with np.errstate(all="ignore"):
+            padded = padded_samples(grid, stack)
+    assert not np.isfinite(padded).all()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failing_chunk_waits_for_the_helpers(workers, monkeypatch):
+    # the calling thread's chunk raises while a helper's chunk still runs:
+    # the exception comes out only once that chunk has written, so nothing
+    # writes into the output afterwards
+    monkeypatch.setattr(grid_module, "TRANSFORM_WORKERS", workers)
+    grid = TorusGrid(3, 16)
+    caller, started, written = threading.get_ident(), threading.Event(), []
+
+    class Chunk:
+        def __init__(self, plan, rows):
+            pass
+
+        def __call__(self, src, out):
+            if threading.get_ident() == caller:
+                started.wait(5 if workers > 1 else 0)  # until a helper runs the other chunk
+                raise RuntimeError("chunk failed")
+            started.set()
+            time.sleep(0.2)
+            out[...] = src
+            written.append(len(src))
+
+    src = np.ones((2 * grid.plan.batch,) + grid.plan.half_shape, dtype=complex)
+    out = np.zeros_like(src)
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        grid_module._run_chunks(grid.plan, Chunk, src, out)
+    seen = list(written), out.tobytes()
+    time.sleep(0.3)
+    assert (written, out.tobytes()) == seen
+    assert written == ([grid.plan.batch] if workers > 1 else [])
 
 
 def _whole_transforms(monkeypatch):
@@ -856,14 +917,18 @@ def test_one_pool_per_worker_count(monkeypatch):
     assert len(transform_threads() - before) == 3
 
 
-@pytest.mark.parametrize("dim,n", [(1, 256), (2, 16)])
+@pytest.mark.parametrize("dim,n", [(1, 256), (2, 16), (2, 32)])
 def test_one_call_stacks_start_no_thread(dim, n, monkeypatch):
-    # d=1 and the small grids of the oracle checks keep their inline path
+    # d=1, the small grids of the oracle checks and the fused d=2 n=32 pass
+    # keep their inline path: a right-hand side and a step submit nothing
     monkeypatch.setattr(grid_module, "TRANSFORM_WORKERS", 2)
     monkeypatch.setattr(grid_module, "_pools", {})
     grid = TorusGrid(dim, n)
+    assert epdiff_module._transport_pass(grid, False).fused
     mult = sobolev_multiplier(1.0, grid)
-    euler_rhs(mult, apply(mult, _noise(grid, 19)))
+    state = EulerState.from_velocity(mult, _noise(grid, 19))
+    euler_rhs(mult, state.m)
+    step_rk4(mult, state, 0.5 * state.cfl)
     assert grid_module._pools == {}
 
 
