@@ -33,7 +33,7 @@ error and the envelope ratios as values.
 
 The Eulerian group times one ``euler_rhs`` and one ``step_rk4`` call at
 d=1 n=128, 256 and 1024 on the datum of ``configs/peakon_blowup.ini``, and at
-d=2 n=64 and 128 and d=3 n=32 on the seeded band-limited datum of the
+d=2 n=64 and 128 and d=3 n=16 and 32 on the seeded band-limited datum of the
 ``bandlimited_3d`` benchmark workload (H^2 metric), each step half the CFL
 limit, and the whole peakon ``integrate`` to t=0.5.  It counts, per ``step_rk4``,
 the transform calls (``grid._rfft``/``grid._irfft``), the conjugate
@@ -46,9 +46,9 @@ the peakon run as values.  At every d > 1 grid it also times ``step_rk4``
 with ``grid.TRANSFORM_WORKERS`` at each count of ``STEP_WORKERS``, the counts
 alternating, and counts the pool submits of one step at each.
 
-The allocation group, at d=2 n=64 and 128 and d=3 n=32, where the padded
-passes are split, samples one warm ``euler_rhs`` and one warm ``step_rk4`` call (each
-after a warm-up call) on the band-limited datum.  It records the tracemalloc
+The allocation group, at d=2 n=64 and 128 and d=3 n=16 and 32, where the
+padded passes are split, samples one warm ``euler_rhs`` and one warm
+``step_rk4`` call (each after a warm-up call) on the band-limited datum.  It records the tracemalloc
 peak in MiB and the process's minor page faults (``ru_minflt``, every
 thread).
 
@@ -139,7 +139,7 @@ ORACLE_CASES = ((1, 16, 1), (1, 16, 2), (2, 8, 1), (2, 8, 2))
 LARGE_TOWER_CASES = ((2, 64, 2), (3, 32, 1))
 # (dim, n) of the Eulerian per-call timings: the peakon datum at d=1, the
 # band-limited datum (|k|_inf <= 4, unit H^1.5 norm, H^2 metric, seed 0) above
-EULER_GRIDS = ((1, 128), (1, 256), (1, 1024), (2, 64), (2, 128), (3, 32))
+EULER_GRIDS = ((1, 128), (1, 256), (1, 1024), (2, 64), (2, 128), (3, 16), (3, 32))
 # (dim, n) of the multiplier timings
 MULTIPLIER_GRIDS = ((1, 256), (1, 1024), (2, 64), (2, 128), (3, 32))
 # worker counts of the step_rk4 timings at d > 1

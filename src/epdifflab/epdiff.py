@@ -120,7 +120,7 @@ class EulerState:
         with ``cfl_floor <= cfl`` and ``gradient_ceiling >= sup_gradient``;
         each is NaN where it decides nothing (see :func:`_guard_ceilings`)."""
         sup, gradient = _guard_ceilings(self.u)
-        return (math.inf if sup == 0.0 else CFL_FRACTION * self.u.grid.spacing / sup), gradient
+        return _cfl_step(self.u.grid.spacing, sup), gradient
 
     def exceeds_cfl(self, dt: float, slack: float = 1.0) -> bool:
         """``dt > cfl * slack`` for ``slack >= 1``; :attr:`cfl` is sampled
@@ -246,16 +246,15 @@ class _TransportPass:
     the bits of the pass on fresh arrays.  It refers to its grid by the
     plan's proxy, so the grid's plan, which keeps it, forms no cycle with it.
 
-    A split pass whose padded row fills a transform call by itself
-    (``plan.batch == 1``: d=3 n=32, d=2 n=128) runs ``div v``, the
-    gradients and the products as ``plan.workers`` shares (at most ``n``),
-    the tasks of :func:`~epdifflab.grid._run_tasks`.  Share ``j`` of ``w``
-    writes planes ``P j // w`` to ``P (j + 1) // w`` along the first grid
-    axis of every array an operation writes (``P`` its planes: ``n`` on the
-    spectra, ``3n/2`` on the padded rows), and reads only those planes,
-    whichever thread takes it: the calling thread and the pool's helpers
-    take shares from one queue.  A helper runs the views bound here and
-    keeps no pass of its own.  Elsewhere the calling thread runs them all.
+    A split pass runs ``div v``, the gradients and the products as
+    ``plan.workers`` shares (at most ``n``; one unless a padded row fills a
+    transform call), the tasks of :func:`~epdifflab.grid._run_tasks`.
+    Share ``j`` of ``w`` writes planes ``P j // w`` to ``P (j + 1) // w``
+    along the first grid axis of every array an operation writes (``P`` its
+    planes: ``n`` on the spectra, ``3n/2`` on the padded rows), and reads
+    only those planes, whichever thread takes it: the calling thread and the
+    pool's helpers take shares from one queue.  A helper runs the views
+    bound here and keeps no pass of its own.
     """
 
     def __init__(self, grid: TorusGrid, advection: bool) -> None:
@@ -316,12 +315,11 @@ class _TransportPass:
         else:
             # component i's gradients are sampled before phase i, which forms
             # its products and the next component's gradients; component 0's
-            # go with div v.  Where a padded row fills a transform call by
-            # itself, the workers share all of it.
+            # go with div v.  The plan's workers share all of it.
             self.spectral += gradients(0, self.gradients)
             phases = [ops + (gradients(i + 1, self.gradients) if i + 1 < d else [])
                       for i, ops in enumerate(products)]
-            shares = min(plan.workers, grid.n) if plan.batch == 1 else 1
+            shares = min(plan.workers, grid.n)
             self.run = _run if shares == 1 else partial(_run_tasks, plan.workers)
             self.spectral = _slabs(self.spectral, shares, d)
             self.phases = [_slabs(ops, shares, d) for ops in phases]
@@ -396,10 +394,12 @@ def _rhs_half(mult: FourierMultiplier, transport: _TransportPass, m: np.ndarray,
 
 def cfl_limit(u: SpectralVectorField) -> float:
     """Largest step allowed by the guard ``dt * sup|u| <= 0.5 * spacing``."""
-    sup = u.sup_norm()
-    if sup == 0.0:
-        return np.inf
-    return CFL_FRACTION * u.grid.spacing / sup
+    return _cfl_step(u.grid.spacing, u.sup_norm())
+
+
+def _cfl_step(spacing: float, sup: float) -> float:
+    """The one CFL rule: ``CFL_FRACTION * spacing / sup``, inf where ``sup`` is 0."""
+    return math.inf if sup == 0.0 else CFL_FRACTION * spacing / sup
 
 
 def step_rk4(mult: FourierMultiplier, state: EulerState, dt: float) -> EulerState:

@@ -231,7 +231,7 @@ class _Plan:
         self.padded_shape = (m,) * d
         self.padded_half_shape = (m,) * (d - 1) + (m // 2 + 1,)
         self.batch = max(1, MAX_TRANSFORM_BYTES // (16 * math.prod(self.padded_half_shape)))
-        self.workers = TRANSFORM_WORKERS
+        self.workers = TRANSFORM_WORKERS if self.batch == 1 else 1
         self.truncate_scale = np.complex128(grid.length**d / math.prod(self.padded_shape))
 
         # last-axis bins 0 and n/2, each its own reflection on that axis, and
@@ -473,9 +473,12 @@ class SpectralVectorField:
         return float(np.abs(self.samples()).max())
 
     def max_wavenumber(self) -> int:
-        """Largest ``|k|_inf`` carrying a coefficient above 1e-13 of the peak."""
+        """Largest ``|k|_inf`` carrying a coefficient above 1e-13 of the peak
+        (``ValueError`` where a coefficient is NaN or infinite)."""
         mag = np.abs(self.coeffs)
         peak = mag.max()
+        if not np.isfinite(peak):
+            raise ValueError(f"max_wavenumber needs finite field coefficients, got a peak |coeff| of {peak}")
         if peak == 0.0:
             return 0
         active = np.any(mag > 1e-13 * peak, axis=0)
@@ -521,14 +524,15 @@ def _jacobian_samples(u: SpectralVectorField) -> np.ndarray:
 MAX_TRANSFORM_BYTES = 256 * 1024
 
 
-# Threads that run the chunks of a split stack, the calling thread included:
-# numpy's real transforms release the GIL, so the chunks of one stack
-# transform on several cores at once.  Each chunk writes its own rows of an
-# output allocated up front, so the bits do not depend on the worker count.
-# The same threads share the elementwise work of a split transport pass
-# whose padded row fills a call by itself, each share its own planes of the
-# pass's arrays (epdiff._TransportPass); ufuncs and the contraction give the
-# same bits on any slab of planes.  A grid reads the count once, when its
+# Threads that run the padded passes of a grid whose padded row fills a
+# transform call by itself, the calling thread included; _Plan.workers gives
+# every other grid one, as pool tasks of several rows made a d=2 n=64 step
+# slower (BENCH_worker_rule.json).  numpy's real transforms release the GIL,
+# so the one-row chunks of a split stack transform on several cores at once,
+# each into its own rows of an output allocated up front; the same threads
+# share the elementwise work of a split transport pass, each on its own
+# planes of the pass's arrays, where ufuncs and the contraction give the
+# same bits (epdiff._TransportPass).  A grid reads the count once, when its
 # plan is built; a stack that fits one call runs inline and starts no
 # thread.  The helpers of every plan with the same count come from one pool
 # of count - 1 threads, however many tasks a runner has; _run_tasks is the
@@ -587,21 +591,15 @@ def _run_tasks(workers: int, tasks: list) -> None:
 def _run_chunks(plan: _Plan, build: type, src: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Run this thread's ``build(plan, rows)`` object (:class:`_Sampling` or
     :class:`_Truncation`) on consecutive chunks of at most ``plan.batch`` rows
-    of ``src``, each into its rows of ``out``: a lone chunk inline, more than
-    one as the tasks of :func:`_run_tasks` on ``plan.workers`` threads."""
+    of ``src``, each into its rows of ``out``: a stack that fits one call
+    inline, a larger one as a task per chunk of :func:`_run_tasks`."""
     rows, batch = len(src), plan.batch
     if rows <= batch:
         return plan.prepared((build, rows), build, plan, rows)(src, out)
     plan.embed, plan.band, plan.columns  # built here, not by two threads at once
-    _run_tasks(plan.workers, [partial(_run_chunk, plan, build, src[lo:lo + batch], out[lo:lo + batch])
+    _run_tasks(plan.workers, [partial(_run_chunks, plan, build, src[lo:lo + batch], out[lo:lo + batch])
                               for lo in range(0, rows, batch)])
     return out
-
-
-def _run_chunk(plan: _Plan, build: type, src: np.ndarray, out: np.ndarray) -> None:
-    """One chunk of :func:`_run_chunks`, by the running thread's object."""
-    rows = len(src)
-    plan.prepared((build, rows), build, plan, rows)(src, out)
 
 
 # The two directions of the padded pass on one chunk of ``rows`` rows and one

@@ -291,6 +291,19 @@ class TestOperatorRecursion:
             apply_An_recursive(mult, 2, wide, wide, wide)
         assert required_headroom(2, 7) == 44
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("dim,n", [(1, 16), (2, 8)])
+    def test_non_finite_field_rejected(self, dim, n, bad):
+        # the headroom guard reads the largest live wavenumber, which a NaN or
+        # inf coefficient leaves undefined: the error names the coefficients,
+        # not numpy's reduction over no live bin
+        mult = sobolev_multiplier(1.0, TorusGrid(dim, n))
+        coeffs = headroom_field(mult.grid, 1, 93).coeffs.copy()
+        coeffs[(0,) + (1,) * dim] = bad
+        u = SpectralVectorField(mult.grid, coeffs)
+        with pytest.raises(ValueError, match="finite field coefficients"):
+            apply_An_recursive(mult, 1, u, u)
+
     def test_n3_symmetry_and_guard(self):
         grid = TorusGrid(1, 64)
         mult = sobolev_multiplier(1.0, grid)

@@ -56,6 +56,7 @@ import pytest
 
 from epdifflab import epdiff as epdiff_module
 from epdifflab import grid as grid_module
+from epdifflab.conjugation import apply_An_recursive, headroom_band
 from epdifflab.epdiff import (
     EulerState,
     euler_rhs,
@@ -749,14 +750,20 @@ def test_step_keeps_the_checks_of_apply_inverse():
 
 # --- worker threads ----------------------------------------------------------------
 
+def _cap_rows(monkeypatch, dim, n, rows=1):
+    """Cap a transform call at ``rows`` padded rows of a new ``(dim, n)``
+    grid; one row per call gives its plan the transform workers."""
+    m = (3 * n) // 2
+    monkeypatch.setattr(grid_module, "MAX_TRANSFORM_BYTES", rows * 16 * m ** (dim - 1) * (m // 2 + 1))
+
+
 def _threaded_results(dim, n, workers, per_call, monkeypatch):
     monkeypatch.setattr(grid_module, "TRANSFORM_WORKERS", workers)
     if per_call is not None:
-        m = (3 * n) // 2
-        monkeypatch.setattr(grid_module, "MAX_TRANSFORM_BYTES",
-                            per_call * 16 * m ** (dim - 1) * (m // 2 + 1))
+        _cap_rows(monkeypatch, dim, n, per_call)
     grid = TorusGrid(dim, n)  # a new grid builds its plan with the patched constants
-    assert grid.plan.workers == workers
+    # the pool takes only padded rows that fill a transform call
+    assert grid.plan.workers == (workers if grid.plan.batch == 1 else 1)
     coeffs = _noise(grid, 16).coeffs
     stack = np.concatenate([coeffs, coeffs[::-1], coeffs[:1]])  # odd: pairs leave a remainder
     padded = padded_samples(grid, stack)
@@ -765,8 +772,8 @@ def _threaded_results(dim, n, workers, per_call, monkeypatch):
     for _ in range(2):
         state = step_rk4(mult, state, 1e-4)
     transport = epdiff_module._transport_pass(grid, False)
-    # one padded row per call: the split passes share their elementwise work
-    assert (transport.run is not epdiff_module._run) == (workers > 1 and grid.plan.batch == 1)
+    # with the workers, the split passes share their elementwise work
+    assert (transport.run is not epdiff_module._run) == (grid.plan.workers > 1)
     rhs = epdiff_module._rhs_half(mult, transport, state.m.coeffs[..., :grid.plan.half],
                                   np.empty((dim,) + grid.plan.half_shape, dtype=complex))
     return (padded, _full(grid, _truncate_half(grid, padded)), state.m.coeffs, state.u.coeffs, rhs,
@@ -776,14 +783,18 @@ def _threaded_results(dim, n, workers, per_call, monkeypatch):
 @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
 @pytest.mark.parametrize("per_call", [None, 1, 2])
 def test_same_bits_for_every_worker_count(dim, n, per_call, monkeypatch):
-    # per_call None keeps the default cap: one call at d=2 n=32, pairs at
-    # d=3 n=16; 1 and 2 force single fields and pairs with a remainder.  With
-    # single fields the transport passes of the steps, the right-hand side
-    # and the spray share their elementwise work, and three workers cut the
-    # n planes of the spectra unevenly
-    ref = [a.tobytes() for a in _threaded_results(dim, n, 1, per_call, monkeypatch)]
+    # the reference is single fields on one worker.  per_call 1 keeps single
+    # fields, so the plan takes the workers: the chunks go to the pool, the
+    # transport passes of the steps, the right-hand side and the spray share
+    # their elementwise work, and three workers cut the n planes of the
+    # spectra unevenly.  per_call None keeps the default cap (one call at
+    # d=2 n=32, pairs at d=3 n=16) and 2 forces pairs with a remainder: the
+    # plan keeps one worker, and its inline chunks give the same bits
+    with monkeypatch.context() as single_fields:
+        ref = [a.tobytes() for a in _threaded_results(dim, n, 1, 1, single_fields)]
     for workers in (2, 3):
         assert [a.tobytes() for a in _threaded_results(dim, n, workers, per_call, monkeypatch)] == ref
+        assert (TorusGrid(dim, n).plan.workers > 1) == (per_call == 1)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -793,8 +804,9 @@ def test_helpers_keep_the_callers_error_state(workers, monkeypatch):
     # overflow (and the inf - inf of the transforms) that the caller ignores
     # warns on no thread
     monkeypatch.setattr(grid_module, "TRANSFORM_WORKERS", workers)
+    _cap_rows(monkeypatch, 3, 16)
     grid = TorusGrid(3, 16)
-    assert grid.plan.batch < grid.dim  # so the three rows take two calls
+    assert grid.plan.workers == workers  # the three rows take three calls
     stack = np.full((grid.dim,) + grid.plan.half_shape, 1e308, dtype=complex)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a helper's warning is raised to the caller
@@ -809,7 +821,9 @@ def test_a_failing_chunk_waits_for_the_helpers(workers, monkeypatch):
     # the exception comes out only once that chunk has written, so nothing
     # writes into the output afterwards
     monkeypatch.setattr(grid_module, "TRANSFORM_WORKERS", workers)
+    _cap_rows(monkeypatch, 3, 16)
     grid = TorusGrid(3, 16)
+    assert grid.plan.workers == workers
     caller, started, written = threading.get_ident(), threading.Event(), []
 
     class Chunk:
@@ -849,10 +863,11 @@ def _whole_transforms(monkeypatch):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_pruned_pass_gives_the_bytes_of_whole_transforms(dim, n, workers, monkeypatch):
     # stacks of batch + h rows for every chunk height h: two chunks, on two
-    # threads with two workers.  Each sampling follows a truncation, which
-    # fills the work buffer that both directions share, on the one thread
-    # when there is one worker: a sampling that leaves a stale zero band or
-    # stale last-axis bins there fails here.
+    # threads where the plan takes two workers (d=3 n=32, one row per call).
+    # Each sampling follows a truncation, which fills the work buffer that
+    # both directions share, on the one thread when there is one worker: a
+    # sampling that leaves a stale zero band or stale last-axis bins there
+    # fails here.
     monkeypatch.setattr(grid_module, "TRANSFORM_WORKERS", workers)
     results = []
     for whole in (False, True):
@@ -874,12 +889,13 @@ def test_pruned_pass_gives_the_bytes_of_whole_transforms(dim, n, workers, monkey
 def test_chunks_under_frequent_thread_switches(monkeypatch):
     # more threads than cores, switching every microsecond: a chunk taken
     # twice or lost from the queue would change the bits
-    n, m = 16, 24
-    monkeypatch.setattr(grid_module, "MAX_TRANSFORM_BYTES", 16 * m * m * (m // 2 + 1))
+    n = 16
+    _cap_rows(monkeypatch, 3, n)
     results = []
     for workers in (1, 4):
         monkeypatch.setattr(grid_module, "TRANSFORM_WORKERS", workers)
         grid = TorusGrid(3, n)
+        assert grid.plan.workers == workers
         stack = np.concatenate([_noise(grid, seed).coeffs for seed in range(20, 27)])
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -894,8 +910,9 @@ def test_chunks_under_frequent_thread_switches(monkeypatch):
 def test_split_stack_starts_the_pool(monkeypatch):
     monkeypatch.setattr(grid_module, "TRANSFORM_WORKERS", 2)
     monkeypatch.setattr(grid_module, "_pools", {})
+    _cap_rows(monkeypatch, 3, 16)
     grid = TorusGrid(3, 16)
-    assert grid.plan.batch < grid.dim  # so the three components take two calls
+    assert grid.plan.workers > 1  # and the three components take three calls
     padded_samples(grid, _noise(grid, 18).coeffs)
     assert list(grid_module._pools) == [1]  # the calling thread and one helper
 
@@ -932,15 +949,39 @@ def test_one_call_stacks_start_no_thread(dim, n, monkeypatch):
     assert grid_module._pools == {}
 
 
+def test_pool_takes_only_rows_that_fill_a_call(monkeypatch):
+    # at d=2 n=64 a transform call holds 3 padded rows: its split step and
+    # its order-2 tower run every chunk on the calling thread.  At d=3 n=32
+    # a padded row fills a call, and a step hands chunks to a helper
+    monkeypatch.setattr(grid_module, "TRANSFORM_WORKERS", 2)
+    monkeypatch.setattr(grid_module, "_pools", {})
+    grid = TorusGrid(2, 64)
+    assert (grid.plan.batch, grid.plan.workers) == (3, 1)
+    assert not epdiff_module._transport_pass(grid, False).fused
+    mult = sobolev_multiplier(2.0, grid)
+    state = EulerState.from_velocity(mult, _noise(grid, 41, kmax=4))
+    step_rk4(mult, state, 0.5 * state.cfl)
+    us = [_noise(grid, 42 + i, kmax=headroom_band(2, grid.n)) for i in range(3)]
+    apply_An_recursive(mult, 2, *us)
+    assert grid_module._pools == {}
+    grid = TorusGrid(3, 32)
+    assert (grid.plan.batch, grid.plan.workers) == (1, 2)
+    mult = sobolev_multiplier(2.0, grid)
+    state = EulerState.from_velocity(mult, _noise(grid, 43, kmax=4))
+    step_rk4(mult, state, 0.5 * state.cfl)
+    assert list(grid_module._pools) == [1]
+
+
 def test_two_threads_on_one_grid(monkeypatch):
     # two callers of one grid at once, each alternating two momenta, while
-    # the pool's helper takes chunks of both: each calling thread has its own
-    # workspaces, and no result is a view of one, so every result held to the
-    # end still has the serial bits
-    n, m = 16, 24
-    monkeypatch.setattr(grid_module, "MAX_TRANSFORM_BYTES", 2 * 16 * m * m * (m // 2 + 1))
+    # the pool's helper takes chunks and shares of both: each calling thread
+    # has its own workspaces, and no result is a view of one, so every result
+    # held to the end still has the serial bits
+    n = 16
+    _cap_rows(monkeypatch, 3, n)
     monkeypatch.setattr(grid_module, "TRANSFORM_WORKERS", 2)
-    grid = TorusGrid(3, n)  # stacks of 7, 6, 5 and 3 rows go in pairs, most with a remainder
+    grid = TorusGrid(3, n)  # stacks of 7, 6, 5 and 3 rows go one row per call
+    assert grid.plan.workers > 1
     mult = sobolev_multiplier(1.5, grid)
     momenta = [apply(mult, _noise(grid, seed)) for seed in (30, 31)]
     stacks = [np.concatenate([mm.coeffs, mm.coeffs[:2]]) for mm in momenta]
@@ -1055,10 +1096,11 @@ def test_pass_objects_share_the_workspaces(dim, n):
 def test_split_pass_tasks_call_no_public_function(monkeypatch):
     # the benchmark's tracer wraps every public function and keeps one span
     # stack, which a call from a helper thread would corrupt: with the chunks
-    # of every split pass on two threads, each public grid function, wrapped
-    # under every name that binds it, must run on the calling thread only
-    n, m = 8, 12
-    monkeypatch.setattr(grid_module, "MAX_TRANSFORM_BYTES", 2 * 16 * m * (m // 2 + 1))
+    # and the transport shares of every split pass on two threads, each
+    # public grid function, wrapped under every name that binds it, must run
+    # on the calling thread only
+    n = 8
+    _cap_rows(monkeypatch, 2, n)
     monkeypatch.setattr(grid_module, "TRANSFORM_WORKERS", 2)
     monkeypatch.setattr(grid_module, "_pools", {})
     threads = []
@@ -1075,11 +1117,11 @@ def test_split_pass_tasks_call_no_public_function(monkeypatch):
             for bound, value in list(vars(module).items()):
                 if value is fn:
                     monkeypatch.setattr(module, bound, wrapped)
-    grid = TorusGrid(2, n)  # pairs of rows per transform call
-    assert grid.plan.batch == 2
+    grid = TorusGrid(2, n)  # one row per transform call
+    assert grid.plan.workers > 1
     mult = sobolev_multiplier(1.5, grid)
     momentum = apply(mult, _noise(grid, 23))
-    stack = np.concatenate([momentum.coeffs, momentum.coeffs[:1]])  # three rows: a pair and one
+    stack = np.concatenate([momentum.coeffs, momentum.coeffs[:1]])  # three rows, three calls
     _full(grid, _truncate_half(grid, padded_samples(grid, stack)))
     euler_rhs(mult, momentum)
     assert list(grid_module._pools) == [1]  # split passes: a helper was asked to take chunks
