@@ -22,14 +22,18 @@ calls of numpy's public ``np.einsum`` per spray and per stage.  An
 of that kernel (``grid._einsum``) are not.
 
 The oracle group times, for the four cases of acceptance criterion 1, the
-``ConvolutionKernel`` build, one ``apply`` and one ``apply_An_recursive`` on a
-band-limited draw with headroom, and ``estimate_Cn`` at ``xi_max`` 500 and
-1000 for orders 1 and 2.  It also times ``apply_An_recursive`` at d=2 n=64
-order 2 and d=3 n=32 order 1, grids where its padded passes are split.  It
-counts the kernel tuples per case, the ``grid.padded_samples`` and
-``grid._truncate_half`` calls per ``apply_An_recursive`` and the
-``symbol_an`` calls per ``estimate_Cn``, and records the oracle's relative
-error and the envelope ratios as values.
+``ConvolutionKernel`` build, the first ``apply`` of a new kernel (which
+builds the brackets of the live tuples), a repeated ``apply`` and one
+``apply_An_recursive`` on a band-limited draw with headroom, and
+``estimate_Cn`` at ``xi_max`` 500 and 1000 for orders 1 and 2.  It records
+the tracemalloc peak of a build and of a new kernel's first ``apply`` on a
+dense draw, every mode nonzero.  It also times ``apply_An_recursive`` at
+d=2 n=64 order 2 and d=3 n=32 order 1, grids where its padded passes are
+split.  It counts the tuples a kernel holds after its build
+(``kernel_tuples``) and after one ``apply`` of the draw (``live_tuples``),
+the ``grid.padded_samples`` and ``grid._truncate_half`` calls per
+``apply_An_recursive`` and the ``symbol_an`` calls per ``estimate_Cn``, and
+records the oracle's relative error and the envelope ratios as values.
 
 The Eulerian group times one ``euler_rhs`` and one ``step_rk4`` call at
 d=1 n=128, 256 and 1024 on the datum of ``configs/peakon_blowup.ini``, and at
@@ -223,12 +227,46 @@ def _per_call_ms(call, repeats: int) -> list[float]:
     return samples
 
 
+def _fresh_call_ms(make, call, repeats: int) -> list[float]:
+    """``repeats`` samples of the time per ``call(make())`` in ms, ``make``
+    untimed: each call gets a new object, and a sample repeats calls until
+    they last ``MIN_SAMPLE_S``."""
+    call(make())
+    samples = []
+    for _ in range(repeats):
+        elapsed, number = 0.0, 0
+        while elapsed < MIN_SAMPLE_S:
+            target = make()
+            start = perf_counter()
+            call(target)
+            elapsed += perf_counter() - start
+            number += 1
+        samples.append(1e3 * elapsed / number)
+    return samples
+
+
+def _traced_peak_mib(call) -> float:
+    """The tracemalloc peak of one call, in MiB."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def _kernel_tuples(kernel) -> int:
+    """The lattice tuples whose brackets a ``ConvolutionKernel`` holds."""
+    return sum(idx.shape[1] for idx, _, _ in kernel.chunks)
+
+
 def _warm_allocations(call, repeats: int) -> tuple[list[float], list[float]]:
     """``repeats`` samples each of the tracemalloc peak (MiB) and of the minor
     page faults of one call, after a warm-up call; faults are counted on calls
     of their own, outside tracemalloc."""
     import resource
-    import tracemalloc
 
     call()
     peaks, faults = [], []
@@ -236,12 +274,7 @@ def _warm_allocations(call, repeats: int) -> tuple[list[float], list[float]]:
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         call()
         faults.append(float(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before))
-        tracemalloc.start()
-        try:
-            call()
-            peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
-        finally:
-            tracemalloc.stop()
+        peaks.append(_traced_peak_mib(call))
     return peaks, faults
 
 
@@ -358,10 +391,17 @@ def measure_oracle(repeats: int, samples: dict, counts: dict, values: dict) -> N
         counts[tag] = {}
         if not oracle:
             continue
-        kernel = conjugation.ConvolutionKernel(mult, order)
-        samples[f"{tag}.build_ms"] = _per_call_ms(lambda: conjugation.ConvolutionKernel(mult, order), repeats)
+        build = functools.partial(conjugation.ConvolutionKernel, mult, order)
+        kernel = build()
+        counts[tag]["kernel_tuples"] = _kernel_tuples(kernel)
+        samples[f"{tag}.build_ms"] = _per_call_ms(build, repeats)
+        samples[f"{tag}.first_apply_ms"] = _fresh_call_ms(build, lambda k: k.apply(*fields), repeats)
         samples[f"{tag}.apply_ms"] = _per_call_ms(lambda: kernel.apply(*fields), repeats)
-        counts[tag]["kernel_tuples"] = sum(idx.shape[1] for idx, _, _ in kernel.chunks)
+        counts[tag]["live_tuples"] = _kernel_tuples(kernel)
+        dense = [bandlimited_draw(mult.grid, n // 2, rng) for _ in range(order + 1)]
+        samples[f"{tag}.build_peak_mib"] = [_traced_peak_mib(build) for _ in range(repeats)]
+        samples[f"{tag}.dense_apply_peak_mib"] = [
+            _traced_peak_mib(functools.partial(build().apply, *dense)) for _ in range(repeats)]
         rec = tower().coeffs
         conv = kernel.apply(*fields).coeffs
         values[f"{tag}.rel_err"] = float(np.abs(rec - conv).max() / np.abs(rec).max())

@@ -54,7 +54,7 @@ from .symbols import MatrixSymbol, sobolev_weight
 
 MAX_DERIVATIVE_ORDER = 3
 CONVOLUTION_GRID_LIMIT = {1: 32, 2: 8}
-KERNEL_CHUNK = 1 << 14  # lattice tuples per kernel chunk; bounds the build temporaries
+KERNEL_CHUNK = 1 << 14  # lattice tuples per kernel chunk; bounds the bracket temporaries
 
 
 class HeadroomError(ValueError):
@@ -274,26 +274,41 @@ def check_oracle_cost(grid: TorusGrid) -> None:
         ) from None
 
 
-class ConvolutionKernel:
-    """Precomputed lattice tuples and symbol tensors for the brute-force oracle.
+_Chunk = tuple[np.ndarray, np.ndarray, np.ndarray]  # (idx, tensor, lin) of a kernel chunk
 
-    The tensor values depend only on the multiplier and the order, so one
-    kernel serves any number of input tuples.  Every point the recursion
-    evaluates the symbol at is a partial sum of ``n+1`` lattice wavenumbers
-    divided by ``L``, so the symbol is evaluated once, on the integer box
-    ``[-(n+1) N/2, (n+1) (N/2 - 1)]^dim`` of such sums (``N`` points per
-    axis), and each leaf of the bracket recursion :func:`_an` is a ``take``
-    from that table.  The tuples are those of the flat range
-    ``0 .. modes^(n+1)`` whose total wavenumber stays on the lattice, in
-    chunks of that range ``KERNEL_CHUNK`` long.  Each chunk holds the field indices ``idx`` ``(n+1, B)`` of its tuples, the brackets
-    ``a_n / (2 pi i)^n`` stored component-major as ``(dim, dim^(n+1), B)``
-    (float64 for a real symbol, complex128 otherwise), and the flat output
-    mode ``lin`` of each tuple.  The build costs all ``modes^(n+1)`` tuples;
-    an apply costs only the live ones, tuples with a nonzero coefficient in
-    every input.  It contracts the gathered fields' outer product against
-    each chunk's live tuples, scatters with ``bincount`` and multiplies once
-    by ``(2 pi i)^n L^(-n dim)``.  Fields must be finite (``ValueError``
-    otherwise), since a dropped tuple would hide a ``0 * inf``.
+
+def _pair(a: np.ndarray) -> np.ndarray:
+    """``a`` with a lone entry on its last (tuple) axis repeated, so that a
+    lone live tuple runs numpy's vector loops: numpy rounds a one-element
+    complex product, such as the outer product of a lone d=1 tuple,
+    differently from its vector loop.  The brackets need no pair: they
+    multiply complex values only by real covectors, which every loop rounds
+    alike."""
+    return a.repeat(2, axis=-1) if a.shape[-1] == 1 else a
+
+
+class ConvolutionKernel:
+    """Symbol table and live-tuple brackets for the brute-force oracle.
+
+    Every point the recursion evaluates the symbol at is a partial sum of
+    ``n+1`` lattice wavenumbers divided by ``L``, so the build evaluates the
+    symbol once, on the integer box ``[-(n+1) N/2, (n+1) (N/2 - 1)]^dim`` of
+    such sums (``N`` points per axis), and each leaf of the bracket recursion
+    :func:`_an` is a ``take`` from that table.  The build enumerates no
+    tuples.  An apply lists the live tuples, those with a nonzero
+    coefficient in every input whose total wavenumber stays on the lattice,
+    in the order of the flat range ``0 .. modes^(n+1)``, and groups them by
+    the ``KERNEL_CHUNK``-long slice of that range they fall in.  Each group,
+    a triple of :attr:`chunks`, holds the field indices ``idx`` ``(n+1, B)``
+    of its tuples, the brackets ``a_n / (2 pi i)^n`` stored component-major
+    as ``(dim, dim^(n+1), B)`` (float64 for a real symbol, complex128
+    otherwise), and the flat output mode ``lin`` of each tuple.  The apply
+    contracts the gathered fields' outer product against each group,
+    scatters with one ``bincount`` per group and multiplies once by
+    ``(2 pi i)^n L^(-n dim)``.  The groups of the last live pattern are kept,
+    so an apply whose inputs have the same nonzero modes builds no brackets;
+    :attr:`chunks` is empty after the build.  Fields must be finite
+    (``ValueError`` otherwise), since a dropped tuple would hide a ``0 * inf``.
     """
 
     def __init__(self, mult: FourierMultiplier, n: int):
@@ -304,10 +319,7 @@ class ConvolutionKernel:
         self.mult = mult
         self.n = n
         d = grid.dim
-        modes = grid.n**d
-        half = grid.n // 2
-        kvecs = grid.wavenumbers.reshape(d, modes)
-        low = -(n + 1) * half
+        low = -(n + 1) * (grid.n // 2)
         width = (n + 1) * (grid.n - 1) + 1
         box = np.indices((width,) * d).reshape(d, -1) + low
         values = mult.symbol(box.T / grid.length)
@@ -319,23 +331,43 @@ class ConvolutionKernel:
                 pos = pos * width + (row - low)
             return table.take(pos, axis=-1)
 
-        # flat tuple index -> inside-the-lattice mask, one broadcast per axis
-        shape = (modes,) * (n + 1)
-        inside = np.ones(shape, dtype=bool)
-        for axis_k in kvecs:
-            ktot = sum(axis_k.reshape((modes,) + (1,) * (n - slot)) for slot in range(n + 1))
-            inside &= (ktot >= -half) & (ktot < half)
-        flat = np.flatnonzero(inside)
-        bounds = np.searchsorted(flat, range(KERNEL_CHUNK, inside.size, KERNEL_CHUNK))
-        self.chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        for chunk in np.split(flat, bounds):
-            if not chunk.size:
+        self._leaf = leaf
+        # the nonzero-mode masks of the last apply's inputs, as bytes, and its groups
+        self._live: tuple[bytes, list[_Chunk]] = (b"", [])
+
+    @property
+    def chunks(self) -> list[_Chunk]:
+        """The ``(idx, tensor, lin)`` groups of the last apply's live tuples."""
+        return self._live[1]
+
+    def _live_chunks(self, nonzero: list[np.ndarray]) -> list[_Chunk]:
+        """The groups of the lattice tuples whose slot ``k`` takes a mode of
+        ``nonzero[k]`` (sorted flat mode indices)."""
+        grid, n = self.mult.grid, self.n
+        d, half, modes = grid.dim, grid.n // 2, grid.n**grid.dim
+        kvecs = grid.wavenumbers.reshape(d, modes)
+        # flat indices and total wavenumbers of the trailing slots' tuples, in flat order
+        tail, ktail = np.zeros(1, dtype=np.int64), np.zeros((d, 1), dtype=np.int64)
+        for nz in nonzero[1:]:
+            tail = (tail[:, None] * modes + nz).ravel()
+            ktail = (ktail[:, :, None] + kvecs[:, None, nz]).reshape(d, -1)
+        # one leading index at a time, so a dense pattern's temporaries stay small
+        flat = [np.empty(0, dtype=np.int64)]
+        for i in nonzero[0]:
+            ktot = ktail + kvecs[:, i, None]
+            flat.append(i * modes**n + tail[((ktot >= -half) & (ktot < half)).all(axis=0)])
+        flat = np.concatenate(flat)
+        bounds = np.searchsorted(flat, range(KERNEL_CHUNK, modes ** (n + 1), KERNEL_CHUNK))
+        chunks = []
+        for group in np.split(flat, bounds):
+            if not group.size:
                 continue
-            idx = np.array(np.unravel_index(chunk, shape))
+            idx = np.array(np.unravel_index(group, (modes,) * (n + 1)))
             tuples = np.stack([axis_k[idx] for axis_k in kvecs], axis=1)  # (n+1, d, B)
-            tensor = _an(leaf, tuples, grid.length).reshape(d, d ** (n + 1), -1)
+            tensor = _an(self._leaf, tuples, grid.length).reshape(d, d ** (n + 1), -1)
             lin = np.ravel_multi_index(tuple(tuples.sum(axis=0) % grid.n), grid.shape)
-            self.chunks.append((idx, tensor, lin))
+            chunks.append((idx, tensor, lin))
+        return chunks
 
     def apply(self, *fields: SpectralVectorField) -> SpectralVectorField:
         grid = self.mult.grid
@@ -349,24 +381,19 @@ class ConvolutionKernel:
         # bincount sum (from +0, never -0) keeps its bits, so only live tuples
         # are contracted
         nonzero = [c.any(axis=0) for c in coeffs]
+        pattern, chunks = self._live
+        key = b"".join(nonzero)
+        if key != pattern:
+            chunks = self._live_chunks([np.flatnonzero(nz) for nz in nonzero])
+            self._live = key, chunks
         re = np.zeros((d, modes))
         im = np.zeros((d, modes))
-        for idx, tensor, lin in self.chunks:
-            live = nonzero[0][idx[0]]
-            for nz, i in zip(nonzero[1:], idx[1:]):
-                live &= nz[i]
-            keep = np.flatnonzero(live)
-            if not len(keep):
-                continue
-            # a lone live tuple keeps its chunk: at d=1 its outer product is one
-            # complex pair, which numpy multiplies with other roundoff than its
-            # vector loop
-            if 1 < len(keep) < len(lin):
-                idx, tensor, lin = idx.take(keep, axis=1), tensor.take(keep, axis=-1), lin.take(keep)
+        for idx, tensor, lin in chunks:
+            idx, tensor = _pair(idx), _pair(tensor)  # a lone tuple is contracted as a pair
             outer = coeffs[0].take(idx[0], axis=1)  # (d, B)
             for c, i in zip(coeffs[1:], idx[1:]):
-                outer = (outer[:, None] * c.take(i, axis=1)).reshape(-1, len(lin))
-            vals = _einsum("okB,kB->oB", tensor, outer)
+                outer = (outer[:, None] * c.take(i, axis=1)).reshape(-1, idx.shape[1])
+            vals = _einsum("okB,kB->oB", tensor, outer)[:, :len(lin)]
             for o in range(d):
                 re[o] += np.bincount(lin, vals[o].real, modes)
                 im[o] += np.bincount(lin, vals[o].imag, modes)
@@ -374,7 +401,7 @@ class ConvolutionKernel:
         return SpectralVectorField(grid, out.reshape((d,) + grid.shape))
 
 
-@functools.lru_cache(maxsize=8)  # a kernel reaches ~18 MB; keep the cache small
+@functools.lru_cache(maxsize=8)  # a kernel keeps its last live pattern's brackets, ~18 MB when dense
 def convolution_kernel(mult: FourierMultiplier, n: int) -> ConvolutionKernel:
     """Build (or fetch) the cached brute-force kernel for ``A_n`` on this grid."""
     return ConvolutionKernel(mult, n)
@@ -386,12 +413,13 @@ def apply_An_convolution(
     """Evaluate ``A_n`` as a brute-force multilinear lattice convolution.
 
     Sums ``a_n(k_0/L, ..., k_n/L)[u_0^(k_0), ..., u_n^(k_n)]`` over every
-    lattice tuple with ``k_0 + ... + k_n`` still on the lattice.  Building the
-    kernel costs ``(modes)^(n+1)`` tuples, so tiny grids only; this is the
+    lattice tuple with ``k_0 + ... + k_n`` still on the lattice.  Dense inputs
+    make all ``(modes)^(n+1)`` tuples live, so tiny grids only; this is the
     independent oracle for :func:`apply_An_recursive`, not a production path.
-    The symbol tensors are cached per (multiplier, order), so repeated inputs
-    pay only a contraction over the live tuples, those with a nonzero
-    coefficient in every input (for band-limited inputs, far fewer).
+    The kernel is cached per (multiplier, order): it builds the brackets of
+    the live tuples only, those with a nonzero coefficient in every input
+    (for band-limited inputs, far fewer), and keeps them, so further inputs
+    with the same nonzero modes pay only the contraction.
     """
     if n == 0 and len(fields) == 1:
         return apply(mult, fields[0])

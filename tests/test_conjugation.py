@@ -172,6 +172,31 @@ def batch_major_chunks(mult, n):
     return chunks
 
 
+def live_reference_chunks(mult, n, fields):
+    """:func:`batch_major_chunks` restricted to the live tuples of ``fields``,
+    those with a nonzero mode in every input."""
+    nonzero = [f.coeffs.reshape(mult.grid.dim, -1).any(axis=0) for f in fields]
+    chunks = []
+    for idx, tensor, lin in batch_major_chunks(mult, n):
+        keep = np.flatnonzero(np.logical_and.reduce([nz[i] for nz, i in zip(nonzero, idx)]))
+        if keep.size:
+            chunks.append((idx[:, keep], tensor[..., keep], lin[keep]))
+    return chunks
+
+
+def dense_fields(grid, n):
+    """``n+1`` fields with every mode nonzero: every lattice tuple is live."""
+    return [SpectralVectorField(grid, np.full((grid.dim,) + grid.shape, 1.0 + 1.0j))] * (n + 1)
+
+
+def dense_chunks(mult, n):
+    """The chunks of every lattice tuple, as a new kernel builds them for a
+    dense apply."""
+    kernel = ConvolutionKernel(mult, n)
+    kernel.apply(*dense_fields(mult.grid, n))
+    return kernel.chunks
+
+
 def box_sentinel_symbol(grid, order, evaluations):
     """``sobolev_symbol(1.0, 2)``'s values, raising at any point ``k/L`` outside
     the integer box ``[-(order+1) n/2, (order+1) (n/2 - 1)]^2``; records the
@@ -190,13 +215,14 @@ def box_sentinel_symbol(grid, order, evaluations):
 
 
 def all_tuple_apply(kernel, *fields):
-    """``ConvolutionKernel.apply`` contracting every lattice tuple of every chunk."""
+    """``ConvolutionKernel.apply`` contracting every lattice tuple of every
+    chunk of a dense apply, live or not."""
     grid = kernel.mult.grid
     d, modes = grid.dim, grid.n**grid.dim
     coeffs = [f.coeffs.reshape(d, modes) for f in fields]
     re = np.zeros((d, modes))
     im = np.zeros((d, modes))
-    for idx, tensor, lin in kernel.chunks:
+    for idx, tensor, lin in dense_chunks(kernel.mult, kernel.n):
         outer = coeffs[0].take(idx[0], axis=1)
         for c, i in zip(coeffs[1:], idx[1:]):
             outer = (outer[:, None] * c.take(i, axis=1)).reshape(-1, len(lin))
@@ -206,6 +232,20 @@ def all_tuple_apply(kernel, *fields):
             im[o] += np.bincount(lin, vals[o].imag, modes)
     out = (re + 1j * im) * ((2j * np.pi) ** kernel.n * grid.length ** (-kernel.n * d))
     return SpectralVectorField(grid, out.reshape((d,) + grid.shape))
+
+
+def lone_tuple_fields(grid, n, rng):
+    """``n+1`` fields with one random nonzero mode each, slot ``k`` at
+    wavenumber ``k // dim + 1`` on axis ``k % dim``: one live tuple."""
+    fields = []
+    for slot in range(n + 1):
+        coeffs = np.zeros((grid.dim,) + grid.shape, dtype=complex)
+        mode = [0] * grid.dim
+        mode[slot % grid.dim] = slot // grid.dim + 1
+        coeffs[(slice(None), *mode)] = (
+            rng.standard_normal(grid.dim) + 1j * rng.standard_normal(grid.dim))
+        fields.append(SpectralVectorField(grid, coeffs))
+    return fields
 
 
 def per_radius_loop(symbol, n, xi_max, tuples_per_radius=16, seed=0):
@@ -565,30 +605,40 @@ class TestConvolutionOracle:
         grid = TorusGrid(dim, n)
         mult = sobolev_multiplier(1.0, grid)
         kernel = ConvolutionKernel(mult, order)
-        assert all(tensor.dtype == np.float64 for _, tensor, _ in kernel.chunks)
         us = [band_limited(grid, n // 2, seed=30 + i) for i in range(order + 1)]
         assert rel_diff(kernel.apply(*us), add_at_contraction(mult, order, *us)) <= 1e-13
+        assert kernel.chunks and all(tensor.dtype == np.float64 for _, tensor, _ in kernel.chunks)
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_complex_symbol_kernel_matches_add_at_contraction(self, order):
         grid = TorusGrid(2, 8)
         mult = FourierMultiplier.build(hermitian_complex_symbol(), grid)
         kernel = ConvolutionKernel(mult, order)
-        assert all(tensor.dtype == np.complex128 for _, tensor, _ in kernel.chunks)
         us = [band_limited(grid, 4, seed=35 + i) for i in range(order + 1)]
         assert rel_diff(kernel.apply(*us), add_at_contraction(mult, order, *us)) <= 1e-13
+        assert kernel.chunks and all(tensor.dtype == np.complex128 for _, tensor, _ in kernel.chunks)
 
     @pytest.mark.parametrize("dim,n,order", [(1, 16, 1), (1, 16, 2), (2, 8, 1), (2, 8, 2)])
     def test_kernel_chunks_bit_identical_to_batch_major_build(self, dim, n, order):
         # at L = 1 every partial sum k/L is exact, so the table and the leaf
-        # evaluations see the same points
+        # evaluations see the same points.  The chunks an apply leaves are
+        # those of the reference build restricted to its live tuples: for a
+        # headroom draw, a dense draw and one lone tuple
         mult = sobolev_multiplier(1.0, TorusGrid(dim, n))
-        chunks = ConvolutionKernel(mult, order).chunks
-        reference = batch_major_chunks(mult, order)
-        assert len(chunks) == len(reference)
-        for got, want in zip(chunks, reference):
-            for a, b in zip(got, want):
-                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        kernel = ConvolutionKernel(mult, order)
+        assert kernel.chunks == []
+        rng = np.random.default_rng(20 + 10 * order + dim)
+        draws = [[bandlimited_draw(mult.grid, kmax, rng) for _ in range(order + 1)]
+                 for kmax in (headroom_band(order, n), n // 2)]
+        draws.append(lone_tuple_fields(mult.grid, order, rng))
+        for fields in draws:
+            kernel.apply(*fields)
+            reference = live_reference_chunks(mult, order, fields)
+            assert len(kernel.chunks) == len(reference)
+            for got, want in zip(kernel.chunks, reference):
+                for a, b in zip(got, want):
+                    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert [len(lin) for _, _, lin in kernel.chunks] == [1]
 
     @pytest.mark.parametrize("dim,n,order", [(1, 16, 2), (2, 8, 1), (2, 8, 2)])
     def test_kernel_matches_add_at_contraction_at_length_2pi(self, dim, n, order):
@@ -608,18 +658,52 @@ class TestConvolutionOracle:
         kernel = ConvolutionKernel(mult, order)
         assert evaluations == [((order + 1) * (grid.n - 1) + 1) ** 2]
         plain = ConvolutionKernel(sobolev_multiplier(1.0, grid), order)
+        fields = dense_fields(grid, order)
+        kernel.apply(*fields)
+        plain.apply(*fields)
+        assert len(evaluations) == 1  # an apply's brackets take from the table
+        assert len(kernel.chunks) == len(plain.chunks) > 0
         for got, want in zip(kernel.chunks, plain.chunks):
             assert got[1].tobytes() == want[1].tobytes()
 
     def test_kernel_build_memory(self):
+        # the build holds the symbol table only; a dense apply builds and
+        # keeps the brackets of all 112896 lattice tuples, one chunk at a time
         mult = sobolev_multiplier(1.0, TorusGrid(2, 8))
         tracemalloc.start()
         try:
-            ConvolutionKernel(mult, 2)
-            peak = tracemalloc.get_traced_memory()[1]
+            kernel = ConvolutionKernel(mult, 2)
+            build = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            kernel.apply(*dense_fields(mult.grid, 2))
+            dense = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 30 * 2**20
+        assert sum(len(lin) for _, _, lin in kernel.chunks) == 112896
+        assert build <= 2**19
+        assert dense <= 25 * 2**20
+
+    def test_repeated_live_pattern_reuses_its_chunks(self):
+        mult = sobolev_multiplier(1.0, TorusGrid(2, 8))
+        kernel = ConvolutionKernel(mult, 2)
+        rng = np.random.default_rng(40)
+        kmax = headroom_band(2, 8)
+        first = [bandlimited_draw(mult.grid, kmax, rng) for _ in range(3)]
+        again = [bandlimited_draw(mult.grid, kmax, rng) for _ in range(3)]  # same nonzero modes
+        kernel.apply(*first)
+        chunks = kernel.chunks
+        assert sum(len(lin) for _, _, lin in chunks) == 729
+        assert_same_bits(kernel.apply(*again), all_tuple_apply(kernel, *again))
+        assert kernel.chunks is chunks
+        wider = [bandlimited_draw(mult.grid, kmax + 1, rng) for _ in range(3)]
+        assert_same_bits(kernel.apply(*wider), all_tuple_apply(kernel, *wider))
+        assert kernel.chunks is not chunks
+        assert sum(len(lin) for _, _, lin in kernel.chunks) > 729
+        kernel.apply(*first)  # one pattern is kept: the first one is built anew
+        assert kernel.chunks is not chunks
+        for got, want in zip(kernel.chunks, chunks):
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("dim,n,order", [(1, 16, 1), (1, 16, 2), (2, 8, 1), (2, 8, 2)])
     def test_live_tuples_keep_every_bit(self, dim, n, order):
@@ -648,12 +732,19 @@ class TestConvolutionOracle:
         kernel = convolution_kernel(sobolev_multiplier(1.0, grid), order)
         rng = np.random.default_rng(80 + order)
         for _ in range(10):
-            fields = []
-            for slot in range(order + 1):
-                coeffs = np.zeros((1,) + grid.shape, dtype=complex)
-                coeffs[0, slot + 1] = complex(*rng.standard_normal(2))
-                fields.append(SpectralVectorField(grid, coeffs))
+            fields = lone_tuple_fields(grid, order, rng)
             assert_same_bits(kernel.apply(*fields), all_tuple_apply(kernel, *fields))
+            assert [len(lin) for _, _, lin in kernel.chunks] == [1]
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_lone_live_tuple_keeps_every_bit_complex_symbol(self, order):
+        grid = TorusGrid(2, 8)
+        kernel = ConvolutionKernel(FourierMultiplier.build(hermitian_complex_symbol(), grid), order)
+        rng = np.random.default_rng(85 + order)
+        for _ in range(10):
+            fields = lone_tuple_fields(grid, order, rng)
+            assert_same_bits(kernel.apply(*fields), all_tuple_apply(kernel, *fields))
+            assert [len(lin) for _, _, lin in kernel.chunks] == [1]
 
     def test_zero_field_gives_exact_zeros(self):
         mult = sobolev_multiplier(1.0, TorusGrid(2, 8))

@@ -711,14 +711,26 @@ def test_1d_pass_samples_div_v_once(per_call, monkeypatch):
     assert spray.coeffs.tobytes() == two_pass.coeffs.tobytes()
 
 
-@pytest.mark.parametrize("dim,n", [(2, 32), (2, 64), (3, 16)])
-def test_spray_matches_two_passes_every_worker_count(dim, n, monkeypatch):
+def _default_and_one_row(cases, one_row):
+    """``(dim, n, rows)`` parameters: ``cases`` under the default transform
+    cap, ids ``dim-n``, then ``one_row`` capped at one padded row per call."""
+    return ([pytest.param(dim, n, None, id=f"{dim}-{n}") for dim, n in cases]
+            + [pytest.param(*one_row, 1, id="{}-{}-one-row".format(*one_row))])
+
+
+@pytest.mark.parametrize("dim,n,rows", _default_and_one_row([(2, 32), (2, 64), (3, 16)], (2, 32)))
+def test_spray_matches_two_passes_every_worker_count(dim, n, rows, monkeypatch):
     # d=2 n=32 samples the gradients in the shared call, d=2 n=64 and d=3
-    # n=16 one component at a time; d=3 n=16 splits its stacks into pairs
+    # n=16 one component at a time; d=3 n=16 splits its stacks into pairs.
+    # Those plans keep one worker; a one-row cap gives d=2 n=32 the workers,
+    # so its passes run on pool helpers
+    if rows is not None:
+        _cap_rows(monkeypatch, dim, n, rows)
     results = []
     for workers in (1, 2, 3):
         monkeypatch.setattr(grid_module, "TRANSFORM_WORKERS", workers)
         grid = TorusGrid(dim, n, LENGTH)  # a new grid builds its plan with the patched count
+        assert grid.plan.workers == (workers if rows == 1 else 1)
         mult = sobolev_multiplier(SOBOLEV_ORDER, grid)
         u = _noise(grid, 20)
         got = spray_at_identity(mult, u)
@@ -859,21 +871,25 @@ def _whole_transforms(monkeypatch):
                         lambda half, shape, out=None, work=None, lines=None: irfft(half, shape, out, work))
 
 
-@pytest.mark.parametrize("dim,n", PRUNED_CASES)
+@pytest.mark.parametrize("dim,n,rows", _default_and_one_row(PRUNED_CASES, (2, 64)))
 @pytest.mark.parametrize("workers", [1, 2])
-def test_pruned_pass_gives_the_bytes_of_whole_transforms(dim, n, workers, monkeypatch):
+def test_pruned_pass_gives_the_bytes_of_whole_transforms(dim, n, rows, workers, monkeypatch):
     # stacks of batch + h rows for every chunk height h: two chunks, on two
-    # threads where the plan takes two workers (d=3 n=32, one row per call).
-    # Each sampling follows a truncation, which fills the work buffer that
-    # both directions share, on the one thread when there is one worker: a
-    # sampling that leaves a stale zero band or stale last-axis bins there
-    # fails here.
+    # threads where the plan takes two workers (d=3 n=32, and d=2 n=64 under
+    # a one-row cap: one row per call).  Each sampling follows a truncation,
+    # which fills the work buffer that both directions share, on the one
+    # thread when there is one worker: a sampling that leaves a stale zero
+    # band or stale last-axis bins there fails here.
     monkeypatch.setattr(grid_module, "TRANSFORM_WORKERS", workers)
+    if rows is not None:
+        _cap_rows(monkeypatch, dim, n, rows)
     results = []
     for whole in (False, True):
         if whole:
             _whole_transforms(monkeypatch)
         grid = TorusGrid(dim, n)  # a new grid builds its plan with the patched count
+        if rows == 1:
+            assert grid.plan.workers == workers
         batch, m = grid.plan.batch, (3 * n) // 2
         stack = np.concatenate([_noise(grid, 24).coeffs] * (2 * batch // dim + 1))[:2 * batch]
         samples = np.random.default_rng(25).standard_normal((2 * batch,) + (m,) * dim)
