@@ -96,6 +96,17 @@ samplings of the CFL guard and of the gradient threshold
 evaluations of their coefficient bound (``epdiff._guard_ceilings``, where it
 exists), with the outer steps, substeps and retries as values.
 
+The cli group runs every ``configs/*.ini`` as ``python -m epdifflab.cli run
+CONFIG --quiet`` (into a temporary output directory), and ``python -c
+"import epdifflab"``, each in a fresh process with the side's ``src`` as
+``PYTHONPATH``.  It times each run's wall clock, interpreter start included,
+and records the exit code and the maximum resident set size of the first
+timed run (``os.wait4``'s rusage) as values.  One untimed ``-X importtime``
+run of each, which also writes the side's bytecode caches, counts whether
+``scipy.ndimage`` was imported.  Bytecode caching stays on for these runs,
+also where ``PYTHONDONTWRITEBYTECODE`` is set, so the timed runs do not
+compile the package.
+
 Each round measures every group of every side in a fresh child process, so
 no group runs on a heap that another group grew.  The working tree is one
 side; ``--baseline REF`` adds the tree of a git commit as the other,
@@ -293,10 +304,10 @@ def _config_params(path: Path, *scenario_keys: str) -> dict[str, float]:
 def measure(group: str, repeats: int) -> dict:
     """Samples, counts and values of one group, on the package that
     ``import epdifflab`` finds."""
-    from epdifflab import grid as grid_module
-
     samples, counts, values = {}, {}, {}
     GROUPS[group](repeats, samples, counts, values)
+    from epdifflab import grid as grid_module  # after the group: see measure_cli()
+
     return {"samples": samples, "counts": counts, "values": values,
             "transform_workers": grid_module.TRANSFORM_WORKERS}
 
@@ -739,11 +750,53 @@ def measure_guards(repeats: int, samples: dict, counts: dict, values: dict) -> N
     counter.close()
 
 
+def _wall_ms_and_rusage(command: list[str], env: dict) -> tuple[float, int, float]:
+    """Wall time in ms, exit code and maximum RSS in MB of one process."""
+    start = perf_counter()
+    process = subprocess.Popen(command, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(process.pid, 0)
+    elapsed = perf_counter() - start
+    process.returncode = os.waitstatus_to_exitcode(status)  # reaped here, so Popen never waits
+    return 1e3 * elapsed, process.returncode, usage.ru_maxrss / 1024  # ru_maxrss is in KiB on Linux
+
+
+def measure_cli(repeats: int, samples: dict, counts: dict, values: dict) -> None:
+    """The cli group: every shipped config and ``import epdifflab``, each
+    in a fresh process, as a user runs them.
+
+    On Linux a run's maximum RSS includes the resident set of the process
+    that starts it, which the run holds until it execs, so this child
+    imports neither numpy nor the package before the runs: it finds the
+    package's ``src`` without importing it."""
+    from importlib.util import find_spec
+
+    src = Path(find_spec("epdifflab").submodule_search_locations[0]).resolve().parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    with tempfile.TemporaryDirectory() as out:
+        runs = {"import_epdifflab": ["-c", "import epdifflab"]}
+        for config in sorted((REPO / "configs").glob("*.ini")):
+            runs[config.stem] = ["-m", "epdifflab.cli", "run", str(config), "--output-dir",
+                                 str(Path(out) / config.stem), "--quiet"]
+        for name, args in runs.items():
+            tag = f"cli.{name}"
+            traced = subprocess.run([sys.executable, "-X", "importtime", *args], env=env,
+                                    capture_output=True, text=True)
+            imported = any(line.rsplit("|", 1)[-1].strip() == "scipy.ndimage"
+                           for line in traced.stderr.splitlines())
+            counts[tag] = {"scipy_ndimage_imported": int(imported)}
+            runs_of_name = [_wall_ms_and_rusage([sys.executable, *args], env) for _ in range(repeats)]
+            samples[f"{tag}.wall_ms"] = [ms for ms, _, _ in runs_of_name]
+            _, code, rss = runs_of_name[0]
+            values[tag] = {"exit_code": code, "max_rss_mb": rss}
+
+
 # Each group runs in a child process of its own, in this order within a round.
 GROUPS = {"allocations": measure_allocations, "transforms": measure_transforms,
           "multiplier": measure_multiplier, "lagrangian": measure_lagrangian,
           "oracle": measure_oracle, "eulerian": measure_eulerian,
-          "certificates": measure_certificates, "guards": measure_guards}
+          "certificates": measure_certificates, "guards": measure_guards,
+          "cli": measure_cli}
 
 
 # --- the parent process -----------------------------------------------------------
@@ -834,11 +887,12 @@ def _relative_change(parent: dict, change: dict) -> dict:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.child is not None:
+        record = measure(args.groups, args.repeats)
         import epdifflab
 
         if Path(epdifflab.__file__).resolve().parent.parent != args.child.resolve():
             sys.exit(f"epdifflab was imported from {epdifflab.__file__}, not from {args.child}")
-        print(json.dumps(measure(args.groups, args.repeats)))
+        print(json.dumps(record))
         return 0
     groups = args.groups.split(",")
     if not set(groups) <= set(GROUPS):

@@ -9,23 +9,24 @@ inside :func:`integrate_geodesic`.  Prefilters and evaluations call scipy's
 spline kernels (``scipy.ndimage._nd_image``) directly, with the arguments of
 ``ndimage``'s public wrappers: one filter call per spatial axis for a whole
 stack of components, one evaluation call per component, each written into
-one preallocated array.  A chart samples ``f`` and ``df`` in one inverse
-transform.  The spray at the identity shares the Eulerian transport pass
-and runs on half spectra, with one conjugate reflection at the end; a stage
-of :func:`spray_rhs` makes 5 inverse and 4 forward transform calls.  The
-Lagrangian solver built on these is cross-validation machinery for the
-Eulerian one: composition and interpolation error accumulates, so the
-Eulerian path stays authoritative for long runs.
+one preallocated array.  scipy is imported on the first spline pass, so the
+Eulerian solver, the certificates and the tower never load it.  A chart
+samples ``f`` and ``df`` in one inverse transform.  The spray at the
+identity shares the Eulerian transport pass and runs on half spectra, with
+one conjugate reflection at the end; a stage of :func:`spray_rhs` makes 5
+inverse and 4 forward transform calls.  The Lagrangian solver built on
+these is cross-validation machinery for the Eulerian one: composition and
+interpolation error accumulates, so the Eulerian path stays authoritative
+for long runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.ndimage import _nd_image
 
 from .grid import SpectralVectorField, TorusGrid, _einsum, _full, _require_same_grid, _samples
 from .epdiff import _rk4, _transport_pass, step_count
@@ -53,6 +54,14 @@ class InversionError(RuntimeError):
     """Newton iteration for the inverse chart failed to converge."""
 
 
+@cache
+def _spline_kernels():
+    """scipy's spline kernels, ``scipy.ndimage._nd_image``, imported on the first call."""
+    from scipy.ndimage import _nd_image
+
+    return _nd_image
+
+
 def _spline_filter(samples: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """Prefilter each component of grid samples; shape ``(components, n, ..., n)``.
 
@@ -60,10 +69,11 @@ def _spline_filter(samples: np.ndarray, grid: TorusGrid) -> np.ndarray:
     ``samples`` into the output and the rest in place, as
     ``ndimage.spline_filter`` does for each component.
     """
+    kernels = _spline_kernels()
     components = samples.reshape((-1,) + grid.shape)
     out = np.empty(components.shape)
     for axis in range(1, grid.dim + 1):
-        _nd_image.spline_filter1d(components, SPLINE_ORDER, axis, out, _GRID_WRAP)
+        kernels.spline_filter1d(components, SPLINE_ORDER, axis, out, _GRID_WRAP)
         components = out
     return out
 
@@ -74,11 +84,12 @@ def _eval_filtered(filtered: np.ndarray, points: np.ndarray, grid: TorusGrid) ->
     The kernel call of ``ndimage.map_coordinates(..., prefilter=False)``,
     with ``cval`` 0 and no padding, without its wrapper.
     """
+    kernels = _spline_kernels()
     coords = (points * (grid.n / grid.length)).reshape(grid.dim, -1)
     out = np.empty((len(filtered), coords.shape[1]))
     for c, o in zip(filtered, out):
-        _nd_image.geometric_transform(c, None, coords, None, None, o, SPLINE_ORDER, _GRID_WRAP,
-                                      0.0, 0, None, None)
+        kernels.geometric_transform(c, None, coords, None, None, o, SPLINE_ORDER, _GRID_WRAP,
+                                    0.0, 0, None, None)
     return out.reshape((len(filtered),) + points.shape[1:])
 
 

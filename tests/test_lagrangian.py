@@ -1,6 +1,7 @@
 """Tests for charts, composition, inversion, the spray, and the chart metric."""
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -524,6 +525,78 @@ class TestKernels:
         got = _eval_filtered(filtered, points, grid)
         assert got.shape == (dim + 1,) + points.shape[1:]
         assert got.tobytes() == expected.tobytes()
+
+
+# Run in a fresh interpreter with an output directory as argv[1]: prints, as
+# JSON, whether scipy.ndimage is loaded after each step, the exit code of each
+# CLI run, and whether the kernels compose reaches are scipy.ndimage._nd_image.
+SCIPY_LOAD_SCRIPT = """
+import json, sys
+from pathlib import Path
+
+loaded, exits = {}, {}
+
+def note(step):
+    loaded[step] = "scipy.ndimage" in sys.modules
+
+import epdifflab
+note("import epdifflab")
+import epdifflab.cli
+note("import epdifflab.cli")
+import numpy as np
+from epdifflab import cli, lagrangian
+from epdifflab.conjugation import apply_An_recursive, headroom_band
+from epdifflab.epdiff import EulerState, bandlimited_draw, gaussian_blob, step_rk4
+from epdifflab.grid import TorusGrid
+from epdifflab.operators import sobolev_multiplier
+
+for dim, n in ((1, 64), (2, 16)):
+    mult = sobolev_multiplier(1.5, TorusGrid(dim, n))
+    state = EulerState.from_velocity(mult, gaussian_blob(mult.grid, amplitude=0.2, width=0.15))
+    step_rk4(mult, state, 0.5 * state.cfl)
+    note(f"step_rk4 d={dim}")
+mult = sobolev_multiplier(1.0, TorusGrid(2, 8))
+rng = np.random.default_rng(0)
+apply_An_recursive(mult, 2, *[bandlimited_draw(mult.grid, headroom_band(2, 8), rng) for _ in range(3)])
+note("apply_An_recursive")
+out = Path(sys.argv[1])
+for config in sorted(out.glob("*.ini")):
+    exits[config.stem] = cli.main(["run", str(config), "--output-dir", str(out / config.stem), "--quiet"])
+    note(f"cli {config.stem}")
+grid = mult.grid
+phi = lagrangian.DiffeoChart.from_displacement_samples(grid, 0.01 * np.sin(2 * np.pi * grid.coordinates[::-1]))
+lagrangian.compose(gaussian_blob(grid, amplitude=0.2, width=0.15), phi)
+note("compose")
+import scipy.ndimage
+print(json.dumps({"loaded": loaded, "exits": exits,
+                  "kernels": lagrangian._spline_kernels() is scipy.ndimage._nd_image}))
+"""
+
+
+def test_scipy_loads_on_the_first_spline_pass(tmp_path):
+    # the Eulerian solver, the tower and the audits run on numpy alone; only
+    # a spline pass of the Lagrangian solver imports scipy.ndimage
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    for name in ("symbol_audit", "shear_audit", "conjugation_audit"):
+        (tmp_path / f"{name}.ini").write_text((configs / f"{name}.ini").read_text())
+    blob = (configs / "gaussian_blob.ini").read_text()
+    blob = blob.replace("t_end = 1.0", "t_end = 0.002").replace("cadence = 100", "cadence = 1")
+    assert "t_end = 0.002" in blob and "cadence = 1\n" in blob
+    (tmp_path / "gaussian_blob.ini").write_text(blob)
+    src = Path(lagrangian.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    fresh = subprocess.run([sys.executable, "-c", SCIPY_LOAD_SCRIPT, str(tmp_path)],
+                           env=env, capture_output=True, text=True, check=True)
+    report = json.loads(fresh.stdout.splitlines()[-1])
+    assert report["exits"] == {"conjugation_audit": 0, "gaussian_blob": 0, "shear_audit": 0,
+                               "symbol_audit": 0}
+    assert report["loaded"] == {
+        "import epdifflab": False, "import epdifflab.cli": False,
+        "step_rk4 d=1": False, "step_rk4 d=2": False, "apply_An_recursive": False,
+        "cli conjugation_audit": False, "cli gaussian_blob": False, "cli shear_audit": False,
+        "cli symbol_audit": False, "compose": True,
+    }
+    assert report["kernels"] is True
 
 
 class TestChartSamples:
