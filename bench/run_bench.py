@@ -103,7 +103,8 @@ CONFIG --quiet`` (into a temporary output directory), and ``python -c
 and records the exit code and the maximum resident set size of the first
 timed run (``os.wait4``'s rusage) as values.  One untimed ``-X importtime``
 run of each, which also writes the side's bytecode caches, counts whether
-``scipy.ndimage`` was imported.  Bytecode caching stays on for these runs,
+``scipy.ndimage`` and ``concurrent.futures`` (the transform pool) were
+imported.  Bytecode caching stays on for these runs,
 also where ``PYTHONDONTWRITEBYTECODE`` is set, so the timed runs do not
 compile the package.
 
@@ -527,7 +528,7 @@ def _pruned_and_whole(grid, coeffs, padded) -> dict:
     and on the samples ``padded``, with the lines they skip and with every
     line.  The pruned inverse zeroes what its transforms do not write, as a
     sampling does before each call.  The objects are the ones the passes
-    build and keep, found in the plan by type and height."""
+    build and keep, found in the plan by their key: type and height."""
     import numpy as np
 
     from epdifflab import grid as grid_module
@@ -536,10 +537,9 @@ def _pruned_and_whole(grid, coeffs, padded) -> dict:
     out = np.empty((len(coeffs),) + plan.padded_shape)
     grid_module.padded_samples(grid, coeffs, out)  # embeds coeffs in the workspace that both inverses read
     grid_module._truncate_half(grid, padded)
-    kept = vars(plan._buffers).values()
-    sampling, truncation = (next(obj for obj in kept if type(obj) is kind and obj.rows == rows)
-                            for kind, rows in ((grid_module._Sampling, len(coeffs)),
-                                               (grid_module._Truncation, len(padded))))
+    kept = vars(plan._buffers)
+    sampling = kept[grid_module._Sampling, len(coeffs)]
+    truncation = kept[grid_module._Truncation, len(padded)]
 
     def irfft_pruned():
         for zeros in sampling.zeros:
@@ -782,9 +782,9 @@ def measure_cli(repeats: int, samples: dict, counts: dict, values: dict) -> None
             tag = f"cli.{name}"
             traced = subprocess.run([sys.executable, "-X", "importtime", *args], env=env,
                                     capture_output=True, text=True)
-            imported = any(line.rsplit("|", 1)[-1].strip() == "scipy.ndimage"
-                           for line in traced.stderr.splitlines())
-            counts[tag] = {"scipy_ndimage_imported": int(imported)}
+            imported = {line.rsplit("|", 1)[-1].strip() for line in traced.stderr.splitlines()}
+            counts[tag] = {f"{module.replace('.', '_')}_imported": int(module in imported)
+                           for module in ("scipy.ndimage", "concurrent.futures")}
             runs_of_name = [_wall_ms_and_rusage([sys.executable, *args], env) for _ in range(repeats)]
             samples[f"{tag}.wall_ms"] = [ms for ms, _, _ in runs_of_name]
             _, code, rss = runs_of_name[0]

@@ -31,7 +31,6 @@ import os
 import queue
 import threading
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -258,24 +257,11 @@ class _Plan:
             objects[key] = build(*args)
         return objects[key]
 
-    def workspace(self, name: str, shape: tuple[int, ...], dtype: type = complex) -> np.ndarray:
-        """This thread's buffer ``name`` of rows ``shape[1:]``, at least
-        ``shape[0]`` of them, zeroed when made (see :meth:`prepared`).
-
-        A buffer holds as many rows as the largest request so far.  A larger
-        request replaces it and rebinds this thread's pass objects, which
-        bind views of it, so the smaller buffer is freed at once.
-        """
-        objects = vars(self._buffers)
-        buffer = objects.get(name)
-        if buffer is None or len(buffer) < shape[0]:
-            stale, buffer = buffer, np.zeros(shape, dtype)
-            objects[name] = buffer
-            if stale is not None:
-                for obj in list(objects.values()):
-                    if isinstance(obj, (_Sampling, _Truncation)):
-                        obj.bind(self)
-        return buffer
+    def workspace(self, name: str, row_shape: tuple[int, ...]) -> np.ndarray:
+        """This thread's complex buffer ``name`` of ``batch`` rows
+        ``row_shape``, zeroed when made (see :meth:`prepared`): no chunk has
+        more rows."""
+        return self.prepared(name, np.zeros, (self.batch,) + row_shape, complex)
 
     @cached_property
     def factors(self) -> np.ndarray:
@@ -507,13 +493,14 @@ def _jacobian_samples(u: SpectralVectorField) -> np.ndarray:
 #
 # Every padded pass runs in buffers that persist: each thread that runs a
 # chunk keeps an embedding buffer and a complex work buffer and, at d > 1, an
-# n-band buffer, each with as many rows as the largest chunk it has run (one
-# row is 0.92, 0.92 and 0.28 MB at d=3 n=32), and one _Sampling and one
-# _Truncation per chunk height that bind views of them; each thread that runs
-# the transport term keeps its prepared pass (epdiff._TransportPass, 18.9 MB
-# at d=3 n=32, where its stack is split), and a helper that takes a share of
-# a pass's elementwise work writes into that pass and keeps none.  They
-# belong to the grid's plan and are freed with the grid.
+# n-band buffer, each made once with plan.batch rows, as no chunk has more:
+# at most MAX_TRANSFORM_BYTES each, or one row where a row is larger (0.92,
+# 0.92 and 0.28 MB at d=3 n=32).  One _Sampling and one _Truncation per chunk
+# height bind views of their first rows, once, when built.  Each thread that
+# runs the transport term keeps its prepared pass (epdiff._TransportPass,
+# 18.9 MB at d=3 n=32, where its stack is split), and a helper that takes a
+# share of a pass's elementwise work writes into that pass and keeps none.
+# They belong to the grid's plan and are freed with the grid.
 #
 # The embedding buffer is zero outside the embedded bins, since every call
 # writes the same bins.  The work buffer is scratch that both directions
@@ -539,11 +526,15 @@ MAX_TRANSFORM_BYTES = 256 * 1024
 # one runner.
 TRANSFORM_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                      else os.cpu_count() or 1)
-_pools: dict[int, ThreadPoolExecutor] = {}
+_pools: dict = {}  # size -> ThreadPoolExecutor
 _pools_lock = threading.Lock()
 
 
-def _pool(size: int) -> ThreadPoolExecutor:
+def _pool(size: int):
+    # imported on first use, as only a grid with one row per transform call
+    # starts a pool: concurrent.futures also loads logging
+    from concurrent.futures import ThreadPoolExecutor
+
     with _pools_lock:
         if size not in _pools:
             _pools[size] = ThreadPoolExecutor(size, thread_name_prefix="epdifflab-transform")
@@ -603,11 +594,11 @@ def _run_chunks(plan: _Plan, build: type, src: np.ndarray, out: np.ndarray) -> n
 
 
 # The two directions of the padded pass on one chunk of ``rows`` rows and one
-# thread.  Each binds every view a call touches, in this thread's workspaces,
-# when it is built, and again when a larger chunk replaces a workspace
-# (_Plan.workspace); it keeps no reference to the plan or the grid, which
-# keep it.  At d > 1 its transforms cover only the lines of _Plan.columns,
-# which give the bytes of the whole transform on every line the pass reads.
+# thread.  Each binds every view a call touches, in the first ``rows`` rows
+# of this thread's workspaces, once, when it is built; it keeps no reference
+# to the plan or the grid, which keep it.  At d > 1 its transforms cover only
+# the lines of _Plan.columns, which give the bytes of the whole transform on
+# every line the pass reads.
 # A call looks up ``_rfft``/``_irfft`` as globals of this module, so a
 # wrapper set on the module (a counter) sees every call.
 
@@ -618,16 +609,12 @@ class _Sampling:
     may have filled it), and inverse transforms into ``out``."""
 
     def __init__(self, plan: _Plan, rows: int) -> None:
-        self.rows, self.shape = rows, plan.padded_shape
-        self.bind(plan)
-
-    def bind(self, plan: _Plan) -> None:
-        rows, shape = self.rows, (self.rows,) + plan.padded_half_shape
-        self.spec = spec = plan.workspace("embed", shape)[:rows]
+        self.shape = plan.padded_shape
+        self.spec = spec = plan.workspace("embed", plan.padded_half_shape)[:rows]
         self.blocks = [(src, factor, spec[dst]) for dst, src, factor in plan.embed]
         self.work, self.lines, self.zeros = None, None, []
         if len(self.shape) > 1:
-            self.work = work = plan.workspace("work", shape)[:rows]
+            self.work = work = plan.workspace("work", plan.padded_half_shape)[:rows]
             passes, zeros = plan.columns
             self.lines = [[(spec[index] if a == 0 else work[index], work[index]) for index in columns]
                           for a, columns in enumerate(passes)]
@@ -650,20 +637,16 @@ class _Truncation:
     completes the planes and scales into ``out``."""
 
     def __init__(self, plan: _Plan, rows: int) -> None:
-        self.rows, self.dim = rows, len(plan.padded_shape)
-        self.plane_mirror, self.scale = plan.plane_mirror, plan.truncate_scale
-        self.bind(plan)
-
-    def bind(self, plan: _Plan) -> None:
-        m, h, d, rows = plan.padded_shape[0], plan.half - 1, self.dim, self.rows
-        self.spec = spec = plan.workspace("work", (rows,) + plan.padded_half_shape)[:rows]
+        m, h, d = plan.padded_shape[0], plan.half - 1, len(plan.padded_shape)
+        self.dim, self.plane_mirror, self.scale = d, plan.plane_mirror, plan.truncate_scale
+        self.spec = spec = plan.workspace("work", plan.padded_half_shape)[:rows]
         kept = (Ellipsis, slice(0, h + 1))  # only last-axis bins 0..n/2 are kept, so only they fold
         self.fold = [(spec[lead + (m - h,) + kept], spec[lead + (h,) + kept])
                      for lead in ((slice(None),) * axis for axis in range(1, d))]
         if d == 1:
             band, self.copies, self.lines = spec[:, :plan.half], [], None  # the n band, as a view
         else:
-            band = plan.workspace("band", (rows,) + plan.half_shape)[:rows]
+            band = plan.workspace("band", plan.half_shape)[:rows]
             self.copies = [(band[dst], spec[src]) for src, dst in plan.band]
             self.lines = [[spec[index] for index in columns] for columns in reversed(plan.columns[0])]
         self.band, self.bin0, self.planes = band, band[..., 0], band[plan.planes]

@@ -534,5 +534,8 @@ def list_scenarios_text() -> str:
 
 
 def run_scenario(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file on the path, or no permission
+        raise ConfigError(f"output directory {out_dir} cannot be created: {exc.strerror or exc}") from exc
     return SCENARIOS[cfg.scenario].run(cfg, out_dir, quiet)

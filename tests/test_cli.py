@@ -675,6 +675,28 @@ class TestErrorsRaisedInARun:
         assert capsys.readouterr().err.splitlines() == [line]
 
 
+class TestOutputDirectory:
+    """An output directory that cannot be created exits 3 with one stderr
+    line, once a FileExistsError or NotADirectoryError traceback (exit 1)."""
+
+    @pytest.mark.parametrize("below", ["", "sub"])
+    @pytest.mark.parametrize("source", ["--output-dir", "[run] output"])
+    def test_a_file_on_the_path_exits_3(self, tmp_path, capsys, source, below):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory\n")
+        out = blocker / below if below else blocker
+        text = (CONFIGS / "symbol_audit.ini").read_text()
+        assert "output = out/symbol_audit" in text
+        args = ["run"]
+        if source == "--output-dir":
+            args += [str(write_config(tmp_path, text)), "--output-dir", str(out)]
+        else:
+            args.append(str(write_config(tmp_path, text.replace("output = out/symbol_audit", f"output = {out}"))))
+        assert main(args + ["--quiet"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: output directory {out} cannot be created")
+
+
 class TestConsistencyScenario:
     def test_runs_and_reports(self, tmp_path):
         text = """\

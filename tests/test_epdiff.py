@@ -173,6 +173,27 @@ class TestEulerRHS:
         manual = partial + SpectralVectorField(grid, extra)
         assert np.abs(full.coeffs - manual.coeffs).max() < 1e-12 * np.abs(full.coeffs).max()
 
+    @pytest.mark.parametrize("dim,n", [(1, 64), (1, 256), (2, 16), (2, 32), (3, 8), (3, 16)])
+    def test_energy_identity_holds_without_the_nyquist_planes(self, dim, n):
+        # dE/dt = sum Re(conj(u_k) dm_k/dt), up to L^-d, vanishes for a
+        # Galerkin truncation.  The tendency writes the Nyquist planes, where
+        # the derivative factors are 0 and products of Nyquist modes alias: on
+        # full-band draws the sum vanishes to round-off once the Nyquist planes
+        # of m and of its tendency are 0, and not otherwise
+        grid = TorusGrid(dim, n)
+        for s in (0.5, 1.0, 2.0):
+            mult = sobolev_multiplier(s, grid)
+            for seed in range(4):
+                rng = np.random.default_rng(seed)
+                full = apply(mult, SpectralVectorField.from_samples(grid, rng.standard_normal((dim,) + grid.shape)))
+                for zeroed in (True, False):
+                    m = SpectralVectorField(grid, np.where(grid.nyquist_mask, 0, full.coeffs)) if zeroed else full
+                    u, rate = apply_inverse(mult, m).coeffs, euler_rhs(mult, m).coeffs
+                    if zeroed:
+                        rate = np.where(grid.nyquist_mask, 0, rate)
+                    ratio = abs(np.sum((np.conj(u) * rate).real)) / np.sum(np.abs(u) * np.abs(rate))
+                    assert ratio <= 1e-12 if zeroed else ratio >= 1e-6, (s, seed, zeroed, ratio)
+
     def test_transport_rejects_fields_on_two_grids(self):
         # the spray's transport pass runs on the grid of u, so a multiplier
         # on a grid of another length must be rejected before it

@@ -537,7 +537,7 @@ from pathlib import Path
 loaded, exits = {}, {}
 
 def note(step):
-    loaded[step] = "scipy.ndimage" in sys.modules
+    loaded[step] = [module in sys.modules for module in ("scipy.ndimage", "concurrent.futures")]
 
 import epdifflab
 note("import epdifflab")
@@ -575,7 +575,9 @@ print(json.dumps({"loaded": loaded, "exits": exits,
 
 def test_scipy_loads_on_the_first_spline_pass(tmp_path):
     # the Eulerian solver, the tower and the audits run on numpy alone; only
-    # a spline pass of the Lagrangian solver imports scipy.ndimage
+    # a spline pass of the Lagrangian solver imports scipy.ndimage.  None of
+    # these grids starts the transform pool, so concurrent.futures comes
+    # only with scipy
     configs = Path(__file__).resolve().parent.parent / "configs"
     for name in ("symbol_audit", "shear_audit", "conjugation_audit"):
         (tmp_path / f"{name}.ini").write_text((configs / f"{name}.ini").read_text())
@@ -590,12 +592,9 @@ def test_scipy_loads_on_the_first_spline_pass(tmp_path):
     report = json.loads(fresh.stdout.splitlines()[-1])
     assert report["exits"] == {"conjugation_audit": 0, "gaussian_blob": 0, "shear_audit": 0,
                                "symbol_audit": 0}
-    assert report["loaded"] == {
-        "import epdifflab": False, "import epdifflab.cli": False,
-        "step_rk4 d=1": False, "step_rk4 d=2": False, "apply_An_recursive": False,
-        "cli conjugation_audit": False, "cli gaussian_blob": False, "cli shear_audit": False,
-        "cli symbol_audit": False, "compose": True,
-    }
+    steps = ["import epdifflab", "import epdifflab.cli", "step_rk4 d=1", "step_rk4 d=2", "apply_An_recursive",
+             "cli conjugation_audit", "cli gaussian_blob", "cli shear_audit", "cli symbol_audit"]
+    assert report["loaded"] == {**dict.fromkeys(steps, [False, False]), "compose": [True, True]}
     assert report["kernels"] is True
 
 

@@ -1061,7 +1061,7 @@ def test_workspaces_go_with_the_grid(monkeypatch):
     passes = [obj for obj in vars(grid.plan._buffers).values()
               if isinstance(obj, (grid_module._Sampling, grid_module._Truncation))]
     assert {type(obj) for obj in passes} == {grid_module._Sampling, grid_module._Truncation}
-    buffers = [weakref.ref(grid.plan.workspace("embed", (grid.plan.batch,) + grid.plan.padded_half_shape)),
+    buffers = [weakref.ref(grid.plan.workspace("embed", grid.plan.padded_half_shape)),
                weakref.ref(epdiff_module._transport_pass(grid, False).padded)]
     buffers += [weakref.ref(obj) for obj in passes]
     del passes
@@ -1095,11 +1095,16 @@ def test_pass_objects_share_the_workspaces(dim, n):
     # one sampling and one truncation object per stack height, each binding
     # views of this thread's workspaces: however many heights a grid sees,
     # its padded-pass arrays stay within three chunk-sized buffers (embedding,
-    # work and n band), where a copy per height would grow with the heights
+    # work and n band), where a copy per height would grow with the heights.
+    # Each buffer has plan.batch rows from the start, so no later height
+    # replaces a buffer that the pass objects already bound.
     grid = TorusGrid(dim, n)
     plan = grid.plan
     stack = _noise(grid, 22).coeffs
     stack = np.concatenate([stack] * (plan.batch // dim + 1))
+    padded_samples(grid, stack[:1])
+    workspaces = {key: len(obj) for key, obj in vars(plan._buffers).items() if isinstance(key, str)}
+    assert workspaces == dict.fromkeys(["embed", "work"] if dim > 1 else ["embed"], plan.batch)
     for rows in range(1, plan.batch + 1):
         _full(grid, _truncate_half(grid, padded_samples(grid, stack[:rows])))
     kept = vars(plan._buffers)
